@@ -20,6 +20,7 @@ from .decomposition import (
     gyo_join_tree,
     hinge_decompose,
     induced_decomposition,
+    integralize,
     tree_decompose,
     verify,
 )

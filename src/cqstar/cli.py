@@ -37,6 +37,7 @@ from .generators import (
 from .hypergraph import Atom, Query, from_query
 from .parser import (
     ParseError,
+    SourceSpan,
     decomposition_from_json,
     decomposition_to_json,
     facts_to_text,
@@ -78,7 +79,23 @@ def _emit_json(doc: dict) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]
+        column = exc.start - head.rfind(b"\n")
+        span = SourceSpan(path, head.count(b"\n") + 1, column, column + 1)
+        raise ParseError(f"not UTF-8 text ({exc.reason})", span) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_query(path: str) -> Query:
@@ -86,8 +103,9 @@ def _load_query(path: str) -> Query:
 
 
 def _auto_decomposition(h, kind: Optional[str], k: Optional[int]) -> Decomposition:
-    """Tractability ladder: join tree if acyclic, else hingetree, else GHD
-    search with growing width."""
+    """The decomposition of the requested kind. With no kind: a join tree if
+    the query is acyclic, otherwise a hingetree; GHD search with growing
+    width runs only when ``kind`` is "ghd"."""
     if kind == "jointree" or kind is None:
         jt = dec.gyo_join_tree(h)
         if not isinstance(jt, NotAcyclic):
@@ -109,16 +127,6 @@ def _auto_decomposition(h, kind: Optional[str], k: Optional[int]) -> Decompositi
     raise BindError(f"unknown decomposition kind {kind!r}")
 
 
-def _integralize(d: Decomposition) -> Decomposition:
-    """Characteristic-function weights turn a guard-based decomposition into
-    a fractional one of the same width."""
-    nodes = tuple(
-        DecompNode(n.node_id, n.parent, n.guard, n.bag, {e: Fraction(1) for e in n.guard})
-        for n in d.nodes
-    )
-    return Decomposition(DecompKind.FRACTIONAL, nodes)
-
-
 def _cmd_count(args) -> int:
     query = _load_query(args.query)
     structure = parse_facts(_read(args.data), args.data)
@@ -133,7 +141,7 @@ def _cmd_count(args) -> int:
             d = _auto_decomposition(h, args.auto_decomp, args.k)
         if args.method == "fractional":
             if d.kind is not DecompKind.FRACTIONAL:
-                d = _integralize(d)
+                d = dec.integralize(d)
             result = count_cq_via_fractional(inst, d)
         else:
             result = count_cq_via_ghd(inst, d)
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--data", required=True)
     p.add_argument("--decomp")
     p.add_argument("--auto-decomp", choices=["jointree", "hinge", "ghd"])
-    p.add_argument("-k", type=int)
+    p.add_argument("-k", type=_positive_int)
     p.add_argument("--method", choices=["ghd", "fractional", "brute"], default="ghd")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
@@ -318,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--query", required=True)
     p.add_argument("--decomp")
     p.add_argument("--method", choices=sorted(_STAR_METHODS), default="brute")
-    p.add_argument("-k", type=int)
+    p.add_argument("-k", type=_positive_int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_starsize)
 
     p = sub.add_parser("decompose", help="build a decomposition for a query")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("--kind", choices=["jointree", "hinge", "ghd", "tree"], required=True)
-    p.add_argument("-k", type=int)
+    p.add_argument("-k", type=_positive_int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decompose)
 
@@ -339,23 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="generator", required=True)
     g = gsub.add_parser("clique-star")
     g.add_argument("--graph", required=True)
-    g.add_argument("-k", type=int, required=True)
+    g.add_argument("-k", type=_positive_int, required=True)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_gen)
     g = gsub.add_parser("is-hard")
     g.add_argument("--graph", required=True)
-    g.add_argument("-k", type=int, required=True)
+    g.add_argument("-k", type=_positive_int, required=True)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_gen)
     g = gsub.add_parser("gstar")
-    g.add_argument("-n", type=int, required=True)
+    g.add_argument("-n", type=_positive_int, required=True)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_gen)
     g = gsub.add_parser("random")
-    g.add_argument("--vars", type=int, required=True)
-    g.add_argument("--atoms", type=int, required=True)
-    g.add_argument("--max-arity", type=int, default=3)
-    g.add_argument("--domain", type=int, default=4)
+    g.add_argument("--vars", type=_positive_int, required=True)
+    g.add_argument("--atoms", type=_positive_int, required=True)
+    g.add_argument("--max-arity", type=_positive_int, default=3)
+    g.add_argument("--domain", type=_positive_int, default=4)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_gen)
@@ -378,7 +386,7 @@ def run_cli(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_ArgumentError, ParseError, BindError, FileNotFoundError) as exc:
+    except (_ArgumentError, ParseError, BindError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TooLarge, BudgetExceeded) as exc:

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation
+from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation, WidthNotOne
 from .hypergraph import EdgeId, Hypergraph, VertexId, edge_sort_key
 
 
@@ -237,6 +237,17 @@ def ensure_valid(h: Hypergraph, d: Decomposition, kinds: tuple[DecompKind, ...])
             report.violations,
         )
     return report
+
+
+def require_width_one(h: Hypergraph, jt: Decomposition) -> None:
+    """Raise WidthNotOne unless jt is a valid width-1 join tree or GHD of h."""
+    if jt.kind not in (DecompKind.JOINTREE, DecompKind.GHD):
+        raise WidthNotOne(f"expected a join tree, got kind {jt.kind.value}")
+    report = verify(h, jt)
+    if not report.ok:
+        raise WidthNotOne(f"join tree fails verification: {report.violations}")
+    if report.width > 1:
+        raise WidthNotOne(f"decomposition has width {report.width}, need 1")
 
 
 # -- GYO join trees --------------------------------------------------------
@@ -684,7 +695,6 @@ def _exact_elimination_order(h: Hypergraph) -> list[VertexId]:
     vs = list(h.vertices)
     n = len(vs)
     adj = _primal_adjacency(h)
-    index = {v: i for i, v in enumerate(vs)}
 
     cost: dict[int, int] = {0: -1}
     choice: dict[int, int] = {}
@@ -798,6 +808,13 @@ def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId
             weights = {e: w for e, w in n.weights.items() if h.edge_set(e) & keep}
         nodes.append(replace(n, guard=guard, bag=n.bag & keep, weights=weights))
     return Decomposition(d.kind, tuple(nodes))
+
+
+def integralize(d: Decomposition) -> Decomposition:
+    """Characteristic-function weights turn a guard-based decomposition into
+    a fractional one of the same width."""
+    nodes = tuple(replace(n, weights={e: Fraction(1) for e in n.guard}) for n in d.nodes)
+    return Decomposition(DecompKind.FRACTIONAL, nodes)
 
 
 def blocks_hypergraph(h: Hypergraph, d: Decomposition) -> Hypergraph:

@@ -4,8 +4,9 @@ Relations are sets of rows over interned value ids, so set semantics is
 enforced at construction and every count is of distinct answers. The
 counting pipelines reduce a quantified instance to a quantifier-free
 acyclic one: materialize one relation per decomposition node, replace each
-quantified component by a single relation over its free boundary computed
-through an edge cover of the boundary, then count along the join tree.
+quantified component by the relation of its satisfiable free-boundary
+assignments, which Yannakakis's join-and-project computes over the
+component's bags, then count along the join tree.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from .decomposition import (
     Decomposition,
     DecompKind,
     DecompNode,
+    blocks_hypergraph,
     ensure_valid,
     induced_decomposition,
-    verify,
+    jointree_over_bags,
+    require_width_one,
+    verify,  # unused here, but bench/tracing.py wraps engine.verify
 )
 from .errors import (
     BindError,
@@ -29,7 +33,6 @@ from .errors import (
     NotQuantifierFree,
     TooLarge,
     UnknownVariable,
-    WidthNotOne,
 )
 from .hypergraph import Atom, Hypergraph, Query, from_query, s_components
 from .starsize import acyclic_is_and_cover
@@ -73,12 +76,6 @@ class Structure:
                 for vid in row:
                     if not (0 <= vid < n):
                         raise ValueError(f"value id {vid} outside domain of size {n}")
-
-    def value_id(self, value: str) -> int:
-        try:
-            return self.domain.index(value)
-        except ValueError:
-            raise KeyError(value) from None
 
     def value(self, vid: int) -> str:
         return self.domain[vid]
@@ -184,51 +181,60 @@ def atom_relation(structure: Structure, atom: Atom, name: Optional[str] = None) 
 # -- acyclic evaluation -------------------------------------------------------
 
 
-def _require_width_one(h: Hypergraph, jt: Decomposition) -> None:
-    if jt.kind not in (DecompKind.JOINTREE, DecompKind.GHD):
-        raise WidthNotOne(f"expected a join tree, got kind {jt.kind.value}")
-    report = verify(h, jt)
-    if not report.ok:
-        raise WidthNotOne(f"join tree fails verification: {report.violations}")
-    if report.width > 1:
-        raise WidthNotOne(f"decomposition has width {report.width}, need 1")
+def _bind(inst: QueryInstance) -> list[Relation]:
+    """One relation per atom, indexed by the atom's ordinal (its edge id)."""
+    return [atom_relation(inst.structure, a, f"a{i}") for i, a in enumerate(inst.query.atoms)]
 
 
-def _jointree_relations(inst: QueryInstance, jt: Decomposition, h: Hypergraph) -> dict[int, Relation]:
-    """One relation per join-tree node: the node's guard atom joined with
-    every atom assigned here (first node whose bag contains its variables),
-    projected onto the bag."""
-    atom_rels = [atom_relation(inst.structure, a, f"a{i}") for i, a in enumerate(inst.query.atoms)]
-    order = jt.topo_order()
+def _bag_materialize(rels: Sequence[Relation], d: Decomposition, fractional: bool) -> dict[int, Relation]:
+    """One relation per decomposition node, keyed by node id: the join of the
+    node's atoms projected onto its bag. ``rels[i]`` is the relation of edge i.
+
+    A guard-based node joins its guard atoms and every atom assigned to it;
+    each atom is assigned once, to the first node in topological order whose
+    bag holds its variables (so zero-arity atoms land at the root). A
+    fractional node joins every atom's projection onto its bag, and the root
+    also enforces the zero-arity atoms.
+    """
+    vertices = list(dict.fromkeys(v for rel in rels for v in rel.schema))
+    order = d.topo_order()
     assigned: dict[int, list[int]] = {n.node_id: [] for n in order}
-    for i, rel in enumerate(atom_rels):
-        vs = set(rel.schema)
-        for n in order:
-            if vs <= n.bag:
-                assigned[n.node_id].append(i)
-                break
-        else:
-            raise WidthNotOne(f"atom {i} is not covered by any bag")
+    if not fractional:
+        for i, rel in enumerate(rels):
+            home = next((n for n in order if set(rel.schema) <= n.bag), None)
+            if home is None:
+                raise InvariantViolation(f"atom {i} is not covered by any bag")
+            assigned[home.node_id].append(i)
+
     out: dict[int, Relation] = {}
     for n in order:
-        parts = list(assigned[n.node_id])
-        for eid in n.guard:
-            if isinstance(eid, int) and eid not in parts and 0 <= eid < len(atom_rels):
-                parts.append(eid)
-        if parts:
-            rel = atom_rels[parts[0]]
-            for i in parts[1:]:
-                rel = natural_join(rel, atom_rels[i])
-            bag_vars = [v for v in h.vertices if v in n.bag]
-            out[n.node_id] = project(rel, bag_vars, f"n{n.node_id}")
+        bag_vars = [v for v in vertices if v in n.bag]
+        if fractional:
+            parts = [
+                project(rel, [v for v in rel.schema if v in n.bag])
+                for rel in rels
+                if n.bag & set(rel.schema)
+            ]
+            if n.parent is None:
+                parts += [rel for rel in rels if not rel.schema]
         else:
-            out[n.node_id] = Relation(f"n{n.node_id}", (), frozenset({()}))
+            parts = [rels[i] for i in sorted(set(n.guard).union(assigned[n.node_id]))]
+        if parts:
+            acc = parts[0]
+            for rel in parts[1:]:
+                acc = natural_join(acc, rel)
+            if not set(bag_vars) <= set(acc.schema):
+                raise InvariantViolation(f"bag {bag_vars} not covered by joined atoms")
+            out[n.node_id] = project(acc, bag_vars, f"b{n.node_id}")
+        else:
+            if bag_vars:
+                raise InvariantViolation(f"nonempty bag {bag_vars} with no covering atom")
+            out[n.node_id] = Relation(f"b{n.node_id}", (), frozenset({()}))
     return out
 
 
 def _bottom_up(jt: Decomposition, rels: dict[int, Relation]) -> dict[int, Relation]:
     reduced = dict(rels)
-    by_id = {n.node_id: n for n in jt.nodes}
     for node in jt.post_order():
         if node.parent is not None:
             reduced[node.parent] = semijoin(reduced[node.parent], reduced[node.node_id])
@@ -243,12 +249,28 @@ def _top_down(jt: Decomposition, rels: dict[int, Relation]) -> dict[int, Relatio
     return reduced
 
 
+def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[str], name: str) -> Relation:
+    """The join of the node relations projected onto ``out`` (Yannakakis,
+    VLDB 1981): a full semijoin reduction, then one bottom-up pass that joins
+    each node into its parent, keeping only ``out`` and the variables the
+    parent's bag shares. Running intersection makes dropping the rest safe."""
+    reduced = _top_down(jt, _bottom_up(jt, rels))
+    keep_out = set(out)
+    acc = dict(reduced)
+    for node in jt.post_order():
+        if node.parent is not None:
+            up = reduced[node.parent].schema
+            rel = acc[node.node_id]
+            rel = project(rel, [v for v in rel.schema if v in keep_out or v in up])
+            acc[node.parent] = natural_join(acc[node.parent], rel)
+    return project(acc[jt.root().node_id], out, name)
+
+
 def boolean_acq(inst: QueryInstance, jt: Decomposition) -> bool:
     """Satisfiability of the instance by bottom-up semijoin reduction only;
     no tuples beyond the per-node relations are ever materialized."""
-    h = from_query(inst.query).hypergraph
-    _require_width_one(h, jt)
-    rels = _jointree_relations(inst, jt, h)
+    require_width_one(from_query(inst.query).hypergraph, jt)
+    rels = _bag_materialize(_bind(inst), jt, fractional=False)
     if any(not r.rows for r in rels.values()):
         return False
     reduced = _bottom_up(jt, rels)
@@ -264,9 +286,8 @@ def count_acyclic_qf(inst: QueryInstance, jt: Decomposition) -> CountResult:
     q = inst.query
     if set(q.free_vars) != set(q.variables()):
         raise NotQuantifierFree("count_acyclic_qf requires all variables free")
-    h = from_query(q).hypergraph
-    _require_width_one(h, jt)
-    rels = _jointree_relations(inst, jt, h)
+    require_width_one(from_query(q).hypergraph, jt)
+    rels = _bag_materialize(_bind(inst), jt, fractional=False)
     max_intermediate = max((len(r) for r in rels.values()), default=0)
     reduced = _top_down(jt, _bottom_up(jt, rels))
     children = jt.children_map()
@@ -314,299 +335,77 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
     else:
         ensure_valid(h, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
     comps = s_components(sh)
-    atom_rels = [atom_relation(inst.structure, a, f"a{i}") for i, a in enumerate(inst.query.atoms)]
+    atom_rels = _bind(inst)
     stats: dict = {"components": len(comps), "cover_sizes": [], "bag_sizes": [], "max_intermediate": 0}
-
-    comp_relations: list[Relation] = []
-    for idx, comp in enumerate(comps):
-        comp_relations.append(
-            _component_relation(inst, h, d, comp, atom_rels, fractional, stats, idx)
-        )
 
     quantified = set(h.vertices) - sh.s
     kept = [i for i, a in enumerate(inst.query.atoms) if not (set(a.variables) & quantified)]
+    final_rels = [atom_rels[i] for i in kept]
+    for idx, comp in enumerate(comps):
+        final_rels.append(_component_relation(h, d, comp, atom_rels, fractional, stats, idx))
 
-    final_atoms: list[Atom] = []
-    final_rels: dict[str, Relation] = {}
-    for j, i in enumerate(kept):
-        pred = f"__k{j}"
-        final_atoms.append(Atom(pred, atom_rels[i].schema))
-        final_rels[pred] = atom_rels[i]
-    for i, rel in enumerate(comp_relations):
-        pred = f"__c{i}"
-        final_atoms.append(Atom(pred, rel.schema))
-        final_rels[pred] = rel
-
-    final_query = Query("ans", inst.query.free_vars, tuple(final_atoms))
-    final_inst = QueryInstance(final_query, Structure(inst.structure.domain, final_rels))
+    final_atoms = tuple(Atom(f"__r{j}", rel.schema) for j, rel in enumerate(final_rels))
+    final_query = Query("ans", inst.query.free_vars, final_atoms)
     final_h = from_query(final_query).hypergraph
     d2 = _rebuild_decomposition(h, d, comps, kept, fractional, final_h)
     ensure_valid(final_h, d2, (d2.kind,))
 
-    bag_inst, bag_jt, sizes = _bag_materialize(final_inst, d2, fractional, all_free=True)
+    bags = _bag_materialize(final_rels, d2, fractional)
+    bag_rels = [bags[j] for j in range(len(d2.nodes))]
+    free = tuple(dict.fromkeys(v for rel in bag_rels for v in rel.schema))
+    if set(free) != set(inst.query.free_vars):
+        raise InvariantViolation("materialized bags do not cover exactly the free variables")
+    sizes = [len(rel) for rel in bag_rels]
     stats["bag_sizes"].append(sizes)
     stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
-    result = count_acyclic_qf(bag_inst, bag_jt)
+
+    bag_query = Query("bags", free, tuple(Atom(f"__b{j}", rel.schema) for j, rel in enumerate(bag_rels)))
+    bag_structure = Structure(inst.structure.domain, {f"__b{j}": rel for j, rel in enumerate(bag_rels)})
+    result = count_acyclic_qf(QueryInstance(bag_query, bag_structure), jointree_over_bags(d2))
     stats["max_intermediate"] = max(stats["max_intermediate"], result.stats["max_intermediate"])
     return CountResult(result.count, "fractional" if fractional else "ghd", stats)
 
 
-def _component_relation(inst, h, d, comp, atom_rels, fractional, stats, idx) -> Relation:
-    """Steps (2)-(4) for one S-component: bag-materialize the restricted
-    instance, cover its free boundary, and collect the satisfiable boundary
-    assignments into a fresh relation."""
+def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relation:
+    """Steps (2)-(4) for one S-component: restrict the atoms and the
+    decomposition to the component, materialize one relation per bag, and
+    project their join onto the free boundary."""
     scope = comp.closure
-    di = induced_decomposition(h, d, scope)
-
-    proj: list[tuple[int, Relation]] = []
+    sub_rels: list[Relation] = []
+    ordinal: dict[int, int] = {}
     for o, rel in enumerate(atom_rels):
         keep = tuple(v for v in rel.schema if v in scope)
         if keep:
-            proj.append((o, project(rel, keep, f"p{o}")))
-    ordinal = {o: j for j, (o, _) in enumerate(proj)}
+            ordinal[o] = len(sub_rels)
+            sub_rels.append(project(rel, keep, f"p{o}"))
 
-    sub_atoms = tuple(Atom(f"__p{o}", rel.schema) for o, rel in proj)
-    sub_rels = {f"__p{o}": rel for o, rel in proj}
-    sub_query = Query("sub", (), sub_atoms)
-    sub_inst = QueryInstance(sub_query, Structure(inst.structure.domain, sub_rels))
-
-    remapped_nodes = []
-    for n in di.topo_order():
+    nodes = []
+    for n in induced_decomposition(h, d, scope).nodes:
         guard = frozenset(ordinal[e] for e in n.guard)
-        weights = None
-        if n.weights is not None:
-            weights = {ordinal[e]: w for e, w in n.weights.items()}
-        remapped_nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag, weights))
-    di2 = Decomposition(di.kind, tuple(remapped_nodes))
+        weights = None if n.weights is None else {ordinal[e]: w for e, w in n.weights.items()}
+        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag, weights))
+    di = Decomposition(d.kind, tuple(nodes))
 
-    bag_inst, bag_jt, sizes = _bag_materialize(sub_inst, di2, fractional, all_free=False)
+    bags = _bag_materialize(sub_rels, di, fractional)
+    sizes = [len(bags[n.node_id]) for n in di.topo_order()]
     stats["bag_sizes"].append(sizes)
     stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
 
-    hp = from_query(bag_inst.query).hypergraph
-    s_schema = tuple(v for v in h.vertices if v in comp.s_vertices)
-    _, cover = acyclic_is_and_cover(hp, bag_jt, comp.s_vertices)
+    # the edge-cover size is the paper's bound on the boundary relation
+    hp = blocks_hypergraph(comp.induced, di)
+    _, cover = acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
     stats["cover_sizes"].append(len(cover))
 
-    rows = _boundary_assignments(bag_inst, bag_jt, s_schema, sorted(cover))
-    return Relation(f"c{idx}", s_schema, frozenset(rows))
-
-
-def _bag_materialize(
-    inst, d, fractional, all_free: bool
-) -> tuple[QueryInstance, Decomposition, list[int]]:
-    """One relation per decomposition node; returns the solution-equivalent
-    acyclic instance, its join tree, and the per-node relation sizes.
-
-    Zero-arity atoms carry pure satisfiability and are enforced once, at
-    the root node.
-    """
-    origin = from_query(inst.query).hypergraph
-    rels = [atom_relation(inst.structure, a, f"a{i}") for i, a in enumerate(inst.query.atoms)]
-    zero_ary = [rel for rel in rels if not rel.schema]
-    order = d.topo_order()
-    position = {n.node_id: j for j, n in enumerate(order)}
-
-    bag_rels: list[Relation] = []
-    for n in order:
-        bag_vars = [v for v in origin.vertices if v in n.bag]
-        if fractional:
-            parts = []
-            for rel in rels:
-                cut = [v for v in rel.schema if v in n.bag]
-                if cut:
-                    parts.append(project(rel, cut))
-        else:
-            union = frozenset().union(*(origin.edge_set(e) for e in n.guard)) if n.guard else frozenset()
-            parts = [rel for rel in rels if rel.schema and set(rel.schema) <= union]
-        if n.parent is None:
-            parts = parts + zero_ary
-        if parts:
-            acc = parts[0]
-            for rel in parts[1:]:
-                acc = natural_join(acc, rel)
-            if not set(bag_vars) <= set(acc.schema):
-                raise InvariantViolation(f"bag {bag_vars} not covered by joined atoms")
-            bag_rels.append(project(acc, bag_vars, f"b{position[n.node_id]}"))
-        else:
-            if bag_vars:
-                raise InvariantViolation(f"nonempty bag {bag_vars} with no covering atom")
-            bag_rels.append(Relation(f"b{position[n.node_id]}", (), frozenset({()})))
-
-    atoms = tuple(Atom(f"__b{j}", rel.schema) for j, rel in enumerate(bag_rels))
-    structure = Structure(inst.structure.domain, {f"__b{j}": rel for j, rel in enumerate(bag_rels)})
-    if all_free:
-        free = tuple(dict.fromkeys(v for rel in bag_rels for v in rel.schema))
-        if set(free) != set(inst.query.free_vars):
-            raise InvariantViolation("materialized bags do not cover exactly the free variables")
-    else:
-        free = ()
-    bag_query = Query("bags", free, atoms)
-    bag_inst = QueryInstance(bag_query, structure)
-
-    jt_nodes = []
-    for j, n in enumerate(order):
-        parent = position[n.parent] if n.parent is not None else None
-        guard = frozenset({j}) if bag_rels[j].schema else frozenset()
-        jt_nodes.append(DecompNode(j, parent, guard, frozenset(bag_rels[j].schema)))
-    bag_jt = Decomposition(DecompKind.JOINTREE, tuple(jt_nodes))
-    return bag_inst, bag_jt, [len(r) for r in bag_rels]
-
-
-def _boundary_assignments(bag_inst, bag_jt, s_schema, cover_ordinals) -> set[tuple]:
-    """Boundary tuples of the component: for every consistent combination of
-    cover-atom tuples, keep the boundary assignment iff fixing it leaves the
-    component satisfiable. Verdicts are memoized per boundary assignment."""
-    rels = {i: atom_relation(bag_inst.structure, a) for i, a in enumerate(bag_inst.query.atoms)}
-    order = bag_jt.topo_order()
-    children = bag_jt.children_map()
-    s_set = set(s_schema)
-
-    node_s_cols = {}
-    node_index = {}
-    for j, rel in rels.items():
-        cols = [v for v in rel.schema if v in s_set]
-        node_s_cols[j] = cols
-        positions = [rel.schema.index(v) for v in cols]
-        idx: dict[tuple, list] = {}
-        for row in rel.rows:
-            idx.setdefault(tuple(row[i] for i in positions), []).append(row)
-        node_index[j] = idx
-
-    children = {n.node_id: [] for n in order}
-    for n in order:
-        if n.parent is not None:
-            children[n.parent].append(n.node_id)
-    # positions of the parent-shared variables, on both sides
-    up_positions = {}
-    for n in order:
-        if n.parent is None:
-            continue
-        shared = [v for v in rels[n.parent].schema if v in rels[n.node_id].schema]
-        up_positions[n.node_id] = (
-            [rels[n.node_id].schema.index(v) for v in shared],
-            [rels[n.parent].schema.index(v) for v in shared],
-        )
-
-    def selected_rows(j: int, skey: tuple):
-        if node_s_cols[j]:
-            return node_index[j].get(skey, ())
-        return rels[j].rows
-
-    # projections of a node's selected rows onto fixed positions only depend
-    # on the boundary key, so the key sets are shared across probes
-    proj_cache: dict = {}
-
-    def projected_keys(j: int, skey: tuple, positions: tuple) -> frozenset:
-        got = proj_cache.get((j, skey, positions))
-        if got is None:
-            got = frozenset(
-                tuple(row[i] for i in positions) for row in selected_rows(j, skey)
-            )
-            proj_cache[(j, skey, positions)] = got
-        return got
-
-    def satisfiable(binding: dict) -> bool:
-        skeys = {j: tuple(binding[v] for v in node_s_cols[j]) for j in rels}
-        keysets: dict[int, frozenset] = {}
-        for node in bag_jt.post_order():
-            j = node.node_id
-            kids = children[j]
-            if not kids:
-                if node.parent is None:
-                    return bool(selected_rows(j, skeys[j]))
-                ks = projected_keys(j, skeys[j], tuple(up_positions[j][0]))
-                if not ks:
-                    return False
-                keysets[j] = ks
-                continue
-            # children constrain the node per parent-side position signature
-            groups: dict[tuple, frozenset] = {}
-            for c in kids:
-                sig = tuple(up_positions[c][1])
-                ks = keysets[c]
-                cur = groups.get(sig)
-                groups[sig] = ks if cur is None else (cur & ks)
-            if any(not ks for ks in groups.values()):
-                return False
-            if node.parent is None and len(groups) == 1:
-                (sig, ks), = groups.items()
-                return not projected_keys(j, skeys[j], sig).isdisjoint(ks)
-            if node.parent is not None and len(groups) == 1:
-                (sig, ks), = groups.items()
-                if sig == tuple(up_positions[j][0]):
-                    # child- and parent-shared columns coincide: propagate by
-                    # plain set intersection of cached key sets
-                    combined = projected_keys(j, skeys[j], sig) & ks
-                    if not combined:
-                        return False
-                    keysets[j] = combined
-                    continue
-            rows = selected_rows(j, skeys[j])
-            for sig, ks in groups.items():
-                rows = [row for row in rows if tuple(row[i] for i in sig) in ks]
-                if not rows:
-                    return False
-            if node.parent is None:
-                return True
-            keysets[j] = frozenset(
-                tuple(row[i] for i in up_positions[j][0]) for row in rows
-            )
-        return True
-
-    cover_rels = [(j, rels[j]) for j in cover_ordinals]
-    prefix_vars: list[list[str]] = []
-    seen_vars: set[str] = set()
-    level_index = []
-    for j, rel in cover_rels:
-        shared = [v for v in rel.schema if v in seen_vars]
-        prefix_vars.append(shared)
-        positions = [rel.schema.index(v) for v in shared]
-        idx: dict[tuple, list] = {}
-        for row in sorted(rel.rows):
-            idx.setdefault(tuple(row[i] for i in positions), []).append(row)
-        level_index.append(idx)
-        seen_vars |= set(rel.schema)
-
-    decided: dict[tuple, bool] = {}
-    out: set[tuple] = set()
-
-    def walk(depth: int, binding: dict) -> None:
-        if depth == len(cover_rels):
-            key = tuple(binding[v] for v in s_schema)
-            verdict = decided.get(key)
-            if verdict is None:
-                verdict = satisfiable({v: binding[v] for v in s_schema})
-                decided[key] = verdict
-            if verdict:
-                out.add(key)
-            return
-        j, rel = cover_rels[depth]
-        lookup = tuple(binding[v] for v in prefix_vars[depth])
-        fresh = [v for v in rel.schema if v not in binding]
-        positions = [rel.schema.index(v) for v in fresh]
-        rows = level_index[depth].get(lookup, ())
-        if not rows:
-            return
-        for row in rows:
-            for v, i in zip(fresh, positions):
-                binding[v] = row[i]
-            walk(depth + 1, binding)
-        for v in fresh:
-            del binding[v]
-
-    if not cover_rels:
-        if satisfiable({}):
-            out.add(())
-        return out
-    walk(0, {})
-    return out
+    s_schema = tuple(v for v in h.vertices if v in comp.s_vertices)
+    return _join_project(di, bags, s_schema, f"c{idx}")
 
 
 def _rebuild_decomposition(h, d, comps, kept, fractional, final_h) -> Decomposition:
     """Quantifier-elimination rewrite of the decomposition: bags lose core
     vertices and gain the boundary sets of the components they touched;
-    guards swap core-meeting edges for the new component edges."""
+    guards swap core-meeting edges for the new component edges. Nodes are
+    renumbered 0..n-1 in topological order, so node j's bag becomes atom j
+    of the bag instance."""
     cores = [comp.core for comp in comps]
     boundaries = [comp.s_vertices for comp in comps]
     all_core = frozenset().union(*cores) if cores else frozenset()
@@ -614,8 +413,10 @@ def _rebuild_decomposition(h, d, comps, kept, fractional, final_h) -> Decomposit
     for i in range(len(comps)):
         new_edge_id[("comp", i)] = len(kept) + i
 
+    order = d.topo_order()
+    position = {n.node_id: j for j, n in enumerate(order)}
     nodes = []
-    for n in d.topo_order():
+    for n in order:
         touched = {i for i, core in enumerate(cores) if n.bag & core}
         bag = n.bag - all_core
         for i in touched:
@@ -659,7 +460,8 @@ def _rebuild_decomposition(h, d, comps, kept, fractional, final_h) -> Decomposit
                     if not repaired:
                         raise InvariantViolation(f"cannot cover vertex {v!r} in rebuilt bag")
             guard |= set(weights)
-        nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag, weights))
+        parent = None if n.parent is None else position[n.parent]
+        nodes.append(DecompNode(position[n.node_id], parent, frozenset(guard), bag, weights))
     kind = DecompKind.FRACTIONAL if fractional else DecompKind.GHD
     return Decomposition(kind, tuple(nodes))
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
-from .engine import QueryInstance, Relation, Structure
+from .engine import Relation, Structure
 from .errors import CqstarError
 from .generators import SimpleGraph
 from .hypergraph import Atom, Query
@@ -293,27 +293,33 @@ def decomposition_from_json(text: str, filename: str = "<decomp>") -> Decomposit
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", span) from None
+    if not isinstance(doc, dict):
+        raise ParseError("expected a JSON object at the top level", span)
     kind = _KINDS.get(doc.get("kind"))
     if kind is None:
         raise ParseError(f"unknown decomposition kind {doc.get('kind')!r}", span)
-    nodes = []
-    for entry in doc.get("nodes", []):
-        weights = None
-        if "weights" in entry:
-            weights = {int(e): Fraction(w) for e, w in entry["weights"].items()}
-        nodes.append(
-            DecompNode(
-                int(entry["id"]),
-                None if entry.get("parent") is None else int(entry["parent"]),
-                frozenset(int(e) for e in entry.get("lambda", [])),
-                frozenset(entry.get("chi", [])),
-                weights,
-            )
-        )
+    entries = doc.get("nodes", [])
+    if not isinstance(entries, list):
+        raise ParseError("\"nodes\" must be a list", span)
+    nodes = [_node_from_json(entry, span) for entry in entries]
     if not nodes:
         raise ParseError("decomposition has no nodes", span)
     return Decomposition(kind, tuple(nodes))
 
 
-def bind_instance(query: Query, structure: Structure) -> QueryInstance:
-    return QueryInstance(query, structure)
+def _node_from_json(entry, span: SourceSpan) -> DecompNode:
+    if not isinstance(entry, dict) or "id" not in entry:
+        raise ParseError("every node must be an object with an \"id\"", span)
+    try:
+        weights = None
+        if "weights" in entry:
+            weights = {int(e): Fraction(w) for e, w in entry["weights"].items()}
+        return DecompNode(
+            int(entry["id"]),
+            None if entry.get("parent") is None else int(entry["parent"]),
+            frozenset(int(e) for e in entry.get("lambda", [])),
+            frozenset(entry.get("chi", [])),
+            weights,
+        )
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"node {entry['id']!r}: {exc}", span) from None

@@ -24,6 +24,7 @@ from .decomposition import (
     gyo_join_tree,
     induced_decomposition,
     jointree_over_bags,
+    require_width_one,
     verify,
 )
 from .errors import (
@@ -122,16 +123,6 @@ def max_is_brute(h: Hypergraph, restrict_to=None, *, cutoff: int = BRUTE_CUTOFF)
     return _checked_witness(h, best, ISMethod.BRUTE)
 
 
-def _require_jointree(h: Hypergraph, jt: Decomposition) -> None:
-    if jt.kind not in (DecompKind.JOINTREE, DecompKind.GHD):
-        raise WidthNotOne(f"expected a join tree, got kind {jt.kind.value}")
-    report = verify(h, jt)
-    if not report.ok:
-        raise WidthNotOne(f"join tree fails verification: {report.violations}")
-    if report.width > 1:
-        raise WidthNotOne(f"decomposition has width {report.width}, need 1")
-
-
 def acyclic_is_and_cover(
     h: Hypergraph, jt: Decomposition, restrict_to=None
 ) -> tuple[ISWitness, frozenset]:
@@ -142,7 +133,7 @@ def acyclic_is_and_cover(
     candidate seen for the last time, the bag's edge enters the cover and
     one such candidate enters the independent set.
     """
-    _require_jointree(h, jt)
+    require_width_one(h, jt)
     cands = _candidates(h, restrict_to)
     for v in cands:
         if not h.incident_edges(v):

@@ -8,7 +8,6 @@ import math
 import time
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -24,6 +23,7 @@ from cqstar.decomposition import (
     ghd_search,
     gyo_join_tree,
     hinge_decompose,
+    integralize,
     verify,
 )
 from cqstar.engine import (
@@ -193,15 +193,7 @@ def test_criterion_5_counting_oracle_equivalence():
             assert d is not None
             expected = count_brute(inst).count
             assert count_cq_via_ghd(inst, d).count == expected
-            frac = Decomposition(
-                DecompKind.FRACTIONAL,
-                tuple(
-                    DecompNode(n.node_id, n.parent, n.guard, n.bag,
-                               {e: Fraction(1) for e in n.guard})
-                    for n in d.nodes
-                ),
-            )
-            assert count_cq_via_fractional(inst, frac).count == expected
+            assert count_cq_via_fractional(inst, integralize(d)).count == expected
             done += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

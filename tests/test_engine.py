@@ -8,6 +8,7 @@ from cqstar.decomposition import (
     ghd_search,
     gyo_join_tree,
     hinge_decompose,
+    integralize,
 )
 from cqstar.engine import (
     QueryInstance,
@@ -71,18 +72,6 @@ def auto_ghd(inst):
         if d is not None:
             return d
     raise AssertionError("no decomposition found")
-
-
-def integralize(d):
-    from fractions import Fraction
-
-    return Decomposition(
-        DecompKind.FRACTIONAL,
-        tuple(
-            DecompNode(n.node_id, n.parent, n.guard, n.bag, {e: Fraction(1) for e in n.guard})
-            for n in d.nodes
-        ),
-    )
 
 
 # -- relational operators -------------------------------------------------------
@@ -310,6 +299,74 @@ def test_count_empty_relation_gives_zero():
     assert count_cq_via_ghd(inst, auto_ghd(inst)).count == 0
 
 
+def facts(domain_size, **rows):
+    return structure(
+        [str(i) for i in range(domain_size)],
+        *(rel(name, [f"c{i}" for i in range(len(r[0]))], r) for name, r in rows.items()),
+    )
+
+
+# Instances whose quantified component exercises the boundary relation:
+# (free vars, atoms, structure, count fixed by construction or None).
+BOUNDARY_CASES = {
+    # empty free boundary: the component only decides satisfiability
+    "empty-boundary-sat": (
+        ("x",),
+        (Atom("A", ("x",)), Atom("R", ("u", "v")), Atom("S", ("v", "w"))),
+        facts(3, A=[(0,), (1,)], R=[(0, 1)], S=[(1, 2)]),
+        2,
+    ),
+    "empty-boundary-unsat": (
+        ("x",),
+        (Atom("A", ("x",)), Atom("R", ("u", "v")), Atom("S", ("v", "w"))),
+        facts(3, A=[(0,), (1,)], R=[(0, 1)], S=[(2, 0)]),
+        0,
+    ),
+    # three free arms on the core z, and a quantified chain w-u-t off it,
+    # so the component's bag tree branches
+    "branching": (
+        ("y1", "y2", "y3"),
+        (
+            Atom("C", ("z", "w")),
+            Atom("A1", ("z", "y1")),
+            Atom("A2", ("z", "y2")),
+            Atom("A3", ("z", "y3")),
+            Atom("D", ("w", "u")),
+            Atom("E", ("u", "t")),
+        ),
+        facts(
+            3,
+            C=[(0, 0), (1, 1), (2, 0)],
+            A1=[(0, 0), (0, 1), (1, 2), (2, 2)],
+            A2=[(0, 1), (1, 1), (2, 2), (2, 0)],
+            A3=[(0, 2), (2, 0), (1, 1)],
+            D=[(0, 1), (1, 2)],
+            E=[(1, 0), (1, 2)],
+        ),
+        None,
+    ),
+    # a repeated variable inside the component
+    "repeated-variable": (
+        ("y",),
+        (Atom("R", ("y", "z")), Atom("S", ("z", "z"))),
+        facts(3, R=[(0, 0), (1, 1), (2, 1), (2, 2)], S=[(0, 0), (0, 1), (1, 1)]),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_count_boundary_relation_cases(case):
+    free, atoms, struct, fixed = BOUNDARY_CASES[case]
+    inst = instance(free, atoms, struct)
+    expected = count_brute(inst).count
+    if fixed is not None:
+        assert expected == fixed
+    for d in (auto_ghd(inst), hinge_decompose(from_query(inst.query).hypergraph)):
+        assert count_cq_via_ghd(inst, d).count == expected
+        assert count_cq_via_fractional(inst, integralize(d)).count == expected
+
+
 def test_count_invariant_under_atom_permutation_and_renaming():
     base = instance(
         ("y1", "y2"),
@@ -420,8 +477,6 @@ def test_count_acyclic_qf_disconnected():
 
 
 def test_count_fractional_random_hinge_weights():
-    from fractions import Fraction
-
     rng = SplitMix64(5150)
     for _ in range(60):
         inst = gen_random_instance(
@@ -432,12 +487,5 @@ def test_count_fractional_random_hinge_weights():
             seed=rng.next_u64(),
         )
         h = from_query(inst.query).hypergraph
-        d = hinge_decompose(h)
-        frac = Decomposition(
-            DecompKind.FRACTIONAL,
-            tuple(
-                DecompNode(n.node_id, n.parent, n.guard, n.bag, {e: Fraction(1) for e in n.guard})
-                for n in d.nodes
-            ),
-        )
+        frac = integralize(hinge_decompose(h))
         assert count_cq_via_fractional(inst, frac).count == count_brute(inst).count

@@ -298,6 +298,51 @@ def test_cli_exit_codes(workdir, capsys):
     capsys.readouterr()
 
 
+BAD_DECOMPS = {
+    "node-without-id": {"kind": "jointree", "nodes": [{"parent": None, "lambda": [0], "chi": ["y1"]}]},
+    "non-integer-lambda": {"kind": "jointree", "nodes": [{"id": 0, "parent": None, "lambda": ["x"], "chi": []}]},
+    "weight-not-a-fraction": {
+        "kind": "fractional",
+        "nodes": [{"id": 0, "parent": None, "lambda": [0], "chi": [], "weights": {"0": "half"}}],
+    },
+    "top-level-array": [{"id": 0}],
+}
+
+
+def _bad_input_argv(case, workdir):
+    q, facts = str(workdir / "q.cq"), str(workdir / "d.facts")
+    if case in BAD_DECOMPS:
+        path = workdir / "bad.decomp.json"
+        path.write_text(json.dumps(BAD_DECOMPS[case]))
+        return ["count", "-q", q, "-d", facts, "--decomp", str(path)]
+    if case == "directory-as-query":
+        return ["count", "-q", str(workdir), "-d", facts]
+    if case == "directory-as-data":
+        return ["count", "-q", q, "-d", str(workdir)]
+    if case == "query-not-utf8":
+        path = workdir / "latin1.cq"
+        path.write_bytes("ans(y) :- R(y).\n# caf\xe9\n".encode("latin-1"))
+        return ["count", "-q", str(path), "-d", facts]
+    if case == "ghd-width-zero":
+        return ["decompose", "-q", q, "--kind", "ghd", "-k", "0"]
+    if case == "gen-size-zero":
+        return ["gen", "random", "--vars", "0", "--atoms", "2", "--seed", "1", "-o", str(workdir / "r")]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(BAD_DECOMPS) + [
+        "directory-as-query", "directory-as-data", "query-not-utf8", "ghd-width-zero", "gen-size-zero",
+    ],
+)
+def test_cli_bad_input_is_one_error_line(case, workdir, capsys):
+    assert run_cli(_bad_input_argv(case, workdir)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_jointree_refuses_cyclic(tmp_path, capsys):
     q = tmp_path / "tri.cq"
     q.write_text("ans(x,y,z) :- R(x,y), S(y,z), T(z,x).\n")

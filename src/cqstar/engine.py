@@ -2,11 +2,12 @@
 
 Relations are sets of rows over interned value ids, so set semantics is
 enforced at construction and every count is of distinct answers. The
-counting pipelines reduce a quantified instance to a quantifier-free
-acyclic one: materialize one relation per decomposition node, replace each
-quantified component by the relation of its satisfiable free-boundary
-assignments, which Yannakakis's join-and-project computes over the
-component's bags, then count along the join tree.
+counting pipelines reduce a quantified instance to a quantifier-free one:
+each quantified component is replaced by the relation of its satisfiable
+free-boundary assignments, which Yannakakis's join-and-project computes
+over the component's bags, and the decomposition is rewritten to match.
+``count_acyclic_qf`` then counts the rewritten instance: it materializes
+one relation per bag and counts along the decomposition's own tree.
 """
 
 from __future__ import annotations
@@ -166,6 +167,8 @@ def atom_relation(structure: Structure, atom: Atom, name: Optional[str] = None) 
     atom's distinct variables in order, rows filtered to equal repeats."""
     rel = structure.relations[atom.predicate]
     schema = tuple(dict.fromkeys(atom.variables))
+    if len(schema) == len(atom.variables):
+        return Relation(name or atom.predicate, schema, rel.rows)
     first_pos = [atom.variables.index(v) for v in schema]
     groups = [
         [i for i, w in enumerate(atom.variables) if w == v]
@@ -277,22 +280,26 @@ def boolean_acq(inst: QueryInstance, jt: Decomposition) -> bool:
     return bool(reduced[jt.root().node_id].rows)
 
 
-def count_acyclic_qf(inst: QueryInstance, jt: Decomposition) -> CountResult:
-    """Exact count for a quantifier-free acyclic instance.
+def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
+    """Exact count for a quantifier-free instance along any valid join tree,
+    GHD, hingetree or fractional decomposition of it.
 
-    Semijoin reduction followed by one bottom-up pass that stores, per
-    surviving tuple, its number of distinct extensions into the subtree.
+    The bag relations of a valid decomposition form an acyclic instance over
+    the decomposition's own tree: semijoin reduction, then one bottom-up pass
+    that stores, per surviving tuple, its number of distinct extensions into
+    the subtree.
     """
     q = inst.query
     if set(q.free_vars) != set(q.variables()):
         raise NotQuantifierFree("count_acyclic_qf requires all variables free")
-    require_width_one(from_query(q).hypergraph, jt)
-    rels = _bag_materialize(_bind(inst), jt, fractional=False)
+    kinds = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.FRACTIONAL)
+    ensure_valid(from_query(q).hypergraph, d, kinds)
+    rels = _bag_materialize(_bind(inst), d, d.kind is DecompKind.FRACTIONAL)
     max_intermediate = max((len(r) for r in rels.values()), default=0)
-    reduced = _top_down(jt, _bottom_up(jt, rels))
-    children = jt.children_map()
+    reduced = _top_down(d, _bottom_up(d, rels))
+    children = d.children_map()
     counts: dict[int, dict[tuple, int]] = {}
-    for node in jt.post_order():
+    for node in d.post_order():
         rel = reduced[node.node_id]
         table: dict[tuple, int] = {row: 1 for row in rel.rows}
         for child in children[node.node_id]:
@@ -308,9 +315,9 @@ def count_acyclic_qf(inst: QueryInstance, jt: Decomposition) -> CountResult:
                 key = tuple(row[i] for i in pp)
                 table[row] *= sums.get(key, 0)
         counts[node.node_id] = table
-    total = sum(counts[jt.root().node_id].values())
+    total = sum(counts[d.root().node_id].values())
     stats = {
-        "bag_sizes": [len(rels[n.node_id]) for n in jt.topo_order()],
+        "bag_sizes": [len(rels[n.node_id]) for n in d.topo_order()],
         "max_intermediate": max_intermediate,
     }
     return CountResult(total, "acyclic-qf", stats)
@@ -344,24 +351,14 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
     for idx, comp in enumerate(comps):
         final_rels.append(_component_relation(h, d, comp, atom_rels, fractional, stats, idx))
 
-    final_atoms = tuple(Atom(f"__r{j}", rel.schema) for j, rel in enumerate(final_rels))
-    final_query = Query("ans", inst.query.free_vars, final_atoms)
-    final_h = from_query(final_query).hypergraph
-    d2 = _rebuild_decomposition(h, d, comps, kept, fractional, final_h)
-    ensure_valid(final_h, d2, (d2.kind,))
-
-    bags = _bag_materialize(final_rels, d2, fractional)
-    bag_rels = [bags[j] for j in range(len(d2.nodes))]
-    free = tuple(dict.fromkeys(v for rel in bag_rels for v in rel.schema))
-    if set(free) != set(inst.query.free_vars):
-        raise InvariantViolation("materialized bags do not cover exactly the free variables")
-    sizes = [len(rel) for rel in bag_rels]
-    stats["bag_sizes"].append(sizes)
-    stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
-
-    bag_query = Query("bags", free, tuple(Atom(f"__b{j}", rel.schema) for j, rel in enumerate(bag_rels)))
-    bag_structure = Structure(inst.structure.domain, {f"__b{j}": rel for j, rel in enumerate(bag_rels)})
-    result = count_acyclic_qf(QueryInstance(bag_query, bag_structure), jointree_over_bags(d2))
+    names = [f"__r{j}" for j in range(len(final_rels))]
+    final_atoms = tuple(Atom(n, rel.schema) for n, rel in zip(names, final_rels))
+    final = QueryInstance(
+        Query("ans", inst.query.free_vars, final_atoms),
+        Structure(inst.structure.domain, dict(zip(names, final_rels))),
+    )
+    result = count_acyclic_qf(final, _rebuild_decomposition(h, d, comps, kept, fractional))
+    stats["bag_sizes"].append(result.stats["bag_sizes"])
     stats["max_intermediate"] = max(stats["max_intermediate"], result.stats["max_intermediate"])
     return CountResult(result.count, "fractional" if fractional else "ghd", stats)
 
@@ -400,12 +397,11 @@ def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relati
     return _join_project(di, bags, s_schema, f"c{idx}")
 
 
-def _rebuild_decomposition(h, d, comps, kept, fractional, final_h) -> Decomposition:
+def _rebuild_decomposition(h, d, comps, kept, fractional) -> Decomposition:
     """Quantifier-elimination rewrite of the decomposition: bags lose core
     vertices and gain the boundary sets of the components they touched;
-    guards swap core-meeting edges for the new component edges. Nodes are
-    renumbered 0..n-1 in topological order, so node j's bag becomes atom j
-    of the bag instance."""
+    guards and weights swap core-meeting edges for the new component edges,
+    numbered after the kept atoms. Node ids and the tree are unchanged."""
     cores = [comp.core for comp in comps]
     boundaries = [comp.s_vertices for comp in comps]
     all_core = frozenset().union(*cores) if cores else frozenset()
@@ -413,10 +409,8 @@ def _rebuild_decomposition(h, d, comps, kept, fractional, final_h) -> Decomposit
     for i in range(len(comps)):
         new_edge_id[("comp", i)] = len(kept) + i
 
-    order = d.topo_order()
-    position = {n.node_id: j for j, n in enumerate(order)}
     nodes = []
-    for n in order:
+    for n in d.nodes:
         touched = {i for i, core in enumerate(cores) if n.bag & core}
         bag = n.bag - all_core
         for i in touched:
@@ -444,24 +438,8 @@ def _rebuild_decomposition(h, d, comps, kept, fractional, final_h) -> Decomposit
                     weights[new_edge_id[("atom", e)]] = w
             for i in sorted(triggers):
                 weights[new_edge_id[("comp", i)]] = Fraction(1)
-            for v in bag:
-                total = sum(
-                    (w for eid, w in weights.items() if v in final_h.edge_set(eid)),
-                    Fraction(0),
-                )
-                if total < 1:
-                    repaired = False
-                    for i, boundary in enumerate(boundaries):
-                        eid = new_edge_id[("comp", i)]
-                        if v in boundary and eid not in weights:
-                            weights[eid] = Fraction(1)
-                            repaired = True
-                            break
-                    if not repaired:
-                        raise InvariantViolation(f"cannot cover vertex {v!r} in rebuilt bag")
             guard |= set(weights)
-        parent = None if n.parent is None else position[n.parent]
-        nodes.append(DecompNode(position[n.node_id], parent, frozenset(guard), bag, weights))
+        nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag, weights))
     kind = DecompKind.FRACTIONAL if fractional else DecompKind.GHD
     return Decomposition(kind, tuple(nodes))
 

@@ -4,8 +4,11 @@ file formats. This module is the only place concrete syntax lives.
 Formats:
   .cq          ans(v1,...,vm) :- A1(...), ..., An(...).
   .facts       P(a,b,c). one fact per statement; constants are identifiers,
-               integers, or double-quoted strings; duplicates collapse.
-  .edges       line-oriented "u v" pairs, 0-based; optional leading "n <int>".
+               integers, or double-quoted strings whose only escapes are a
+               backslash before a backslash, a quote, n, r or t;
+               duplicates collapse.
+  .edges       line-oriented "u v" pairs, 0-based; optional leading "n <int>",
+               which bounds every vertex index.
   .decomp.json {"kind": ..., "nodes": [{"id", "parent", "lambda", "chi",
                "weights"?}]} with guard entries as 0-based atom ordinals.
 """
@@ -161,11 +164,21 @@ def query_to_text(query: Query) -> str:
     return f"{head} :- {body}.\n"
 
 
-_PLAIN_CONST = re.compile(r"[A-Za-z0-9_]+\Z")
+# constants the tokenizer reads back as one name or number token
+_PLAIN_CONST = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+)\Z")
+# the one escape set of quoted constants, shared by the parser and the writer
+_UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE = {char: "\\" + code for code, char in _UNESCAPE.items()}
 
 
-def _unquote(text: str) -> str:
-    return text[1:-1].encode().decode("unicode_escape")
+def _unquote(tok: _Token) -> str:
+    def unescape(m: re.Match) -> str:
+        char = _UNESCAPE.get(m.group(1))
+        if char is None:
+            raise ParseError(f"unknown escape \\{m.group(1)} in string", tok.span)
+        return char
+
+    return re.sub(r"\\(.)", unescape, tok.text[1:-1])
 
 
 def parse_facts(text: str, filename: str = "<facts>") -> Structure:
@@ -187,7 +200,7 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
                     value = tok.text
                 elif tok.kind == "string":
                     cur.next()
-                    value = _unquote(tok.text)
+                    value = _unquote(tok)
                 else:
                     raise ParseError(f"expected a constant, found {tok.text!r}", tok.span)
                 values.append(domain.setdefault(value, len(domain)))
@@ -225,7 +238,7 @@ def facts_to_text(structure: Structure) -> str:
                 if _PLAIN_CONST.match(value):
                     consts.append(value)
                 else:
-                    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+                    escaped = "".join(_ESCAPE.get(c, c) for c in value)
                     consts.append(f'"{escaped}"')
             lines.append(f"{name}({', '.join(consts)}).")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -236,26 +249,27 @@ def parse_edge_list(text: str, filename: str = "<edges>") -> SimpleGraph:
     declares the vertex count, otherwise it is max index + 1."""
     n: Optional[int] = None
     pairs = []
-    max_seen = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        span = SourceSpan(filename, lineno, 1, len(raw) + 1)
         parts = line.split()
-        if n is None and max_seen < 0 and not pairs and parts[0] == "n" and len(parts) == 2:
+        if n is None and not pairs and parts[0] == "n":
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ParseError(f"expected 'n <count>', found {line!r}", span)
             n = int(parts[1])
             continue
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            span = SourceSpan(filename, lineno, 1, len(raw) + 1)
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError(f"expected 'u v', found {line!r}", span)
         u, v = int(parts[0]), int(parts[1])
         if u == v:
-            span = SourceSpan(filename, lineno, 1, len(raw) + 1)
             raise ParseError("loops are not allowed", span)
+        if n is not None and max(u, v) >= n:
+            raise ParseError(f"vertex {max(u, v)} out of range for n={n}", span)
         pairs.append((u, v))
-        max_seen = max(max_seen, u, v)
     if n is None:
-        n = max_seen + 1 if max_seen >= 0 else 0
+        n = max((max(p) for p in pairs), default=-1) + 1
     return SimpleGraph.from_pairs(n, pairs)
 
 

@@ -27,6 +27,7 @@ from cqstar.engine import (
 )
 from cqstar.errors import (
     BindError,
+    DecompositionInvalid,
     NotQuantifierFree,
     TooLarge,
     UnknownVariable,
@@ -193,6 +194,17 @@ def test_count_acyclic_qf_examples():
         structure(("a", "b"), rel("R", ("c0", "c1"), [(0, 1), (1, 0)])),
     )
     assert count_acyclic_qf(idem, auto_ghd(idem)).count == 2
+
+    # no bag holds both variables of S(y, z)
+    broken = Decomposition(
+        DecompKind.JOINTREE,
+        (
+            DecompNode(0, None, frozenset({0}), frozenset({"x", "y"})),
+            DecompNode(1, 0, frozenset({1}), frozenset({"z"})),
+        ),
+    )
+    with pytest.raises(DecompositionInvalid):
+        count_acyclic_qf(inst, broken)
 
 
 def test_count_acyclic_qf_rejects_quantified():
@@ -418,6 +430,10 @@ def test_oracle_equivalence_random_instances():
         assert count_cq_via_fractional(inst, integralize(d)).count == expected
         hinge = hinge_decompose(from_query(inst.query).hypergraph)
         assert count_cq_via_ghd(inst, hinge).count == expected
+        all_free = QueryInstance(Query("ans", inst.query.variables(), inst.query.atoms), inst.structure)
+        expected_qf = count_brute(all_free).count
+        for dd in (d, hinge, integralize(d)):
+            assert count_acyclic_qf(all_free, dd).count == expected_qf
         agree += 1
 
 

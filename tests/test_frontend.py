@@ -89,6 +89,10 @@ def test_parse_edge_list():
     assert inferred.n == 3
     with pytest.raises(ParseError):
         parse_edge_list("0 0\n")
+    for bad in ("n abc\n", "n -1\n", "n 2\n0 5\n"):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(bad)
+        assert err.value.span.line == bad.count("\n")
 
 
 # -- round trips ----------------------------------------------------------------
@@ -100,13 +104,16 @@ def test_query_round_trip():
 
 
 def test_facts_round_trip():
-    s = parse_facts(E1E2_FACTS)
-    again = parse_facts(facts_to_text(s))
-    assert {n: r.rows for n, r in again.relations.items()} == {
-        n: frozenset(tuple(again.domain.index(s.domain[v]) for v in row) for row in r.rows)
-        for n, r in s.relations.items()
-    }
-    assert facts_to_text(again) == facts_to_text(s)
+    quoted = 'Q("\u00e9", "a\\nb", "t\\tr\\r", "q\\"b\\\\", "0abc").\n'
+    for text in (E1E2_FACTS, quoted):
+        s = parse_facts(text)
+        again = parse_facts(facts_to_text(s))
+        assert {n: r.rows for n, r in again.relations.items()} == {
+            n: frozenset(tuple(again.domain.index(s.domain[v]) for v in row) for row in r.rows)
+            for n, r in s.relations.items()
+        }
+        assert facts_to_text(again) == facts_to_text(s)
+    assert parse_facts(quoted).domain == ("\u00e9", "a\nb", "t\tr\r", 'q"b\\', "0abc")
 
 
 def test_edge_list_round_trip():
@@ -309,6 +316,13 @@ BAD_DECOMPS = {
 }
 
 
+BAD_EDGE_LISTS = {
+    "edges-count-not-int": "n abc\n0 1\n",
+    "edges-count-negative": "n -1\n",
+    "edges-vertex-out-of-range": "n 2\n0 5\n",
+}
+
+
 def _bad_input_argv(case, workdir):
     q, facts = str(workdir / "q.cq"), str(workdir / "d.facts")
     if case in BAD_DECOMPS:
@@ -323,6 +337,14 @@ def _bad_input_argv(case, workdir):
         path = workdir / "latin1.cq"
         path.write_bytes("ans(y) :- R(y).\n# caf\xe9\n".encode("latin-1"))
         return ["count", "-q", str(path), "-d", facts]
+    if case == "facts-bad-escape":
+        path = workdir / "escape.facts"
+        path.write_text('E1(a, 1).\nE2("a\\x", 1).\n')
+        return ["count", "-q", q, "-d", str(path)]
+    if case in BAD_EDGE_LISTS:
+        path = workdir / "bad.edges"
+        path.write_text(BAD_EDGE_LISTS[case])
+        return ["gen", "clique-star", "--graph", str(path), "-k", "2", "-o", str(workdir / "cs")]
     if case == "ghd-width-zero":
         return ["decompose", "-q", q, "--kind", "ghd", "-k", "0"]
     if case == "gen-size-zero":
@@ -332,8 +354,9 @@ def _bad_input_argv(case, workdir):
 
 @pytest.mark.parametrize(
     "case",
-    sorted(BAD_DECOMPS) + [
+    sorted(BAD_DECOMPS) + sorted(BAD_EDGE_LISTS) + [
         "directory-as-query", "directory-as-data", "query-not-utf8", "ghd-width-zero", "gen-size-zero",
+        "facts-bad-escape",
     ],
 )
 def test_cli_bad_input_is_one_error_line(case, workdir, capsys):

@@ -84,7 +84,7 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as exc:
         head = exc.object[: exc.start]
         column = exc.start - head.rfind(b"\n")
-        span = SourceSpan(path, head.count(b"\n") + 1, column, column + 1)
+        span = SourceSpan(path, head.count(b"\n") + 1, column)
         raise ParseError(f"not UTF-8 text ({exc.reason})", span) from None
 
 

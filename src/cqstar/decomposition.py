@@ -515,6 +515,7 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
 # -- generalized hypertree decompositions -----------------------------------
 
 GHD_EXACT_EDGE_CUTOFF = 10
+GHD_BRANCH_LIMIT = 512
 
 
 @dataclass
@@ -529,21 +530,20 @@ def ghd_search(
     k: int,
     *,
     node_budget: int = 200_000,
-    exact_edge_cutoff: int = GHD_EXACT_EDGE_CUTOFF,
-    branch_limit: int = 512,
 ) -> Optional[Decomposition]:
     """Search for a GHD of width <= k by component-splitting over candidate
     guards (subsets of at most k dedup edges).
 
-    Exhaustive below ``exact_edge_cutoff`` dedup edges; beyond that the
-    candidate guards at each state are pruned by a fixed edge order, so a
-    None answer only means "not found". Raises BudgetExceeded when the
-    state budget runs out.
+    Exhaustive up to ``GHD_EXACT_EDGE_CUTOFF`` dedup edges; beyond that each
+    state draws its guards from the edges that overlap it most and tries at
+    most ``GHD_BRANCH_LIMIT`` of them, so a None answer only means "not
+    found". Raises BudgetExceeded when the state budget of ``node_budget``
+    candidate guards runs out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     dd = h.dedup_edges()
-    exact = len(dd) <= exact_edge_cutoff
+    exact = len(dd) <= GHD_EXACT_EDGE_CUTOFF
     budget = [node_budget]
     memo: dict[frozenset, Optional[_Plan]] = {}
 
@@ -598,7 +598,7 @@ def ghd_search(
                 if budget[0] < 0:
                     raise BudgetExceeded("ghd_search node budget exhausted")
                 tried += 1
-                if not exact and tried > branch_limit:
+                if not exact and tried > GHD_BRANCH_LIMIT:
                     break
                 union = frozenset().union(*(fs for _, fs in combo))
                 if not (x <= union):
@@ -619,7 +619,7 @@ def ghd_search(
                     continue
                 result = _Plan(tuple(eid for eid, _ in combo), bag, plans)
                 break
-            if result is not None or (not exact and tried > branch_limit):
+            if result is not None or (not exact and tried > GHD_BRANCH_LIMIT):
                 break
         memo[w] = result
         return result
@@ -752,15 +752,15 @@ def _min_fill_order(h: Hypergraph) -> list[VertexId]:
     return order
 
 
-def tree_decompose(h: Hypergraph, *, exact_vertex_cutoff: int = TREE_EXACT_VERTEX_CUTOFF) -> Decomposition:
+def tree_decompose(h: Hypergraph) -> Decomposition:
     """Tree decomposition of the primal graph via an elimination order.
 
-    Exact (subset DP) up to ``exact_vertex_cutoff`` vertices, min-fill
+    Exact (subset DP) up to ``TREE_EXACT_VERTEX_CUTOFF`` vertices, min-fill
     heuristic beyond; width convention is max bag size minus one.
     """
     if not h.vertices:
         return Decomposition(DecompKind.TREE, (DecompNode(0, None, frozenset(), frozenset()),))
-    if len(h.vertices) <= exact_vertex_cutoff:
+    if len(h.vertices) <= TREE_EXACT_VERTEX_CUTOFF:
         order = _exact_elimination_order(h)
     else:
         order = _min_fill_order(h)

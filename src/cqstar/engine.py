@@ -285,9 +285,9 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
     GHD, hingetree or fractional decomposition of it.
 
     The bag relations of a valid decomposition form an acyclic instance over
-    the decomposition's own tree: semijoin reduction, then one bottom-up pass
-    that stores, per surviving tuple, its number of distinct extensions into
-    the subtree.
+    the decomposition's own tree. One bottom-up pass stores, per bag tuple,
+    its number of distinct extensions into the subtree. No semijoin reduction
+    is needed: a tuple that dangles anywhere below gets a zero child sum.
     """
     q = inst.query
     if set(q.free_vars) != set(q.variables()):
@@ -296,14 +296,13 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
     ensure_valid(from_query(q).hypergraph, d, kinds)
     rels = _bag_materialize(_bind(inst), d, d.kind is DecompKind.FRACTIONAL)
     max_intermediate = max((len(r) for r in rels.values()), default=0)
-    reduced = _top_down(d, _bottom_up(d, rels))
     children = d.children_map()
     counts: dict[int, dict[tuple, int]] = {}
     for node in d.post_order():
-        rel = reduced[node.node_id]
+        rel = rels[node.node_id]
         table: dict[tuple, int] = {row: 1 for row in rel.rows}
         for child in children[node.node_id]:
-            crel = reduced[child.node_id]
+            crel = rels[child.node_id]
             shared = [v for v in rel.schema if v in crel.schema]
             pc = [crel.schema.index(v) for v in shared]
             pp = [rel.schema.index(v) for v in shared]

@@ -11,6 +11,9 @@ Formats:
                which bounds every vertex index.
   .decomp.json {"kind": ..., "nodes": [{"id", "parent", "lambda", "chi",
                "weights"?}]} with guard entries as 0-based atom ordinals.
+
+A ParseError names its position as file:line:column. Lines and columns are
+1-based, and a column counts characters, so a tab is one column.
 """
 
 from __future__ import annotations
@@ -33,7 +36,12 @@ class SourceSpan:
     file: str
     line: int
     column: int
-    end_column: int
+
+    @classmethod
+    def at(cls, text: str, offset: int, file: str) -> "SourceSpan":
+        """The position of ``text[offset]``: one more than the newlines
+        before it, and one more than the characters since the last of them."""
+        return cls(file, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
@@ -47,115 +55,100 @@ class ParseError(CqstarError):
         self.other = other
 
 
+# One match per token: whitespace and comments are skipped before it. The
+# ``bad`` group takes any character no other token starts with, and ``eof``
+# is the empty match at the end of the text.
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>\d+)
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<arrow>:-)
-      | (?P<punct>[(),.])
-    """,
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<number>\d+)
+        | (?P<string>"(?:[^"\\\n]|\\.)*")
+        | (?P<arrow>:-)
+        | (?P<punct>[(),.])
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            span = SourceSpan(filename, line, col, col + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, raw, SourceSpan(filename, line, col, col + len(raw))))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(filename, line, col, col)))
-    return tokens
-
-
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    """Tokens are ``(kind, text, offset)`` tuples; a ``SourceSpan`` is built
+    only for an error."""
 
-    def peek(self) -> _Token:
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
+        self.tokens = [
+            (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)) for m in _TOKEN.finditer(text)
+        ]
+        self.i = 0
+        for kind, raw, offset in self.tokens:
+            if kind == "bad":
+                raise self.error(f"unexpected character {raw!r}", offset)
+
+    def error(self, message: str, offset: int, other: Optional[int] = None) -> ParseError:
+        span = SourceSpan.at(self.text, offset, self.filename)
+        earlier = None if other is None else SourceSpan.at(self.text, other, self.filename)
+        return ParseError(message, span, earlier)
+
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, kind: str, text: Optional[str] = None) -> tuple:
+        tok = self.tokens[self.i]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.next()
+            raise self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def items(self, item) -> tuple:
+        """Parse ``( item, item, ... )``, calling ``item()`` once per item;
+        return the closing token."""
+        self.expect("punct", "(")
+        if self.peek()[1] != ")":
+            item()
+            while self.peek()[1] == ",":
+                self.i += 1
+                item()
+        return self.expect("punct", ")")
 
 
 def parse_query(text: str, filename: str = "<query>") -> Query:
     """``head(v1,...,vm) :- A1(t...), ..., An(t...).`` — head variables are
     free, every other body variable is existentially quantified."""
-    cur = _Cursor(_tokenize(text, filename))
+    cur = _Cursor(text, filename)
     head = cur.expect("name")
-    cur.expect("punct", "(")
     free: list[str] = []
-    if cur.peek().text != ")":
-        while True:
-            tok = cur.expect("name")
-            if tok.text in free:
-                raise ParseError(f"duplicate head variable {tok.text!r}", tok.span)
-            free.append(tok.text)
-            if cur.peek().text == ",":
-                cur.next()
-                continue
-            break
-    cur.expect("punct", ")")
+
+    def head_variable():
+        _, name, offset = cur.expect("name")
+        if name in free:
+            raise cur.error(f"duplicate head variable {name!r}", offset)
+        free.append(name)
+
+    cur.items(head_variable)
     cur.expect("arrow")
     atoms: list[Atom] = []
     while True:
         pred = cur.expect("name")
-        cur.expect("punct", "(")
         terms: list[str] = []
-        if cur.peek().text != ")":
-            while True:
-                terms.append(cur.expect("name").text)
-                if cur.peek().text == ",":
-                    cur.next()
-                    continue
-                break
-        close = cur.expect("punct", ")")
+        close = cur.items(lambda: terms.append(cur.expect("name")[1]))
         if not terms:
-            raise ParseError("atoms need at least one variable", close.span)
-        atoms.append(Atom(pred.text, tuple(terms)))
-        if cur.peek().text == ",":
-            cur.next()
-            continue
-        break
+            raise cur.error("atoms need at least one variable", close[2])
+        atoms.append(Atom(pred[1], tuple(terms)))
+        if cur.peek()[1] != ",":
+            break
+        cur.next()
     cur.expect("punct", ".")
     cur.expect("eof")
-    if not atoms:
-        raise ParseError("query body is empty", head.span)
-    return Query(head.text, tuple(free), tuple(atoms))
+    return Query(head[1], tuple(free), tuple(atoms))
 
 
 def query_to_text(query: Query) -> str:
@@ -171,55 +164,44 @@ _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _ESCAPE = {char: "\\" + code for code, char in _UNESCAPE.items()}
 
 
-def _unquote(tok: _Token) -> str:
+def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
     def unescape(m: re.Match) -> str:
         char = _UNESCAPE.get(m.group(1))
         if char is None:
-            raise ParseError(f"unknown escape \\{m.group(1)} in string", tok.span)
+            raise cur.error(f"unknown escape \\{m.group(1)} in string", offset)
         return char
 
-    return re.sub(r"\\(.)", unescape, tok.text[1:-1])
+    return re.sub(r"\\(.)", unescape, raw[1:-1])
 
 
 def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     """Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
     every constant appearing anywhere, interned in first-appearance order."""
-    cur = _Cursor(_tokenize(text, filename))
+    cur = _Cursor(text, filename)
     domain: dict[str, int] = {}
-    schemas: dict[str, tuple[int, SourceSpan]] = {}
+    schemas: dict[str, tuple[int, int]] = {}  # arity and offset of first use
     rows: dict[str, set] = {}
-    while cur.peek().kind != "eof":
-        pred = cur.expect("name")
-        cur.expect("punct", "(")
+
+    def constant() -> int:
+        kind, value, offset = cur.next()
+        if kind == "string":
+            value = _unquote(cur, value, offset)
+        elif kind != "name" and kind != "number":
+            raise cur.error(f"expected a constant, found {value!r}", offset)
+        return domain.setdefault(value, len(domain))
+
+    while cur.peek()[0] != "eof":
+        _, pred, offset = cur.expect("name")
         values: list[int] = []
-        if cur.peek().text != ")":
-            while True:
-                tok = cur.peek()
-                if tok.kind == "name" or tok.kind == "number":
-                    cur.next()
-                    value = tok.text
-                elif tok.kind == "string":
-                    cur.next()
-                    value = _unquote(tok)
-                else:
-                    raise ParseError(f"expected a constant, found {tok.text!r}", tok.span)
-                values.append(domain.setdefault(value, len(domain)))
-                if cur.peek().text == ",":
-                    cur.next()
-                    continue
-                break
-        cur.expect("punct", ")")
+        cur.items(lambda: values.append(constant()))
         cur.expect("punct", ".")
-        known = schemas.get(pred.text)
-        if known is not None and known[0] != len(values):
-            raise ParseError(
-                f"predicate {pred.text!r} used with arity {len(values)}, earlier {known[0]}",
-                pred.span,
-                known[1],
-            )
+        known = schemas.get(pred)
         if known is None:
-            schemas[pred.text] = (len(values), pred.span)
-        rows.setdefault(pred.text, set()).add(tuple(values))
+            schemas[pred] = (len(values), offset)
+        elif known[0] != len(values):
+            message = f"predicate {pred!r} used with arity {len(values)}, earlier {known[0]}"
+            raise cur.error(message, offset, known[1])
+        rows.setdefault(pred, set()).add(tuple(values))
     relations = {
         name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))
         for name, tuples in rows.items()
@@ -253,7 +235,7 @@ def parse_edge_list(text: str, filename: str = "<edges>") -> SimpleGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        span = SourceSpan(filename, lineno, 1, len(raw) + 1)
+        span = SourceSpan(filename, lineno, 1)
         parts = line.split()
         if n is None and not pairs and parts[0] == "n":
             if len(parts) != 2 or not parts[1].isdecimal():
@@ -302,7 +284,7 @@ def decomposition_to_json(d: Decomposition) -> str:
 
 
 def decomposition_from_json(text: str, filename: str = "<decomp>") -> Decomposition:
-    span = SourceSpan(filename, 1, 1, 1)
+    span = SourceSpan(filename, 1, 1)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -195,6 +195,29 @@ def test_count_acyclic_qf_examples():
     )
     assert count_acyclic_qf(idem, auto_ghd(idem)).count == 2
 
+    # the root row (5, 2) of R(w, x) extends into S but dangles at T
+    chain = instance(
+        ("w", "x", "y", "z"),
+        (Atom("R", ("w", "x")), Atom("S", ("x", "y")), Atom("T", ("y", "z"))),
+        structure(
+            tuple("abcdefghi"),
+            rel("R", ("c0", "c1"), [(0, 1), (5, 2)]),
+            rel("S", ("c0", "c1"), [(1, 3), (1, 7), (2, 4)]),
+            rel("T", ("c0", "c1"), [(3, 6), (7, 6), (7, 8)]),
+        ),
+    )
+    path = Decomposition(
+        DecompKind.JOINTREE,
+        (
+            DecompNode(0, None, frozenset({0}), frozenset({"w", "x"})),
+            DecompNode(1, 0, frozenset({1}), frozenset({"x", "y"})),
+            DecompNode(2, 1, frozenset({2}), frozenset({"y", "z"})),
+        ),
+    )
+    result = count_acyclic_qf(chain, path)
+    assert result.count == 3
+    assert result.count == count_by_full_join(chain)
+
     # no bag holds both variables of S(y, z)
     broken = Decomposition(
         DecompKind.JOINTREE,

@@ -56,10 +56,9 @@ def test_parse_query_errors():
         parse_query("ans(x) :- R(x)")  # missing final dot
     with pytest.raises(ParseError):
         parse_query("ans(x) :- R().")
-    try:
+    with pytest.raises(ParseError) as err:
         parse_query("ans(x) :-\n R(x,\n ?).")
-    except ParseError as exc:
-        assert exc.span.line == 3
+    assert err.value.span.line == 3
 
 
 def test_parse_facts_dedup_and_domain():
@@ -93,6 +92,31 @@ def test_parse_edge_list():
         with pytest.raises(ParseError) as err:
             parse_edge_list(bad)
         assert err.value.span.line == bad.count("\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_query, "ans(x) :-\tR(x) S(x).", "f:1:16: expected '.', found 'S'"),
+        (parse_facts, 'P("é", b) x.', "f:1:11: expected '.', found 'x'"),
+        (parse_query, "# head\nans(x) :-\n  R(x), (x).\n", "f:3:9: expected 'name', found '('"),
+        (parse_query, "ans(x) :- R(x) & S(x).", "f:1:16: unexpected character '&'"),
+        (parse_facts, 'P(a).\nP(b, "c\\q").', "f:2:6: unknown escape \\q in string"),
+        (parse_query, "ans(x, y, x) :- R(x, y).", "f:1:11: duplicate head variable 'x'"),
+        (parse_query, "ans(x) :- R(x", "f:1:14: expected ')', found 'end of input'"),
+        (
+            parse_facts,
+            "P(a, b).\nQ(c).\nP(a).",
+            "f:3:1: predicate 'P' used with arity 1, earlier 2 (earlier at f:1:1)",
+        ),
+    ],
+    ids=["tab", "non-ascii", "after-comment", "bad-char", "escape", "duplicate-head", "premature-end", "arity"],
+)
+def test_parse_error_messages(parse, text, message):
+    """Columns count characters from 1; a tab and an 'é' are one column each."""
+    with pytest.raises(ParseError) as err:
+        parse(text, "f")
+    assert str(err.value) == message
 
 
 # -- round trips ----------------------------------------------------------------

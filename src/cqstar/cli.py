@@ -83,7 +83,9 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         head = exc.object[: exc.start]
-        column = exc.start - head.rfind(b"\n")
+        line_start = head.rfind(b"\n") + 1
+        # the bytes before the bad one decode, so the column counts characters
+        column = len(head[line_start:].decode("utf-8")) + 1
         span = SourceSpan(path, head.count(b"\n") + 1, column)
         raise ParseError(f"not UTF-8 text ({exc.reason})", span) from None
 

@@ -3,13 +3,15 @@ decompositions, and fractional hypertree decompositions.
 
 A decomposition is a rooted tree of guarded blocks. ``verify`` checks
 exactly the conditions of the decomposition's kind and reports every
-violation; constructors only ever return decompositions that verify clean.
+violation. The hinge, GHD and tree constructors re-verify their output;
+``gyo_join_tree``'s join trees are verified by their consumers
+(``ensure_valid`` in the count pipeline, ``require_width_one`` in star size).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -38,39 +40,39 @@ class DecompNode:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A rooted tree of nodes linked by parent ids.
+
+    Construction checks the shape in linear time: unique ids, exactly one
+    root, no dangling parent, and no cycle. With one root and every parent
+    present, a node lies on or below a cycle exactly when the root does not
+    reach it, so one walk down from the root finds every cycle, a
+    self-parent included.
+    """
+
     kind: DecompKind
     nodes: tuple[DecompNode, ...]
 
     def __post_init__(self):
-        ids = [n.node_id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        ids = {n.node_id for n in self.nodes}
+        if len(ids) != len(self.nodes):
             raise DecompositionInvalid("duplicate node id")
-        idset = set(ids)
         roots = [n for n in self.nodes if n.parent is None]
         if len(roots) != 1:
             raise DecompositionInvalid(f"expected exactly one root, found {len(roots)}")
+        children: dict[int, list[int]] = {}
         for n in self.nodes:
-            if n.parent is not None and n.parent not in idset:
-                raise DecompositionInvalid(f"node {n.node_id} has dangling parent {n.parent}")
-        # parent pointers must be acyclic
-        by_id = {n.node_id: n for n in self.nodes}
-        for n in self.nodes:
-            seen = set()
-            cur = n
-            while cur.parent is not None:
-                if cur.node_id in seen:
-                    raise DecompositionInvalid("cycle in parent pointers")
-                seen.add(cur.node_id)
-                cur = by_id[cur.parent]
+            if n.parent is not None:
+                if n.parent not in ids:
+                    raise DecompositionInvalid(f"node {n.node_id} has dangling parent {n.parent}")
+                children.setdefault(n.parent, []).append(n.node_id)
+        reached = [roots[0].node_id]
+        for nid in reached:
+            reached.extend(children.get(nid, ()))
+        if len(reached) != len(self.nodes):
+            raise DecompositionInvalid("cycle in parent pointers")
 
     def root(self) -> DecompNode:
         return next(n for n in self.nodes if n.parent is None)
-
-    def node(self, node_id: int) -> DecompNode:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
 
     def children_map(self) -> dict[int, list[DecompNode]]:
         out: dict[int, list[DecompNode]] = {n.node_id: [] for n in self.nodes}
@@ -145,17 +147,13 @@ class WidthReport:
         return not self.violations
 
 
-def _connectedness_violations(d: Decomposition) -> list[Violation]:
-    occupied: dict[str, set[int]] = {}
-    for n in d.nodes:
-        for v in n.bag:
-            occupied.setdefault(v, set()).add(n.node_id)
-    by_id = {n.node_id: n for n in d.nodes}
+def _connectedness_violations(holders: dict[VertexId, list[DecompNode]]) -> list[Violation]:
+    """A vertex's nodes are connected iff exactly one of them has its parent
+    outside the set."""
     out = []
-    for v in sorted(occupied):
-        nodes = occupied[v]
-        tops = [t for t in nodes if by_id[t].parent not in nodes]
-        if len(tops) > 1:
+    for v in sorted(holders):
+        ids = {n.node_id for n in holders[v]}
+        if sum(n.parent not in ids for n in holders[v]) > 1:
             out.append(Violation(CONNECTEDNESS, vertex=v))
     return out
 
@@ -165,7 +163,18 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
 
     Raises IdMismatch for ids that do not refer to h at all. A width is
     reported only when the violation list is empty.
+
+    One index maps each vertex to the nodes whose bag holds it, in node
+    order. It gives the connectedness check. It limits the coverage check
+    of an edge to the bags holding the edge's rarest vertex, and the hinge
+    intersection check to pairs of nodes that share a vertex, so neither
+    check compares every edge or node with every node. A TREE
+    decomposition is checked against the primal graph's edges. Violations
+    come in a fixed order: connectedness by vertex, uncovered edges in
+    declared order, then the conditions of the kind, node by node or pair
+    by pair in node order. An empty edge is always covered.
     """
+    holders: dict[VertexId, list[DecompNode]] = {}
     for n in d.nodes:
         for eid in n.guard:
             if not h.has_edge_id(eid):
@@ -173,33 +182,36 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
         for v in n.bag:
             if not h.has_vertex(v):
                 raise IdMismatch(f"node {n.node_id}: unknown vertex {v!r}")
-        if n.weights:
-            for eid in n.weights:
-                if not h.has_edge_id(eid):
-                    raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
+            holders.setdefault(v, []).append(n)
+        for eid in n.weights or ():
+            if not h.has_edge_id(eid):
+                raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
 
-    violations: list[Violation] = []
+    violations = _connectedness_violations(holders)
     target = h.primal_graph() if d.kind is DecompKind.TREE else h
-    violations.extend(_connectedness_violations(d))
     for eid, fs in target.dedup_edges():
-        if not any(fs <= n.bag for n in d.nodes):
+        if fs and not any(fs <= n.bag for n in min((holders.get(v, ()) for v in fs), key=len)):
             violations.append(Violation(EDGE_UNCOVERED, edge=eid))
 
     if d.kind in (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE):
         for n in d.nodes:
-            union = frozenset().union(*(h.edge_set(e) for e in n.guard)) if n.guard else frozenset()
-            for v in sorted(n.bag - union):
-                violations.append(Violation(GUARD_GAP, node=n.node_id, vertex=v))
+            if n.bag:
+                for v in sorted(n.bag.difference(*map(h.edge_set, n.guard))):
+                    violations.append(Violation(GUARD_GAP, node=n.node_id, vertex=v))
 
     if d.kind is DecompKind.HINGE:
         for n in d.nodes:
-            union = frozenset().union(*(h.edge_set(e) for e in n.guard)) if n.guard else frozenset()
-            if union != n.bag:
+            if frozenset().union(*map(h.edge_set, n.guard)) != n.bag:
                 violations.append(Violation(HINGE_UNION, node=n.node_id))
-        for a, b in itertools.combinations(d.nodes, 2):
+        position = {n.node_id: i for i, n in enumerate(d.nodes)}
+        meeting = {
+            (position[a.node_id], position[b.node_id])
+            for nodes in holders.values()
+            for a, b in itertools.combinations(nodes, 2)
+        }
+        for i, j in sorted(meeting):
+            a, b = d.nodes[i], d.nodes[j]
             shared = a.bag & b.bag
-            if not shared:
-                continue
             if not any(
                 shared <= (h.edge_set(e1) & h.edge_set(e2))
                 for e1 in a.guard
@@ -264,43 +276,64 @@ def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
     """GYO ear elimination; a width-1 decomposition over the dedup edges,
     or the irreducible kernel when the hypergraph is cyclic.
 
-    Ties break toward the earliest-declared edge, so the tree is stable.
+    The reduced set of an alive edge is its vertices that lie in at least
+    two alive edges. An edge is absorbable when its reduced set lies in
+    another alive edge. Each step absorbs the earliest-declared absorbable
+    edge under the earliest-declared alive edge that contains its reduced
+    set, so the tree is stable. The kernel is the alive edges' reduced sets
+    once no edge is absorbable.
+
+    Each vertex keeps the alive edges that hold it, in declared order, and
+    only the absorbed edge's vertices are updated. An edge can become
+    absorbable only when one of its vertices drops to a single alive edge,
+    so a min-heap of ordinals, re-fed at exactly those moments, yields the
+    next edge to absorb. Its parent is the first fitting edge among the
+    holders of its reduced set's rarest vertex. On acyclic inputs of
+    bounded degree this runs in time near linear in the total edge size.
+    The output is not verified here; its consumers verify it.
     """
     dd = h.dedup_edges()
     if not dd:
         node = DecompNode(0, None, frozenset(), frozenset())
         return Decomposition(DecompKind.JOINTREE, (node,))
-    reduced = {eid: set(fs) for eid, fs in dd}
-    alive = [eid for eid, _ in dd]
-    parent: dict[EdgeId, EdgeId] = {}
-    while True:
-        occ = Counter(v for eid in alive for v in reduced[eid])
-        for eid in alive:
-            solo = {v for v in reduced[eid] if occ[v] == 1}
-            reduced[eid] -= solo
-        absorbed = None
-        for eid in alive:
-            for fid in alive:
-                if fid != eid and reduced[eid] <= reduced[fid]:
-                    parent[eid] = fid
-                    absorbed = eid
-                    break
-            if absorbed is not None:
-                break
-        if absorbed is None:
-            break
-        alive.remove(absorbed)
+    sets = [fs for _, fs in dd]
+    # vertex -> alive edge ordinals holding it, in declared order
+    holders: dict[VertexId, dict[int, None]] = {}
+    for i, fs in enumerate(sets):
+        for v in fs:
+            holders.setdefault(v, {})[i] = None
+    alive = dict.fromkeys(range(len(sets)))
+    parent: dict[int, int] = {}
+    heap = list(alive)  # ascending, so already a heap
+    while heap and len(alive) > 1:
+        i = heapq.heappop(heap)
+        if i not in alive:
+            continue
+        reduced = [v for v in sets[i] if len(holders[v]) > 1]
+        if reduced:
+            rarest = min(reduced, key=lambda v: len(holders[v]))
+            p = next((j for j in holders[rarest] if j != i and sets[j].issuperset(reduced)), None)
+            if p is None:
+                continue
+        else:
+            p = next(j for j in alive if j != i)
+        parent[i] = p
+        del alive[i]
+        for v in sets[i]:
+            rest = holders[v]
+            del rest[i]
+            if len(rest) == 1:
+                heapq.heappush(heap, next(iter(rest)))
     if len(alive) > 1:
-        kernel_vertices = [v for v in h.vertices if any(v in reduced[eid] for eid in alive)]
-        kernel = Hypergraph(kernel_vertices, [(eid, frozenset(reduced[eid])) for eid in alive])
-        return NotAcyclic(kernel)
-    ordinal = {eid: i for i, (eid, _) in enumerate(dd)}
-    sets = dict(dd)
-    nodes = []
-    for eid, _ in dd:
-        par = ordinal[parent[eid]] if eid in parent else None
-        nodes.append(DecompNode(ordinal[eid], par, frozenset({eid}), sets[eid]))
-    return Decomposition(DecompKind.JOINTREE, tuple(nodes))
+        kernel_vertices = [v for v in h.vertices if len(holders.get(v, ())) > 1]
+        kernel_edges = [
+            (dd[i][0], frozenset(v for v in sets[i] if len(holders[v]) > 1)) for i in alive
+        ]
+        return NotAcyclic(Hypergraph(kernel_vertices, kernel_edges))
+    nodes = tuple(
+        DecompNode(i, parent.get(i), frozenset({eid}), fs) for i, (eid, fs) in enumerate(dd)
+    )
+    return Decomposition(DecompKind.JOINTREE, nodes)
 
 
 # -- hingetree decompositions ----------------------------------------------
@@ -391,9 +424,10 @@ def _expand_acyclic(nodes: list[_TreeNode], h: Hypergraph, edge_sets) -> None:
         if isinstance(jt, NotAcyclic):
             continue
         pieces = {next(iter(n.guard)): _TreeNode(n.guard) for n in jt.nodes}
+        by_id = {n.node_id: n for n in jt.nodes}
         for n in jt.nodes:
             if n.parent is not None:
-                par = jt.node(n.parent)
+                par = by_id[n.parent]
                 _link(pieces[next(iter(n.guard))], pieces[next(iter(par.guard))],
                       next(iter(par.guard)))
         for neighbor, label in list(node.links):
@@ -802,11 +836,11 @@ def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId
     keep = frozenset(vs)
     nodes = []
     for n in d.nodes:
-        guard = frozenset(e for e in n.guard if h.edge_set(e) & keep)
+        guard = frozenset(e for e in n.guard if not keep.isdisjoint(h.edge_set(e)))
         weights = None
         if n.weights is not None:
-            weights = {e: w for e, w in n.weights.items() if h.edge_set(e) & keep}
-        nodes.append(replace(n, guard=guard, bag=n.bag & keep, weights=weights))
+            weights = {e: w for e, w in n.weights.items() if not keep.isdisjoint(h.edge_set(e))}
+        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag & keep, weights))
     return Decomposition(d.kind, tuple(nodes))
 
 

@@ -8,8 +8,11 @@ with the operations it checks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from typing import Union
 
-from cqstar.hypergraph import Hypergraph
+from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic
+from cqstar.hypergraph import EdgeId, Hypergraph
 
 
 def components_union_find(h: Hypergraph) -> set[frozenset]:
@@ -282,3 +285,48 @@ def has_k_independent_set(graph, k: int) -> bool:
         if all(not graph.adjacent(u, v) for u, v in combinations(combo, 2)):
             return True
     return False
+
+
+def gyo_reference(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
+    """Quadratic GYO ear elimination, the oracle for ``gyo_join_tree``.
+
+    Every round recounts vertex occurrences over the alive reduced sets,
+    drops the vertices seen once, and absorbs the first alive edge (in
+    declared order) whose reduced set lies in another alive edge's, under
+    the first such edge.
+    """
+    dd = h.dedup_edges()
+    if not dd:
+        node = DecompNode(0, None, frozenset(), frozenset())
+        return Decomposition(DecompKind.JOINTREE, (node,))
+    reduced = {eid: set(fs) for eid, fs in dd}
+    alive = [eid for eid, _ in dd]
+    parent: dict[EdgeId, EdgeId] = {}
+    while True:
+        occ = Counter(v for eid in alive for v in reduced[eid])
+        for eid in alive:
+            solo = {v for v in reduced[eid] if occ[v] == 1}
+            reduced[eid] -= solo
+        absorbed = None
+        for eid in alive:
+            for fid in alive:
+                if fid != eid and reduced[eid] <= reduced[fid]:
+                    parent[eid] = fid
+                    absorbed = eid
+                    break
+            if absorbed is not None:
+                break
+        if absorbed is None:
+            break
+        alive.remove(absorbed)
+    if len(alive) > 1:
+        kernel_vertices = [v for v in h.vertices if any(v in reduced[eid] for eid in alive)]
+        kernel = Hypergraph(kernel_vertices, [(eid, frozenset(reduced[eid])) for eid in alive])
+        return NotAcyclic(kernel)
+    ordinal = {eid: i for i, (eid, _) in enumerate(dd)}
+    sets = dict(dd)
+    nodes = []
+    for eid, _ in dd:
+        par = ordinal[parent[eid]] if eid in parent else None
+        nodes.append(DecompNode(ordinal[eid], par, frozenset({eid}), sets[eid]))
+    return Decomposition(DecompKind.JOINTREE, tuple(nodes))

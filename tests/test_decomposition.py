@@ -27,7 +27,7 @@ from cqstar.errors import DecompositionInvalid, IdMismatch
 from cqstar.generators import SplitMix64, gen_random_acyclic
 from cqstar.hypergraph import Hypergraph
 
-from oracles import is_acyclic_bruteforce, min_hinge_width, treewidth_by_permutations
+from oracles import gyo_reference, is_acyclic_bruteforce, min_hinge_width, treewidth_by_permutations
 
 
 def single_node(h, kind=DecompKind.GHD):
@@ -241,6 +241,54 @@ def test_gyo_on_generated_acyclic():
         assert isinstance(jt, Decomposition)
         report = verify(h, jt)
         assert report.ok and report.width <= 1
+
+
+def gyo_input(rng):
+    """A small hypergraph that keeps every vertex, so some may be isolated.
+    Edge ids mix ints and strings; an edge may be empty or repeat an
+    earlier edge's set."""
+    n = 1 + rng.below(8)
+    vertices = [f"w{i}" for i in range(n)]
+    edges = []
+    for i in range(rng.below(9)):
+        roll = rng.below(12)
+        if roll == 0:
+            members = frozenset()
+        elif roll == 1 and edges:
+            members = edges[rng.below(len(edges))][1]
+        else:
+            pool = list(vertices)
+            members = frozenset(pool.pop(rng.below(len(pool))) for _ in range(1 + rng.below(min(4, n))))
+        edges.append((i if rng.chance(1, 3) else f"e{i}", members))
+    return Hypergraph(vertices, edges)
+
+
+def test_gyo_matches_reference_on_small_hypergraphs():
+    rng = SplitMix64(20261018)
+    seen = {"cyclic": 0, "duplicate": 0, "empty edge": 0, "isolated": 0, "disconnected": 0}
+    for _ in range(2400):
+        h = gyo_input(rng)
+        mine, ref = gyo_join_tree(h), gyo_reference(h)
+        if isinstance(ref, NotAcyclic):
+            assert isinstance(mine, NotAcyclic) and mine.kernel == ref.kernel
+            seen["cyclic"] += 1
+        else:
+            assert mine == ref
+        sets = [fs for _, fs in h.edges]
+        seen["duplicate"] += len(set(sets)) < len(sets)
+        seen["empty edge"] += frozenset() in sets
+        seen["isolated"] += any(not h.incident_edges(v) for v in h.vertices)
+        seen["disconnected"] += len(h.induced(set().union(*sets)).connected_components()) > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_gyo_matches_reference_on_large_acyclic():
+    rng = SplitMix64(5150)
+    for size in range(50, 401, 12):
+        h = gen_random_acyclic(edges=size, max_arity=1 + rng.below(4), seed=rng.next_u64())
+        jt = gyo_join_tree(h)
+        assert isinstance(jt, Decomposition)
+        assert jt == gyo_reference(h)
 
 
 # -- hinge --------------------------------------------------------------------
@@ -461,3 +509,105 @@ def test_decomposition_shape_validation():
                 DecompNode(1, 2, frozenset(), frozenset()),
             ),
         )
+
+
+def test_decomposition_parent_cycles_off_the_root():
+    root = DecompNode(0, None, frozenset(), frozenset())
+    loop = (DecompNode(1, 2, frozenset(), frozenset()), DecompNode(2, 1, frozenset(), frozenset()))
+    with pytest.raises(DecompositionInvalid, match="cycle in parent pointers"):
+        Decomposition(DecompKind.GHD, (root, DecompNode(3, 0, frozenset(), frozenset())) + loop)
+    with pytest.raises(DecompositionInvalid, match="cycle in parent pointers"):
+        Decomposition(DecompKind.GHD, (root, DecompNode(1, 1, frozenset(), frozenset())))
+    # a node hanging below a cycle is caught too
+    below = DecompNode(4, 1, frozenset(), frozenset())
+    with pytest.raises(DecompositionInvalid, match="cycle in parent pointers"):
+        Decomposition(DecompKind.GHD, (below, root) + loop)
+
+
+def test_long_path_decomposition_builds_and_verifies():
+    n = 3000
+    h = Hypergraph([f"p{i}" for i in range(n + 1)],
+                   [(i, frozenset({f"p{i}", f"p{i + 1}"})) for i in range(n)])
+    nodes = tuple(
+        DecompNode(i, i - 1 if i else None, frozenset({i}), h.edge_set(i)) for i in range(n)
+    )
+    d = Decomposition(DecompKind.JOINTREE, nodes)
+    report = verify(h, d)
+    assert report.ok and report.width == 1
+    jt = gyo_join_tree(h)
+    assert isinstance(jt, Decomposition) and len(jt.nodes) == n
+    assert verify(h, jt).ok
+
+
+def naive_uncovered(h, d):
+    target = h.primal_graph() if d.kind is DecompKind.TREE else h
+    return [eid for eid, fs in target.dedup_edges() if not any(fs <= n.bag for n in d.nodes)]
+
+
+def test_verify_uncovered_edges_match_all_bags_check():
+    rng = SplitMix64(2718)
+    mutated = tree_kind = 0
+    for _ in range(150):
+        h = random_hypergraph(rng, max_vertices=7, max_edges=6)
+        for d in (hinge_decompose(h), tree_decompose(h)):
+            assert naive_uncovered(h, d) == []
+            for _ in range(3):
+                k = rng.below(len(d.nodes))
+                node = d.nodes[k]
+                if not node.bag:
+                    continue
+                gone = sorted(node.bag)[rng.below(len(node.bag))]
+                nodes = d.nodes[:k] + (replace(node, bag=node.bag - {gone}),) + d.nodes[k + 1:]
+                bad = Decomposition(d.kind, nodes)
+                got = [x.edge for x in verify(h, bad).violations if x.tag == EDGE_UNCOVERED]
+                assert got == naive_uncovered(h, bad)
+                mutated += bool(got)
+                tree_kind += bool(got) and d.kind is DecompKind.TREE
+    assert mutated >= 100 and tree_kind >= 30
+
+
+def test_verify_hinge_intersections_match_all_pairs_check():
+    """GHDs and tree decompositions read as hingetrees break condition 4 on
+    many pairs at once; the pairs come out in node order."""
+    rng = SplitMix64(1414)
+    multi = 0
+    for _ in range(120):
+        h = random_hypergraph(rng, max_vertices=8, max_edges=6, max_arity=3)
+        for d in (ghd_search(h, 3), tree_decompose(h), hinge_decompose(h)):
+            if d is None:
+                continue
+            if d.kind is DecompKind.TREE:
+                # guard each bag by the first edge that meets it
+                nodes = tuple(
+                    replace(n, guard=frozenset([e for e, fs in h.edges if fs & n.bag][:1]))
+                    for n in d.nodes
+                )
+            else:
+                nodes = d.nodes
+            as_hinge = Decomposition(DecompKind.HINGE, tuple(reversed(nodes)))
+            naive = [
+                (a.node_id, b.node_id)
+                for i, a in enumerate(as_hinge.nodes)
+                for b in as_hinge.nodes[i + 1:]
+                if a.bag & b.bag
+                and not any(a.bag & b.bag <= h.edge_set(e1) & h.edge_set(e2)
+                            for e1 in a.guard for e2 in b.guard)
+            ]
+            got = [(x.node, x.node2) for x in verify(h, as_hinge).violations
+                   if x.tag == HINGE_INTERSECTION]
+            assert got == naive
+            multi += len(got) > 1
+    assert multi >= 30, multi
+
+
+def test_zero_arity_edge():
+    h = Hypergraph("ab", [("nil", frozenset()), ("ab", frozenset("ab"))])
+    jt = gyo_join_tree(h)
+    assert jt == gyo_reference(h)
+    assert [(n.node_id, n.parent) for n in jt.nodes] == [(0, 1), (1, None)]
+    report = verify(h, jt)
+    assert report.ok and report.width == 1
+    only = Hypergraph("a", [("nil", frozenset())])
+    assert verify(only, Decomposition(DecompKind.GHD, (DecompNode(0, None, frozenset(), frozenset()),))).ok
+    assert gyo_join_tree(only) == gyo_reference(only)
+    assert verify(only, hinge_decompose(only)).ok

@@ -390,6 +390,14 @@ def test_cli_bad_input_is_one_error_line(case, workdir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_not_utf8_column_counts_characters(tmp_path, capsys):
+    """The bad byte follows a two-byte 'é' on its line: column 8, not 9."""
+    path = tmp_path / "accent.cq"
+    path.write_bytes("ans(y) :- R(y).\n# caf\u00e9 ".encode("utf-8") + b"\xff\n")
+    assert run_cli(["count", "-q", str(path), "-d", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2:8: not UTF-8 text (invalid start byte)\n"
+
+
 def test_cli_jointree_refuses_cyclic(tmp_path, capsys):
     q = tmp_path / "tri.cq"
     q.write_text("ans(x,y,z) :- R(x,y), S(y,z), T(z,x).\n")

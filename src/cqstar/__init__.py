@@ -30,15 +30,12 @@ from .engine import (
     Relation,
     Structure,
     atom_relation,
-    boolean_acq,
     count_acyclic_qf,
     count_brute,
     count_cq_via_fractional,
     count_cq_via_ghd,
-    enumerate_is,
     natural_join,
     project,
-    select,
     semijoin,
 )
 from .errors import (

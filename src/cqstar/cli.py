@@ -172,6 +172,8 @@ def _cmd_starsize(args) -> int:
     if method in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX):
         if args.decomp:
             d = decomposition_from_json(_read(args.decomp), args.decomp)
+            # once against the whole query, before it is restricted to components
+            dec.ensure_valid(sh.hypergraph, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
         elif method is ISMethod.HINGE_FPT:
             d = dec.hinge_decompose(sh.hypergraph)
         else:
@@ -317,7 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count query answers")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("-d", "--data", required=True)
-    p.add_argument("--decomp")
+    p.add_argument(
+        "--decomp",
+        help="decomposition JSON of the query, verified against it; it is used only for "
+        "cyclic pieces, since each acyclic S-component and an acyclic rewritten query "
+        "get their own join tree",
+    )
     p.add_argument("--auto-decomp", choices=["jointree", "hinge", "ghd"])
     p.add_argument("-k", type=_positive_int)
     p.add_argument("--method", choices=["ghd", "fractional", "brute"], default="ghd")
@@ -326,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("starsize", help="quantified star size of a query")
     p.add_argument("-q", "--query", required=True)
-    p.add_argument("--decomp")
+    p.add_argument(
+        "--decomp",
+        help="decomposition JSON for --method ghd, hinge or approx, verified against the "
+        "query and then restricted to each S-component",
+    )
     p.add_argument("--method", choices=sorted(_STAR_METHODS), default="brute")
     p.add_argument("-k", type=_positive_int)
     p.add_argument("--json", action="store_true")

@@ -5,9 +5,11 @@ enforced at construction and every count is of distinct answers. The
 counting pipelines reduce a quantified instance to a quantifier-free one:
 each quantified component is replaced by the relation of its satisfiable
 free-boundary assignments, which Yannakakis's join-and-project computes
-over the component's bags, and the decomposition is rewritten to match.
-``count_acyclic_qf`` then counts the rewritten instance: it materializes
-one relation per bag and counts along the decomposition's own tree.
+over the component's bags. ``count_acyclic_qf`` then counts the rewritten
+instance: it materializes one relation per bag and counts along the
+decomposition's own tree. Each piece, a component or the rewritten
+instance, gets its own join tree when it is acyclic; the query's
+decomposition is restricted or rewritten only for the cyclic ones.
 """
 
 from __future__ import annotations
@@ -17,15 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import decomposition as dec, starsize
 from .decomposition import (
     Decomposition,
     DecompKind,
     DecompNode,
+    NotAcyclic,
     blocks_hypergraph,
     ensure_valid,
     induced_decomposition,
+    integralize,
     jointree_over_bags,
-    require_width_one,
     verify,  # unused here, but bench/tracing.py wraps engine.verify
 )
 from .errors import (
@@ -35,8 +39,7 @@ from .errors import (
     TooLarge,
     UnknownVariable,
 )
-from .hypergraph import Atom, Hypergraph, Query, from_query, s_components
-from .starsize import acyclic_is_and_cover
+from .hypergraph import Atom, Query, from_query, s_components
 
 BRUTE_MAX_ASSIGNMENTS = 2_000_000
 
@@ -138,16 +141,6 @@ def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -
         positions.append(r.schema.index(v))
     rows = frozenset(tuple(row[i] for i in positions) for row in r.rows)
     return Relation(name or r.name, tuple(variables), rows)
-
-
-def select(r: Relation, binding: Mapping[str, int], name: Optional[str] = None) -> Relation:
-    positions = []
-    for v, value in binding.items():
-        if v not in r.schema:
-            raise UnknownVariable(f"variable {v!r} not in schema {r.schema!r}")
-        positions.append((r.schema.index(v), value))
-    rows = frozenset(row for row in r.rows if all(row[i] == val for i, val in positions))
-    return Relation(name or r.name, r.schema, rows)
 
 
 def semijoin(r: Relation, s: Relation, name: Optional[str] = None) -> Relation:
@@ -269,17 +262,6 @@ def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[st
     return project(acc[jt.root().node_id], out, name)
 
 
-def boolean_acq(inst: QueryInstance, jt: Decomposition) -> bool:
-    """Satisfiability of the instance by bottom-up semijoin reduction only;
-    no tuples beyond the per-node relations are ever materialized."""
-    require_width_one(from_query(inst.query).hypergraph, jt)
-    rels = _bag_materialize(_bind(inst), jt, fractional=False)
-    if any(not r.rows for r in rels.values()):
-        return False
-    reduced = _bottom_up(jt, rels)
-    return bool(reduced[jt.root().node_id].rows)
-
-
 def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
     """Exact count for a quantifier-free instance along any valid join tree,
     GHD, hingetree or fractional decomposition of it.
@@ -334,6 +316,13 @@ def count_cq_via_fractional(inst: QueryInstance, d: Decomposition) -> CountResul
 
 
 def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> CountResult:
+    """Count along per-piece decompositions. The pieces are the S-components
+    and the rewritten query, whose edges are the kept atoms plus one boundary
+    edge per component. An acyclic piece is counted along its own join tree
+    (integralized for the fractional pipeline); only a cyclic piece uses
+    ``d``, restricted to a component or rewritten for the final count.
+    ``d`` is verified against the whole query either way.
+    ``stats["pieces"]`` records each piece's kind, width and source."""
     sh = from_query(inst.query)
     h = sh.hypergraph
     if fractional:
@@ -342,7 +331,13 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
         ensure_valid(h, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
     comps = s_components(sh)
     atom_rels = _bind(inst)
-    stats: dict = {"components": len(comps), "cover_sizes": [], "bag_sizes": [], "max_intermediate": 0}
+    stats: dict = {
+        "components": len(comps),
+        "cover_sizes": [],
+        "bag_sizes": [],
+        "max_intermediate": 0,
+        "pieces": [],
+    }
 
     quantified = set(h.vertices) - sh.s
     kept = [i for i, a in enumerate(inst.query.atoms) if not (set(a.variables) & quantified)]
@@ -356,16 +351,29 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
         Query("ans", inst.query.free_vars, final_atoms),
         Structure(inst.structure.domain, dict(zip(names, final_rels))),
     )
-    result = count_acyclic_qf(final, _rebuild_decomposition(h, d, comps, kept, fractional))
+    df = dec.gyo_join_tree(from_query(final.query).hypergraph)
+    if isinstance(df, NotAcyclic):
+        source, df = "restricted", _rebuild_decomposition(h, d, comps, kept, fractional)
+    else:
+        source, df = "own-jointree", integralize(df) if fractional else df
+    _record_piece(stats, df, source)
+    result = count_acyclic_qf(final, df)
     stats["bag_sizes"].append(result.stats["bag_sizes"])
     stats["max_intermediate"] = max(stats["max_intermediate"], result.stats["max_intermediate"])
     return CountResult(result.count, "fractional" if fractional else "ghd", stats)
 
 
+def _record_piece(stats: dict, d: Decomposition, source: str) -> None:
+    stats["pieces"].append({"kind": d.kind.value, "width": d.raw_width(), "source": source})
+
+
 def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relation:
-    """Steps (2)-(4) for one S-component: restrict the atoms and the
-    decomposition to the component, materialize one relation per bag, and
-    project their join onto the free boundary."""
+    """Steps (2)-(4) for one S-component: restrict the atoms to the
+    component, decompose it, materialize one relation per bag, and project
+    their join onto the free boundary. An acyclic component gets its own
+    join tree, verified here; a cyclic one gets ``d`` restricted to its
+    closure. Either tree names the original edge ids of ``comp.induced``,
+    which map to the restricted relations through ``ordinal``."""
     scope = comp.closure
     sub_rels: list[Relation] = []
     ordinal: dict[int, int] = {}
@@ -375,12 +383,19 @@ def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relati
             ordinal[o] = len(sub_rels)
             sub_rels.append(project(rel, keep, f"p{o}"))
 
+    own = dec.gyo_join_tree(comp.induced)
+    if isinstance(own, NotAcyclic):
+        source, piece = "restricted", induced_decomposition(h, d, scope)
+    else:
+        ensure_valid(comp.induced, own, (DecompKind.JOINTREE,))
+        source, piece = "own-jointree", integralize(own) if fractional else own
     nodes = []
-    for n in induced_decomposition(h, d, scope).nodes:
+    for n in piece.nodes:
         guard = frozenset(ordinal[e] for e in n.guard)
         weights = None if n.weights is None else {ordinal[e]: w for e, w in n.weights.items()}
         nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag, weights))
-    di = Decomposition(d.kind, tuple(nodes))
+    di = Decomposition(piece.kind, tuple(nodes))
+    _record_piece(stats, di, source)
 
     bags = _bag_materialize(sub_rels, di, fractional)
     sizes = [len(bags[n.node_id]) for n in di.topo_order()]
@@ -389,7 +404,7 @@ def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relati
 
     # the edge-cover size is the paper's bound on the boundary relation
     hp = blocks_hypergraph(comp.induced, di)
-    _, cover = acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
+    _, cover = starsize.acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
     stats["cover_sizes"].append(len(cover))
 
     s_schema = tuple(v for v in h.vertices if v in comp.s_vertices)
@@ -400,7 +415,8 @@ def _rebuild_decomposition(h, d, comps, kept, fractional) -> Decomposition:
     """Quantifier-elimination rewrite of the decomposition: bags lose core
     vertices and gain the boundary sets of the components they touched;
     guards and weights swap core-meeting edges for the new component edges,
-    numbered after the kept atoms. Node ids and the tree are unchanged."""
+    numbered after the kept atoms. Node ids and the tree are unchanged. The
+    pipeline counts along it only when the rewritten query is cyclic."""
     cores = [comp.core for comp in comps]
     boundaries = [comp.s_vertices for comp in comps]
     all_core = frozenset().union(*cores) if cores else frozenset()
@@ -443,7 +459,7 @@ def _rebuild_decomposition(h, d, comps, kept, fractional) -> Decomposition:
     return Decomposition(kind, tuple(nodes))
 
 
-# -- brute-force oracle and enumeration ---------------------------------------
+# -- brute-force oracle ------------------------------------------------------
 
 
 def count_brute(inst: QueryInstance, *, max_assignments: int = BRUTE_MAX_ASSIGNMENTS) -> CountResult:
@@ -503,21 +519,3 @@ def count_brute(inst: QueryInstance, *, max_assignments: int = BRUTE_MAX_ASSIGNM
             count += 1
     return CountResult(count, "brute", {"assignments": total})
 
-
-def enumerate_is(h: Hypergraph):
-    """Every independent set exactly once, in lexicographic vertex order."""
-    adj = h.conflict_adjacency()
-    order = h.vertices
-
-    def extend(prefix: list, blocked: frozenset, start: int):
-        for i in range(start, len(order)):
-            v = order[i]
-            if v in blocked:
-                continue
-            prefix.append(v)
-            yield frozenset(prefix)
-            yield from extend(prefix, blocked | adj[v], i + 1)
-            prefix.pop()
-
-    yield frozenset()
-    yield from extend([], frozenset(), 0)

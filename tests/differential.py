@@ -1,0 +1,222 @@
+"""Seeded differential of the counting pipelines against brute force.
+
+Every instance is counted by ``count_brute``, by ``oracles.count_by_full_join``
+and by both pipelines (``count_cq_via_ghd``, and ``count_cq_via_fractional``
+on the integralized decomposition) along each of its decompositions: the
+default choice (a join tree if the query is acyclic, else a hingetree),
+``hinge_decompose``, and, for the ``cycle-ghd`` family, a width-2 GHD built
+by hand. Each count is one check against ``count_brute``.
+
+The families make sure every per-piece path runs: cycles with two spaced
+free variables rewrite to an acyclic query, three spaced free variables
+rewrite to a triangle (the rewritten decomposition is the fallback), and
+adjacent free variables leave the whole cycle as one cyclic component (the
+restricted decomposition is the fallback). Boolean queries and zero-arity
+atoms are families of their own.
+
+Run the full version with ``PYTHONPATH=src python tests/differential.py
+--instances 1500``. It prints the family, seed and query of every
+mismatch and exits 1 if there is any. Case ``i`` of a run with seed ``s``
+has its own seed ``s + i``, and ``FAMILIES[family](SplitMix64(seed), seed)``
+rebuilds it alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import dataclass
+
+from cqstar.decomposition import (
+    DecompKind,
+    DecompNode,
+    Decomposition,
+    NotAcyclic,
+    gyo_join_tree,
+    hinge_decompose,
+    integralize,
+)
+from cqstar.engine import (
+    QueryInstance,
+    Relation,
+    Structure,
+    count_brute,
+    count_cq_via_fractional,
+    count_cq_via_ghd,
+)
+from cqstar.generators import SplitMix64, gen_random_instance
+from cqstar.hypergraph import Atom, Query, from_query
+from cqstar.parser import query_to_text
+
+from oracles import count_by_full_join
+
+DEFAULT_SEED = 20131
+
+
+@dataclass(frozen=True)
+class Case:
+    family: str
+    seed: int
+    inst: QueryInstance
+    extra: tuple  # (label, decomposition) pairs beyond the default and hinge
+
+
+def _random_rows(rng: SplitMix64, arity: int, domain: int, most: int) -> frozenset:
+    n_rows = 1 + rng.below(min(most, domain ** arity))
+    return frozenset(tuple(rng.below(domain) for _ in range(arity)) for _ in range(n_rows))
+
+
+def cycle_instance(rng: SplitMix64, n: int, free_positions) -> QueryInstance:
+    """An n-cycle x0 - x1 - ... - x(n-1) - x0, one fresh binary relation per edge."""
+    domain = 2 + rng.below(3)
+    atoms, relations = [], {}
+    for i in range(n):
+        name = f"E{i}"
+        atoms.append(Atom(name, (f"x{i}", f"x{(i + 1) % n}")))
+        relations[name] = Relation(name, ("c0", "c1"), _random_rows(rng, 2, domain, 8))
+    free = tuple(f"x{i}" for i in sorted(free_positions))
+    structure = Structure(tuple(f"d{i}" for i in range(domain)), relations)
+    return QueryInstance(Query("ans", free, tuple(atoms)), structure)
+
+
+def cycle_ghd(n: int) -> Decomposition:
+    """A width-2 GHD of the n-cycle from ``cycle_instance``: a path of bags
+    {x0, xi, x(i+1)} for i = 1..n-2, each guarded by edges 0 and i."""
+    nodes = tuple(
+        DecompNode(
+            i - 1,
+            None if i == 1 else i - 2,
+            frozenset({0, i}),
+            frozenset({"x0", f"x{i}", f"x{i + 1}"}),
+        )
+        for i in range(1, n - 1)
+    )
+    return Decomposition(DecompKind.GHD, nodes)
+
+
+def _random(rng: SplitMix64, seed: int) -> QueryInstance:
+    return gen_random_instance(
+        variables=2 + rng.below(5),
+        atoms=1 + rng.below(6),
+        max_arity=3,
+        domain=2 + rng.below(3),
+        seed=seed,
+    )
+
+
+def _family_random(rng, seed):
+    return _random(rng, seed), ()
+
+
+def _family_cycle_two_free(rng, seed):
+    n = 4 + rng.below(4)
+    return cycle_instance(rng, n, (0, n // 2)), ()
+
+
+def _family_cycle_three_free(rng, seed):
+    n = 6 + rng.below(3)
+    return cycle_instance(rng, n, (0, n // 3, 2 * n // 3)), ()
+
+
+def _family_cycle_adjacent_free(rng, seed):
+    n = 3 + rng.below(4)
+    return cycle_instance(rng, n, (0, 1)), ()
+
+
+def _family_boolean(rng, seed):
+    if rng.chance(1, 2):
+        inst = _random(rng, seed)
+    else:
+        inst = cycle_instance(rng, 3 + rng.below(4), ())
+    q = inst.query
+    return QueryInstance(Query("ans", (), q.atoms), inst.structure), ()
+
+
+def _family_zero_arity(rng, seed):
+    inst = _random(rng, seed)
+    rows = frozenset({()}) if rng.chance(3, 4) else frozenset()
+    relations = dict(inst.structure.relations, Z=Relation("Z", (), rows))
+    atoms = list(inst.query.atoms)
+    atoms.insert(rng.below(len(atoms) + 1), Atom("Z", ()))
+    query = Query("ans", inst.query.free_vars, tuple(atoms))
+    return QueryInstance(query, Structure(inst.structure.domain, relations)), ()
+
+
+def _family_cycle_ghd(rng, seed):
+    n = 4 + rng.below(4)
+    free = [i for i in range(n) if rng.chance(1, 3)]
+    return cycle_instance(rng, n, free), (("cycle-ghd", cycle_ghd(n)),)
+
+
+FAMILIES = {
+    "random": _family_random,
+    "cycle-2-free": _family_cycle_two_free,
+    "cycle-3-free": _family_cycle_three_free,
+    "cycle-adjacent-free": _family_cycle_adjacent_free,
+    "boolean": _family_boolean,
+    "zero-arity": _family_zero_arity,
+    "cycle-ghd": _family_cycle_ghd,
+}
+
+
+def make_case(index: int, seed: int) -> Case:
+    """Case ``index`` of a run: its family cycles through ``FAMILIES`` and
+    its own seed is ``seed + index``, so one case can be rebuilt alone."""
+    family = list(FAMILIES)[index % len(FAMILIES)]
+    case_seed = seed + index
+    inst, extra = FAMILIES[family](SplitMix64(case_seed), case_seed)
+    return Case(family, case_seed, inst, extra)
+
+
+def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
+    h = from_query(case.inst.query).hypergraph
+    hinge = hinge_decompose(h)
+    jt = gyo_join_tree(h)
+    auto = hinge if isinstance(jt, NotAcyclic) else jt
+    return [("auto", auto), ("hinge", hinge), *case.extra]
+
+
+def check(case: Case) -> tuple[int, list[str]]:
+    """The number of checks made and a line for each that disagreed."""
+    expected = count_brute(case.inst).count
+    counts = {"full-join": lambda: count_by_full_join(case.inst)}
+    for label, d in decompositions(case):
+        counts[f"ghd/{label}"] = lambda d=d: count_cq_via_ghd(case.inst, d).count
+        counts[f"fractional/{label}"] = lambda d=d: count_cq_via_fractional(case.inst, integralize(d)).count
+    bad = []
+    for label, run in counts.items():
+        try:
+            got = run()
+        except Exception as exc:  # a crash is a mismatch too
+            got = f"{type(exc).__name__}: {exc}"
+        if got != expected:
+            bad.append(
+                f"mismatch: family={case.family} seed={case.seed} {label} gave {got}, "
+                f"brute {expected}; query {query_to_text(case.inst.query).strip()}"
+            )
+    return len(counts), bad
+
+
+def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
+    checks, bad = 0, []
+    for index in range(instances):
+        made, found = check(make_case(index, seed))
+        checks += made
+        bad += found
+    return checks, bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--instances", type=int, default=1500)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    args = parser.parse_args(argv)
+    checks, bad = run(args.instances, args.seed)
+    for line in bad:
+        print(line)
+    print(f"{args.instances} instances, seed {args.seed}: {checks} checks, {len(bad)} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

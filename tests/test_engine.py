@@ -15,15 +15,12 @@ from cqstar.engine import (
     Relation,
     Structure,
     atom_relation,
-    boolean_acq,
     count_acyclic_qf,
     count_brute,
     count_cq_via_fractional,
     count_cq_via_ghd,
-    enumerate_is,
     natural_join,
     project,
-    select,
 )
 from cqstar.errors import (
     BindError,
@@ -31,10 +28,9 @@ from cqstar.errors import (
     NotQuantifierFree,
     TooLarge,
     UnknownVariable,
-    WidthNotOne,
 )
 from cqstar.generators import SplitMix64, gen_random_instance
-from cqstar.hypergraph import Atom, Hypergraph, Query, from_query
+from cqstar.hypergraph import Atom, Query, from_query
 
 from oracles import count_by_full_join
 
@@ -93,16 +89,11 @@ def test_natural_join_basics():
     assert len(product) == len(r) * len(t)
 
 
-def test_project_and_select():
+def test_project():
     r = rel("R", ("x", "y"), [(0, 1), (0, 2)])
     assert project(r, ("x",)).rows == frozenset({(0,)})
-    assert select(r, {}).rows == r.rows
-    assert select(r, {"x": 0}).rows == r.rows
-    assert select(r, {"y": 1}).rows == frozenset({(0, 1)})
     with pytest.raises(UnknownVariable):
         project(r, ("zz",))
-    with pytest.raises(UnknownVariable):
-        select(r, {"zz": 0})
 
 
 def test_atom_relation_repeated_vars():
@@ -133,38 +124,6 @@ def path_instance(r_rows, s_rows):
         rel("S", ("c0", "c1"), s_rows),
     )
     return instance(("x", "y", "z"), (Atom("R", ("x", "y")), Atom("S", ("y", "z"))), s)
-
-
-def test_boolean_acq():
-    inst = path_instance([(0, 1)], [(1, 2)])
-    jt = auto_ghd(inst)
-    assert boolean_acq(inst, jt) is True
-
-    inst2 = path_instance([(0, 1)], [(2, 2)])
-    assert boolean_acq(inst2, auto_ghd(inst2)) is False
-
-    inst3 = path_instance([], [(1, 2)])
-    assert boolean_acq(inst3, auto_ghd(inst3)) is False
-
-
-def test_boolean_acq_rejects_wide(tri):
-    s = structure(
-        ("a",),
-        rel("R", ("c0", "c1"), [(0, 0)]),
-        rel("S", ("c0", "c1"), [(0, 0)]),
-        rel("T", ("c0", "c1"), [(0, 0)]),
-    )
-    inst = instance(
-        ("x", "y", "z"),
-        (Atom("R", ("x", "y")), Atom("S", ("y", "z")), Atom("T", ("z", "x"))),
-        s,
-    )
-    wide = Decomposition(
-        DecompKind.GHD,
-        (DecompNode(0, None, frozenset({0, 1}), frozenset({"x", "y", "z"})),),
-    )
-    with pytest.raises(WidthNotOne):
-        boolean_acq(inst, wide)
 
 
 def test_count_acyclic_qf_examples():
@@ -460,20 +419,6 @@ def test_oracle_equivalence_random_instances():
         agree += 1
 
 
-def test_enumerate_is(tri):
-    got = list(enumerate_is(tri))
-    assert got == [frozenset(), frozenset("a"), frozenset("b"), frozenset("c")]
-
-    pair = Hypergraph("ab")
-    assert len(list(enumerate_is(pair))) == 4
-
-    edge = Hypergraph("ab", [("e", {"a", "b"})])
-    assert list(enumerate_is(edge)) == [frozenset(), frozenset("a"), frozenset("b")]
-
-    seen = list(enumerate_is(tri))
-    assert len(seen) == len(set(seen))
-
-
 def test_count_fractional_quantified_triangle():
     from fractions import Fraction
 
@@ -502,6 +447,50 @@ def test_count_fractional_quantified_triangle():
         ),
     )
     assert count_cq_via_fractional(inst, d).count == count_brute(inst).count
+
+
+def cycle_instance(n, free):
+    """ans(free) over the n-cycle x0 - x1 - ... - x0, every edge one relation E."""
+    e = rel("E", ("c0", "c1"), [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)])
+    atoms = tuple(Atom("E", (f"x{i}", f"x{(i + 1) % n}")) for i in range(n))
+    return instance(free, atoms, structure(("a", "b", "c"), e))
+
+
+OWN = {"kind": "jointree", "width": 1, "source": "own-jointree"}
+OWN_FRACTIONAL = {"kind": "fractional", "width": 1, "source": "own-jointree"}
+
+
+def test_pieces_acyclic_components_get_own_join_trees():
+    # free x0, x3: two path components, and the rewritten query is two
+    # parallel edges on {x0, x3}; the width-6 hingetree is never used
+    inst = cycle_instance(6, ("x0", "x3"))
+    hinge = hinge_decompose(from_query(inst.query).hypergraph)
+    assert hinge.raw_width() == 6
+    expected = count_brute(inst).count
+    result = count_cq_via_ghd(inst, hinge)
+    assert result.count == expected
+    assert result.stats["pieces"] == [OWN, OWN, OWN]
+    result = count_cq_via_fractional(inst, integralize(hinge))
+    assert result.count == expected
+    assert result.stats["pieces"] == [OWN_FRACTIONAL] * 3
+
+    # free x0, x2, x4: the rewritten query is a triangle, which falls back
+    # to the rewritten hingetree
+    inst = cycle_instance(6, ("x0", "x2", "x4"))
+    result = count_cq_via_ghd(inst, hinge)
+    assert result.count == count_brute(inst).count
+    assert result.stats["pieces"] == [OWN] * 3 + [{"kind": "ghd", "width": 3, "source": "restricted"}]
+
+
+def test_pieces_cyclic_component_restricts_the_decomposition():
+    # free x0, x1: the one component is the whole cycle, so it runs on the
+    # restricted hingetree; the rewritten query is acyclic
+    inst = cycle_instance(5, ("x0", "x1"))
+    hinge = hinge_decompose(from_query(inst.query).hypergraph)
+    result = count_cq_via_ghd(inst, hinge)
+    assert result.count == count_brute(inst).count
+    assert result.stats["pieces"] == [{"kind": "hinge", "width": 5, "source": "restricted"}, OWN]
+    assert len(result.stats["cover_sizes"]) == 1
 
 
 def test_count_acyclic_qf_disconnected():

@@ -208,7 +208,7 @@ def test_cli_count_json_stable(workdir, capsys):
     doc = json.loads(first)
     assert doc["count"] == "2"
     assert doc["method"] == "fractional"
-    assert "stats" in doc
+    assert doc["stats"]["pieces"] == [{"kind": "fractional", "source": "own-jointree", "width": "1"}] * 2
     assert run_cli(args) == 0
     assert capsys.readouterr().out == first
 
@@ -369,6 +369,12 @@ def _bad_input_argv(case, workdir):
         path = workdir / "bad.edges"
         path.write_text(BAD_EDGE_LISTS[case])
         return ["gen", "clique-star", "--graph", str(path), "-k", "2", "-o", str(workdir / "cs")]
+    if case.startswith("starsize-unknown-edge-"):
+        path = workdir / "unknown-edge.decomp.json"
+        node = {"id": 0, "parent": None, "lambda": [7], "chi": ["y1"]}
+        path.write_text(json.dumps({"kind": "hinge", "nodes": [node]}))
+        method = case.rsplit("-", 1)[1]
+        return ["starsize", "-q", q, "--method", method, "--decomp", str(path)]
     if case == "ghd-width-zero":
         return ["decompose", "-q", q, "--kind", "ghd", "-k", "0"]
     if case == "gen-size-zero":
@@ -380,7 +386,8 @@ def _bad_input_argv(case, workdir):
     "case",
     sorted(BAD_DECOMPS) + sorted(BAD_EDGE_LISTS) + [
         "directory-as-query", "directory-as-data", "query-not-utf8", "ghd-width-zero", "gen-size-zero",
-        "facts-bad-escape",
+        "facts-bad-escape", "starsize-unknown-edge-ghd", "starsize-unknown-edge-approx",
+        "starsize-unknown-edge-hinge",
     ],
 )
 def test_cli_bad_input_is_one_error_line(case, workdir, capsys):

@@ -1,7 +1,8 @@
 """Command-line interface binding parsers, decompositions, star size, and
 counting. Exit codes: 0 success, 1 input error, 2 budget exceeded, 3
-internal invariant violation. Machine-readable output (--json) is a single
-JSON document on stdout with every integer rendered as a decimal string.
+internal error (a violated invariant or any other unexpected exception,
+reported as one line). Machine-readable output (--json) is a single JSON
+document on stdout with every integer rendered as a decimal string.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -411,6 +413,13 @@ def run_cli(argv) -> int:
     except CqstarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: one line naming where it was raised
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return 3
 
 
 def main() -> None:

@@ -6,11 +6,22 @@ Formats:
   .facts       P(a,b,c). one fact per statement; constants are identifiers,
                integers, or double-quoted strings whose only escapes are a
                backslash before a backslash, a quote, n, r or t;
-               duplicates collapse.
+               duplicates collapse. A # comment runs to the end of its line
+               and may stand between any two tokens.
   .edges       line-oriented "u v" pairs, 0-based; optional leading "n <int>",
                which bounds every vertex index.
   .decomp.json {"kind": ..., "nodes": [{"id", "parent", "lambda", "chi",
                "weights"?}]} with guard entries as 0-based atom ordinals.
+
+Queries go through one token cursor: a single ``_TOKEN`` pass turns the
+text into ``(kind, text, offset)`` tuples and rejects any character no
+token starts with. Facts are read a statement at a time: each plain
+statement (a name and name or number constants, with whitespace between
+tokens and comments before it) is one ``_FACT`` match. At the first offset
+where no plain statement matches, a token cursor starts at that offset and
+reads the rest of the text, so quoted constants, comments inside a
+statement and every error get the same diagnostics as when the cursor read
+the whole text.
 
 A ParseError names its position as file:line:column. Lines and columns are
 1-based, and a column counts characters, so a tab is one column.
@@ -55,12 +66,14 @@ class ParseError(CqstarError):
         self.other = other
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # One match per token: whitespace and comments are skipped before it. The
 # ``bad`` group takes any character no other token starts with, and ``eof``
 # is the empty match at the end of the text.
 _TOKEN = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-      (?: (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    rf"""(?:\s+|\#[^\n]*)*
+      (?: (?P<name>{_NAME})
         | (?P<number>\d+)
         | (?P<string>"(?:[^"\\\n]|\\.)*")
         | (?P<arrow>:-)
@@ -76,11 +89,12 @@ class _Cursor:
     """Tokens are ``(kind, text, offset)`` tuples; a ``SourceSpan`` is built
     only for an error."""
 
-    def __init__(self, text: str, filename: str):
+    def __init__(self, text: str, filename: str, start: int = 0):
         self.text = text
         self.filename = filename
         self.tokens = [
-            (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)) for m in _TOKEN.finditer(text)
+            (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+            for m in _TOKEN.finditer(text, start)
         ]
         self.i = 0
         for kind, raw, offset in self.tokens:
@@ -158,10 +172,26 @@ def query_to_text(query: Query) -> str:
 
 
 # constants the tokenizer reads back as one name or number token
-_PLAIN_CONST = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+)\Z")
+_PLAIN_CONST = re.compile(rf"(?:{_NAME}|[0-9]+)\Z")
 # the one escape set of quoted constants, shared by the parser and the writer
 _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _ESCAPE = {char: "\\" + code for code, char in _UNESCAPE.items()}
+
+# One plain fact statement: the whitespace and comments before it, then a
+# name, ``(``, name or number constants separated by ``,``, ``)`` and ``.``.
+# Each repetition of the prefix takes one whitespace character or one whole
+# comment, which must run to the end of its line, and no two ``\s*`` stand
+# side by side. Otherwise a failed match backtracks through every split of a
+# run of spaces (exponential for ``\s+`` inside the repetition), and a
+# comment cut short would let the rest of its line be read as a statement.
+_CONST = rf"(?:{_NAME}|\d+)"
+_FACT = re.compile(
+    rf"""(?:\s|\#[^\n]*(?![^\n]))*
+      (?P<pred>{_NAME}) \s*\(\s*
+      (?:(?P<consts>{_CONST}(?:\s*,\s*{_CONST})*)\s*)?
+      \)\s*\.""",
+    re.VERBOSE,
+)
 
 
 def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
@@ -176,11 +206,34 @@ def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
 
 def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     """Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
-    every constant appearing anywhere, interned in first-appearance order."""
-    cur = _Cursor(text, filename)
+    every constant appearing anywhere, interned in first-appearance order.
+
+    Each plain statement (names and numbers only, whitespace anywhere, and
+    comments only before the predicate) is read by one ``_FACT`` match. At
+    the first offset where none matches, the token cursor takes over and
+    reads the rest of the text: quoted constants, comments inside a
+    statement, and every error. Both loops share one arity check."""
     domain: dict[str, int] = {}
     schemas: dict[str, tuple[int, int]] = {}  # arity and offset of first use
     rows: dict[str, set] = {}
+
+    def add(pred: str, offset: int, values: list[int]) -> None:
+        known = schemas.setdefault(pred, (len(values), offset))
+        if known[0] != len(values):
+            message = f"predicate {pred!r} used with arity {len(values)}, earlier {known[0]}"
+            # Building a cursor tokenizes the rest of the text first, so a bad
+            # character after this statement still takes precedence.
+            raise _Cursor(text, filename, offset).error(message, offset, known[1])
+        rows.setdefault(pred, set()).add(tuple(values))
+
+    pos = 0
+    while (m := _FACT.match(text, pos)) is not None:
+        consts = m.group("consts")
+        values = [domain.setdefault(c.strip(), len(domain)) for c in consts.split(",")] if consts else []
+        add(m.group("pred"), m.start("pred"), values)
+        pos = m.end()
+
+    cur = _Cursor(text, filename, pos)
 
     def constant() -> int:
         kind, value, offset = cur.next()
@@ -192,16 +245,10 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
 
     while cur.peek()[0] != "eof":
         _, pred, offset = cur.expect("name")
-        values: list[int] = []
+        values = []
         cur.items(lambda: values.append(constant()))
         cur.expect("punct", ".")
-        known = schemas.get(pred)
-        if known is None:
-            schemas[pred] = (len(values), offset)
-        elif known[0] != len(values):
-            message = f"predicate {pred!r} used with arity {len(values)}, earlier {known[0]}"
-            raise cur.error(message, offset, known[1])
-        rows.setdefault(pred, set()).add(tuple(values))
+        add(pred, offset, values)
     relations = {
         name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))
         for name, tuples in rows.items()

@@ -12,7 +12,9 @@ from collections import Counter
 from typing import Union
 
 from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic
+from cqstar.engine import Relation, Structure
 from cqstar.hypergraph import EdgeId, Hypergraph
+from cqstar.parser import _Cursor, _unquote
 
 
 def components_union_find(h: Hypergraph) -> set[frozenset]:
@@ -330,3 +332,42 @@ def gyo_reference(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
         par = ordinal[parent[eid]] if eid in parent else None
         nodes.append(DecompNode(ordinal[eid], par, frozenset({eid}), sets[eid]))
     return Decomposition(DecompKind.JOINTREE, tuple(nodes))
+
+
+def parse_facts_reference(text: str, filename: str = "<facts>") -> Structure:
+    """Token-by-token fact parsing, the oracle for ``parse_facts``'s
+    statement scanner: every statement goes through the token cursor, and
+    the whole text is tokenized before the first statement is read.
+
+    Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
+    every constant appearing anywhere, interned in first-appearance order."""
+    cur = _Cursor(text, filename)
+    domain: dict[str, int] = {}
+    schemas: dict[str, tuple[int, int]] = {}  # arity and offset of first use
+    rows: dict[str, set] = {}
+
+    def constant() -> int:
+        kind, value, offset = cur.next()
+        if kind == "string":
+            value = _unquote(cur, value, offset)
+        elif kind != "name" and kind != "number":
+            raise cur.error(f"expected a constant, found {value!r}", offset)
+        return domain.setdefault(value, len(domain))
+
+    while cur.peek()[0] != "eof":
+        _, pred, offset = cur.expect("name")
+        values: list[int] = []
+        cur.items(lambda: values.append(constant()))
+        cur.expect("punct", ".")
+        known = schemas.get(pred)
+        if known is None:
+            schemas[pred] = (len(values), offset)
+        elif known[0] != len(values):
+            message = f"predicate {pred!r} used with arity {len(values)}, earlier {known[0]}"
+            raise cur.error(message, offset, known[1])
+        rows.setdefault(pred, set()).add(tuple(values))
+    relations = {
+        name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))
+        for name, tuples in rows.items()
+    }
+    return Structure(tuple(domain), relations)

@@ -1,0 +1,66 @@
+"""Seeded fuzz of ``cqstar count`` on mutated query and facts files: every
+run ends in an answer (exit 0), one ``error:`` line (exit 1) or a budget
+line (exit 2). Exit 3, the catch-all for internal errors, is a failure."""
+
+from collections import Counter
+
+from cqstar import cli
+from cqstar.cli import run_cli
+from cqstar.generators import SplitMix64
+
+from parser_differential import mutate
+
+QUERIES = [
+    "ans(y1, y2) :- E1(y1, z), E2(y2, z).\n",
+    "ans(x) :- E1(x, y), E2(y, z), E1(z, x).\n",
+    "ans() :- E1(x, y), E2(y, x).\n",
+    "# head\nans(x, y) :- E2(x, y), E1(y, w).\n",
+]
+FACTS = [
+    "E1(a, 1).\nE1(b, 1).\nE2(a, 1).\nE2(c, 2).\n",
+    'E1(a, b). E1(b, "c d"). # two\nE2(b, a). E2("c d", a).\n',
+    "E1(1, 2).\nE1(2, 3).\nE1(3, 1).\nE2(2, 1).\nE2(3, 2).\nE2(1, 3).\n",
+]
+
+
+def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
+    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
+    exits = Counter()
+    for seed in range(600):
+        rng = SplitMix64(seed)
+        q.write_text(mutate(rng, QUERIES[seed % len(QUERIES)]), encoding="utf-8")
+        f.write_text(mutate(rng, FACTS[rng.below(len(FACTS))]), encoding="utf-8")
+        argv = ["count", "-q", str(q), "-d", str(f), "--method", rng.choice(["ghd", "fractional", "brute"])]
+        if rng.chance(1, 2):
+            argv.append("--json")
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (seed, err)
+        assert "Traceback" not in err, seed
+        exits[code] += 1
+    assert exits[0] > 50 and exits[1] > 50
+
+
+def test_cli_undefined_predicate_is_an_input_error(tmp_path, capsys):
+    """Facts cannot declare an empty relation, so a query atom over a
+    predicate with no facts is an input error, not a count of 0."""
+    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
+    q.write_text("ans(x,y) :- R(x,y).\n")
+    f.write_text("S(a).\n")
+    for method in ("ghd", "fractional", "brute"):
+        assert run_cli(["count", "-q", str(q), "-d", str(f), "--method", method]) == 1
+        assert capsys.readouterr().err == "error: predicate 'R' not defined in the structure\n"
+
+
+def test_cli_unexpected_exception_is_one_internal_error_line(tmp_path, capsys, monkeypatch):
+    def broken(text, filename):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli, "parse_facts", broken)
+    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
+    q.write_text(QUERIES[0])
+    f.write_text(FACTS[0])
+    assert run_cli(["count", "-q", str(q), "-d", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError: 7 (at ") and err.count("\n") == 1
+

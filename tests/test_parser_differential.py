@@ -1,0 +1,65 @@
+"""A fast seeded slice of the parser differential in ``parser_differential.py``,
+plus the inputs on which a statement scanner is easiest to get wrong; the
+full run is ``PYTHONPATH=src python tests/parser_differential.py --inputs 20000``."""
+
+import pytest
+
+from cqstar.parser import ParseError, parse_facts
+
+import parser_differential
+from oracles import parse_facts_reference
+
+
+def test_parser_differential_slice_has_no_mismatch():
+    parsed, bad = parser_differential.run(inputs=6000)
+    assert bad == []
+    assert 1000 < parsed < 5000  # both outcomes are well represented
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a comment runs to the end of its line, so no statement starts inside it
+        ("#c\n(a,b).", "f:2:1: expected 'name', found '('"),
+        ("P(a). #c\n(a,b).", "f:2:1: expected 'name', found '('"),
+        # a bad character anywhere outranks an earlier arity error
+        ('A(a1).A(b,c)."', "f:1:14: unexpected character '\"'"),
+        ("A(a1).A(b,c).\n\n  B(x) & C(y).", "f:3:8: unexpected character '&'"),
+        # the arity error itself, raised from a plain statement
+        ("A(a1).\n A(b,c).\nB(x).", "f:2:2: predicate 'A' used with arity 2, earlier 1 (earlier at f:1:1)"),
+        # a run of whitespace or comments before a stray token fails in linear
+        # time; nested quantifiers over it would never return
+        ("P(a)." + " " * 10_000 + "(", "f:1:10006: expected 'name', found '('"),
+        ("P(a).\n" + "# c\n" * 10_000 + "(", "f:10002:1: expected 'name', found '('"),
+        ("P(" + " " * 10_000 + "a" + " " * 10_000 + "b).", "f:1:20004: expected ')', found 'b'"),
+    ],
+    ids=[
+        "comment-then-paren", "fact-comment-then-paren", "bad-char-after-arity", "bad-char-lines-later",
+        "arity", "spaces-before-paren", "comments-before-paren", "spaces-inside",
+    ],
+)
+def test_facts_scanner_traps(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_facts(text, "f")
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as ref:
+        parse_facts_reference(text, "f")
+    assert str(ref.value) == message
+
+
+def test_comment_only_line_holds_no_fact():
+    assert parse_facts("#(a). Q(b).\nP(c).").relations.keys() == {"P"}
+    assert parse_facts("P(a).#(a). Q(b).").relations.keys() == {"P"}
+
+
+def test_plain_and_handed_over_statements_agree():
+    """The same facts read by the scanner alone and after a hand-over to the
+    token cursor (a quoted constant first) give the same relations."""
+    plain = "P(a, 1).\n  # c\nQ( b ,c ) .\nP(\ta\t,\t2).\nR().\n"
+    for text in (plain, 'S("x").\n' + plain, plain + 'S("x").\n'):
+        s = parse_facts(text)
+        assert s == parse_facts_reference(text)
+        names = {name: {tuple(s.domain[v] for v in row) for row in rel.rows} for name, rel in s.relations.items()}
+        assert names["P"] == {("a", "1"), ("a", "2")}
+        assert names["Q"] == {("b", "c")}
+        assert names["R"] == {()}

@@ -174,8 +174,6 @@ def _cmd_starsize(args) -> int:
     if method in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX):
         if args.decomp:
             d = decomposition_from_json(_read(args.decomp), args.decomp)
-            # once against the whole query, before it is restricted to components
-            dec.ensure_valid(sh.hypergraph, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
         elif method is ISMethod.HINGE_FPT:
             d = dec.hinge_decompose(sh.hypergraph)
         else:

@@ -829,18 +829,25 @@ def tree_decompose(h: Hypergraph) -> Decomposition:
 
 
 def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -> Decomposition:
-    """Restrict bags and guards to ``vs``; empty nodes stay to keep the tree shape.
+    """The nodes whose bags meet ``vs``, with bags, guards and weights cut to
+    ``vs``; a kept node whose parent was dropped becomes the root.
 
-    Width never increases, per the subhypergraph-width observation.
+    For a valid d and a ``vs`` connected in h (as a component closure is),
+    the kept nodes are one subtree, and it decomposes ``h.induced(vs)`` no
+    wider than d. Other input, an empty ``vs`` too, raises
+    DecompositionInvalid for zero or several roots.
     """
     keep = frozenset(vs)
+    kept = [n for n in d.nodes if not keep.isdisjoint(n.bag)]
+    ids = {n.node_id for n in kept}
     nodes = []
-    for n in d.nodes:
+    for n in kept:
         guard = frozenset(e for e in n.guard if not keep.isdisjoint(h.edge_set(e)))
         weights = None
         if n.weights is not None:
             weights = {e: w for e, w in n.weights.items() if not keep.isdisjoint(h.edge_set(e))}
-        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag & keep, weights))
+        parent = n.parent if n.parent in ids else None
+        nodes.append(DecompNode(n.node_id, parent, guard, n.bag & keep, weights))
     return Decomposition(d.kind, tuple(nodes))
 
 

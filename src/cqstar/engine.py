@@ -177,14 +177,14 @@ def atom_relation(structure: Structure, atom: Atom, name: Optional[str] = None) 
 # -- acyclic evaluation -------------------------------------------------------
 
 
-def _bind(inst: QueryInstance) -> list[Relation]:
-    """One relation per atom, indexed by the atom's ordinal (its edge id)."""
-    return [atom_relation(inst.structure, a, f"a{i}") for i, a in enumerate(inst.query.atoms)]
+def _bind(inst: QueryInstance) -> dict[int, Relation]:
+    """One relation per atom, keyed by the atom's ordinal (its edge id)."""
+    return {i: atom_relation(inst.structure, a, f"a{i}") for i, a in enumerate(inst.query.atoms)}
 
 
-def _bag_materialize(rels: Sequence[Relation], d: Decomposition, fractional: bool) -> dict[int, Relation]:
+def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int, Relation]:
     """One relation per decomposition node, keyed by node id: the join of the
-    node's atoms projected onto its bag. ``rels[i]`` is the relation of edge i.
+    node's atoms projected onto its bag. ``rels[e]`` is the relation of edge e.
 
     A guard-based node joins its guard atoms and every atom assigned to it;
     each atom is assigned once, to the first node in topological order whose
@@ -192,11 +192,12 @@ def _bag_materialize(rels: Sequence[Relation], d: Decomposition, fractional: boo
     fractional node joins every atom's projection onto its bag, and the root
     also enforces the zero-arity atoms.
     """
-    vertices = list(dict.fromkeys(v for rel in rels for v in rel.schema))
+    fractional = d.kind is DecompKind.FRACTIONAL
+    vertices = list(dict.fromkeys(v for rel in rels.values() for v in rel.schema))
     order = d.topo_order()
     assigned: dict[int, list[int]] = {n.node_id: [] for n in order}
     if not fractional:
-        for i, rel in enumerate(rels):
+        for i, rel in rels.items():
             home = next((n for n in order if set(rel.schema) <= n.bag), None)
             if home is None:
                 raise InvariantViolation(f"atom {i} is not covered by any bag")
@@ -208,11 +209,11 @@ def _bag_materialize(rels: Sequence[Relation], d: Decomposition, fractional: boo
         if fractional:
             parts = [
                 project(rel, [v for v in rel.schema if v in n.bag])
-                for rel in rels
+                for rel in rels.values()
                 if n.bag & set(rel.schema)
             ]
             if n.parent is None:
-                parts += [rel for rel in rels if not rel.schema]
+                parts += [rel for rel in rels.values() if not rel.schema]
         else:
             parts = [rels[i] for i in sorted(set(n.guard).union(assigned[n.node_id]))]
         if parts:
@@ -276,7 +277,7 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
         raise NotQuantifierFree("count_acyclic_qf requires all variables free")
     kinds = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.FRACTIONAL)
     ensure_valid(from_query(q).hypergraph, d, kinds)
-    rels = _bag_materialize(_bind(inst), d, d.kind is DecompKind.FRACTIONAL)
+    rels = _bag_materialize(_bind(inst), d)
     max_intermediate = max((len(r) for r in rels.values()), default=0)
     children = d.children_map()
     counts: dict[int, dict[tuple, int]] = {}
@@ -308,14 +309,14 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
 
 
 def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
-    return _count_pipeline(inst, d, fractional=False)
+    return _count_pipeline(inst, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
 
 
 def count_cq_via_fractional(inst: QueryInstance, d: Decomposition) -> CountResult:
-    return _count_pipeline(inst, d, fractional=True)
+    return _count_pipeline(inst, d, (DecompKind.FRACTIONAL,))
 
 
-def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> CountResult:
+def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKind, ...]) -> CountResult:
     """Count along per-piece decompositions. The pieces are the S-components
     and the rewritten query, whose edges are the kept atoms plus one boundary
     edge per component. An acyclic piece is counted along its own join tree
@@ -325,10 +326,8 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
     ``stats["pieces"]`` records each piece's kind, width and source."""
     sh = from_query(inst.query)
     h = sh.hypergraph
-    if fractional:
-        ensure_valid(h, d, (DecompKind.FRACTIONAL,))
-    else:
-        ensure_valid(h, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
+    ensure_valid(h, d, kinds)
+    fractional = d.kind is DecompKind.FRACTIONAL
     comps = s_components(sh)
     atom_rels = _bind(inst)
     stats: dict = {
@@ -343,7 +342,7 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
     kept = [i for i, a in enumerate(inst.query.atoms) if not (set(a.variables) & quantified)]
     final_rels = [atom_rels[i] for i in kept]
     for idx, comp in enumerate(comps):
-        final_rels.append(_component_relation(h, d, comp, atom_rels, fractional, stats, idx))
+        final_rels.append(_component_relation(h, d, comp, atom_rels, stats, idx))
 
     names = [f"__r{j}" for j in range(len(final_rels))]
     final_atoms = tuple(Atom(n, rel.schema) for n, rel in zip(names, final_rels))
@@ -353,7 +352,7 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, fractional: bool) -> 
     )
     df = dec.gyo_join_tree(from_query(final.query).hypergraph)
     if isinstance(df, NotAcyclic):
-        source, df = "restricted", _rebuild_decomposition(h, d, comps, kept, fractional)
+        source, df = "restricted", _rebuild_decomposition(h, d, comps, kept)
     else:
         source, df = "own-jointree", integralize(df) if fractional else df
     _record_piece(stats, df, source)
@@ -367,37 +366,29 @@ def _record_piece(stats: dict, d: Decomposition, source: str) -> None:
     stats["pieces"].append({"kind": d.kind.value, "width": d.raw_width(), "source": source})
 
 
-def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relation:
+def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     """Steps (2)-(4) for one S-component: restrict the atoms to the
     component, decompose it, materialize one relation per bag, and project
     their join onto the free boundary. An acyclic component gets its own
-    join tree, verified here; a cyclic one gets ``d`` restricted to its
-    closure. Either tree names the original edge ids of ``comp.induced``,
-    which map to the restricted relations through ``ordinal``."""
+    join tree, verified here; a cyclic one gets the subtree of ``d`` that
+    meets its closure, so its ``bag_sizes`` list only that subtree. Both
+    trees name the original edge ids, which key the restricted relations."""
     scope = comp.closure
-    sub_rels: list[Relation] = []
-    ordinal: dict[int, int] = {}
-    for o, rel in enumerate(atom_rels):
+    sub_rels: dict[int, Relation] = {}
+    for o, rel in atom_rels.items():
         keep = tuple(v for v in rel.schema if v in scope)
         if keep:
-            ordinal[o] = len(sub_rels)
-            sub_rels.append(project(rel, keep, f"p{o}"))
+            sub_rels[o] = project(rel, keep, f"p{o}")
 
     own = dec.gyo_join_tree(comp.induced)
     if isinstance(own, NotAcyclic):
-        source, piece = "restricted", induced_decomposition(h, d, scope)
+        source, di = "restricted", induced_decomposition(h, d, scope)
     else:
         ensure_valid(comp.induced, own, (DecompKind.JOINTREE,))
-        source, piece = "own-jointree", integralize(own) if fractional else own
-    nodes = []
-    for n in piece.nodes:
-        guard = frozenset(ordinal[e] for e in n.guard)
-        weights = None if n.weights is None else {ordinal[e]: w for e, w in n.weights.items()}
-        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag, weights))
-    di = Decomposition(piece.kind, tuple(nodes))
+        source, di = "own-jointree", integralize(own) if d.kind is DecompKind.FRACTIONAL else own
     _record_piece(stats, di, source)
 
-    bags = _bag_materialize(sub_rels, di, fractional)
+    bags = _bag_materialize(sub_rels, di)
     sizes = [len(bags[n.node_id]) for n in di.topo_order()]
     stats["bag_sizes"].append(sizes)
     stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
@@ -411,12 +402,13 @@ def _component_relation(h, d, comp, atom_rels, fractional, stats, idx) -> Relati
     return _join_project(di, bags, s_schema, f"c{idx}")
 
 
-def _rebuild_decomposition(h, d, comps, kept, fractional) -> Decomposition:
+def _rebuild_decomposition(h, d, comps, kept) -> Decomposition:
     """Quantifier-elimination rewrite of the decomposition: bags lose core
     vertices and gain the boundary sets of the components they touched;
     guards and weights swap core-meeting edges for the new component edges,
     numbered after the kept atoms. Node ids and the tree are unchanged. The
     pipeline counts along it only when the rewritten query is cyclic."""
+    fractional = d.kind is DecompKind.FRACTIONAL
     cores = [comp.core for comp in comps]
     boundaries = [comp.s_vertices for comp in comps]
     all_core = frozenset().union(*cores) if cores else frozenset()
@@ -455,8 +447,7 @@ def _rebuild_decomposition(h, d, comps, kept, fractional) -> Decomposition:
                 weights[new_edge_id[("comp", i)]] = Fraction(1)
             guard |= set(weights)
         nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag, weights))
-    kind = DecompKind.FRACTIONAL if fractional else DecompKind.GHD
-    return Decomposition(kind, tuple(nodes))
+    return Decomposition(DecompKind.FRACTIONAL if fractional else DecompKind.GHD, tuple(nodes))
 
 
 # -- brute-force oracle ------------------------------------------------------

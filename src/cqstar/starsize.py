@@ -397,14 +397,15 @@ def s_star_size(
 ) -> tuple[int, list[StarWitness]]:
     """Largest independent set of S-vertices over the S-components.
 
-    Decomposition-backed strategies induce the supplied decomposition onto
-    each component closure. Returns 0 with no witnesses when S = V, and 0
-    with empty stars when S is empty.
+    Decomposition-backed strategies verify the decomposition against h once,
+    then run on its subtree meeting each component closure. Returns 0 with
+    no witnesses when S = V, and 0 with empty stars when S is empty.
     """
-    needs_decomp = strategy in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX)
-    if needs_decomp and decomposition is None:
-        raise ValueError(f"strategy {strategy.value} requires a decomposition")
     h = sh.hypergraph
+    if strategy in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX):
+        if decomposition is None:
+            raise ValueError(f"strategy {strategy.value} requires a decomposition")
+        ensure_valid(h, decomposition, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
     witnesses: list[StarWitness] = []
     best = 0
     for idx, comp in enumerate(s_components(sh)):
@@ -417,6 +418,8 @@ def s_star_size(
             if isinstance(jt, NotAcyclic):
                 raise WidthNotOne(f"component {idx} is not acyclic")
             w, cover = acyclic_is_and_cover(comp.induced, jt, cands)
+        elif not comp.closure:  # an edgeless quantified vertex: no S-vertex, no bag to restrict to
+            w = max_is_brute(comp.induced, cands)
         else:
             di = induced_decomposition(h, decomposition, comp.closure)
             if strategy is ISMethod.GHD_DP:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Union
+from typing import Iterable, Union
 
 from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic
 from cqstar.engine import Relation, Structure
-from cqstar.hypergraph import EdgeId, Hypergraph
+from cqstar.hypergraph import EdgeId, Hypergraph, VertexId
 from cqstar.parser import _Cursor, _unquote
 
 
@@ -332,6 +332,22 @@ def gyo_reference(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
         par = ordinal[parent[eid]] if eid in parent else None
         nodes.append(DecompNode(ordinal[eid], par, frozenset({eid}), sets[eid]))
     return Decomposition(DecompKind.JOINTREE, tuple(nodes))
+
+
+def induced_reference(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -> Decomposition:
+    """Restrict bags and guards to ``vs``; empty nodes stay to keep the tree
+    shape. The oracle for ``induced_decomposition``, which keeps only the
+    subtree whose bags meet ``vs``.
+    """
+    keep = frozenset(vs)
+    nodes = []
+    for n in d.nodes:
+        guard = frozenset(e for e in n.guard if not keep.isdisjoint(h.edge_set(e)))
+        weights = None
+        if n.weights is not None:
+            weights = {e: w for e, w in n.weights.items() if not keep.isdisjoint(h.edge_set(e))}
+        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag & keep, weights))
+    return Decomposition(d.kind, tuple(nodes))
 
 
 def parse_facts_reference(text: str, filename: str = "<facts>") -> Structure:

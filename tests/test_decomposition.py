@@ -25,7 +25,7 @@ from cqstar.decomposition import (
 )
 from cqstar.errors import DecompositionInvalid, IdMismatch
 from cqstar.generators import SplitMix64, gen_random_acyclic
-from cqstar.hypergraph import Hypergraph
+from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
 from oracles import gyo_reference, is_acyclic_bruteforce, min_hinge_width, treewidth_by_permutations
 
@@ -426,14 +426,13 @@ def test_tree_decompose_heuristic_is_valid(ex1):
 # -- induced and blocks -------------------------------------------------------
 
 
-def test_induced_decomposition_identity_and_empty(tri):
-    d = single_node(tri)
-    same = induced_decomposition(tri, d, set(tri.vertices))
-    assert verify(tri, same).ok
-    empty = induced_decomposition(tri, d, set())
-    report = verify(tri.induced(set()), empty)
-    assert report.ok
-    assert report.width == 0
+def test_induced_decomposition_identity_and_empty(ex1):
+    h = ex1.hypergraph
+    assert len(h.connected_components()) == 1
+    d = hinge_decompose(h)
+    assert induced_decomposition(h, d, set(h.vertices)) == d
+    with pytest.raises(DecompositionInvalid, match="found 0"):
+        induced_decomposition(h, d, set())
 
 
 def test_induced_decomposition_width_never_grows(ex1):
@@ -442,16 +441,16 @@ def test_induced_decomposition_width_never_grows(ex1):
     base = verify(h, d).width
     rng = SplitMix64(606)
     for _ in range(40):
-        keep = {v for v in h.vertices if rng.chance(2, 3)}
-        sub = induced_decomposition(h, d, keep)
-        report = verify(h.induced(keep), sub)
-        assert report.ok
-        assert report.width <= base
+        s = frozenset(v for v in h.vertices if rng.chance(1, 2))
+        for comp in s_components(SHypergraph(h, s)):
+            sub = induced_decomposition(h, d, comp.closure)
+            assert {n.node_id for n in sub.nodes} == {n.node_id for n in d.nodes if n.bag & comp.closure}
+            report = verify(comp.induced, sub)
+            assert report.ok
+            assert report.width <= base
 
 
 def test_induced_decomposition_on_component_closure(ex1):
-    from cqstar.hypergraph import s_components
-
     h = ex1.hypergraph
     d = ghd_search(h, 3)
     for comp in s_components(ex1):

@@ -12,7 +12,7 @@ from cqstar.decomposition import (
     hinge_decompose,
     verify,
 )
-from cqstar.errors import TooLarge, UncoverableVertex, WidthNotOne
+from cqstar.errors import DecompositionInvalid, TooLarge, UncoverableVertex, WidthNotOne
 from cqstar.generators import (
     SplitMix64,
     gen_g_star,
@@ -298,6 +298,18 @@ def test_star_size_acyclic_strategy_cover(ex1):
 def test_star_size_s_empty_and_s_everything(tri):
     assert s_star_size(SHypergraph(tri, frozenset()), ISMethod.BRUTE)[0] == 0
     assert s_star_size(SHypergraph(tri, frozenset("abc")), ISMethod.BRUTE) == (0, [])
+
+
+@pytest.mark.parametrize("strategy", [ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX])
+def test_star_size_rejects_invalid_decomposition_up_front(tri, strategy):
+    """The decomposition is verified against the whole hypergraph before any
+    component is restricted, so S = V (no components) is no way around it."""
+    uncovered = Decomposition(
+        DecompKind.GHD, (DecompNode(0, None, frozenset({"ab"}), frozenset("ab")),)
+    )
+    for s in ("", "abc"):
+        with pytest.raises(DecompositionInvalid, match="EDGE_UNCOVERED"):
+            s_star_size(SHypergraph(tri, frozenset(s)), strategy, uncovered)
 
 
 def test_obs_equivalent_round_trip(tri):

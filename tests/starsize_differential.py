@@ -25,7 +25,7 @@ import sys
 
 from cqstar.decomposition import Decomposition, ghd_search, hinge_decompose, induced_decomposition
 from cqstar.generators import SplitMix64
-from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
+from cqstar.hypergraph import Hypergraph, SComponent, SHypergraph, s_components
 from cqstar.starsize import ISMethod, approx_is, max_is_ghd_dp, max_is_hinge_fpt, s_star_size
 
 from oracles import induced_reference
@@ -52,9 +52,11 @@ def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
     h = random_hypergraph(rng)
     s = frozenset(v for v in h.vertices if rng.chance(1, 3))
     decomps = [("hinge", hinge_decompose(h))]
-    ghd = next((d for k in (1, 2, 3) if (d := ghd_search(h, k)) is not None), None)
-    if ghd is not None:
-        decomps.append(("ghd", ghd))
+    for k in (1, 2, 3):
+        ghd = ghd_search(h, k)
+        if ghd is not None:
+            decomps.append(("ghd", ghd))
+            break
     return SHypergraph(h, s), decomps
 
 
@@ -85,9 +87,8 @@ def check(seed: int) -> tuple[int, list[str]]:
             if not comp.closure:
                 continue
             for name, strategy in strategies.items():
-                args = (comp.induced, comp.s_vertices)
-                got = _outcome(lambda: strategy(args[0], induced_decomposition(h, d, comp.closure), args[1]))
-                want = _outcome(lambda: strategy(args[0], induced_reference(h, d, comp.closure), args[1]))
+                got = _along(strategy, induced_decomposition, h, d, comp)
+                want = _along(strategy, induced_reference, h, d, comp)
                 compare(f"{label}/{name} component {idx}", got, want)
         for method in methods:
             compare(f"{label}/s_star_size {method.value}", _outcome(lambda: _sizes(sh, method, d)), brute)
@@ -95,8 +96,13 @@ def check(seed: int) -> tuple[int, list[str]]:
         approx = _outcome(lambda: _sizes(sh, ISMethod.APPROX, d))
         k = max(1, d.raw_width())
         within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, brute))
-        compare(f"{label}/s_star_size approx", approx if within else f"{approx} (width {k})", approx)
+        compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {brute}")
     return checks, bad
+
+
+def _along(strategy, restrict, h: Hypergraph, d: Decomposition, comp: SComponent):
+    """The strategy's witness for one component, along ``restrict(h, d, closure)``."""
+    return _outcome(lambda: strategy(comp.induced, restrict(h, d, comp.closure), comp.s_vertices))
 
 
 def _sizes(sh: SHypergraph, method: ISMethod, d: Decomposition) -> list[int]:

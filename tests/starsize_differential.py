@@ -8,8 +8,8 @@ decomposition (``max_is_ghd_dp`` and ``approx_is`` on both,
 ``max_is_hinge_fpt`` on the hingetree) runs along ``induced_decomposition``'s
 subtree and along ``oracles.induced_reference``'s full-size copy, and the
 two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT
-must give BRUTE's size for every component, and APPROX a size within its
-bound of it.
+must give BRUTE's size for every component, and APPROX a size within a
+factor of the decomposition's width of it.
 
 Run the full version with ``PYTHONPATH=src python tests/starsize_differential.py
 --instances 2000``. It prints the seed and hypergraph of every mismatch and

@@ -132,6 +132,15 @@ def _auto_decomposition(h, kind: Optional[str], k: Optional[int]) -> Decompositi
 
 
 def _cmd_count(args) -> int:
+    # a flag the chosen path never reads is an error, raised before any file is opened
+    if args.method == "brute" and args.decomp is not None:
+        raise _ArgumentError("--decomp is not read by --method brute")
+    if args.method == "brute" and args.auto_decomp is not None:
+        raise _ArgumentError("--auto-decomp is not read by --method brute")
+    if args.decomp is not None and args.auto_decomp is not None:
+        raise _ArgumentError("--auto-decomp is not read when --decomp is given")
+    if args.k is not None and args.auto_decomp != "ghd":
+        raise _ArgumentError("-k is read only with --auto-decomp ghd")
     query = _load_query(args.query)
     structure = parse_facts(_read(args.data), args.data)
     inst = QueryInstance(query, structure)
@@ -167,11 +176,16 @@ _STAR_METHODS = {
 
 
 def _cmd_starsize(args) -> int:
+    method = _STAR_METHODS[args.method]
+    reads_decomp = method in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX)
+    if args.decomp is not None and not reads_decomp:
+        raise _ArgumentError(f"--decomp is not read by --method {args.method}")
+    if args.k is not None and (args.decomp is not None or args.method not in ("ghd", "approx")):
+        raise _ArgumentError("-k is read only by --method ghd or approx without --decomp")
     query = _load_query(args.query)
     sh = from_query(query)
-    method = _STAR_METHODS[args.method]
     d = None
-    if method in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX):
+    if reads_decomp:
         if args.decomp:
             d = decomposition_from_json(_read(args.decomp), args.decomp)
         elif method is ISMethod.HINGE_FPT:
@@ -203,6 +217,8 @@ def _cmd_starsize(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.k is not None and args.kind != "ghd":
+        raise _ArgumentError("-k is read only with --kind ghd")
     query = _load_query(args.query)
     h = from_query(query).hypergraph
     if args.kind == "jointree":
@@ -321,13 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--data", required=True)
     p.add_argument(
         "--decomp",
-        help="decomposition JSON of the query, verified against it; it is used only for "
-        "cyclic pieces, since each acyclic S-component and an acyclic rewritten query "
-        "get their own join tree",
+        help="decomposition JSON of the query, read by --method ghd and fractional, not with "
+        "--auto-decomp; verified against the query, it is used only for cyclic pieces, since "
+        "each acyclic S-component and an acyclic rewritten query get their own join tree",
     )
-    p.add_argument("--auto-decomp", choices=["jointree", "hinge", "ghd"])
-    p.add_argument("-k", type=_positive_int)
-    p.add_argument("--method", choices=["ghd", "fractional", "brute"], default="ghd")
+    p.add_argument("--auto-decomp", choices=["jointree", "hinge", "ghd"], help="decomposition to "
+                   "build, read by --method ghd and fractional (default: join tree, else hingetree)")
+    p.add_argument("-k", type=_positive_int, help="GHD width, read only with --auto-decomp ghd "
+                   "(default: the narrowest found)")
+    p.add_argument("--method", choices=["ghd", "fractional", "brute"], default="ghd",
+                   help="brute reads none of --decomp, --auto-decomp and -k")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -335,18 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--query", required=True)
     p.add_argument(
         "--decomp",
-        help="decomposition JSON for --method ghd, hinge or approx, verified against the "
-        "query and then restricted to each S-component",
+        help="decomposition JSON for --method ghd, hinge or approx (brute and acyclic read "
+        "none), verified against the query and then restricted to each S-component",
     )
     p.add_argument("--method", choices=sorted(_STAR_METHODS), default="brute")
-    p.add_argument("-k", type=_positive_int)
+    p.add_argument("-k", type=_positive_int, help="GHD width, read only by --method ghd or "
+                   "approx without --decomp (default: the narrowest found)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_starsize)
 
     p = sub.add_parser("decompose", help="build a decomposition for a query")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("--kind", choices=["jointree", "hinge", "ghd", "tree"], required=True)
-    p.add_argument("-k", type=_positive_int)
+    p.add_argument("-k", type=_positive_int, help="GHD width, read only with --kind ghd "
+                   "(default: the narrowest found)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decompose)
 

@@ -418,7 +418,7 @@ def _expand_acyclic(nodes: list[_TreeNode], h: Hypergraph, edge_sets) -> None:
         if len(node.guard) < 2:
             continue
         members = sorted(node.guard, key=edge_sort_key)
-        vertices = [v for v in h.vertices if any(v in edge_sets[m] for m in members)]
+        vertices = h.sort_vertices(frozenset().union(*(edge_sets[m] for m in members)))
         sub = Hypergraph(vertices, [(m, edge_sets[m]) for m in members])
         jt = gyo_join_tree(sub)
         if isinstance(jt, NotAcyclic):
@@ -483,39 +483,23 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
     """Greedy hinge splitting, then join-tree expansion of acyclic blocks.
 
     Disconnected inputs are decomposed per component and attached under a
-    synthetic empty root. Edges contained in another edge ride along as
-    width-1 leaves next to a node guarding their dominator.
+    synthetic empty root, in the order of each component's first dedup
+    edge; the empty edge, if any, is a component of its own at its own
+    position. Edges contained in another edge ride along as width-1 leaves
+    next to a node guarding their dominator.
     """
     dd = h.dedup_edges()
     if not dd:
         return Decomposition(DecompKind.HINGE, (DecompNode(0, None, frozenset(), frozenset()),))
     edge_sets = {eid: fs for eid, fs in dd}
 
-    # group dedup edges into vertex-connected components
-    comp_of: dict[EdgeId, int] = {}
-    vertex_comp: dict[VertexId, int] = {}
-    next_comp = 0
+    comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
+    groups: dict[Optional[int], list[EdgeId]] = {}
     for eid, fs in dd:
-        hit = sorted({vertex_comp[v] for v in fs if v in vertex_comp})
-        if not hit:
-            comp = next_comp
-            next_comp += 1
-        else:
-            comp = hit[0]
-            if len(hit) > 1:
-                for e2, c2 in list(comp_of.items()):
-                    if c2 in hit[1:]:
-                        comp_of[e2] = comp
-                for v, c2 in list(vertex_comp.items()):
-                    if c2 in hit[1:]:
-                        vertex_comp[v] = comp
-        comp_of[eid] = comp
-        for v in fs:
-            vertex_comp[v] = comp
+        groups.setdefault(comp_of[next(iter(fs))] if fs else None, []).append(eid)
 
     roots: list[_TreeNode] = []
-    for comp in sorted(set(comp_of.values())):
-        members = [eid for eid, _ in dd if comp_of[eid] == comp]
+    for members in groups.values():
         maximal = [
             eid
             for eid in members
@@ -583,26 +567,6 @@ def ghd_search(
 
     edge_list = list(dd)
 
-    def components_within(w: frozenset) -> list[frozenset]:
-        unseen = set(w)
-        comps = []
-        for start in h.vertices:
-            if start not in unseen:
-                continue
-            comp = {start}
-            frontier = [start]
-            unseen.discard(start)
-            while frontier:
-                v = frontier.pop()
-                for eid in h.incident_edges(v):
-                    for u in h.edge_set(eid):
-                        if u in unseen:
-                            unseen.discard(u)
-                            comp.add(u)
-                            frontier.append(u)
-            comps.append(frozenset(comp))
-        return comps
-
     def connector(w: frozenset) -> frozenset:
         out = set()
         for eid, fs in edge_list:
@@ -643,7 +607,7 @@ def ghd_search(
                 remaining = w - bag
                 plans = []
                 failed = False
-                for comp in components_within(remaining):
+                for comp in h.connected_components(remaining):
                     sub = solve(comp)
                     if sub is None:
                         failed = True
@@ -662,7 +626,7 @@ def ghd_search(
     for _, fs in edge_list:
         covered |= fs
     top_plans = []
-    for comp in components_within(frozenset(covered)):
+    for comp in h.connected_components(covered):
         plan = solve(comp)
         if plan is None:
             return None

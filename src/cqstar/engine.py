@@ -405,46 +405,44 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
 def _rebuild_decomposition(h, d, comps, kept) -> Decomposition:
     """Quantifier-elimination rewrite of the decomposition: bags lose core
     vertices and gain the boundary sets of the components they touched;
-    guards and weights swap core-meeting edges for the new component edges,
-    numbered after the kept atoms. Node ids and the tree are unchanged. The
-    pipeline counts along it only when the rewritten query is cyclic."""
+    guards and weights swap core-meeting edges for the new component edges.
+    Kept atom ``kept[j]`` becomes edge j and component i's edge is
+    ``len(kept) + i``. One vertex -> component map answers which cores a
+    bag or an edge meets. Node ids and the tree are unchanged. The pipeline
+    counts along it only when the rewritten query is cyclic."""
     fractional = d.kind is DecompKind.FRACTIONAL
-    cores = [comp.core for comp in comps]
-    boundaries = [comp.s_vertices for comp in comps]
-    all_core = frozenset().union(*cores) if cores else frozenset()
-    new_edge_id = {("atom", orig): j for j, orig in enumerate(kept)}
-    for i in range(len(comps)):
-        new_edge_id[("comp", i)] = len(kept) + i
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp.core}
+    new_id = {e: j for j, e in enumerate(kept)}
+
+    def hits(vs) -> set[int]:
+        return {comp_of[v] for v in vs if v in comp_of}
 
     nodes = []
     for n in d.nodes:
-        touched = {i for i, core in enumerate(cores) if n.bag & core}
-        bag = n.bag - all_core
-        for i in touched:
-            bag = bag | boundaries[i]
+        touched = hits(n.bag)
+        bag = frozenset(v for v in n.bag if v not in comp_of)
+        bag = bag.union(*(comps[i].s_vertices for i in touched))
         triggers = set(touched)
         guard = set()
         for e in n.guard:
-            es = h.edge_set(e)
-            hit = {i for i, core in enumerate(cores) if es & core}
+            hit = hits(h.edge_set(e))
             if hit:
                 triggers |= hit
             else:
-                guard.add(new_edge_id[("atom", e)])
-        guard |= {new_edge_id[("comp", i)] for i in triggers}
+                guard.add(new_id[e])
+        guard |= {len(kept) + i for i in triggers}
 
         weights = None
         if fractional:
             weights = {}
             for e, w in (n.weights or {}).items():
-                es = h.edge_set(e)
-                hit = {i for i, core in enumerate(cores) if es & core}
+                hit = hits(h.edge_set(e))
                 if hit:
                     triggers |= hit
                 else:
-                    weights[new_edge_id[("atom", e)]] = w
+                    weights[new_id[e]] = w
             for i in sorted(triggers):
-                weights[new_edge_id[("comp", i)]] = Fraction(1)
+                weights[len(kept) + i] = Fraction(1)
             guard |= set(weights)
         nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag, weights))
     return Decomposition(DecompKind.FRACTIONAL if fractional else DecompKind.GHD, tuple(nodes))

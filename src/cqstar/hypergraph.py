@@ -8,7 +8,7 @@ derived from them are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Optional, Union
 
 from .errors import UnknownVertex, VariableWithoutAtom
 
@@ -94,14 +94,12 @@ class Hypergraph:
         for eid, fs in out:
             dedup.setdefault(fs, eid)
         self._dedup = dedup
-        incidence: dict[VertexId, tuple[EdgeId, ...]] = {v: () for v in vs}
-        acc: dict[VertexId, list[EdgeId]] = {v: [] for v in vs}
-        for eid, fs in out:
+        # vertex -> ordinals of the edges holding it, in declared order
+        acc: dict[VertexId, list[int]] = {v: [] for v in vs}
+        for o, (_, fs) in enumerate(out):
             for v in fs:
-                acc[v].append(eid)
-        for v in vs:
-            incidence[v] = tuple(acc[v])
-        self._incidence = incidence
+                acc[v].append(o)
+        self._incidence = {v: tuple(ords) for v, ords in acc.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
@@ -140,9 +138,10 @@ class Hypergraph:
 
     def incident_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
         try:
-            return self._incidence[v]
+            ordinals = self._incidence[v]
         except KeyError:
             raise UnknownVertex(v) from None
+        return tuple(self.edges[o][0] for o in ordinals)
 
     def sort_vertices(self, vs: Iterable[VertexId]) -> tuple[VertexId, ...]:
         return tuple(sorted(vs, key=self.vertex_index))
@@ -158,39 +157,38 @@ class Hypergraph:
     # -- operations ------------------------------------------------------
 
     def induced(self, vs: Iterable[VertexId]) -> "Hypergraph":
-        """Induced subhypergraph on ``vs``: nonempty intersections keep their ids.
-
-        Retained ids double as provenance back to the originating edges.
+        """Induced subhypergraph on ``vs``: each edge's nonempty intersection
+        with ``vs``, under the edge's own id, in declared order. Only edges
+        holding a vertex of ``vs`` are visited. Retained ids double as
+        provenance back to the originating edges.
         """
         keep = set(vs)
-        for v in keep:
-            if v not in self._vindex:
-                raise UnknownVertex(v)
-        new_vertices = tuple(v for v in self.vertices if v in keep)
-        new_edges = []
-        for eid, fs in self.edges:
-            cut = fs & keep
-            if cut:
-                new_edges.append((eid, cut))
-        return Hypergraph(new_vertices, new_edges)
+        vertices = self.sort_vertices(keep)  # raises UnknownVertex first
+        ordinals = sorted({o for v in keep for o in self._incidence[v]})
+        return Hypergraph(vertices, [(self.edges[o][0], self.edges[o][1] & keep) for o in ordinals])
 
-    def connected_components(self) -> list[frozenset[VertexId]]:
-        """Maximal path-connected vertex classes, ordered by earliest vertex."""
+    def connected_components(self, within: Optional[Iterable[VertexId]] = None) -> list[frozenset[VertexId]]:
+        """The classes of ``within`` (default: every vertex) connected through
+        edges cut to ``within``, ordered by earliest vertex: the components of
+        ``self.induced(within)``, found without building it. Each edge is
+        scanned at most once.
+        """
+        inside = self._vindex if within is None else set(within)
         seen: set[VertexId] = set()
+        scanned: set[int] = set()
         out: list[frozenset[VertexId]] = []
-        for start in self.vertices:
+        for start in self.sort_vertices(inside):
             if start in seen:
                 continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for eid in self._incidence[v]:
-                    for u in self._edge_map[eid]:
-                        if u not in comp:
-                            comp.add(u)
-                            frontier.append(u)
-            seen |= comp
+            comp = [start]
+            seen.add(start)
+            for v in comp:
+                for o in self._incidence[v]:
+                    if o not in scanned:
+                        scanned.add(o)
+                        fresh = [u for u in self.edges[o][1] if u in inside and u not in seen]
+                        seen.update(fresh)
+                        comp.extend(fresh)
             out.append(frozenset(comp))
         return out
 
@@ -224,13 +222,15 @@ class SHypergraph:
 
 @dataclass(frozen=True)
 class SComponent:
-    """One S-component: a connected chunk of quantified vertices plus its closure."""
+    """One S-component: a connected chunk of quantified vertices (the core),
+    the union of the edges meeting it (the closure), the subhypergraph induced
+    on the closure, whose kept edge ids are the provenance, and the closure's
+    free vertices."""
 
     core: frozenset[VertexId]
     closure: frozenset[VertexId]
     induced: Hypergraph
     s_vertices: frozenset[VertexId]
-    provenance: Mapping[EdgeId, EdgeId]
 
 
 def from_query(query: Query) -> SHypergraph:
@@ -251,27 +251,13 @@ def from_query(query: Query) -> SHypergraph:
 def s_components(sh: SHypergraph) -> list[SComponent]:
     """S-components of (H, S), ordered by the earliest core vertex.
 
-    Each component is the subhypergraph induced on the union of all edges
-    meeting one connected component of H with S removed. Empty when S = V.
+    The cores are the components of V minus S. Each closure is the union of
+    the edges on its core's vertices, so an edge is visited once for each
+    core vertex it holds, never for a core it misses. Empty when S = V.
     """
-    h = sh.hypergraph
-    quantified = [v for v in h.vertices if v not in sh.s]
-    restricted = h.induced(quantified)
+    h, s = sh.hypergraph, sh.s
     out = []
-    for core in restricted.connected_components():
-        closure: set[VertexId] = set()
-        for eid, fs in h.edges:
-            if fs & core:
-                closure |= fs
-        induced = h.induced(closure)
-        provenance = {eid: eid for eid, _ in induced.edges}
-        out.append(
-            SComponent(
-                core=core,
-                closure=frozenset(closure),
-                induced=induced,
-                s_vertices=frozenset(closure) & sh.s,
-                provenance=provenance,
-            )
-        )
+    for core in h.connected_components(v for v in h.vertices if v not in s):
+        closure = frozenset().union(*(h.edges[o][1] for v in core for o in h._incidence[v]))
+        out.append(SComponent(core, closure, h.induced(closure), closure & s))
     return out

@@ -1,0 +1,221 @@
+"""Seeded differential of the hypergraph's component primitives.
+
+Every instance is a random hypergraph with a shuffled vertex order, int,
+str or mixed edge ids, and, by chance, empty edges, repeated edge sets,
+isolated vertices and disconnected parts, plus a random set S (sometimes
+empty, sometimes every vertex). Three checks compare the library with the
+one-scan-per-question references in ``oracles``:
+
+- ``s_components`` against ``s_components_reference``: the core, the
+  closure, the induced vertices and edges in order, and ``s_vertices``;
+- ``connected_components()`` and ``connected_components(within)`` against
+  ``components_reference``, on the reference restriction to ``within``;
+- ``induced(vs)`` against ``hypergraph_induced_reference``.
+
+The ``within`` and ``vs`` sets are the empty set, every vertex, V minus S,
+S, a random subset, and now and then a set naming an unknown vertex, where
+both sides must raise the same error.
+
+The outputs of ``hinge_decompose``, ``ghd_search`` for k = 1, 2, 3 and
+``engine._rebuild_decomposition`` (along the hingetree and the first GHD
+found, each plain and integralized) are folded into one SHA-256 digest,
+with sets sorted before hashing. ``PINNED`` holds the digests that the
+default seed gave before these functions shared the components primitive,
+so a run from the default seed also checks that their outputs never moved.
+
+Run the full version with ``PYTHONPATH=src python tests/hypergraph_differential.py
+--instances 5000``. It prints the seed and hypergraph of every mismatch and
+exits 1 if there is any. Instance ``i`` of a run with seed ``s`` has its own
+seed ``s + i``, and ``make_case(seed)`` rebuilds it alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+
+from cqstar.decomposition import Decomposition, ghd_search, hinge_decompose, integralize
+from cqstar.engine import _rebuild_decomposition
+from cqstar.generators import SplitMix64
+from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
+
+from oracles import components_reference, hypergraph_induced_reference, s_components_reference
+
+DEFAULT_SEED = 4099
+
+# instances run from DEFAULT_SEED -> digest of the decomposition outputs
+PINNED = {
+    1000: "384345ebbfbfe94e5de0a6c8c2d5c0f86bed24cae102df8ac67ac8c56a3aea41",
+    5000: "d5b446748fefb1a0058563028377abcec40d815710660c35d88e9e9a02311b76",
+}
+
+
+def _shuffle(rng: SplitMix64, items: list) -> list:
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def make_case(seed: int) -> SHypergraph:
+    rng = SplitMix64(seed)
+    n = rng.below(10)
+    names = _shuffle(rng, [f"v{i}" for i in range(n)])
+    m = rng.below(9)
+    style = rng.below(4)
+    if style == 0:
+        ids = list(range(m))
+    elif style == 1:
+        ids = _shuffle(rng, list(range(3 * m)))[:m]
+    elif style == 2:
+        ids = [f"e{i}" for i in _shuffle(rng, list(range(m)))]
+    else:
+        ids = [i if i % 2 else f"e{i}" for i in range(m)]
+    edges = []
+    for eid in ids:
+        if edges and rng.chance(1, 6):
+            fs = rng.choice(edges)[1]  # the same set again under a new id
+        elif not names or rng.chance(1, 10):
+            fs = frozenset()
+        else:
+            pool = list(names)
+            fs = frozenset(pool.pop(rng.below(len(pool))) for _ in range(1 + rng.below(min(4, n))))
+        edges.append((eid, fs))
+    if rng.chance(1, 2):  # otherwise the unused names stay as isolated vertices
+        used = {v for _, fs in edges for v in fs}
+        names = [v for v in names if v in used]
+    mode = rng.below(6)
+    if mode == 0:
+        s = frozenset()
+    elif mode == 1:
+        s = frozenset(names)
+    else:
+        s = frozenset(v for v in names if rng.chance(1, 3))
+    return SHypergraph(Hypergraph(names, edges), s)
+
+
+def _subsets(seed: int, sh: SHypergraph) -> list[frozenset]:
+    rng = SplitMix64(~seed)
+    h = sh.hypergraph
+    every = frozenset(h.vertices)
+    out = [frozenset(), every, every - sh.s, sh.s, frozenset(v for v in h.vertices if rng.chance(1, 2))]
+    if rng.chance(1, 10):
+        out.append(frozenset({"unknown"}) | out[-1])
+    return out
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # a crash is an outcome to compare too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _graph(h):
+    return (h.vertices, h.edges) if isinstance(h, Hypergraph) else h
+
+
+def _components(comps):
+    if isinstance(comps, str):
+        return comps
+    return [(c.core, c.closure, _graph(c.induced), c.s_vertices) for c in comps]
+
+
+def _sorted(items) -> list[str]:
+    return sorted(map(repr, items))
+
+
+def _canonical(d):
+    """A decomposition as nested lists with every set sorted; other outcomes as they are."""
+    if not isinstance(d, Decomposition):
+        return d
+    nodes = []
+    for n in d.nodes:
+        weights = None if n.weights is None else sorted((repr(e), str(w)) for e, w in n.weights.items())
+        nodes.append((n.node_id, n.parent, _sorted(n.guard), _sorted(n.bag), weights))
+    return (d.kind.value, nodes)
+
+
+def decomposition_outputs(sh: SHypergraph) -> list:
+    """The pinned outputs of one instance, in a fixed order."""
+    h = sh.hypergraph
+    hinge = _outcome(lambda: hinge_decompose(h))
+    ghds = [_outcome(lambda: ghd_search(h, k)) for k in (1, 2, 3)]
+    out = [_canonical(hinge)] + [_canonical(g) for g in ghds]
+    comps = s_components(sh)
+    quantified = set(h.vertices) - sh.s
+    kept = [eid for eid, fs in h.edges if not fs & quantified]
+    found = next((g for g in ghds if isinstance(g, Decomposition)), None)
+    for d in (hinge, found):
+        if isinstance(d, Decomposition):
+            out.append(_canonical(_outcome(lambda: _rebuild_decomposition(h, d, comps, kept))))
+            out.append(_canonical(_outcome(lambda: _rebuild_decomposition(h, integralize(d), comps, kept))))
+    return out
+
+
+def check(seed: int) -> tuple[int, list[str]]:
+    """The number of checks made and a line for each that disagreed."""
+    sh = make_case(seed)
+    h = sh.hypergraph
+    checks, bad = 0, []
+
+    def compare(key: str, got, want) -> None:
+        nonlocal checks
+        checks += 1
+        if got != want:
+            bad.append(
+                f"mismatch: seed={seed} {key} gave {got}, expected {want}; "
+                f"vertices={list(h.vertices)} S={sorted(sh.s)} "
+                f"edges={[(e, sorted(fs)) for e, fs in h.edges]}"
+            )
+
+    compare(
+        "s_components",
+        _components(_outcome(lambda: s_components(sh))),
+        _components(_outcome(lambda: s_components_reference(sh))),
+    )
+    compare("connected_components()", _outcome(h.connected_components), components_reference(h))
+    for vs in _subsets(seed, sh):
+        want = _outcome(lambda: hypergraph_induced_reference(h, vs))
+        compare(f"induced({sorted(vs)})", _graph(_outcome(lambda: h.induced(vs))), _graph(want))
+        if isinstance(want, Hypergraph):
+            want = components_reference(want)
+        compare(f"connected_components({sorted(vs)})", _outcome(lambda: h.connected_components(vs)), want)
+    return checks, bad
+
+
+def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str], str]:
+    """Checks made, mismatch lines, and the digest of the decomposition outputs.
+
+    From the default seed, the digest after each ``PINNED`` count of
+    instances is checked too."""
+    checks, bad = 0, []
+    digest = hashlib.sha256()
+    for index in range(instances):
+        made, found = check(seed + index)
+        checks += made
+        bad += found
+        digest.update(repr(decomposition_outputs(make_case(seed + index))).encode())
+        pinned = PINNED.get(index + 1) if seed == DEFAULT_SEED else None
+        if pinned is not None:
+            checks += 1
+            if digest.hexdigest() != pinned:
+                bad.append(f"digest after {index + 1} instances is {digest.hexdigest()}, pinned {pinned}")
+    return checks, bad, digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--instances", type=int, default=5000)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    args = parser.parse_args(argv)
+    checks, bad, digest = run(args.instances, args.seed)
+    for line in bad:
+        print(line)
+    print(f"{args.instances} instances, seed {args.seed}: {checks} checks, {len(bad)} mismatches, digest {digest}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,8 @@ from typing import Iterable, Union
 
 from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic
 from cqstar.engine import Relation, Structure
-from cqstar.hypergraph import EdgeId, Hypergraph, VertexId
+from cqstar.errors import UnknownVertex
+from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId
 from cqstar.parser import _Cursor, _unquote
 
 
@@ -36,6 +37,68 @@ def components_union_find(h: Hypergraph) -> set[frozenset]:
     for v in h.vertices:
         groups.setdefault(find(v), set()).add(v)
     return {frozenset(g) for g in groups.values()}
+
+
+def hypergraph_induced_reference(h: Hypergraph, vs: Iterable[VertexId]) -> Hypergraph:
+    """Every edge's nonempty intersection with ``vs``, by one scan of all
+    edges in declared order. The oracle for ``Hypergraph.induced``."""
+    keep = set(vs)
+    for v in keep:
+        if not h.has_vertex(v):
+            raise UnknownVertex(v)
+    new_vertices = tuple(v for v in h.vertices if v in keep)
+    new_edges = []
+    for eid, fs in h.edges:
+        cut = fs & keep
+        if cut:
+            new_edges.append((eid, cut))
+    return Hypergraph(new_vertices, new_edges)
+
+
+def components_reference(h: Hypergraph) -> list[frozenset]:
+    """Maximal path-connected vertex classes, ordered by earliest vertex, by
+    a search from every unseen vertex that rescans each edge from each of
+    its vertices. The oracle for ``Hypergraph.connected_components``."""
+    seen: set = set()
+    out: list[frozenset] = []
+    for start in h.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for eid in h.incident_edges(v):
+                for u in h.edge_set(eid):
+                    if u not in comp:
+                        comp.add(u)
+                        frontier.append(u)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def s_components_reference(sh: SHypergraph) -> list[SComponent]:
+    """S-components by the definition: the components of H with S removed,
+    each closed under every edge that meets it, with two scans of all edges
+    per component. The oracle for ``s_components``."""
+    h = sh.hypergraph
+    quantified = [v for v in h.vertices if v not in sh.s]
+    out = []
+    for core in components_reference(hypergraph_induced_reference(h, quantified)):
+        closure: set = set()
+        for _, fs in h.edges:
+            if fs & core:
+                closure |= fs
+        out.append(
+            SComponent(
+                core=core,
+                closure=frozenset(closure),
+                induced=hypergraph_induced_reference(h, closure),
+                s_vertices=frozenset(closure) & sh.s,
+            )
+        )
+    return out
 
 
 def max_is_size(h: Hypergraph, candidates=None) -> int:

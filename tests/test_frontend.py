@@ -347,8 +347,27 @@ BAD_EDGE_LISTS = {
 }
 
 
+# flags that the chosen path never reads -> the flag the error line names
+UNREAD_FLAGS = {
+    "count-brute-decomp": (["--method", "brute", "--decomp", "nonexistent.json"], "--decomp"),
+    "count-brute-auto-decomp": (["--method", "brute", "--auto-decomp", "hinge"], "--auto-decomp"),
+    "count-decomp-and-auto-decomp": (["--decomp", "nonexistent.json", "--auto-decomp", "ghd"], "--auto-decomp"),
+    "count-k-without-ghd-search": (["-k", "2"], "-k"),
+    "count-k-with-hinge": (["--auto-decomp", "hinge", "-k", "2"], "-k"),
+    "starsize-brute-decomp": (["--method", "brute", "--decomp", "nonexistent.json"], "--decomp"),
+    "starsize-acyclic-decomp": (["--method", "acyclic", "--decomp", "nonexistent.json"], "--decomp"),
+    "starsize-k-with-hinge": (["--method", "hinge", "-k", "2"], "-k"),
+    "starsize-k-with-decomp": (["--method", "ghd", "--decomp", "nonexistent.json", "-k", "2"], "-k"),
+    "decompose-k-with-tree": (["--kind", "tree", "-k", "2"], "-k"),
+}
+
+
 def _bad_input_argv(case, workdir):
     q, facts = str(workdir / "q.cq"), str(workdir / "d.facts")
+    if case in UNREAD_FLAGS:
+        command = case.split("-", 1)[0]
+        data = ["-d", facts] if command == "count" else []
+        return [command, "-q", q, *data, *UNREAD_FLAGS[case][0]]
     if case in BAD_DECOMPS:
         path = workdir / "bad.decomp.json"
         path.write_text(json.dumps(BAD_DECOMPS[case]))
@@ -388,13 +407,15 @@ def _bad_input_argv(case, workdir):
         "directory-as-query", "directory-as-data", "query-not-utf8", "ghd-width-zero", "gen-size-zero",
         "facts-bad-escape", "starsize-unknown-edge-ghd", "starsize-unknown-edge-approx",
         "starsize-unknown-edge-hinge",
-    ],
+    ] + sorted(UNREAD_FLAGS),
 )
 def test_cli_bad_input_is_one_error_line(case, workdir, capsys):
     assert run_cli(_bad_input_argv(case, workdir)) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if case in UNREAD_FLAGS:
+        assert err.startswith(f"error: {UNREAD_FLAGS[case][1]} ")
 
 
 def test_cli_not_utf8_column_counts_characters(tmp_path, capsys):

@@ -147,7 +147,7 @@ def _cmd_count(args) -> int:
     if args.method == "brute":
         result = count_brute(inst)
     else:
-        if args.decomp:
+        if args.decomp is not None:
             d = decomposition_from_json(_read(args.decomp), args.decomp)
         else:
             h = from_query(query).hypergraph
@@ -186,7 +186,7 @@ def _cmd_starsize(args) -> int:
     sh = from_query(query)
     d = None
     if reads_decomp:
-        if args.decomp:
+        if args.decomp is not None:
             d = decomposition_from_json(_read(args.decomp), args.decomp)
         elif method is ISMethod.HINGE_FPT:
             d = dec.hinge_decompose(sh.hypergraph)

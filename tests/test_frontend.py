@@ -394,6 +394,8 @@ def _bad_input_argv(case, workdir):
         path.write_text(json.dumps({"kind": "hinge", "nodes": [node]}))
         method = case.rsplit("-", 1)[1]
         return ["starsize", "-q", q, "--method", method, "--decomp", str(path)]
+    if case == "decomp-empty-path":  # read like any path, not taken for "no --decomp"
+        return ["count", "-q", q, "-d", facts, "--decomp", ""]
     if case == "ghd-width-zero":
         return ["decompose", "-q", q, "--kind", "ghd", "-k", "0"]
     if case == "gen-size-zero":
@@ -406,7 +408,7 @@ def _bad_input_argv(case, workdir):
     sorted(BAD_DECOMPS) + sorted(BAD_EDGE_LISTS) + [
         "directory-as-query", "directory-as-data", "query-not-utf8", "ghd-width-zero", "gen-size-zero",
         "facts-bad-escape", "starsize-unknown-edge-ghd", "starsize-unknown-edge-approx",
-        "starsize-unknown-edge-hinge",
+        "starsize-unknown-edge-hinge", "decomp-empty-path",
     ] + sorted(UNREAD_FLAGS),
 )
 def test_cli_bad_input_is_one_error_line(case, workdir, capsys):

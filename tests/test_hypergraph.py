@@ -85,6 +85,7 @@ def test_connected_components_ex1_quantified(ex1):
         frozenset({"u7"}),
         frozenset({"u8"}),
     ]
+    assert h.connected_components(restricted.vertices) == comps
 
 
 def test_connected_components_trivial(tri):

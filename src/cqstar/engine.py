@@ -1,8 +1,11 @@
 """Relational kernel and query counting.
 
 Relations are sets of rows over interned value ids, so set semantics is
-enforced at construction and every count is of distinct answers. The
-counting pipelines reduce a quantified instance to a quantifier-free one:
+enforced at construction and every count is of distinct answers. Each
+operator call builds one ``operator.itemgetter`` key or projection
+extractor and applies it with ``map``, so the per-row work runs in C, and a
+projection onto a relation's own schema costs nothing: it returns the
+relation, or shares its rows under a new name. The counting pipelines reduce a quantified instance to a quantifier-free one:
 each quantified component is replaced by the relation of its satisfiable
 free-boundary assignments, which Yannakakis's join-and-project computes
 over the component's bags. ``count_acyclic_qf`` then counts the rewritten
@@ -14,9 +17,10 @@ decomposition is restricted or rewritten only for the cyclic ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, product, repeat
+from operator import add, countOf, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import decomposition as dec, starsize
@@ -54,9 +58,9 @@ class Relation:
 
     def __post_init__(self):
         width = len(self.schema)
-        for row in self.rows:
-            if len(row) != width:
-                raise ValueError(f"row {row!r} does not match schema {self.schema!r}")
+        if countOf(map(len, self.rows), width) != len(self.rows):
+            row = next(row for row in self.rows if len(row) != width)
+            raise ValueError(f"row {row!r} does not match schema {self.schema!r}")
 
     @classmethod
     def from_rows(cls, name: str, schema: Iterable[str], rows: Iterable) -> "Relation":
@@ -114,8 +118,28 @@ class CountResult:
 # -- relational operators ---------------------------------------------------
 
 
+def _keys(rows, positions: Sequence[int]):
+    """Each row's values at ``positions``, in the order of ``rows``, from one
+    extractor built for the call. One position gives a scalar, which is a
+    sound key wherever both sides of a lookup are keyed the same way; no
+    position gives the empty key."""
+    if positions:
+        return map(itemgetter(*positions), rows)
+    return repeat((), len(rows))
+
+
+def _tuples(rows, positions: Sequence[int]):
+    """Like ``_keys``, but always tuples, for row parts that are stored or
+    concatenated: ``zip`` wraps the scalars of a single position."""
+    if len(positions) == 1:
+        return zip(map(itemgetter(positions[0]), rows))
+    return _keys(rows, positions)
+
+
 def natural_join(r1: Relation, r2: Relation, name: Optional[str] = None) -> Relation:
-    """Rows of r1 x r2 agreeing on shared variables; r1's schema order first."""
+    """Rows of r1 x r2 agreeing on shared variables; r1's schema order first.
+    r2 is indexed by its shared values, each entry holding the tails (r2's
+    other values) that a matching r1 row is extended by."""
     shared = [v for v in r1.schema if v in r2.schema]
     extra = [v for v in r2.schema if v not in r1.schema]
     schema = r1.schema + tuple(extra)
@@ -123,24 +147,31 @@ def natural_join(r1: Relation, r2: Relation, name: Optional[str] = None) -> Rela
     p2 = [r2.schema.index(v) for v in shared]
     pextra = [r2.schema.index(v) for v in extra]
     index: dict = {}
-    for row in r2.rows:
-        index.setdefault(tuple(row[i] for i in p2), []).append(row)
-    out = set()
-    for row in r1.rows:
-        key = tuple(row[i] for i in p1)
-        for other in index.get(key, ()):
-            out.add(row + tuple(other[i] for i in pextra))
-    return Relation(name or f"({r1.name}*{r2.name})", schema, frozenset(out))
+    # both maps walk the same frozenset, whose iteration order is fixed
+    for key, tail in zip(_keys(r2.rows, p2), _tuples(r2.rows, pextra)):
+        index.setdefault(key, []).append(tail)
+    matches = map(index.get, _keys(r1.rows, p1), repeat(()))
+    # row + tail for each matching tail, with no Python frame per row
+    joined = chain.from_iterable(map(map, repeat(add), map(repeat, r1.rows), matches))
+    return Relation(name or f"({r1.name}*{r2.name})", schema, frozenset(joined))
 
 
 def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -> Relation:
+    """The distinct rows of ``r`` restricted to ``variables``, in that order
+    (a variable may repeat). Projecting onto ``r.schema`` itself, when its
+    variables are distinct, costs nothing: it returns ``r``, or, under a new
+    name, a relation sharing ``r.rows``. Relations are frozen, so sharing
+    is safe."""
     positions = []
     for v in variables:
         if v not in r.schema:
             raise UnknownVariable(f"variable {v!r} not in schema {r.schema!r}")
         positions.append(r.schema.index(v))
-    rows = frozenset(tuple(row[i] for i in positions) for row in r.rows)
-    return Relation(name or r.name, tuple(variables), rows)
+    name = name or r.name
+    variables = tuple(variables)
+    if variables == r.schema and len(set(variables)) == len(variables):
+        return r if name == r.name else Relation(name, r.schema, r.rows)
+    return Relation(name, variables, frozenset(_tuples(r.rows, positions)))
 
 
 def semijoin(r: Relation, s: Relation, name: Optional[str] = None) -> Relation:
@@ -150,8 +181,9 @@ def semijoin(r: Relation, s: Relation, name: Optional[str] = None) -> Relation:
         return Relation(name or r.name, r.schema, rows)
     pr = [r.schema.index(v) for v in shared]
     ps = [s.schema.index(v) for v in shared]
-    keys = {tuple(row[i] for i in ps) for row in s.rows}
-    rows = frozenset(row for row in r.rows if tuple(row[i] for i in pr) in keys)
+    keys = set(_keys(s.rows, ps))
+    # compress and the key map walk the same frozenset, in one fixed order
+    rows = frozenset(compress(r.rows, map(keys.__contains__, _keys(r.rows, pr))))
     return Relation(name or r.name, r.schema, rows)
 
 
@@ -283,19 +315,9 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
     counts: dict[int, dict[tuple, int]] = {}
     for node in d.post_order():
         rel = rels[node.node_id]
-        table: dict[tuple, int] = {row: 1 for row in rel.rows}
+        table: dict[tuple, int] = dict.fromkeys(rel.rows, 1)
         for child in children[node.node_id]:
-            crel = rels[child.node_id]
-            shared = [v for v in rel.schema if v in crel.schema]
-            pc = [crel.schema.index(v) for v in shared]
-            pp = [rel.schema.index(v) for v in shared]
-            sums: dict[tuple, int] = {}
-            for crow, c in counts[child.node_id].items():
-                key = tuple(crow[i] for i in pc)
-                sums[key] = sums.get(key, 0) + c
-            for row in list(table):
-                key = tuple(row[i] for i in pp)
-                table[row] *= sums.get(key, 0)
+            table = _absorb_child(table, rel.schema, counts[child.node_id], rels[child.node_id].schema)
         counts[node.node_id] = table
     total = sum(counts[d.root().node_id].values())
     stats = {
@@ -303,6 +325,17 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
         "max_intermediate": max_intermediate,
     }
     return CountResult(total, "acyclic-qf", stats)
+
+
+def _absorb_child(table: dict, schema: tuple, child: dict, child_schema: tuple) -> dict:
+    """``table`` with each row's count multiplied by the summed counts of the
+    ``child`` rows that agree with it on the variables both schemas share."""
+    shared = [v for v in schema if v in child_schema]
+    sums: dict = {}
+    for key, c in zip(_keys(child, [child_schema.index(v) for v in shared]), child.values()):
+        sums[key] = sums.get(key, 0) + c
+    keys = _keys(table, [schema.index(v) for v in shared])
+    return dict(zip(table, map(mul, table.values(), map(sums.get, keys, repeat(0)))))
 
 
 # -- the quantified counting pipeline ----------------------------------------
@@ -503,7 +536,7 @@ def count_brute(inst: QueryInstance, *, max_assignments: int = BRUTE_MAX_ASSIGNM
 
     count = 0
     indices = list(range(len(rels)))
-    for combo in itertools.product(range(n), repeat=len(free)):
+    for combo in product(range(n), repeat=len(free)):
         if exists(indices, dict(zip(free, combo))):
             count += 1
     return CountResult(count, "brute", {"assignments": total})

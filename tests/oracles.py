@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic
 from cqstar.engine import Relation, Structure
-from cqstar.errors import UnknownVertex
+from cqstar.errors import UnknownVariable, UnknownVertex
 from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId
 from cqstar.parser import _Cursor, _unquote
 
@@ -450,3 +450,66 @@ def parse_facts_reference(text: str, filename: str = "<facts>") -> Structure:
         for name, tuples in rows.items()
     }
     return Structure(tuple(domain), relations)
+
+
+def natural_join_reference(r1: Relation, r2: Relation, name: Optional[str] = None) -> Relation:
+    """Hash join with one generator per row and per match, the oracle for
+    ``engine.natural_join``: r2's whole rows are indexed by their shared
+    values, and each match rebuilds r2's tail from the row."""
+    shared = [v for v in r1.schema if v in r2.schema]
+    extra = [v for v in r2.schema if v not in r1.schema]
+    schema = r1.schema + tuple(extra)
+    p1 = [r1.schema.index(v) for v in shared]
+    p2 = [r2.schema.index(v) for v in shared]
+    pextra = [r2.schema.index(v) for v in extra]
+    index: dict = {}
+    for row in r2.rows:
+        index.setdefault(tuple(row[i] for i in p2), []).append(row)
+    out = set()
+    for row in r1.rows:
+        key = tuple(row[i] for i in p1)
+        for other in index.get(key, ()):
+            out.add(row + tuple(other[i] for i in pextra))
+    return Relation(name or f"({r1.name}*{r2.name})", schema, frozenset(out))
+
+
+def project_reference(r: Relation, variables: Sequence[str], name: Optional[str] = None) -> Relation:
+    """A fresh tuple per row, also for an identity projection; the oracle
+    for ``engine.project``."""
+    positions = []
+    for v in variables:
+        if v not in r.schema:
+            raise UnknownVariable(f"variable {v!r} not in schema {r.schema!r}")
+        positions.append(r.schema.index(v))
+    rows = frozenset(tuple(row[i] for i in positions) for row in r.rows)
+    return Relation(name or r.name, tuple(variables), rows)
+
+
+def semijoin_reference(r: Relation, s: Relation, name: Optional[str] = None) -> Relation:
+    """Key tuples built per row by generators; the oracle for ``engine.semijoin``."""
+    shared = [v for v in r.schema if v in s.schema]
+    if not shared:
+        rows = r.rows if s.rows else frozenset()
+        return Relation(name or r.name, r.schema, rows)
+    pr = [r.schema.index(v) for v in shared]
+    ps = [s.schema.index(v) for v in shared]
+    keys = {tuple(row[i] for i in ps) for row in s.rows}
+    rows = frozenset(row for row in r.rows if tuple(row[i] for i in pr) in keys)
+    return Relation(name or r.name, r.schema, rows)
+
+
+def absorb_child_reference(table: dict, schema: tuple, child: dict, child_schema: tuple) -> dict:
+    """The child sum of ``count_acyclic_qf`` row by row: the oracle for
+    ``engine._absorb_child``. Returns a new table and leaves ``table`` as it is."""
+    table = dict(table)
+    shared = [v for v in schema if v in child_schema]
+    pc = [child_schema.index(v) for v in shared]
+    pp = [schema.index(v) for v in shared]
+    sums: dict[tuple, int] = {}
+    for crow, c in child.items():
+        key = tuple(crow[i] for i in pc)
+        sums[key] = sums.get(key, 0) + c
+    for row in list(table):
+        key = tuple(row[i] for i in pp)
+        table[row] *= sums.get(key, 0)
+    return table

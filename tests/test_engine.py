@@ -96,6 +96,26 @@ def test_project():
         project(r, ("zz",))
 
 
+def test_identity_projection_shares_rows():
+    """Relations are frozen, so an identity projection returns its input, and
+    a renamed one shares the input's rows."""
+    r = rel("R", ("x", "y"), [(0, 1), (0, 2)])
+    assert project(r, r.schema) is r
+    assert project(r, list(r.schema), "R") is r
+    renamed = project(r, r.schema, "P")
+    assert (renamed.name, renamed.schema) == ("P", r.schema)
+    assert renamed.rows is r.rows
+    reordered = project(r, ("y", "x"))
+    assert reordered.rows == frozenset({(1, 0), (2, 0)})
+
+
+def test_relation_width_check_names_the_row():
+    with pytest.raises(ValueError) as info:
+        Relation("R", ("x", "y"), frozenset({(0, 1), (2,)}))
+    assert str(info.value) == "row (2,) does not match schema ('x', 'y')"
+    assert len(Relation("E", (), frozenset({()}))) == 1
+
+
 def test_atom_relation_repeated_vars():
     s = structure(("a", "b"), rel("R", ("c0", "c1"), [(0, 0), (0, 1)]))
     got = atom_relation(s, Atom("R", ("x", "x")))

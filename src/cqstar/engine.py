@@ -5,14 +5,15 @@ enforced at construction and every count is of distinct answers. Each
 operator call builds one ``operator.itemgetter`` key or projection
 extractor and applies it with ``map``, so the per-row work runs in C, and a
 projection onto a relation's own schema costs nothing: it returns the
-relation, or shares its rows under a new name. The counting pipelines reduce a quantified instance to a quantifier-free one:
-each quantified component is replaced by the relation of its satisfiable
-free-boundary assignments, which Yannakakis's join-and-project computes
-over the component's bags. ``count_acyclic_qf`` then counts the rewritten
-instance: it materializes one relation per bag and counts along the
-decomposition's own tree. Each piece, a component or the rewritten
-instance, gets its own join tree when it is acyclic; the query's
-decomposition is restricted or rewritten only for the cyclic ones.
+relation, or shares its rows under a new name. The counting pipelines
+reduce a quantified instance to a quantifier-free one: each quantified
+component is replaced by the relation of its satisfiable free-boundary
+assignments, which Yannakakis's join-and-project computes over the
+component's bags. ``count_acyclic_qf`` then counts the rewritten instance:
+it materializes one relation per bag and counts along the decomposition's
+own tree. Each piece, a component or the rewritten instance, gets its own
+join tree when it is acyclic; the query's decomposition is restricted or
+rewritten only for the cyclic ones.
 """
 
 from __future__ import annotations

@@ -316,22 +316,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    query = _load_query(args.query)
     if args.oracle == "count":
-        query = _load_query(args.query)
         structure = parse_facts(_read(args.data), args.data)
         result = count_brute(QueryInstance(query, structure))
         print(result.count)
     else:
-        query = _load_query(args.query)
         size, _ = s_star_size(from_query(query), ISMethod.BRUTE)
         print(size)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cqstar", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_count(sub) -> None:
     p = sub.add_parser("count", help="count query answers")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("-d", "--data", required=True)
@@ -350,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
+
+def _add_starsize(sub) -> None:
     p = sub.add_parser("starsize", help="quantified star size of a query")
     p.add_argument("-q", "--query", required=True)
     p.add_argument(
@@ -363,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_starsize)
 
+
+def _add_decompose(sub) -> None:
     p = sub.add_parser("decompose", help="build a decomposition for a query")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("--kind", choices=["jointree", "hinge", "ghd", "tree"], required=True)
@@ -371,24 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decompose)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="verify a decomposition against a query")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("--decomp", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
+
+def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate instances and hypergraphs")
     gsub = p.add_subparsers(dest="generator", required=True)
-    g = gsub.add_parser("clique-star")
-    g.add_argument("--graph", required=True)
-    g.add_argument("-k", type=_positive_int, required=True)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=_cmd_gen)
-    g = gsub.add_parser("is-hard")
-    g.add_argument("--graph", required=True)
-    g.add_argument("-k", type=_positive_int, required=True)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=_cmd_gen)
+    for name in ("clique-star", "is-hard"):
+        g = gsub.add_parser(name)
+        g.add_argument("--graph", required=True)
+        g.add_argument("-k", type=_positive_int, required=True)
+        g.add_argument("-o", "--output", required=True)
+        g.set_defaults(func=_cmd_gen)
     g = gsub.add_parser("gstar")
     g.add_argument("-n", type=_positive_int, required=True)
     g.add_argument("-o", "--output", required=True)
@@ -402,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_gen)
 
+
+def _add_oracle(sub) -> None:
     p = sub.add_parser("oracle", help="brute-force reference answers")
     osub = p.add_subparsers(dest="oracle", required=True)
     o = osub.add_parser("count")
@@ -412,11 +414,36 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("-q", "--query", required=True)
     o.set_defaults(func=_cmd_oracle)
 
+
+# subcommand -> the function that adds its parser, in the order help lists them
+_SUBCOMMANDS = dict(count=_add_count, starsize=_add_starsize, decompose=_add_decompose,
+                    verify=_add_verify, gen=_add_gen, oracle=_add_oracle)
+
+
+def _build_parser(commands) -> argparse.ArgumentParser:
+    parser = _Parser(prog="cqstar", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _SUBCOMMANDS[name](sub)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parser(_SUBCOMMANDS)
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """Only the parser of the subcommand ``argv`` names, all one run reads.
+    Anything else gets the full parser, whose help and errors list every
+    subcommand. ``_Parser.error`` prints no usage line, so no error text
+    depends on which subparsers exist."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _build_parser([argv[0]])
+    return build_parser()
+
+
 def run_cli(argv) -> int:
-    parser = build_parser()
+    parser = _parser_for(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -3,9 +3,13 @@ decompositions, and fractional hypertree decompositions.
 
 A decomposition is a rooted tree of guarded blocks. ``verify`` checks
 exactly the conditions of the decomposition's kind and reports every
-violation. The hinge, GHD and tree constructors re-verify their output;
-``gyo_join_tree``'s join trees are verified by their consumers
-(``ensure_valid`` in the count pipeline, ``require_width_one`` in star size).
+violation. The hinge, GHD and tree constructors verify their own output.
+A decomposition from outside is verified where it enters, by
+``ensure_valid`` in each public function that takes one. The trees that
+``gyo_join_tree`` builds, and those derived from a verified one
+(``induced_decomposition`` on a connected set, ``integralize``,
+``jointree_over_bags``), are valid by construction and are not verified
+again at run time; the differentials in ``tests/`` verify every one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation, WidthNotOne
+from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation
 from .hypergraph import EdgeId, Hypergraph, VertexId, edge_sort_key
 
 
@@ -251,17 +255,6 @@ def ensure_valid(h: Hypergraph, d: Decomposition, kinds: tuple[DecompKind, ...])
     return report
 
 
-def require_width_one(h: Hypergraph, jt: Decomposition) -> None:
-    """Raise WidthNotOne unless jt is a valid width-1 join tree or GHD of h."""
-    if jt.kind not in (DecompKind.JOINTREE, DecompKind.GHD):
-        raise WidthNotOne(f"expected a join tree, got kind {jt.kind.value}")
-    report = verify(h, jt)
-    if not report.ok:
-        raise WidthNotOne(f"join tree fails verification: {report.violations}")
-    if report.width > 1:
-        raise WidthNotOne(f"decomposition has width {report.width}, need 1")
-
-
 # -- GYO join trees --------------------------------------------------------
 
 
@@ -290,7 +283,7 @@ def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
     next edge to absorb. Its parent is the first fitting edge among the
     holders of its reduced set's rarest vertex. On acyclic inputs of
     bounded degree this runs in time near linear in the total edge size.
-    The output is not verified here; its consumers verify it.
+    The output is a join tree by construction and is not verified here.
     """
     dd = h.dedup_edges()
     if not dd:

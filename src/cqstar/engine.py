@@ -14,6 +14,13 @@ it materializes one relation per bag and counts along the decomposition's
 own tree. Each piece, a component or the rewritten instance, gets its own
 join tree when it is acyclic; the query's decomposition is restricted or
 rewritten only for the cyclic ones.
+
+Input is checked where it enters. ``Relation`` checks the width of every
+row and ``Structure`` the range of every value id; the operators build
+their outputs, valid by construction, without either check. The public
+counting functions verify the decomposition they are given. The join trees
+a pipeline builds for its pieces, and the restrictions of a verified
+decomposition, are not verified again; the differential verifies them.
 """
 
 from __future__ import annotations
@@ -71,6 +78,14 @@ class Relation:
         return len(self.rows)
 
 
+def _relation(name: str, schema: tuple, rows: frozenset) -> Relation:
+    """A relation built by an operator, whose rows have the schema's width by
+    construction: ``Relation`` without the check of every row."""
+    rel = object.__new__(Relation)
+    rel.__dict__.update(name=name, schema=schema, rows=rows)
+    return rel
+
+
 @dataclass(frozen=True)
 class Structure:
     """Interned value domain plus named relations over it."""
@@ -80,11 +95,16 @@ class Structure:
 
     def __post_init__(self):
         n = len(self.domain)
-        for rel in self.relations.values():
-            for row in rel.rows:
-                for vid in row:
-                    if not (0 <= vid < n):
-                        raise ValueError(f"value id {vid} outside domain of size {n}")
+
+        def vids():
+            return chain.from_iterable(chain.from_iterable(r.rows for r in self.relations.values()))
+
+        # min and max of the distinct ids at C speed; the search for the
+        # first bad one runs only on a failure
+        distinct = set(vids())
+        if distinct and not (0 <= min(distinct) and max(distinct) < n):
+            vid = next(v for v in vids() if not (0 <= v < n))
+            raise ValueError(f"value id {vid} outside domain of size {n}")
 
     def value(self, vid: int) -> str:
         return self.domain[vid]
@@ -96,17 +116,19 @@ class QueryInstance:
     structure: Structure
 
     def __post_init__(self):
-        arities: dict[str, int] = {}
         for atom in self.query.atoms:
-            arities.setdefault(atom.predicate, len(atom.variables))
             rel = self.structure.relations.get(atom.predicate)
             if rel is None:
                 raise BindError(f"predicate {atom.predicate!r} not defined in the structure")
-            if len(rel.schema) != len(atom.variables):
-                raise BindError(
-                    f"atom {atom.predicate!r} has arity {len(atom.variables)}, "
-                    f"relation has arity {len(rel.schema)}"
-                )
+            _check_arity(atom, rel)
+
+
+def _check_arity(atom: Atom, rel: Relation) -> None:
+    if len(rel.schema) != len(atom.variables):
+        raise BindError(
+            f"atom {atom.predicate!r} has arity {len(atom.variables)}, "
+            f"relation has arity {len(rel.schema)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -154,7 +176,7 @@ def natural_join(r1: Relation, r2: Relation, name: Optional[str] = None) -> Rela
     matches = map(index.get, _keys(r1.rows, p1), repeat(()))
     # row + tail for each matching tail, with no Python frame per row
     joined = chain.from_iterable(map(map, repeat(add), map(repeat, r1.rows), matches))
-    return Relation(name or f"({r1.name}*{r2.name})", schema, frozenset(joined))
+    return _relation(name or f"({r1.name}*{r2.name})", schema, frozenset(joined))
 
 
 def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -> Relation:
@@ -171,30 +193,31 @@ def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -
     name = name or r.name
     variables = tuple(variables)
     if variables == r.schema and len(set(variables)) == len(variables):
-        return r if name == r.name else Relation(name, r.schema, r.rows)
-    return Relation(name, variables, frozenset(_tuples(r.rows, positions)))
+        return r if name == r.name else _relation(name, r.schema, r.rows)
+    return _relation(name, variables, frozenset(_tuples(r.rows, positions)))
 
 
 def semijoin(r: Relation, s: Relation, name: Optional[str] = None) -> Relation:
     shared = [v for v in r.schema if v in s.schema]
     if not shared:
         rows = r.rows if s.rows else frozenset()
-        return Relation(name or r.name, r.schema, rows)
+        return _relation(name or r.name, r.schema, rows)
     pr = [r.schema.index(v) for v in shared]
     ps = [s.schema.index(v) for v in shared]
     keys = set(_keys(s.rows, ps))
     # compress and the key map walk the same frozenset, in one fixed order
     rows = frozenset(compress(r.rows, map(keys.__contains__, _keys(r.rows, pr))))
-    return Relation(name or r.name, r.schema, rows)
+    return _relation(name or r.name, r.schema, rows)
 
 
 def atom_relation(structure: Structure, atom: Atom, name: Optional[str] = None) -> Relation:
     """The atom's relation with repeated variables collapsed: schema is the
     atom's distinct variables in order, rows filtered to equal repeats."""
     rel = structure.relations[atom.predicate]
+    _check_arity(atom, rel)
     schema = tuple(dict.fromkeys(atom.variables))
     if len(schema) == len(atom.variables):
-        return Relation(name or atom.predicate, schema, rel.rows)
+        return _relation(name or atom.predicate, schema, rel.rows)
     first_pos = [atom.variables.index(v) for v in schema]
     groups = [
         [i for i, w in enumerate(atom.variables) if w == v]
@@ -204,7 +227,7 @@ def atom_relation(structure: Structure, atom: Atom, name: Optional[str] = None) 
     for row in rel.rows:
         if all(len({row[i] for i in grp}) == 1 for grp in groups):
             rows.add(tuple(row[i] for i in first_pos))
-    return Relation(name or atom.predicate, schema, frozenset(rows))
+    return _relation(name or atom.predicate, schema, frozenset(rows))
 
 
 # -- acyclic evaluation -------------------------------------------------------
@@ -259,7 +282,7 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
         else:
             if bag_vars:
                 raise InvariantViolation(f"nonempty bag {bag_vars} with no covering atom")
-            out[n.node_id] = Relation(f"b{n.node_id}", (), frozenset({()}))
+            out[n.node_id] = _relation(f"b{n.node_id}", (), frozenset({()}))
     return out
 
 
@@ -404,9 +427,10 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     """Steps (2)-(4) for one S-component: restrict the atoms to the
     component, decompose it, materialize one relation per bag, and project
     their join onto the free boundary. An acyclic component gets its own
-    join tree, verified here; a cyclic one gets the subtree of ``d`` that
+    join tree; a cyclic one gets the subtree of the verified ``d`` that
     meets its closure, so its ``bag_sizes`` list only that subtree. Both
-    trees name the original edge ids, which key the restricted relations."""
+    trees, and the join tree over either's bags, are valid by construction
+    and name the original edge ids, which key the restricted relations."""
     scope = comp.closure
     sub_rels: dict[int, Relation] = {}
     for o, rel in atom_rels.items():
@@ -418,7 +442,6 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     if isinstance(own, NotAcyclic):
         source, di = "restricted", induced_decomposition(h, d, scope)
     else:
-        ensure_valid(comp.induced, own, (DecompKind.JOINTREE,))
         source, di = "own-jointree", integralize(own) if d.kind is DecompKind.FRACTIONAL else own
     _record_piece(stats, di, source)
 
@@ -429,7 +452,7 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
 
     # the edge-cover size is the paper's bound on the boundary relation
     hp = blocks_hypergraph(comp.induced, di)
-    _, cover = starsize.acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
+    _, cover = starsize._acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
     stats["cover_sizes"].append(len(cover))
 
     s_schema = tuple(v for v in h.vertices if v in comp.s_vertices)

@@ -86,20 +86,24 @@ class Hypergraph:
                 if v not in vset:
                     raise UnknownVertex(v)
             out.append((eid, fs))
-        self.vertices = vs
-        self.edges = tuple(out)
-        self._vindex = {v: i for i, v in enumerate(vs)}
-        self._edge_map = {eid: fs for eid, fs in out}
-        dedup: dict[frozenset[VertexId], EdgeId] = {}
-        for eid, fs in out:
-            dedup.setdefault(fs, eid)
-        self._dedup = dedup
-        # vertex -> ordinals of the edges holding it, in declared order
         acc: dict[VertexId, list[int]] = {v: [] for v in vs}
         for o, (_, fs) in enumerate(out):
             for v in fs:
                 acc[v].append(o)
-        self._incidence = {v: tuple(ords) for v, ords in acc.items()}
+        self._index(vs, tuple(out), {v: tuple(ords) for v, ords in acc.items()})
+
+    def _index(self, vertices: tuple, edges: tuple, incidence: dict) -> None:
+        """Store checked vertices, edges and incidence (vertex -> ordinals of
+        the edges holding it, in declared order); build the other lookups."""
+        self.vertices = vertices
+        self.edges = edges
+        self._vindex = {v: i for i, v in enumerate(vertices)}
+        self._edge_map = dict(edges)
+        dedup: dict[frozenset[VertexId], EdgeId] = {}
+        for eid, fs in edges:
+            dedup.setdefault(fs, eid)
+        self._dedup = dedup
+        self._incidence = incidence
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
@@ -160,12 +164,21 @@ class Hypergraph:
         """Induced subhypergraph on ``vs``: each edge's nonempty intersection
         with ``vs``, under the edge's own id, in declared order. Only edges
         holding a vertex of ``vs`` are visited. Retained ids double as
-        provenance back to the originating edges.
+        provenance back to the originating edges. A cut of this hypergraph is
+        valid by construction, so its members are not checked again, and its
+        incidence is this one's, renumbered.
         """
         keep = set(vs)
         vertices = self.sort_vertices(keep)  # raises UnknownVertex first
         ordinals = sorted({o for v in keep for o in self._incidence[v]})
-        return Hypergraph(vertices, [(self.edges[o][0], self.edges[o][1] & keep) for o in ordinals])
+        renumber = {o: i for i, o in enumerate(ordinals)}.__getitem__
+        sub = object.__new__(Hypergraph)
+        sub._index(
+            vertices,
+            tuple((self.edges[o][0], self.edges[o][1] & keep) for o in ordinals),
+            {v: tuple(map(renumber, self._incidence[v])) for v in vertices},
+        )
+        return sub
 
     def connected_components(self, within: Optional[Iterable[VertexId]] = None) -> list[frozenset[VertexId]]:
         """The classes of ``within`` (default: every vertex) connected through

@@ -350,19 +350,45 @@ def decomposition_from_json(text: str, filename: str = "<decomp>") -> Decomposit
     return Decomposition(kind, tuple(nodes))
 
 
+_JSON_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, not a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    """``value`` if it is a JSON array; a string or an object is not read
+    as the collection of its characters or keys."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
 def _node_from_json(entry, span: SourceSpan) -> DecompNode:
     if not isinstance(entry, dict) or "id" not in entry:
         raise ParseError("every node must be an object with an \"id\"", span)
+    where = ""
     try:
+        node_id = _json_int(entry["id"], "node id")
+        where = f"node {node_id}: "
         weights = None
         if "weights" in entry:
-            weights = {int(e): Fraction(w) for e, w in entry["weights"].items()}
+            # an object key is a string: the text of a JSON integer is read as one
+            weights = {
+                _json_int(int(e) if _JSON_INT.fullmatch(e) else e, "weights key"): Fraction(w)
+                for e, w in entry["weights"].items()
+            }
+        parent = entry.get("parent")
         return DecompNode(
-            int(entry["id"]),
-            None if entry.get("parent") is None else int(entry["parent"]),
-            frozenset(int(e) for e in entry.get("lambda", [])),
-            frozenset(entry.get("chi", [])),
+            node_id,
+            None if parent is None else _json_int(parent, "parent"),
+            frozenset(_json_int(e, "lambda entry") for e in _json_list(entry.get("lambda", []), "lambda")),
+            frozenset(_json_list(entry.get("chi", []), "chi")),
             weights,
         )
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"node {entry['id']!r}: {exc}", span) from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"{where}{exc}", span) from None

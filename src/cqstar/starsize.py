@@ -24,10 +24,10 @@ from .decomposition import (
     gyo_join_tree,
     induced_decomposition,
     jointree_over_bags,
-    require_width_one,
     verify,
 )
 from .errors import (
+    DecompositionInvalid,
     InvariantViolation,
     NotHinge,
     TooLarge,
@@ -38,6 +38,7 @@ from .errors import (
 from .hypergraph import EdgeId, Hypergraph, SHypergraph, VertexId, s_components
 
 BRUTE_CUTOFF = 24
+_GUARDED = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE)
 
 
 class ISMethod(str, Enum):
@@ -131,9 +132,20 @@ def acyclic_is_and_cover(
 
     Walks the join tree deepest-first; whenever a bag holds an uncovered
     candidate seen for the last time, the bag's edge enters the cover and
-    one such candidate enters the independent set.
+    one such candidate enters the independent set. Raises WidthNotOne unless
+    ``jt`` is a valid width-1 join tree or GHD of ``h``.
     """
-    require_width_one(h, jt)
+    try:
+        width = ensure_valid(h, jt, (DecompKind.JOINTREE, DecompKind.GHD)).width
+    except DecompositionInvalid as exc:
+        raise WidthNotOne(str(exc)) from None
+    if width > 1:
+        raise WidthNotOne(f"decomposition has width {width}, need 1")
+    return _acyclic_is_and_cover(h, jt, restrict_to)
+
+
+def _acyclic_is_and_cover(h: Hypergraph, jt: Decomposition, restrict_to) -> tuple[ISWitness, frozenset]:
+    """``acyclic_is_and_cover`` along a join tree valid by construction."""
     cands = _candidates(h, restrict_to)
     for v in cands:
         if not h.incident_edges(v):
@@ -189,7 +201,12 @@ def max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitnes
     largest independent set of the subtree agreeing with that subset on
     the bag; children combine through their shared-bag keys.
     """
-    ensure_valid(h, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
+    ensure_valid(h, d, _GUARDED)
+    return _max_is_ghd_dp(h, d, restrict_to)
+
+
+def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
+    """``max_is_ghd_dp`` along a decomposition valid by construction."""
     cands = _candidates(h, restrict_to)
     cand_set = set(cands)
     adj = h.conflict_adjacency()
@@ -237,6 +254,11 @@ def max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitnes
 # -- hingetree fixed-parameter DP -------------------------------------------
 
 
+def _require_hinge(d: Decomposition) -> None:
+    if d.kind is not DecompKind.HINGE:
+        raise NotHinge(f"expected hinge decomposition, got {d.kind.value}")
+
+
 def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
     """Fixed-parameter maximum independent set along a hingetree decomposition.
 
@@ -244,11 +266,15 @@ def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWit
     incidence signature; per node we keep one best independent set per
     interface vertex plus one avoiding the interface entirely.
     """
-    if d.kind is not DecompKind.HINGE:
-        raise NotHinge(f"expected hinge decomposition, got {d.kind.value}")
+    _require_hinge(d)
     report = verify(h, d)
     if not report.ok:
         raise NotHinge(f"hinge decomposition fails verification: {report.violations}")
+    return _max_is_hinge_fpt(h, d, restrict_to)
+
+
+def _max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
+    """``max_is_hinge_fpt`` along a hingetree valid by construction."""
     cands = _candidates(h, restrict_to)
     cand_set = set(cands)
     freebies = [v for v in cands if not h.incident_edges(v)]
@@ -379,15 +405,24 @@ def approx_is(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
     """Width-factor approximation: exact maximum on the acyclic hypergraph of
     bags, which stays independent in h; guaranteed within 1/width of optimal.
     """
-    report = ensure_valid(h, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
-    k = int(report.width) if report.width else 1
+    ensure_valid(h, d, _GUARDED)
+    return _approx_is(h, d, restrict_to)
+
+
+def _approx_is(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
+    """``approx_is`` along a decomposition valid by construction, whose join
+    tree over its bags is then valid too."""
     cands = _candidates(h, restrict_to)
     freebies = [v for v in cands if not h.incident_edges(v)]
     hp = blocks_hypergraph(h, d)
-    jt = jointree_over_bags(d)
     in_bags = [v for v in cands if hp.incident_edges(v)]
-    witness, _ = acyclic_is_and_cover(hp, jt, in_bags)
-    return _checked_witness(h, set(witness.vertices) | set(freebies), ISMethod.APPROX, bound=max(k, 1))
+    witness, _ = _acyclic_is_and_cover(hp, jointree_over_bags(d), in_bags)
+    bound = max(int(d.raw_width()), 1)
+    return _checked_witness(h, set(witness.vertices) | set(freebies), ISMethod.APPROX, bound=bound)
+
+
+# strategy -> its worker along a restriction of a decomposition verified once
+_ALONG = {ISMethod.GHD_DP: _max_is_ghd_dp, ISMethod.HINGE_FPT: _max_is_hinge_fpt, ISMethod.APPROX: _approx_is}
 
 
 def s_star_size(
@@ -398,14 +433,18 @@ def s_star_size(
     """Largest independent set of S-vertices over the S-components.
 
     Decomposition-backed strategies verify the decomposition against h once,
-    then run on its subtree meeting each component closure. Returns 0 with
-    no witnesses when S = V, and 0 with empty stars when S is empty.
+    HINGE_FPT its kind too, then run on its subtree meeting each component
+    closure, which is valid by construction, so it is not verified again;
+    nor is the join tree ACYCLIC builds. Returns 0 with no witnesses when
+    S = V, and 0 with empty stars when S is empty.
     """
     h = sh.hypergraph
-    if strategy in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX):
+    if strategy in _ALONG:
         if decomposition is None:
             raise ValueError(f"strategy {strategy.value} requires a decomposition")
-        ensure_valid(h, decomposition, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
+        ensure_valid(h, decomposition, _GUARDED)
+        if strategy is ISMethod.HINGE_FPT:
+            _require_hinge(decomposition)
     witnesses: list[StarWitness] = []
     best = 0
     for idx, comp in enumerate(s_components(sh)):
@@ -417,17 +456,12 @@ def s_star_size(
             jt = gyo_join_tree(comp.induced)
             if isinstance(jt, NotAcyclic):
                 raise WidthNotOne(f"component {idx} is not acyclic")
-            w, cover = acyclic_is_and_cover(comp.induced, jt, cands)
+            w, cover = _acyclic_is_and_cover(comp.induced, jt, cands)
         elif not comp.closure:  # an edgeless quantified vertex: no S-vertex, no bag to restrict to
             w = max_is_brute(comp.induced, cands)
         else:
             di = induced_decomposition(h, decomposition, comp.closure)
-            if strategy is ISMethod.GHD_DP:
-                w = max_is_ghd_dp(comp.induced, di, cands)
-            elif strategy is ISMethod.HINGE_FPT:
-                w = max_is_hinge_fpt(comp.induced, di, cands)
-            else:
-                w = approx_is(comp.induced, di, cands)
+            w = _ALONG[strategy](comp.induced, di, cands)
         witnesses.append(StarWitness(w.size, idx, w.vertices, cover))
         best = max(best, w.size)
     return best, witnesses

@@ -7,6 +7,13 @@ default choice (a join tree if the query is acyclic, else a hingetree),
 ``hinge_decompose``, and, for the ``cycle-ghd`` family, a width-2 GHD built
 by hand. Each count is one check against ``count_brute``.
 
+The pipelines trust the trees they derive from a verified decomposition:
+each S-component's own join tree (integralized for the fractional
+pipeline) or the decomposition's restriction to the component's closure,
+and the join tree over that tree's bags. The differential verifies every
+one of them, along every decomposition, plain and integralized, with
+``oracles.tree_fault``; a faulty tree is a mismatch too.
+
 The families make sure every per-piece path runs: cycles with two spaced
 free variables rewrite to an acyclic query, three spaced free variables
 rewrite to a triangle (the rewritten decomposition is the fallback), and
@@ -32,9 +39,12 @@ from cqstar.decomposition import (
     DecompNode,
     Decomposition,
     NotAcyclic,
+    blocks_hypergraph,
     gyo_join_tree,
     hinge_decompose,
+    induced_decomposition,
     integralize,
+    jointree_over_bags,
 )
 from cqstar.engine import (
     QueryInstance,
@@ -45,10 +55,10 @@ from cqstar.engine import (
     count_cq_via_ghd,
 )
 from cqstar.generators import SplitMix64, gen_random_instance
-from cqstar.hypergraph import Atom, Query, from_query
+from cqstar.hypergraph import Atom, Query, from_query, s_components
 from cqstar.parser import query_to_text
 
-from oracles import count_by_full_join
+from oracles import count_by_full_join, tree_fault
 
 DEFAULT_SEED = 20131
 
@@ -176,14 +186,47 @@ def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
     return [("auto", auto), ("hinge", hinge), *case.extra]
 
 
-def check(case: Case) -> tuple[int, list[str]]:
-    """The number of checks made and a line for each that disagreed."""
+def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
+    """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
+    and trusts: per S-component, its own join tree (integralized when ``d``
+    is fractional) or ``d`` restricted to its closure, and the join tree
+    over that tree's bags."""
+    sh = from_query(inst.query)
+    out = []
+    for idx, comp in enumerate(s_components(sh)):
+        own = gyo_join_tree(comp.induced)
+        if isinstance(own, NotAcyclic):
+            name, di = "restricted", induced_decomposition(sh.hypergraph, d, comp.closure)
+        else:
+            name, di = "own-jointree", integralize(own) if d.kind is DecompKind.FRACTIONAL else own
+        out.append((f"component {idx} {name}", comp.induced, di))
+        out.append((f"component {idx} bags", blocks_hypergraph(comp.induced, di), jointree_over_bags(di)))
+    return out
+
+
+def check(case: Case) -> tuple[int, int, list[str]]:
+    """The number of checks made, the number of derived trees verified, and a
+    line for each check that disagreed or tree that failed."""
     expected = count_brute(case.inst).count
     counts = {"full-join": lambda: count_by_full_join(case.inst)}
+    trees, bad = 0, []
     for label, d in decompositions(case):
         counts[f"ghd/{label}"] = lambda d=d: count_cq_via_ghd(case.inst, d).count
         counts[f"fractional/{label}"] = lambda d=d: count_cq_via_fractional(case.inst, integralize(d)).count
-    bad = []
+        for pipeline, along in (("ghd", d), ("fractional", integralize(d))):
+            faults = []
+            try:
+                for name, hg, tree in derived_trees(case.inst, along):
+                    trees += 1
+                    faults.append((name, tree_fault(hg, tree)))
+            except Exception as exc:  # a tree that cannot be built is a fault too
+                faults.append(("derivation", f"{type(exc).__name__}: {exc}"))
+            bad += [
+                f"invalid tree: family={case.family} seed={case.seed} {pipeline}/{label} "
+                f"{name}: {fault}; query {query_to_text(case.inst.query).strip()}"
+                for name, fault in faults
+                if fault is not None
+            ]
     for label, run in counts.items():
         try:
             got = run()
@@ -194,16 +237,17 @@ def check(case: Case) -> tuple[int, list[str]]:
                 f"mismatch: family={case.family} seed={case.seed} {label} gave {got}, "
                 f"brute {expected}; query {query_to_text(case.inst.query).strip()}"
             )
-    return len(counts), bad
+    return len(counts), trees, bad
 
 
-def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
-    checks, bad = 0, []
+def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, int, list[str]]:
+    checks, trees, bad = 0, 0, []
     for index in range(instances):
-        made, found = check(make_case(index, seed))
+        made, verified, found = check(make_case(index, seed))
         checks += made
+        trees += verified
         bad += found
-    return checks, bad
+    return checks, trees, bad
 
 
 def main(argv=None) -> int:
@@ -211,10 +255,13 @@ def main(argv=None) -> int:
     parser.add_argument("--instances", type=int, default=1500)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
-    checks, bad = run(args.instances, args.seed)
+    checks, trees, bad = run(args.instances, args.seed)
     for line in bad:
         print(line)
-    print(f"{args.instances} instances, seed {args.seed}: {checks} checks, {len(bad)} mismatches")
+    print(
+        f"{args.instances} instances, seed {args.seed}: {checks} checks, "
+        f"{trees} derived trees verified, {len(bad)} mismatches"
+    )
     return 1 if bad else 0
 
 

@@ -7,10 +7,12 @@ empty, sometimes every vertex). Three checks compare the library with the
 one-scan-per-question references in ``oracles``:
 
 - ``s_components`` against ``s_components_reference``: the core, the
-  closure, the induced vertices and edges in order, and ``s_vertices``;
+  closure, the induced vertices, edges and lookups, and ``s_vertices``;
 - ``connected_components()`` and ``connected_components(within)`` against
   ``components_reference``, on the reference restriction to ``within``;
-- ``induced(vs)`` against ``hypergraph_induced_reference``.
+- ``induced(vs)`` against ``hypergraph_induced_reference``, including the
+  dedup family and the incidence, which ``induced`` derives from its
+  parent's instead of rebuilding through the checked constructor.
 
 The ``within`` and ``vs`` sets are the empty set, every vertex, V minus S,
 S, a random subset, and now and then a set naming an unknown vertex, where
@@ -113,7 +115,11 @@ def _outcome(run):
 
 
 def _graph(h):
-    return (h.vertices, h.edges) if isinstance(h, Hypergraph) else h
+    """A hypergraph's vertices and edges, and the lookups built over them,
+    which ``induced`` derives from its parent's rather than rebuilding."""
+    if not isinstance(h, Hypergraph):
+        return h
+    return h.vertices, h.edges, h.dedup_edges(), [h.incident_edges(v) for v in h.vertices]
 
 
 def _components(comps):

@@ -11,9 +11,9 @@ import itertools
 from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
 
-from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic
+from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic, ensure_valid, verify
 from cqstar.engine import Relation, Structure
-from cqstar.errors import UnknownVariable, UnknownVertex
+from cqstar.errors import CqstarError, UnknownVariable, UnknownVertex, WidthNotOne
 from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId
 from cqstar.parser import _Cursor, _unquote
 
@@ -411,6 +411,36 @@ def induced_reference(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -
             weights = {e: w for e, w in n.weights.items() if not keep.isdisjoint(h.edge_set(e))}
         nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag & keep, weights))
     return Decomposition(d.kind, tuple(nodes))
+
+
+def require_width_one(h: Hypergraph, jt: Decomposition) -> None:
+    """Raise WidthNotOne unless jt is a valid width-1 join tree or GHD of h.
+    The checked form that ``decomposition.require_width_one`` had; the
+    library now checks a join tree only where one enters
+    ``starsize.acyclic_is_and_cover``."""
+    if jt.kind not in (DecompKind.JOINTREE, DecompKind.GHD):
+        raise WidthNotOne(f"expected a join tree, got kind {jt.kind.value}")
+    report = verify(h, jt)
+    if not report.ok:
+        raise WidthNotOne(f"join tree fails verification: {report.violations}")
+    if report.width > 1:
+        raise WidthNotOne(f"decomposition has width {report.width}, need 1")
+
+
+def tree_fault(h: Hypergraph, d: Decomposition) -> Optional[str]:
+    """None if ``d`` is a valid decomposition of ``h``, by ``require_width_one``
+    for a join tree and ``ensure_valid`` otherwise; else what is wrong. The
+    check of the trees the library derives from a verified decomposition
+    and trusts: a component's own join tree, a restriction, and the join
+    tree over a decomposition's bags."""
+    try:
+        if d.kind is DecompKind.JOINTREE:
+            require_width_one(h, d)
+        else:
+            ensure_valid(h, d, (d.kind,))
+    except CqstarError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 def parse_facts_reference(text: str, filename: str = "<facts>") -> Structure:

@@ -11,6 +11,12 @@ two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT
 must give BRUTE's size for every component, and APPROX a size within a
 factor of the decomposition's width of it.
 
+Star size trusts the trees it derives: each restriction, the join tree
+over a restriction's bags (APPROX's acyclic hypergraph) and the join tree
+the ACYCLIC strategy builds for an acyclic component. The differential
+verifies every one of them with ``oracles.tree_fault``; a faulty tree is a
+mismatch too.
+
 Run the full version with ``PYTHONPATH=src python tests/starsize_differential.py
 --instances 2000``. It prints the seed and hypergraph of every mismatch and
 exits 1 if there is any. Instance ``i`` of a run with seed ``s`` has its own
@@ -23,12 +29,21 @@ import argparse
 import math
 import sys
 
-from cqstar.decomposition import Decomposition, ghd_search, hinge_decompose, induced_decomposition
+from cqstar.decomposition import (
+    Decomposition,
+    NotAcyclic,
+    blocks_hypergraph,
+    ghd_search,
+    gyo_join_tree,
+    hinge_decompose,
+    induced_decomposition,
+    jointree_over_bags,
+)
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import Hypergraph, SComponent, SHypergraph, s_components
 from cqstar.starsize import ISMethod, approx_is, max_is_ghd_dp, max_is_hinge_fpt, s_star_size
 
-from oracles import induced_reference
+from oracles import induced_reference, tree_fault
 
 DEFAULT_SEED = 8191
 
@@ -60,13 +75,32 @@ def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
     return SHypergraph(h, s), decomps
 
 
-def check(seed: int) -> tuple[int, list[str]]:
-    """The number of checks made and a line for each that disagreed."""
+def check(seed: int) -> tuple[int, int, list[str]]:
+    """The number of checks made, the number of derived trees verified, and a
+    line for each check that disagreed or tree that failed."""
     sh, decomps = make_case(seed)
     h = sh.hypergraph
     comps = s_components(sh)
     brute = [w.size for w in s_star_size(sh, ISMethod.BRUTE)[1]]
-    checks, bad = 0, []
+    checks, trees, bad = 0, 0, []
+
+    def verify_trees(key: str, build) -> None:
+        """Verify each (hypergraph, tree) pair that ``build()`` gives; a
+        tree that cannot be built is a fault too."""
+        nonlocal trees
+        try:
+            faults = []
+            for hg, tree in build():
+                trees += 1
+                faults.append(tree_fault(hg, tree))
+        except Exception as exc:
+            faults.append(f"{type(exc).__name__}: {exc}")
+        bad.extend(
+            f"invalid tree: seed={seed} {key}: {fault}; S={sorted(sh.s)} "
+            f"edges={[(e, sorted(fs)) for e, fs in h.edges]}"
+            for fault in faults
+            if fault is not None
+        )
 
     def compare(key: str, got, want) -> None:
         nonlocal checks
@@ -77,6 +111,10 @@ def check(seed: int) -> tuple[int, list[str]]:
                 f"S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
             )
 
+    for idx, comp in enumerate(comps):
+        jt = gyo_join_tree(comp.induced)
+        if not isinstance(jt, NotAcyclic):
+            verify_trees(f"component {idx} own join tree", lambda: [(comp.induced, jt)])
     for label, d in decomps:
         strategies = {"ghd_dp": max_is_ghd_dp, "approx": approx_is}
         methods = [ISMethod.GHD_DP]
@@ -86,6 +124,7 @@ def check(seed: int) -> tuple[int, list[str]]:
         for idx, comp in enumerate(comps):
             if not comp.closure:
                 continue
+            verify_trees(f"{label} component {idx} restriction", lambda: _restriction_trees(h, d, comp))
             for name, strategy in strategies.items():
                 got = _along(strategy, induced_decomposition, h, d, comp)
                 want = _along(strategy, induced_reference, h, d, comp)
@@ -97,7 +136,14 @@ def check(seed: int) -> tuple[int, list[str]]:
         k = max(1, d.raw_width())
         within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, brute))
         compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {brute}")
-    return checks, bad
+    return checks, trees, bad
+
+
+def _restriction_trees(h: Hypergraph, d: Decomposition, comp: SComponent) -> list:
+    """``d`` restricted to the component's closure, and the join tree over
+    the restriction's bags, each with the hypergraph it decomposes."""
+    di = induced_decomposition(h, d, comp.closure)
+    return [(comp.induced, di), (blocks_hypergraph(comp.induced, di), jointree_over_bags(di))]
 
 
 def _along(strategy, restrict, h: Hypergraph, d: Decomposition, comp: SComponent):
@@ -116,13 +162,14 @@ def _outcome(run):
         return f"{type(exc).__name__}: {exc}"
 
 
-def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
-    checks, bad = 0, []
+def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, int, list[str]]:
+    checks, trees, bad = 0, 0, []
     for index in range(instances):
-        made, found = check(seed + index)
+        made, verified, found = check(seed + index)
         checks += made
+        trees += verified
         bad += found
-    return checks, bad
+    return checks, trees, bad
 
 
 def main(argv=None) -> int:
@@ -130,10 +177,13 @@ def main(argv=None) -> int:
     parser.add_argument("--instances", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
-    checks, bad = run(args.instances, args.seed)
+    checks, trees, bad = run(args.instances, args.seed)
     for line in bad:
         print(line)
-    print(f"{args.instances} instances, seed {args.seed}: {checks} checks, {len(bad)} mismatches")
+    print(
+        f"{args.instances} instances, seed {args.seed}: {checks} checks, "
+        f"{trees} derived trees verified, {len(bad)} mismatches"
+    )
     return 1 if bad else 0
 
 

@@ -1,12 +1,18 @@
-"""Seeded fuzz of ``cqstar count`` on mutated query and facts files: every
-run ends in an answer (exit 0), one ``error:`` line (exit 1) or a budget
-line (exit 2). Exit 3, the catch-all for internal errors, is a failure."""
+"""Seeded fuzz of ``cqstar count`` on mutated query and facts files, and of
+``verify``, ``count --decomp`` and ``starsize --decomp`` on mutated
+decomposition JSON: every run ends in an answer (exit 0), one ``error:``
+line (exit 1) or a budget line (exit 2). Exit 3, the catch-all for internal
+errors, is a failure."""
 
+import re
 from collections import Counter
 
 from cqstar import cli
 from cqstar.cli import run_cli
+from cqstar.decomposition import hinge_decompose, integralize
 from cqstar.generators import SplitMix64
+from cqstar.hypergraph import from_query
+from cqstar.parser import decomposition_to_json, parse_query
 
 from parser_differential import mutate
 
@@ -39,6 +45,48 @@ def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
         assert "Traceback" not in err, seed
         exits[code] += 1
     assert exits[0] > 50 and exits[1] > 50
+
+
+# JSON values put where a decomposition document has an integer
+SWAPS = ["1e9990", "0.7", "true", "false", "null", "-1", "7", "[]", "{}", '"0"', '"x"', "1e3", "-0"]
+
+
+def _mutate_json(rng: SplitMix64, text: str) -> str:
+    """Swap one integer for another JSON value half the time, then mutate
+    characters as the parser differential does."""
+    if rng.chance(1, 2):
+        numbers = list(re.finditer(r"-?[0-9]+", text))
+        if numbers:
+            m = rng.choice(numbers)
+            text = text[: m.start()] + rng.choice(SWAPS) + text[m.end():]
+    return mutate(rng, text)
+
+
+def test_cli_decomposition_json_fuzz_never_crashes(tmp_path, capsys):
+    q, f, dj = tmp_path / "q.cq", tmp_path / "d.facts", tmp_path / "d.json"
+    f.write_text(FACTS[0], encoding="utf-8")
+    docs = []
+    for query in QUERIES:
+        hinge = hinge_decompose(from_query(parse_query(query)).hypergraph)
+        docs += [(query, decomposition_to_json(hinge)), (query, decomposition_to_json(integralize(hinge)))]
+    exits = Counter()
+    for seed in range(240):
+        rng = SplitMix64(seed)
+        query, doc = docs[seed % len(docs)]
+        q.write_text(query, encoding="utf-8")
+        dj.write_text(_mutate_json(rng, doc), encoding="utf-8")
+        command = rng.choice(["verify", "count", "starsize"])
+        argv = [command, "-q", str(q), "--decomp", str(dj)]
+        if command == "count":
+            argv += ["-d", str(f), "--method", rng.choice(["ghd", "fractional"])]
+        elif command == "starsize":
+            argv += ["--method", rng.choice(["ghd", "hinge", "approx"])]
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (seed, err)
+        assert "Traceback" not in err, seed
+        exits[code] += 1
+    assert exits[0] > 30 and exits[1] > 30, exits
 
 
 def test_cli_undefined_predicate_is_an_input_error(tmp_path, capsys):

@@ -9,9 +9,10 @@ import differential
 
 
 def test_differential_slice_has_no_mismatch():
-    checks, bad = differential.run(instances=350)
+    checks, trees, bad = differential.run(instances=350)
     assert bad == []
     assert checks > 5 * 350
+    assert trees > 4 * 350
 
 
 def _sources(family: str) -> list[str]:

@@ -116,6 +116,26 @@ def test_relation_width_check_names_the_row():
     assert len(Relation("E", (), frozenset({()}))) == 1
 
 
+def test_structure_range_check_names_the_first_bad_value():
+    """The range is checked with one min and max over every value; the
+    message names the first value out of range, in relation and row order."""
+    with pytest.raises(ValueError) as info:
+        structure(("a", "b"), rel("R", ("c0",), [(1,)]), rel("S", ("c0", "c1"), [(0, 7)]))
+    assert str(info.value) == "value id 7 outside domain of size 2"
+    with pytest.raises(ValueError) as info:
+        structure(("a",), rel("R", ("c0", "c1"), [(0, -1)]))
+    assert str(info.value) == "value id -1 outside domain of size 1"
+    assert len(structure((), rel("Z", (), [()])).relations) == 1
+
+
+def test_atom_relation_checks_the_atom_arity():
+    """Operator outputs skip the row-width check, so a wrong arity is caught
+    where the atom meets its relation."""
+    s = structure(("a", "b"), rel("R", ("c0", "c1"), [(0, 1)]))
+    with pytest.raises(BindError, match="atom 'R' has arity 1, relation has arity 2"):
+        atom_relation(s, Atom("R", ("x",)))
+
+
 def test_atom_relation_repeated_vars():
     s = structure(("a", "b"), rel("R", ("c0", "c1"), [(0, 0), (0, 1)]))
     got = atom_relation(s, Atom("R", ("x", "x")))

@@ -340,6 +340,35 @@ BAD_DECOMPS = {
 }
 
 
+def test_cli_decomposition_json_takes_only_json_integers(workdir, capsys):
+    """Ids, parents, lambda entries and weights keys are JSON integers, and
+    lambda and chi are arrays: an overflowing number, a float and a bool
+    are each one error line."""
+    cases = [
+        ('{"id": 1e9990, "parent": null, "lambda": [0], "chi": ["y1", "z"]}',
+         "node id must be an integer, got Infinity"),
+        ('{"id": 0.7, "parent": null, "lambda": [0.2], "chi": ["y1", "z"]}',
+         "node id must be an integer, got 0.7"),
+        ('{"id": 0, "parent": null, "lambda": [true], "chi": ["y1", "z"]}',
+         "node 0: lambda entry must be an integer, got true"),
+    ]
+    path = workdir / "bad.decomp.json"
+    for node, message in cases:
+        path.write_text('{"kind": "jointree", "nodes": [' + node + "]}")
+        assert run_cli(["verify", "-q", str(workdir / "q.cq"), "--decomp", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1:1: {message}\n"
+    node = {"id": 0, "parent": False, "lambda": [0], "chi": ["y1", "z"]}
+    with pytest.raises(ParseError, match="node 0: parent must be an integer, got false"):
+        decomposition_from_json(json.dumps({"kind": "jointree", "nodes": [node]}))
+    node = dict(node, parent=None, weights={"0.0": "1"})
+    with pytest.raises(ParseError, match='node 0: weights key must be an integer, got "0.0"'):
+        decomposition_from_json(json.dumps({"kind": "fractional", "nodes": [node]}))
+    # a string is not read as the set of its characters
+    node = {"id": 0, "parent": None, "lambda": [0], "chi": "y1"}
+    with pytest.raises(ParseError, match='node 0: chi must be a list, got "y1"'):
+        decomposition_from_json(json.dumps({"kind": "jointree", "nodes": [node]}))
+
+
 BAD_EDGE_LISTS = {
     "edges-count-not-int": "n abc\n0 1\n",
     "edges-count-negative": "n -1\n",

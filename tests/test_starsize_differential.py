@@ -8,9 +8,10 @@ import starsize_differential
 
 
 def test_starsize_differential_slice_has_no_mismatch():
-    checks, bad = starsize_differential.run(instances=400)
+    checks, trees, bad = starsize_differential.run(instances=400)
     assert bad == []
     assert checks > 10 * 400
+    assert trees > 4 * 400
 
 
 def test_slice_drops_nodes_and_meets_edgeless_vertices():

@@ -656,66 +656,54 @@ TREE_EXACT_VERTEX_CUTOFF = 12
 
 
 def _primal_adjacency(h: Hypergraph) -> dict[VertexId, set[VertexId]]:
-    adj: dict[VertexId, set[VertexId]] = {v: set() for v in h.vertices}
-    for _, fs in h.dedup_edges():
-        for v in fs:
-            adj[v].update(fs - {v})
-    return adj
-
-
-def _reachable_targets(adj, through: set, v) -> set:
-    """Vertices outside ``through`` u {v} reachable from v via ``through``."""
-    seen = {v}
-    out = set()
-    frontier = [v]
-    while frontier:
-        cur = frontier.pop()
-        for u in adj[cur]:
-            if u in seen:
-                continue
-            seen.add(u)
-            if u in through:
-                frontier.append(u)
-            else:
-                out.add(u)
-    return out
+    return {v: set(s) for v, s in h.conflict_adjacency().items()}
 
 
 def _exact_elimination_order(h: Hypergraph) -> list[VertexId]:
-    """Subset DP over elimination prefixes; exact for small vertex counts."""
-    vs = list(h.vertices)
-    n = len(vs)
-    adj = _primal_adjacency(h)
+    """A minimum-width elimination order, by the subset DP over bitmasks.
 
-    cost: dict[int, int] = {0: -1}
-    choice: dict[int, int] = {}
-    subsets_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        subsets_by_size[bin(mask).count("1")].append(mask)
-    for size in range(1, n + 1):
-        for mask in subsets_by_size[size]:
-            best = None
-            best_v = None
-            for i in range(n):
-                bit = 1 << i
-                if not mask & bit:
-                    continue
-                prev = mask ^ bit
-                through = {vs[j] for j in range(n) if prev & (1 << j)}
-                q = len(_reachable_targets(adj, through, vs[i]))
-                val = max(cost[prev], q)
-                if best is None or val < best:
-                    best, best_v = val, i
-            cost[mask] = best
-            choice[mask] = best_v
-    order = []
-    mask = (1 << n) - 1
+    Vertex i of ``h.vertices`` is bit i. cost[M] is the least width of an
+    order that eliminates M first, and choice[M] the last vertex of M in it.
+    Eliminated after M minus {v}, v has Q = the neighbours outside M of its
+    component of G[M], so one flood of the components of G[M] gives Q for
+    all of M, and cost[M] = min over v in M of max(cost[M minus {v}], Q).
+    Masks go up in numeric order, so each M minus {v} is done before M.
+    Ties go to the lowest vertex index.
+    """
+    vs = h.vertices
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    adj = {bit[v]: sum(map(bit.__getitem__, nbrs)) for v, nbrs in h.conflict_adjacency().items()}
+    full = (1 << len(vs)) - 1
+    cost, choice = [-1] * (full + 1), [0] * (full + 1)
+    for mask in range(1, full + 1):
+        best, best_low, rest = len(vs), 0, mask
+        while rest:  # one component of G[M] per pass, from its lowest bit
+            comp = frontier = reach = rest & -rest  # reach: comp and its neighbours
+            rest ^= comp
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                a = adj[low]
+                reach |= a
+                new = a & rest
+                rest ^= new
+                comp |= new
+                frontier |= new
+            q = (reach & ~mask).bit_count()
+            while comp:
+                low = comp & -comp
+                comp ^= low
+                val = cost[mask ^ low]
+                if val < q:
+                    val = q
+                if val < best or (val == best and low < best_low):
+                    best, best_low = val, low
+        cost[mask], choice[mask] = best, best_low
+    order, mask = [], full
     while mask:
-        i = choice[mask]
-        order.append(vs[i])
-        mask ^= 1 << i
-    order.reverse()
-    return order
+        order.append(vs[choice[mask].bit_length() - 1])
+        mask ^= choice[mask]
+    return order[::-1]
 
 
 def _min_fill_order(h: Hypergraph) -> list[VertexId]:
@@ -744,42 +732,36 @@ def _min_fill_order(h: Hypergraph) -> list[VertexId]:
 
 
 def tree_decompose(h: Hypergraph) -> Decomposition:
-    """Tree decomposition of the primal graph via an elimination order.
-
-    Exact (subset DP) up to ``TREE_EXACT_VERTEX_CUTOFF`` vertices, min-fill
-    heuristic beyond; width convention is max bag size minus one.
+    """Tree decomposition of the primal graph via an elimination order: up to
+    ``TREE_EXACT_VERTEX_CUTOFF`` vertices the exact bitmask subset DP (one
+    component flood per vertex subset, ties to the lowest vertex index),
+    min-fill beyond. The width convention is max bag size minus one.
     """
     if not h.vertices:
         return Decomposition(DecompKind.TREE, (DecompNode(0, None, frozenset(), frozenset()),))
-    if len(h.vertices) <= TREE_EXACT_VERTEX_CUTOFF:
-        order = _exact_elimination_order(h)
-    else:
-        order = _min_fill_order(h)
-    adj = {v: set(s) for v, s in _primal_adjacency(h).items()}
-    position = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset] = []
-    for v in order:
-        nbrs = {u for u in adj[v] if position[u] > position[v]}
-        bags.append(frozenset({v} | nbrs))
-        for a, b in itertools.combinations(nbrs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    n = len(order)
-    nodes = []
-    for i, bag in enumerate(bags):
-        rest = bag - {order[i]}
-        if rest:
-            parent = min(position[u] for u in rest)
-        elif i < n - 1:
-            parent = n - 1
-        else:
-            parent = None
-        nodes.append(DecompNode(i, parent, frozenset(), bag))
-    d = Decomposition(DecompKind.TREE, tuple(nodes))
+    exact = len(h.vertices) <= TREE_EXACT_VERTEX_CUTOFF
+    d = _elimination_tree(h, _exact_elimination_order(h) if exact else _min_fill_order(h))
     report = verify(h, d)
     if not report.ok:
         raise InvariantViolation(f"tree_decompose produced invalid decomposition: {report.violations}")
     return d
+
+
+def _elimination_tree(h: Hypergraph, order: list[VertexId]) -> Decomposition:
+    """The tree that eliminating ``order`` gives: node i holds order[i] and its
+    neighbours left then, under the earliest of those (else the last node)."""
+    adj = _primal_adjacency(h)
+    position = {v: i for i, v in enumerate(order)}
+    last = len(order) - 1
+    nodes = []
+    for i, v in enumerate(order):
+        later = {u for u in adj[v] if position[u] > i}
+        for a, b in itertools.combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        parent = min(position[u] for u in later) if later else (last if i < last else None)
+        nodes.append(DecompNode(i, parent, frozenset(), frozenset(later | {v})))
+    return Decomposition(DecompKind.TREE, tuple(nodes))
 
 
 # -- derived decompositions ---------------------------------------------------

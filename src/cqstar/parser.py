@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -287,11 +288,11 @@ def parse_edge_list(text: str, filename: str = "<edges>") -> SimpleGraph:
         if n is None and not pairs and parts[0] == "n":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError(f"expected 'n <count>', found {line!r}", span)
-            n = int(parts[1])
+            n = _integer(parts[1], span)
             continue
         if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError(f"expected 'u v', found {line!r}", span)
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _integer(parts[0], span), _integer(parts[1], span)
         if u == v:
             raise ParseError("loops are not allowed", span)
         if n is not None and max(u, v) >= n:
@@ -300,6 +301,14 @@ def parse_edge_list(text: str, filename: str = "<edges>") -> SimpleGraph:
     if n is None:
         n = max((max(p) for p in pairs), default=-1) + 1
     return SimpleGraph.from_pairs(n, pairs)
+
+
+def _integer(text: str, span: SourceSpan) -> int:
+    """``int(text)`` of an integer's digits; past Python's limit, a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer longer than {sys.get_int_max_str_digits()} digits", span) from None
 
 
 def edge_list_to_text(g: SimpleGraph) -> str:
@@ -333,7 +342,7 @@ def decomposition_to_json(d: Decomposition) -> str:
 def decomposition_from_json(text: str, filename: str = "<decomp>") -> Decomposition:
     span = SourceSpan(filename, 1, 1)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=lambda digits: _integer(digits, span))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", span) from None
     if not isinstance(doc, dict):
@@ -351,6 +360,7 @@ def decomposition_from_json(text: str, filename: str = "<decomp>") -> Decomposit
 
 
 _JSON_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_WEIGHT = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 def _json_int(value, what: str) -> int:
@@ -358,6 +368,14 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _json_weight(value) -> Fraction:
+    """A JSON number that is not a bool, or a string ``p``, ``p/q`` or a plain
+    decimal. An exponent is refused: ``Fraction`` would expand it in full."""
+    if type(value) in (int, float) or (type(value) is str and _WEIGHT.fullmatch(value)):
+        return Fraction(value)
+    raise ValueError(f"weight must be a number, \"p\", \"p/q\" or a decimal, got {json.dumps(value)}")
 
 
 def _json_list(value, what: str) -> list:
@@ -379,7 +397,7 @@ def _node_from_json(entry, span: SourceSpan) -> DecompNode:
         if "weights" in entry:
             # an object key is a string: the text of a JSON integer is read as one
             weights = {
-                _json_int(int(e) if _JSON_INT.fullmatch(e) else e, "weights key"): Fraction(w)
+                _json_int(_integer(e, span) if _JSON_INT.fullmatch(e) else e, "weights key"): _json_weight(w)
                 for e, w in entry["weights"].items()
             }
         parent = entry.get("parent")

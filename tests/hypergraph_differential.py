@@ -3,7 +3,7 @@
 Every instance is a random hypergraph with a shuffled vertex order, int,
 str or mixed edge ids, and, by chance, empty edges, repeated edge sets,
 isolated vertices and disconnected parts, plus a random set S (sometimes
-empty, sometimes every vertex). Three checks compare the library with the
+empty, sometimes every vertex). Four checks compare the library with the
 one-scan-per-question references in ``oracles``:
 
 - ``s_components`` against ``s_components_reference``: the core, the
@@ -12,7 +12,11 @@ one-scan-per-question references in ``oracles``:
   ``components_reference``, on the reference restriction to ``within``;
 - ``induced(vs)`` against ``hypergraph_induced_reference``, including the
   dedup family and the incidence, which ``induced`` derives from its
-  parent's instead of rebuilding through the checked constructor.
+  parent's instead of rebuilding through the checked constructor;
+- ``tree_decompose`` against the tree built from the elimination order of
+  ``exact_elimination_order_reference``, the subset DP that searched once
+  per (subset, vertex) pair, so the bitmask DP keeps its order and its
+  tie-break.
 
 The ``within`` and ``vs`` sets are the empty set, every vertex, V minus S,
 S, a random subset, and now and then a set naming an unknown vertex, where
@@ -37,12 +41,24 @@ import argparse
 import hashlib
 import sys
 
-from cqstar.decomposition import Decomposition, ghd_search, hinge_decompose, integralize
+from cqstar.decomposition import (
+    Decomposition,
+    _elimination_tree,
+    ghd_search,
+    hinge_decompose,
+    integralize,
+    tree_decompose,
+)
 from cqstar.engine import _rebuild_decomposition
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
-from oracles import components_reference, hypergraph_induced_reference, s_components_reference
+from oracles import (
+    components_reference,
+    exact_elimination_order_reference,
+    hypergraph_induced_reference,
+    s_components_reference,
+)
 
 DEFAULT_SEED = 4099
 
@@ -188,6 +204,12 @@ def check(seed: int) -> tuple[int, list[str]]:
         if isinstance(want, Hypergraph):
             want = components_reference(want)
         compare(f"connected_components({sorted(vs)})", _outcome(lambda: h.connected_components(vs)), want)
+    if h.vertices:
+        compare(
+            "tree_decompose",
+            _canonical(_outcome(lambda: tree_decompose(h))),
+            _canonical(_outcome(lambda: _elimination_tree(h, exact_elimination_order_reference(h)))),
+        )
     return checks, bad
 
 

@@ -11,7 +11,15 @@ import itertools
 from collections import Counter
 from typing import Iterable, Optional, Sequence, Union
 
-from cqstar.decomposition import DecompKind, DecompNode, Decomposition, NotAcyclic, ensure_valid, verify
+from cqstar.decomposition import (
+    DecompKind,
+    DecompNode,
+    Decomposition,
+    NotAcyclic,
+    _primal_adjacency,
+    ensure_valid,
+    verify,
+)
 from cqstar.engine import Relation, Structure
 from cqstar.errors import CqstarError, UnknownVariable, UnknownVertex, WidthNotOne
 from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId
@@ -304,6 +312,65 @@ def treewidth_by_permutations(h: Hypergraph) -> int:
         if best is None or width < best:
             best = width
     return best if best is not None else -1
+
+
+def _reachable_targets(adj, through: set, v) -> set:
+    """Vertices outside ``through`` u {v} reachable from v via ``through``."""
+    seen = {v}
+    out = set()
+    frontier = [v]
+    while frontier:
+        cur = frontier.pop()
+        for u in adj[cur]:
+            if u in seen:
+                continue
+            seen.add(u)
+            if u in through:
+                frontier.append(u)
+            else:
+                out.add(u)
+    return out
+
+
+def exact_elimination_order_reference(h: Hypergraph) -> list[VertexId]:
+    """Subset DP over elimination prefixes; exact for small vertex counts.
+
+    The oracle for ``decomposition._exact_elimination_order``: it rebuilds
+    the ``through`` set and searches afresh for every (subset, vertex) pair,
+    visits subsets by size, and breaks ties to the lowest vertex index."""
+    vs = list(h.vertices)
+    n = len(vs)
+    adj = _primal_adjacency(h)
+
+    cost: dict[int, int] = {0: -1}
+    choice: dict[int, int] = {}
+    subsets_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        subsets_by_size[bin(mask).count("1")].append(mask)
+    for size in range(1, n + 1):
+        for mask in subsets_by_size[size]:
+            best = None
+            best_v = None
+            for i in range(n):
+                bit = 1 << i
+                if not mask & bit:
+                    continue
+                prev = mask ^ bit
+                through = {vs[j] for j in range(n) if prev & (1 << j)}
+                q = len(_reachable_targets(adj, through, vs[i]))
+                val = max(cost[prev], q)
+                if best is None or val < best:
+                    best, best_v = val, i
+            cost[mask] = best
+            choice[mask] = best_v
+    order = []
+    mask = (1 << n) - 1
+    while mask:
+        i = choice[mask]
+        order.append(vs[i])
+        mask ^= 1 << i
+    order.reverse()
+    return order
 
 
 def count_by_full_join(instance) -> int:

@@ -1,6 +1,6 @@
-"""Seeded fuzz of ``cqstar count`` on mutated query and facts files, and of
-``verify``, ``count --decomp`` and ``starsize --decomp`` on mutated
-decomposition JSON: every run ends in an answer (exit 0), one ``error:``
+"""Seeded fuzz of ``cqstar count`` and ``cqstar decompose`` on mutated query
+and facts files, and of ``verify``, ``count --decomp`` and ``starsize
+--decomp`` on mutated decomposition JSON: every run ends in an answer (exit 0), one ``error:``
 line (exit 1) or a budget line (exit 2). Exit 3, the catch-all for internal
 errors, is a failure."""
 
@@ -9,7 +9,7 @@ from collections import Counter
 
 from cqstar import cli
 from cqstar.cli import run_cli
-from cqstar.decomposition import hinge_decompose, integralize
+from cqstar.decomposition import TREE_EXACT_VERTEX_CUTOFF, hinge_decompose, integralize
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import from_query
 from cqstar.parser import decomposition_to_json, parse_query
@@ -47,8 +47,13 @@ def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
     assert exits[0] > 50 and exits[1] > 50
 
 
-# JSON values put where a decomposition document has an integer
-SWAPS = ["1e9990", "0.7", "true", "false", "null", "-1", "7", "[]", "{}", '"0"', '"x"', "1e3", "-0"]
+# JSON values put where a decomposition document has an integer; inside a
+# weight string, "1e200000" and "1e2000000" are the exponents Fraction would
+# expand, and the last is past Python's 4,300-digit int-string limit
+SWAPS = [
+    "1e9990", "0.7", "true", "false", "null", "-1", "7", "[]", "{}", '"0"', '"x"', "1e3", "-0",
+    "1e200000", "1e2000000", "1" * 4400,
+]
 
 
 def _mutate_json(rng: SplitMix64, text: str) -> str:
@@ -87,6 +92,41 @@ def test_cli_decomposition_json_fuzz_never_crashes(tmp_path, capsys):
         assert "Traceback" not in err, seed
         exits[code] += 1
     assert exits[0] > 30 and exits[1] > 30, exits
+
+
+def _grid_query(cols: int, rows: int, extra: int = 0) -> str:
+    """A grid of E1 (across) and E2 (down) atoms over cols * rows variables,
+    plus a path of ``extra`` more variables hanging off the last one."""
+    atoms = [f"E1(g{r}_{c}, g{r}_{c + 1})" for r in range(rows) for c in range(cols - 1)]
+    atoms += [f"E2(g{r}_{c}, g{r + 1}_{c})" for r in range(rows - 1) for c in range(cols)]
+    tail = [f"g{rows - 1}_{cols - 1}"] + [f"t{i}" for i in range(extra)]
+    atoms += [f"E1({a}, {b})" for a, b in zip(tail, tail[1:])]
+    return f"ans(g0_0) :- {', '.join(atoms)}.\n"
+
+
+# 12 and 13 variables sit on either side of tree_decompose's exact cutoff
+DECOMPOSE_QUERIES = QUERIES + [_grid_query(3, 4), _grid_query(3, 4, 1)]
+
+
+def test_cli_decompose_fuzz_never_crashes(tmp_path, capsys):
+    q = tmp_path / "q.cq"
+    exits = Counter()
+    exact = Counter()  # tree decompositions built, by "vertices <= cutoff"
+    for seed in range(240):
+        rng = SplitMix64(seed)
+        text = mutate(rng, DECOMPOSE_QUERIES[seed % len(DECOMPOSE_QUERIES)])
+        q.write_text(text, encoding="utf-8")
+        kind = rng.choice(["jointree", "hinge", "ghd", "tree"])
+        code = run_cli(["decompose", "-q", str(q), "--kind", kind])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (seed, err)
+        assert "Traceback" not in err, seed
+        exits[code, kind] += 1
+        if code == 0 and kind == "tree":
+            exact[len(from_query(parse_query(text)).hypergraph.vertices) <= TREE_EXACT_VERTEX_CUTOFF] += 1
+    assert all(exits[0, kind] > 5 for kind in ("hinge", "ghd", "tree")), exits
+    assert sum(n for (code, _), n in exits.items() if code == 1) > 30, exits
+    assert exact[True] > 5 and exact[False] > 2, exact
 
 
 def test_cli_undefined_predicate_is_an_input_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cqstar.decomposition as dec
 from cqstar.decomposition import (
     CONNECTEDNESS,
     EDGE_UNCOVERED,
@@ -27,7 +28,13 @@ from cqstar.errors import DecompositionInvalid, IdMismatch
 from cqstar.generators import SplitMix64, gen_random_acyclic
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
-from oracles import gyo_reference, is_acyclic_bruteforce, min_hinge_width, treewidth_by_permutations
+from oracles import (
+    exact_elimination_order_reference,
+    gyo_reference,
+    is_acyclic_bruteforce,
+    min_hinge_width,
+    treewidth_by_permutations,
+)
 
 
 def single_node(h, kind=DecompKind.GHD):
@@ -421,6 +428,41 @@ def test_tree_decompose_heuristic_is_valid(ex1):
     h = ex1.hypergraph  # 17 vertices: heuristic regime
     d = tree_decompose(h)
     assert verify(h, d).ok
+
+
+def order_case(seed, n, dense, parts=1):
+    """n vertices in a shuffled order and edges of two or three vertices,
+    about one per vertex (sparse) or three (dense), each edge inside one of
+    ``parts`` vertex blocks, so that ``parts`` > 1 is disconnected."""
+    rng = SplitMix64(seed)
+    names = [f"v{i}" for i in range(n)]
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        names[i], names[j] = names[j], names[i]
+    blocks = [names[i::parts] for i in range(parts)]
+    edges = []
+    for i in range(n * (3 if dense else 1)):
+        pool = list(blocks[rng.below(parts)])
+        edges.append((i, frozenset(pool.pop(rng.below(len(pool))) for _ in range(2 + rng.below(2)))))
+    return Hypergraph(names, edges)
+
+
+def test_exact_elimination_order_matches_reference_up_to_cutoff(monkeypatch):
+    """Up to 12 vertices the bitmask DP returns the order of the old subset
+    DP, ties included; at 13 ``tree_decompose`` takes the min-fill route."""
+    cases = [(10, False, 1), (10, True, 1), (11, False, 1), (11, True, 1), (12, False, 2), (12, True, 1)]
+    for seed, (n, dense, parts) in enumerate(cases):
+        h = order_case(seed, n, dense, parts)
+        assert len(h.connected_components()) >= parts
+        assert dec._exact_elimination_order(h) == exact_elimination_order_reference(h), (n, dense, parts)
+
+    def refuse(h):
+        raise AssertionError("exact route taken past the cutoff")
+
+    monkeypatch.setattr(dec, "_exact_elimination_order", refuse)
+    for seed, dense in ((6, False), (7, True)):
+        h = order_case(seed, dec.TREE_EXACT_VERTEX_CUTOFF + 1, dense)
+        assert tree_decompose(h) == dec._elimination_tree(h, dec._min_fill_order(h))
 
 
 # -- induced and blocks -------------------------------------------------------

@@ -369,10 +369,57 @@ def test_cli_decomposition_json_takes_only_json_integers(workdir, capsys):
         decomposition_from_json(json.dumps({"kind": "jointree", "nodes": [node]}))
 
 
+TOO_LONG = "1" * 4400  # past Python's 4,300-digit int-string limit
+
+
+def test_cli_over_long_integer_is_one_error_line(workdir, capsys):
+    """A decomposition id or an edge-list vertex with more digits than
+    Python converts is an input error, not an internal one."""
+    path = workdir / "long.decomp.json"
+    path.write_text('{"kind": "jointree", "nodes": [{"id": ' + TOO_LONG + ', "parent": null, "lambda": [0], "chi": []}]}')
+    q = str(workdir / "q.cq")
+    for argv in (["verify", "-q", q], ["count", "-q", q, "-d", str(workdir / "d.facts")]):
+        assert run_cli([*argv, "--decomp", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1:1: integer longer than 4300 digits\n"
+    edges = workdir / "long.edges"
+    edges.write_text("0 1\n1 " + TOO_LONG + "\n")
+    assert run_cli(["gen", "clique-star", "--graph", str(edges), "-k", "2", "-o", str(workdir / "cs")]) == 1
+    assert capsys.readouterr().err == f"error: {edges}:2:1: integer longer than 4300 digits\n"
+
+
+def test_cli_decomposition_weights_are_numbers_or_plain_fractions(workdir, capsys):
+    """A weight is a JSON number that is not a bool, or a string "p", "p/q"
+    or a plain decimal. An exponent, which Fraction would expand in full,
+    and a bool are each one error line."""
+    tri = workdir / "tri.cq"
+    tri.write_text("ans(x,y,z) :- R(x,y), S(y,z), T(z,x).\n")
+    path = workdir / "w.decomp.json"
+
+    def verify_with(weight):
+        node = {"id": 0, "parent": None, "lambda": [0, 1, 2], "chi": ["x", "y", "z"],
+                "weights": {"0": weight, "1": "1/2", "2": "1/2"}}
+        path.write_text(json.dumps({"kind": "fractional", "nodes": [node]}))
+        code = run_cli(["verify", "-q", str(tri), "--decomp", str(path)])
+        out, err = capsys.readouterr()
+        return code, out + err
+
+    for weight in ("1/2", "0.5", 0.5, "-0.5", 1, "3"):
+        code, text = verify_with(weight)
+        assert code == (1 if weight == "-0.5" else 0), (weight, text)
+    assert verify_with(0.5)[1] == "valid fractional decomposition, width 3/2\n"
+    for weight in ("1e200000", "1e2000000", True, False, "1/2 ", "+1", "1_0", "\u00bd"):
+        assert verify_with(weight) == (
+            1,
+            f"error: {path}:1:1: node 0: weight must be a number, \"p\", \"p/q\" or a decimal, "
+            f"got {json.dumps(weight)}\n",
+        ), weight
+
+
 BAD_EDGE_LISTS = {
     "edges-count-not-int": "n abc\n0 1\n",
     "edges-count-negative": "n -1\n",
     "edges-vertex-out-of-range": "n 2\n0 5\n",
+    "edges-vertex-too-long": "0 " + TOO_LONG + "\n",
 }
 
 

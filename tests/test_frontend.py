@@ -372,19 +372,15 @@ def test_cli_decomposition_json_takes_only_json_integers(workdir, capsys):
 TOO_LONG = "1" * 4400  # past Python's 4,300-digit int-string limit
 
 
-def test_cli_over_long_integer_is_one_error_line(workdir, capsys):
-    """A decomposition id or an edge-list vertex with more digits than
-    Python converts is an input error, not an internal one."""
+def test_cli_over_long_json_integer_is_one_error_line(workdir, capsys):
+    """A decomposition id with more digits than Python converts is an input
+    error, not an internal one (the edge-list case is in BAD_EDGE_LISTS)."""
     path = workdir / "long.decomp.json"
     path.write_text('{"kind": "jointree", "nodes": [{"id": ' + TOO_LONG + ', "parent": null, "lambda": [0], "chi": []}]}')
     q = str(workdir / "q.cq")
     for argv in (["verify", "-q", q], ["count", "-q", q, "-d", str(workdir / "d.facts")]):
         assert run_cli([*argv, "--decomp", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:1:1: integer longer than 4300 digits\n"
-    edges = workdir / "long.edges"
-    edges.write_text("0 1\n1 " + TOO_LONG + "\n")
-    assert run_cli(["gen", "clique-star", "--graph", str(edges), "-k", "2", "-o", str(workdir / "cs")]) == 1
-    assert capsys.readouterr().err == f"error: {edges}:2:1: integer longer than 4300 digits\n"
 
 
 def test_cli_decomposition_weights_are_numbers_or_plain_fractions(workdir, capsys):
@@ -403,9 +399,8 @@ def test_cli_decomposition_weights_are_numbers_or_plain_fractions(workdir, capsy
         out, err = capsys.readouterr()
         return code, out + err
 
-    for weight in ("1/2", "0.5", 0.5, "-0.5", 1, "3"):
-        code, text = verify_with(weight)
-        assert code == (1 if weight == "-0.5" else 0), (weight, text)
+    for weight in ("1/2", "0.5", 0.5, 1, "3"):
+        assert verify_with(weight)[0] == 0, weight
     assert verify_with(0.5)[1] == "valid fractional decomposition, width 3/2\n"
     for weight in ("1e200000", "1e2000000", True, False, "1/2 ", "+1", "1_0", "\u00bd"):
         assert verify_with(weight) == (

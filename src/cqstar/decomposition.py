@@ -707,7 +707,7 @@ def _exact_elimination_order(h: Hypergraph) -> list[VertexId]:
 
 
 def _min_fill_order(h: Hypergraph) -> list[VertexId]:
-    adj = {v: set(s) for v, s in _primal_adjacency(h).items()}
+    adj = _primal_adjacency(h)
     index = {v: i for i, v in enumerate(h.vertices)}
     order = []
     remaining = set(h.vertices)

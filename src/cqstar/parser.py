@@ -303,10 +303,11 @@ def parse_edge_list(text: str, filename: str = "<edges>") -> SimpleGraph:
     return SimpleGraph.from_pairs(n, pairs)
 
 
-def _integer(text: str, span: SourceSpan) -> int:
-    """``int(text)`` of an integer's digits; past Python's limit, a ParseError."""
+def _integer(text: str, span: SourceSpan, convert=int):
+    """``convert(text)`` of an integer's or a weight's digits; past Python's
+    limit, a ParseError."""
     try:
-        return int(text)
+        return convert(text)
     except ValueError:
         raise ParseError(f"integer longer than {sys.get_int_max_str_digits()} digits", span) from None
 
@@ -370,11 +371,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_weight(value) -> Fraction:
+def _json_weight(value, span: SourceSpan) -> Fraction:
     """A JSON number that is not a bool, or a string ``p``, ``p/q`` or a plain
     decimal. An exponent is refused: ``Fraction`` would expand it in full."""
-    if type(value) in (int, float) or (type(value) is str and _WEIGHT.fullmatch(value)):
+    if type(value) in (int, float):
         return Fraction(value)
+    if type(value) is str and _WEIGHT.fullmatch(value):
+        return _integer(value, span, Fraction)
     raise ValueError(f"weight must be a number, \"p\", \"p/q\" or a decimal, got {json.dumps(value)}")
 
 
@@ -397,7 +400,7 @@ def _node_from_json(entry, span: SourceSpan) -> DecompNode:
         if "weights" in entry:
             # an object key is a string: the text of a JSON integer is read as one
             weights = {
-                _json_int(_integer(e, span) if _JSON_INT.fullmatch(e) else e, "weights key"): _json_weight(w)
+                _json_int(_integer(e, span) if _JSON_INT.fullmatch(e) else e, "weights key"): _json_weight(w, span)
                 for e, w in entry["weights"].items()
             }
         parent = entry.get("parent")

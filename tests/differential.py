@@ -4,8 +4,9 @@ Every instance is counted by ``count_brute``, by ``oracles.count_by_full_join``
 and by both pipelines (``count_cq_via_ghd``, and ``count_cq_via_fractional``
 on the integralized decomposition) along each of its decompositions: the
 default choice (a join tree if the query is acyclic, else a hingetree),
-``hinge_decompose``, and, for the ``cycle-ghd`` family, a width-2 GHD built
-by hand. Each count is one check against ``count_brute``.
+``hinge_decompose``, the narrowest GHD of width at most 3 that
+``ghd_search`` finds, and, for the ``cycle-ghd`` family, a width-2 GHD
+built by hand. Each count is one check against ``count_brute``.
 
 The pipelines trust the trees they derive from a verified decomposition:
 each S-component's own join tree (integralized for the fractional
@@ -22,15 +23,13 @@ restricted decomposition is the fallback). Boolean queries and zero-arity
 atoms are families of their own.
 
 Run the full version with ``PYTHONPATH=src python tests/differential.py
---instances 1500``. It prints the family, seed and query of every
-mismatch and exits 1 if there is any. Case ``i`` of a run with seed ``s``
-has its own seed ``s + i``, and ``FAMILIES[family](SplitMix64(seed), seed)``
-rebuilds it alone.
+--instances 1500 [--seed S]``. It prints the seed, family and query of
+every mismatch and exits 1 if there is any. Case ``i`` of a run from seed
+``s`` has seed ``s + i``, and ``make_case(seed)`` rebuilds it alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass
 
@@ -40,6 +39,7 @@ from cqstar.decomposition import (
     Decomposition,
     NotAcyclic,
     blocks_hypergraph,
+    ghd_search,
     gyo_join_tree,
     hinge_decompose,
     induced_decomposition,
@@ -58,7 +58,9 @@ from cqstar.generators import SplitMix64, gen_random_instance
 from cqstar.hypergraph import Atom, Query, from_query, s_components
 from cqstar.parser import query_to_text
 
-from oracles import count_by_full_join, tree_fault
+import differential_runner
+from differential_runner import outcome
+from oracles import count_by_full_join
 
 DEFAULT_SEED = 20131
 
@@ -66,7 +68,6 @@ DEFAULT_SEED = 20131
 @dataclass(frozen=True)
 class Case:
     family: str
-    seed: int
     inst: QueryInstance
     extra: tuple  # (label, decomposition) pairs beyond the default and hinge
 
@@ -169,13 +170,12 @@ FAMILIES = {
 }
 
 
-def make_case(index: int, seed: int) -> Case:
-    """Case ``index`` of a run: its family cycles through ``FAMILIES`` and
-    its own seed is ``seed + index``, so one case can be rebuilt alone."""
-    family = list(FAMILIES)[index % len(FAMILIES)]
-    case_seed = seed + index
-    inst, extra = FAMILIES[family](SplitMix64(case_seed), case_seed)
-    return Case(family, case_seed, inst, extra)
+def make_case(seed: int) -> Case:
+    """The case of one seed: its family cycles through ``FAMILIES`` from
+    ``DEFAULT_SEED`` on, so the seed alone rebuilds it."""
+    family = list(FAMILIES)[(seed - DEFAULT_SEED) % len(FAMILIES)]
+    inst, extra = FAMILIES[family](SplitMix64(seed), seed)
+    return Case(family, inst, extra)
 
 
 def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
@@ -183,7 +183,8 @@ def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
     hinge = hinge_decompose(h)
     jt = gyo_join_tree(h)
     auto = hinge if isinstance(jt, NotAcyclic) else jt
-    return [("auto", auto), ("hinge", hinge), *case.extra]
+    ghd = next((g for g in (ghd_search(h, k) for k in (1, 2, 3)) if g is not None), None)
+    return [("auto", auto), ("hinge", hinge), *([("ghd", ghd)] if ghd else []), *case.extra]
 
 
 def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
@@ -204,66 +205,19 @@ def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     return out
 
 
-def check(case: Case) -> tuple[int, int, list[str]]:
-    """The number of checks made, the number of derived trees verified, and a
-    line for each check that disagreed or tree that failed."""
+def check(seed: int, tally: differential_runner.Tally) -> None:
+    """Each count against ``count_brute``; every derived tree verified."""
+    case = make_case(seed)
+    tally.describe = lambda: f"family {case.family}, query {query_to_text(case.inst.query).strip()}"
     expected = count_brute(case.inst).count
-    counts = {"full-join": lambda: count_by_full_join(case.inst)}
-    trees, bad = 0, []
+    tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
     for label, d in decompositions(case):
-        counts[f"ghd/{label}"] = lambda d=d: count_cq_via_ghd(case.inst, d).count
-        counts[f"fractional/{label}"] = lambda d=d: count_cq_via_fractional(case.inst, integralize(d)).count
+        tally.compare(f"ghd/{label}", outcome(lambda: count_cq_via_ghd(case.inst, d).count), expected)
+        got = outcome(lambda: count_cq_via_fractional(case.inst, integralize(d)).count)
+        tally.compare(f"fractional/{label}", got, expected)
         for pipeline, along in (("ghd", d), ("fractional", integralize(d))):
-            faults = []
-            try:
-                for name, hg, tree in derived_trees(case.inst, along):
-                    trees += 1
-                    faults.append((name, tree_fault(hg, tree)))
-            except Exception as exc:  # a tree that cannot be built is a fault too
-                faults.append(("derivation", f"{type(exc).__name__}: {exc}"))
-            bad += [
-                f"invalid tree: family={case.family} seed={case.seed} {pipeline}/{label} "
-                f"{name}: {fault}; query {query_to_text(case.inst.query).strip()}"
-                for name, fault in faults
-                if fault is not None
-            ]
-    for label, run in counts.items():
-        try:
-            got = run()
-        except Exception as exc:  # a crash is a mismatch too
-            got = f"{type(exc).__name__}: {exc}"
-        if got != expected:
-            bad.append(
-                f"mismatch: family={case.family} seed={case.seed} {label} gave {got}, "
-                f"brute {expected}; query {query_to_text(case.inst.query).strip()}"
-            )
-    return len(counts), trees, bad
-
-
-def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, int, list[str]]:
-    checks, trees, bad = 0, 0, []
-    for index in range(instances):
-        made, verified, found = check(make_case(index, seed))
-        checks += made
-        trees += verified
-        bad += found
-    return checks, trees, bad
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--instances", type=int, default=1500)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args(argv)
-    checks, trees, bad = run(args.instances, args.seed)
-    for line in bad:
-        print(line)
-    print(
-        f"{args.instances} instances, seed {args.seed}: {checks} checks, "
-        f"{trees} derived trees verified, {len(bad)} mismatches"
-    )
-    return 1 if bad else 0
+            tally.verify_trees(f"{pipeline}/{label}", lambda: derived_trees(case.inst, along))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(differential_runner.main(check, __doc__, 1500, DEFAULT_SEED))

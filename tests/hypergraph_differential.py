@@ -30,15 +30,14 @@ default seed gave before these functions shared the components primitive,
 so a run from the default seed also checks that their outputs never moved.
 
 Run the full version with ``PYTHONPATH=src python tests/hypergraph_differential.py
---instances 5000``. It prints the seed and hypergraph of every mismatch and
-exits 1 if there is any. Instance ``i`` of a run with seed ``s`` has its own
-seed ``s + i``, and ``make_case(seed)`` rebuilds it alone.
+--instances 5000 [--seed S]``. It prints the seed and hypergraph of every
+mismatch and exits 1 if there is any; the summary ends with the digest.
+Instance ``i`` of a run from seed ``s`` has seed ``s + i``, and
+``make_case(seed)`` rebuilds it alone.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import sys
 
 from cqstar.decomposition import (
@@ -53,6 +52,8 @@ from cqstar.engine import _rebuild_decomposition
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
+import differential_runner
+from differential_runner import outcome, shuffle
 from oracles import (
     components_reference,
     exact_elimination_order_reference,
@@ -69,25 +70,18 @@ PINNED = {
 }
 
 
-def _shuffle(rng: SplitMix64, items: list) -> list:
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
-
-
 def make_case(seed: int) -> SHypergraph:
     rng = SplitMix64(seed)
     n = rng.below(10)
-    names = _shuffle(rng, [f"v{i}" for i in range(n)])
+    names = shuffle(rng, [f"v{i}" for i in range(n)])
     m = rng.below(9)
     style = rng.below(4)
     if style == 0:
         ids = list(range(m))
     elif style == 1:
-        ids = _shuffle(rng, list(range(3 * m)))[:m]
+        ids = shuffle(rng, list(range(3 * m)))[:m]
     elif style == 2:
-        ids = [f"e{i}" for i in _shuffle(rng, list(range(m)))]
+        ids = [f"e{i}" for i in shuffle(rng, list(range(m)))]
     else:
         ids = [i if i % 2 else f"e{i}" for i in range(m)]
     edges = []
@@ -123,13 +117,6 @@ def _subsets(seed: int, sh: SHypergraph) -> list[frozenset]:
     return out
 
 
-def _outcome(run):
-    try:
-        return run()
-    except Exception as exc:  # a crash is an outcome to compare too
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _graph(h):
     """A hypergraph's vertices and edges, and the lookups built over them,
     which ``induced`` derives from its parent's rather than rebuilding."""
@@ -162,8 +149,8 @@ def _canonical(d):
 def decomposition_outputs(sh: SHypergraph) -> list:
     """The pinned outputs of one instance, in a fixed order."""
     h = sh.hypergraph
-    hinge = _outcome(lambda: hinge_decompose(h))
-    ghds = [_outcome(lambda: ghd_search(h, k)) for k in (1, 2, 3)]
+    hinge = outcome(lambda: hinge_decompose(h))
+    ghds = [outcome(lambda: ghd_search(h, k)) for k in (1, 2, 3)]
     out = [_canonical(hinge)] + [_canonical(g) for g in ghds]
     comps = s_components(sh)
     quantified = set(h.vertices) - sh.s
@@ -171,79 +158,42 @@ def decomposition_outputs(sh: SHypergraph) -> list:
     found = next((g for g in ghds if isinstance(g, Decomposition)), None)
     for d in (hinge, found):
         if isinstance(d, Decomposition):
-            out.append(_canonical(_outcome(lambda: _rebuild_decomposition(h, d, comps, kept))))
-            out.append(_canonical(_outcome(lambda: _rebuild_decomposition(h, integralize(d), comps, kept))))
+            out.append(_canonical(outcome(lambda: _rebuild_decomposition(h, d, comps, kept))))
+            out.append(_canonical(outcome(lambda: _rebuild_decomposition(h, integralize(d), comps, kept))))
     return out
 
 
-def check(seed: int) -> tuple[int, list[str]]:
-    """The number of checks made and a line for each that disagreed."""
+def check(seed: int, tally: differential_runner.Tally) -> None:
+    """The four comparisons; the decomposition outputs go into the run's
+    digest, which a run from the default seed checks against ``PINNED``."""
     sh = make_case(seed)
     h = sh.hypergraph
-    checks, bad = 0, []
-
-    def compare(key: str, got, want) -> None:
-        nonlocal checks
-        checks += 1
-        if got != want:
-            bad.append(
-                f"mismatch: seed={seed} {key} gave {got}, expected {want}; "
-                f"vertices={list(h.vertices)} S={sorted(sh.s)} "
-                f"edges={[(e, sorted(fs)) for e, fs in h.edges]}"
-            )
-
-    compare(
-        "s_components",
-        _components(_outcome(lambda: s_components(sh))),
-        _components(_outcome(lambda: s_components_reference(sh))),
+    tally.describe = lambda: (
+        f"vertices={list(h.vertices)} S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
     )
-    compare("connected_components()", _outcome(h.connected_components), components_reference(h))
+    tally.compare(
+        "s_components",
+        _components(outcome(lambda: s_components(sh))),
+        _components(outcome(lambda: s_components_reference(sh))),
+    )
+    tally.compare("connected_components()", outcome(h.connected_components), components_reference(h))
     for vs in _subsets(seed, sh):
-        want = _outcome(lambda: hypergraph_induced_reference(h, vs))
-        compare(f"induced({sorted(vs)})", _graph(_outcome(lambda: h.induced(vs))), _graph(want))
+        want = outcome(lambda: hypergraph_induced_reference(h, vs))
+        tally.compare(f"induced({sorted(vs)})", _graph(outcome(lambda: h.induced(vs))), _graph(want))
         if isinstance(want, Hypergraph):
             want = components_reference(want)
-        compare(f"connected_components({sorted(vs)})", _outcome(lambda: h.connected_components(vs)), want)
+        tally.compare(f"connected_components({sorted(vs)})", outcome(lambda: h.connected_components(vs)), want)
     if h.vertices:
-        compare(
+        tally.compare(
             "tree_decompose",
-            _canonical(_outcome(lambda: tree_decompose(h))),
-            _canonical(_outcome(lambda: _elimination_tree(h, exact_elimination_order_reference(h)))),
+            _canonical(outcome(lambda: tree_decompose(h))),
+            _canonical(outcome(lambda: _elimination_tree(h, exact_elimination_order_reference(h)))),
         )
-    return checks, bad
-
-
-def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str], str]:
-    """Checks made, mismatch lines, and the digest of the decomposition outputs.
-
-    From the default seed, the digest after each ``PINNED`` count of
-    instances is checked too."""
-    checks, bad = 0, []
-    digest = hashlib.sha256()
-    for index in range(instances):
-        made, found = check(seed + index)
-        checks += made
-        bad += found
-        digest.update(repr(decomposition_outputs(make_case(seed + index))).encode())
-        pinned = PINNED.get(index + 1) if seed == DEFAULT_SEED else None
-        if pinned is not None:
-            checks += 1
-            if digest.hexdigest() != pinned:
-                bad.append(f"digest after {index + 1} instances is {digest.hexdigest()}, pinned {pinned}")
-    return checks, bad, digest.hexdigest()
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--instances", type=int, default=5000)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args(argv)
-    checks, bad, digest = run(args.instances, args.seed)
-    for line in bad:
-        print(line)
-    print(f"{args.instances} instances, seed {args.seed}: {checks} checks, {len(bad)} mismatches, digest {digest}")
-    return 1 if bad else 0
+    digest = tally.fold(decomposition_outputs(sh))
+    done = seed - tally.start + 1
+    if tally.start == DEFAULT_SEED and done in PINNED:
+        tally.compare(f"digest after {done} instances", digest, PINNED[done])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(differential_runner.main(check, __doc__, 5000, DEFAULT_SEED))

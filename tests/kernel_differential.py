@@ -20,31 +20,25 @@ Each operator runs with and without an explicit name, and each result is
 compared by class, name, schema and rows.
 
 Run the full version with ``PYTHONPATH=src python tests/kernel_differential.py
---instances 20000``. It prints the seed and relations of every mismatch and
-exits 1 if there is any. Instance ``i`` of a run with seed ``s`` has its own
-seed ``s + i``, and ``make_case(seed)`` rebuilds it alone.
+--instances 20000 [--seed S]``. It prints the seed and relations of every
+mismatch and exits 1 if there is any; the summary counts the shapes
+reached. Instance ``i`` of a run from seed ``s`` has seed ``s + i``, and
+``make_case(seed)`` rebuilds it alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from collections import Counter
 
 from cqstar.engine import Relation, _absorb_child, natural_join, project, semijoin
 from cqstar.generators import SplitMix64
 
+import differential_runner
+from differential_runner import outcome, shuffle
 from oracles import absorb_child_reference, natural_join_reference, project_reference, semijoin_reference
 
 DEFAULT_SEED = 1981
 VARIABLES = ("a", "b", "c", "d", "e", "f")
-
-
-def _shuffle(rng: SplitMix64, items: list) -> list:
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
 
 
 def _relation(rng: SplitMix64, name: str, schema: tuple) -> Relation:
@@ -57,7 +51,7 @@ def _relation(rng: SplitMix64, name: str, schema: tuple) -> Relation:
 def make_case(seed: int) -> tuple[Relation, Relation, str]:
     """Two relations and how their schemas overlap: ``none``, ``one``, ``all`` or ``some``."""
     rng = SplitMix64(seed)
-    pool = _shuffle(rng, list(VARIABLES))
+    pool = shuffle(rng, list(VARIABLES))
     width = rng.below(5)
     schema1 = pool[:width]
     if schema1 and rng.chance(1, 8):
@@ -73,7 +67,7 @@ def make_case(seed: int) -> tuple[Relation, Relation, str]:
         schema2 = list(distinct)
     else:
         schema2 = [v for v in distinct if rng.chance(1, 2)] + others[: rng.below(3)]
-    _shuffle(rng, schema2)
+    shuffle(rng, schema2)
     return _relation(rng, "R", tuple(schema1)), _relation(rng, "S", tuple(schema2)), mode
 
 
@@ -84,7 +78,7 @@ def _projections(rng: SplitMix64, r: Relation) -> list[tuple[str, tuple, object]
     if schema:
         v = rng.choice(schema)
         out.append(("repeated", (v, v), None))
-        out.append(("permuted", tuple(_shuffle(rng, list(schema))), "P"))
+        out.append(("permuted", tuple(shuffle(rng, list(schema))), "P"))
         out.append(("random", tuple(rng.choice(schema) for _ in range(rng.below(4))), None))
     out.append(("unknown", tuple(schema[:1]) + ("zz",), None))
     return out
@@ -94,35 +88,26 @@ def _table(rng: SplitMix64, r: Relation) -> dict:
     return {row: 1 + rng.below(5) for row in sorted(r.rows)}
 
 
-def _outcome(run):
-    try:
-        result = run()
-    except Exception as exc:  # an error is an outcome to compare too
-        return f"{type(exc).__name__}: {exc}"
+def _result(call):
+    """A relation as its class, name, schema and rows, a count table as its
+    items in order, an error as its type and message."""
+    result = outcome(call)
     if isinstance(result, Relation):
         return (type(result).__name__, result.name, result.schema, result.rows)
-    return list(result.items())
+    return result if isinstance(result, str) else list(result.items())
 
 
-def check(seed: int) -> tuple[int, list[str], Counter]:
-    """The number of checks made, a line for each that disagreed, and the
-    shapes the instance reached."""
+def check(seed: int, tally: differential_runner.Tally) -> None:
     r, s, mode = make_case(seed)
     rng = SplitMix64(~seed)
-    checks, bad = 0, []
-    seen = Counter({f"shared-{mode}": 1})
-    seen["empty-relation"] += not r.rows or not s.rows
-    seen["zero-width"] += not r.schema or not s.schema
-    seen["repeated-schema"] += len(set(r.schema)) < len(r.schema)
+    tally.describe = lambda: f"R={r.schema} {sorted(r.rows)} S={s.schema} {sorted(s.rows)}"
+    tally.seen[f"shared-{mode}"] += 1
+    tally.seen["empty-relation"] += not r.rows or not s.rows
+    tally.seen["zero-width"] += not r.schema or not s.schema
+    tally.seen["repeated-schema"] += len(set(r.schema)) < len(r.schema)
 
     def compare(key: str, got, want) -> None:
-        nonlocal checks
-        checks += 1
-        if _outcome(got) != _outcome(want):
-            bad.append(
-                f"mismatch: seed={seed} {key} gave {_outcome(got)}, expected {_outcome(want)}; "
-                f"R={r.schema} {sorted(r.rows)} S={s.schema} {sorted(s.rows)}"
-            )
+        tally.compare(key, _result(got), _result(want))
 
     for a, b, label in ((r, s, "R,S"), (s, r, "S,R")):
         for name in (None, "N"):
@@ -135,34 +120,10 @@ def check(seed: int) -> tuple[int, list[str], Counter]:
                 lambda: absorb_child_reference(table, a.schema, child, b.schema))
     for rel in (r, s):
         for tag, variables, name in _projections(rng, rel):
-            seen[f"project-{tag}"] += 1
+            tally.seen[f"project-{tag}"] += 1
             compare(f"project({rel.name}, {variables}, {name})", lambda: project(rel, variables, name),
                     lambda: project_reference(rel, variables, name))
-    return checks, bad, seen
-
-
-def run(instances: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str], Counter]:
-    """Checks made, mismatch lines, and how often each shape was reached."""
-    checks, bad, seen = 0, [], Counter()
-    for index in range(instances):
-        made, found, shapes = check(seed + index)
-        checks += made
-        bad += found
-        seen += shapes
-    return checks, bad, seen
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--instances", type=int, default=20000)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args(argv)
-    checks, bad, _ = run(args.instances, args.seed)
-    for line in bad:
-        print(line)
-    print(f"{args.instances} instances, seed {args.seed}: {checks} checks, {len(bad)} mismatches")
-    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(differential_runner.main(check, __doc__, 20000, DEFAULT_SEED))

@@ -8,19 +8,21 @@ outcomes must be equal: the same domain, schemas and rows, or the same
 error type and message (which carries file, line and column).
 
 Run the full version with ``PYTHONPATH=src python tests/parser_differential.py
---inputs 20000``. It prints the seed and text of every mismatch and exits 1
-if there is any. Input ``i`` of a run with seed ``s`` has its own seed
-``s + i``, and ``make_text(s + i)`` rebuilds it alone.
+--instances 20000 [--seed S]``. It prints the seed and text of every
+mismatch and exits 1 if there is any; the summary counts the inputs that
+``parse_facts`` accepted and rejected. Input ``i`` of a run from seed ``s``
+has seed ``s + i``, and ``make_text(seed)`` rebuilds it alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from cqstar.generators import SplitMix64
 from cqstar.parser import parse_facts
 
+import differential_runner
+from differential_runner import outcome
 from oracles import parse_facts_reference
 
 DEFAULT_SEED = 20137
@@ -109,37 +111,21 @@ def make_text(seed: int) -> str:
     return mutate(rng, FAMILIES[seed % len(FAMILIES)](rng))
 
 
-def outcome(parse, text: str) -> tuple:
-    try:
-        s = parse(text, "f")
-    except Exception as exc:  # a crash is an outcome to compare too
-        return ("error", type(exc).__name__, str(exc))
-    return ("ok", s.domain, {name: (rel.schema, rel.rows) for name, rel in s.relations.items()})
+def _structure(parse, text: str):
+    """The domain, schemas and rows that ``parse`` reads, or its error."""
+    s = outcome(lambda: parse(text, "f"))
+    if isinstance(s, str):
+        return s
+    return s.domain, {name: (rel.schema, rel.rows) for name, rel in s.relations.items()}
 
 
-def run(inputs: int, seed: int = DEFAULT_SEED) -> tuple[int, list[str]]:
-    """The number of inputs parsed without error by both, and a line per mismatch."""
-    parsed, bad = 0, []
-    for index in range(inputs):
-        text = make_text(seed + index)
-        got, want = outcome(parse_facts, text), outcome(parse_facts_reference, text)
-        if got != want:
-            bad.append(f"mismatch: seed={seed + index} text={text!r}: parse_facts {got}, reference {want}")
-        parsed += got[0] == "ok"
-    return parsed, bad
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--inputs", type=int, default=20000)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args(argv)
-    parsed, bad = run(args.inputs, args.seed)
-    for line in bad:
-        print(line)
-    print(f"{args.inputs} inputs, seed {args.seed}: {parsed} parsed, {len(bad)} mismatches")
-    return 1 if bad else 0
+def check(seed: int, tally: differential_runner.Tally) -> None:
+    text = make_text(seed)
+    tally.describe = lambda: f"text={text!r}"
+    got = _structure(parse_facts, text)
+    tally.compare("parse_facts", got, _structure(parse_facts_reference, text))
+    tally.seen["rejected" if isinstance(got, str) else "parsed"] += 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(differential_runner.main(check, __doc__, 20000, DEFAULT_SEED))

@@ -1,8 +1,9 @@
-"""Seeded fuzz of ``cqstar count`` and ``cqstar decompose`` on mutated query
-and facts files, and of ``verify``, ``count --decomp`` and ``starsize
---decomp`` on mutated decomposition JSON: every run ends in an answer (exit 0), one ``error:``
-line (exit 1) or a budget line (exit 2). Exit 3, the catch-all for internal
-errors, is a failure."""
+"""Seeded fuzz of ``cqstar count``, ``cqstar decompose`` and both ``cqstar
+oracle`` commands on mutated query and facts files, of ``verify``, ``count
+--decomp`` and ``starsize --decomp`` on mutated decomposition JSON, and of
+both graph generators on mutated edge lists: every run ends in an answer
+(exit 0), one ``error:`` line (exit 1) or a budget line (exit 2). Exit 3,
+the catch-all for internal errors, is a failure."""
 
 import re
 from collections import Counter
@@ -29,22 +30,78 @@ FACTS = [
 ]
 
 
-def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
-    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
-    exits = Counter()
-    for seed in range(600):
-        rng = SplitMix64(seed)
-        q.write_text(mutate(rng, QUERIES[seed % len(QUERIES)]), encoding="utf-8")
-        f.write_text(mutate(rng, FACTS[rng.below(len(FACTS))]), encoding="utf-8")
-        argv = ["count", "-q", str(q), "-d", str(f), "--method", rng.choice(["ghd", "fractional", "brute"])]
-        if rng.chance(1, 2):
-            argv.append("--json")
+def _fuzz(capsys, runs) -> list[int]:
+    """The exit code of each (seed, files, argv) in ``runs``: the files
+    (path -> text) are written, then the CLI runs on ``argv`` and must end
+    in exit 0, 1 or 2 with no traceback."""
+    codes = []
+    for seed, files, argv in runs:
+        for path, text in files.items():
+            path.write_text(text, encoding="utf-8")
         code = run_cli(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (seed, err)
         assert "Traceback" not in err, seed
-        exits[code] += 1
+        codes.append(code)
+    return codes
+
+
+def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
+    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
+
+    def runs():
+        for seed in range(600):
+            rng = SplitMix64(seed)
+            files = {q: mutate(rng, QUERIES[seed % len(QUERIES)]), f: mutate(rng, FACTS[rng.below(len(FACTS))])}
+            argv = ["count", "-q", str(q), "-d", str(f), "--method", rng.choice(["ghd", "fractional", "brute"])]
+            if rng.chance(1, 2):
+                argv.append("--json")
+            yield seed, files, argv
+
+    exits = Counter(_fuzz(capsys, runs()))
     assert exits[0] > 50 and exits[1] > 50
+
+
+def test_cli_oracle_fuzz_never_crashes(tmp_path, capsys):
+    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
+
+    def runs():
+        for seed in range(300):
+            rng = SplitMix64(seed)
+            files = {q: mutate(rng, QUERIES[seed % len(QUERIES)])}
+            if rng.chance(1, 2):
+                yield seed, files, ["oracle", "starsize", "-q", str(q)]
+            else:
+                files[f] = mutate(rng, FACTS[rng.below(len(FACTS))])
+                yield seed, files, ["oracle", "count", "-q", str(q), "-d", str(f)]
+
+    exits = Counter(_fuzz(capsys, runs()))
+    assert exits[0] > 50 and exits[1] > 50, exits
+
+
+EDGE_LISTS = [
+    "n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+    "0 1\n0 2\n1 2\n2 3\n",
+    "n 4\n# a star\n0 1\n0 2\n0 3\n",
+]
+# a mutant that declares or names a vertex past this is skipped: the output
+# grows fast with it (the valid "340 1" makes gen clique-star -k 2 write 1.4 MB)
+MOST_VERTICES = 9
+
+
+def test_cli_gen_fuzz_never_crashes(tmp_path, capsys):
+    graph, out = tmp_path / "g.edges", str(tmp_path / "out")
+
+    def runs():
+        for seed in range(300):
+            rng = SplitMix64(seed)
+            text = mutate(rng, EDGE_LISTS[seed % len(EDGE_LISTS)])
+            if all(int(n) <= MOST_VERTICES for n in re.findall(r"\d+", text)):
+                generator, k = rng.choice(["clique-star", "is-hard"]), str(1 + rng.below(3))
+                yield seed, {graph: text}, ["gen", generator, "--graph", str(graph), "-k", k, "-o", out]
+
+    exits = Counter(_fuzz(capsys, runs()))
+    assert exits[0] > 50 and exits[1] > 50, exits
 
 
 # JSON values put where a decomposition document has an integer; inside a
@@ -74,23 +131,21 @@ def test_cli_decomposition_json_fuzz_never_crashes(tmp_path, capsys):
     for query in QUERIES:
         hinge = hinge_decompose(from_query(parse_query(query)).hypergraph)
         docs += [(query, decomposition_to_json(hinge)), (query, decomposition_to_json(integralize(hinge)))]
-    exits = Counter()
-    for seed in range(240):
-        rng = SplitMix64(seed)
-        query, doc = docs[seed % len(docs)]
-        q.write_text(query, encoding="utf-8")
-        dj.write_text(_mutate_json(rng, doc), encoding="utf-8")
-        command = rng.choice(["verify", "count", "starsize"])
-        argv = [command, "-q", str(q), "--decomp", str(dj)]
-        if command == "count":
-            argv += ["-d", str(f), "--method", rng.choice(["ghd", "fractional"])]
-        elif command == "starsize":
-            argv += ["--method", rng.choice(["ghd", "hinge", "approx"])]
-        code = run_cli(argv)
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), (seed, err)
-        assert "Traceback" not in err, seed
-        exits[code] += 1
+
+    def runs():
+        for seed in range(240):
+            rng = SplitMix64(seed)
+            query, doc = docs[seed % len(docs)]
+            files = {q: query, dj: _mutate_json(rng, doc)}
+            command = rng.choice(["verify", "count", "starsize"])
+            argv = [command, "-q", str(q), "--decomp", str(dj)]
+            if command == "count":
+                argv += ["-d", str(f), "--method", rng.choice(["ghd", "fractional"])]
+            elif command == "starsize":
+                argv += ["--method", rng.choice(["ghd", "hinge", "approx"])]
+            yield seed, files, argv
+
+    exits = Counter(_fuzz(capsys, runs()))
     assert exits[0] > 30 and exits[1] > 30, exits
 
 
@@ -110,20 +165,22 @@ DECOMPOSE_QUERIES = QUERIES + [_grid_query(3, 4), _grid_query(3, 4, 1)]
 
 def test_cli_decompose_fuzz_never_crashes(tmp_path, capsys):
     q = tmp_path / "q.cq"
-    exits = Counter()
-    exact = Counter()  # tree decompositions built, by "vertices <= cutoff"
-    for seed in range(240):
-        rng = SplitMix64(seed)
-        text = mutate(rng, DECOMPOSE_QUERIES[seed % len(DECOMPOSE_QUERIES)])
-        q.write_text(text, encoding="utf-8")
-        kind = rng.choice(["jointree", "hinge", "ghd", "tree"])
-        code = run_cli(["decompose", "-q", str(q), "--kind", kind])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), (seed, err)
-        assert "Traceback" not in err, seed
-        exits[code, kind] += 1
-        if code == 0 and kind == "tree":
-            exact[len(from_query(parse_query(text)).hypergraph.vertices) <= TREE_EXACT_VERTEX_CUTOFF] += 1
+    texts, kinds = [], []
+
+    def runs():
+        for seed in range(240):
+            rng = SplitMix64(seed)
+            texts.append(mutate(rng, DECOMPOSE_QUERIES[seed % len(DECOMPOSE_QUERIES)]))
+            kinds.append(rng.choice(["jointree", "hinge", "ghd", "tree"]))
+            yield seed, {q: texts[-1]}, ["decompose", "-q", str(q), "--kind", kinds[-1]]
+
+    codes = _fuzz(capsys, runs())
+    exits = Counter(zip(codes, kinds))
+    exact = Counter(  # tree decompositions built, by "vertices <= cutoff"
+        len(from_query(parse_query(text)).hypergraph.vertices) <= TREE_EXACT_VERTEX_CUTOFF
+        for code, kind, text in zip(codes, kinds, texts)
+        if code == 0 and kind == "tree"
+    )
     assert all(exits[0, kind] > 5 for kind in ("hinge", "ghd", "tree")), exits
     assert sum(n for (code, _), n in exits.items() if code == 1) > 30, exits
     assert exact[True] > 5 and exact[False] > 2, exact

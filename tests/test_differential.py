@@ -1,5 +1,5 @@
-"""A fast seeded slice of the differential in ``differential.py``; the full
-run is ``PYTHONPATH=src python tests/differential.py --instances 1500``."""
+"""The families of ``differential.py`` reach the paths they are there for;
+its slice is in ``test_differential_runner.py``."""
 
 from cqstar.decomposition import DecompKind, ensure_valid, hinge_decompose
 from cqstar.engine import count_cq_via_ghd
@@ -8,16 +8,9 @@ from cqstar.hypergraph import from_query
 import differential
 
 
-def test_differential_slice_has_no_mismatch():
-    checks, trees, bad = differential.run(instances=350)
-    assert bad == []
-    assert checks > 5 * 350
-    assert trees > 4 * 350
-
-
 def _sources(family: str) -> list[str]:
     index = list(differential.FAMILIES).index(family)
-    inst = differential.make_case(index, differential.DEFAULT_SEED).inst
+    inst = differential.make_case(differential.DEFAULT_SEED + index).inst
     hinge = hinge_decompose(from_query(inst.query).hypergraph)
     return [p["source"] for p in count_cq_via_ghd(inst, hinge).stats["pieces"]]
 

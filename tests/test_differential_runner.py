@@ -1,0 +1,63 @@
+"""Fast seeded slices of the five differentials, and the runner they share.
+The full runs are ``PYTHONPATH=src python tests/<name>_differential.py``
+with the sizes in each script's docstring."""
+
+import pytest
+
+import differential
+import differential_runner
+import hypergraph_differential
+import kernel_differential
+import parser_differential
+import starsize_differential
+
+KERNEL_SHAPES = ["empty-relation", "zero-width", "repeated-schema"]
+KERNEL_SHAPES += [f"shared-{mode}" for mode in ("none", "one", "all", "some")]
+KERNEL_SHAPES += [
+    f"project-{tag}" for tag in ("empty", "identity", "renamed", "same-name", "repeated", "permuted", "unknown")
+]
+
+# script, instances, least checks and least derived trees per instance, least count of each shape
+SLICES = {
+    "differential": (differential, 350, 5, 14, {}),
+    # both outcomes are well represented
+    "parser": (parser_differential, 6000, 1, 0, {"parsed": 1500, "rejected": 1500}),
+    "starsize": (starsize_differential, 400, 11, 6, {}),
+    # empty and zero-width relations, repeated schema variables, every kind of
+    # schema overlap and every kind of projection
+    "kernel": (kernel_differential, 1200, 25, 0, dict.fromkeys(KERNEL_SHAPES, 50)),
+    # up to the first pinned digest
+    "hypergraph": (hypergraph_differential, min(hypergraph_differential.PINNED), 13, 0, {}),
+}
+
+
+@pytest.mark.parametrize("name", SLICES)
+def test_differential_slice_has_no_mismatch(name):
+    script, instances, checks, trees, shapes = SLICES[name]
+    tally = differential_runner.run(script.check, instances, script.DEFAULT_SEED)
+    assert tally.bad == []
+    assert tally.checks >= checks * instances
+    assert tally.trees >= trees * instances
+    assert all(tally.seen[shape] >= n for shape, n in shapes.items()), tally.seen
+
+
+def _planted(seed, tally):
+    """Squares against a reference that is wrong on seed 12, code under test
+    that raises on seed 13, and a case that cannot be built on seed 14."""
+    if seed == 14:
+        raise RuntimeError("no case")
+    tally.describe = lambda: f"x={seed}"
+    got = differential_runner.outcome(lambda: {}[seed] if seed == 13 else seed * seed)
+    tally.compare("square", got, seed * seed + (seed == 12))
+
+
+def test_runner_names_the_seed_of_each_mismatch_and_goes_on(capsys):
+    assert differential_runner.main(_planted, "Planted faults.", 1500, 0, ["--instances", "10", "--seed", "10"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "mismatch: seed=12 square gave 144, expected 145; x=12",
+        "mismatch: seed=13 square gave KeyError: 13, expected 169; x=13",
+        "mismatch: seed=14 check raised RuntimeError: no case",
+        "10 instances, seed 10: 9 checks, 0 derived trees verified, 3 mismatches",
+    ]
+    assert differential_runner.main(_planted, "Planted faults.", 2, 10, []) == 0
+    assert capsys.readouterr().out == "2 instances, seed 10: 2 checks, 0 derived trees verified, 0 mismatches\n"

@@ -373,14 +373,20 @@ TOO_LONG = "1" * 4400  # past Python's 4,300-digit int-string limit
 
 
 def test_cli_over_long_json_integer_is_one_error_line(workdir, capsys):
-    """A decomposition id with more digits than Python converts is an input
-    error, not an internal one (the edge-list case is in BAD_EDGE_LISTS)."""
+    """A decomposition id, or a weight string ("p" or "p/q"), with more digits
+    than Python converts is an input error, not an internal one (the
+    edge-list case is in BAD_EDGE_LISTS)."""
     path = workdir / "long.decomp.json"
-    path.write_text('{"kind": "jointree", "nodes": [{"id": ' + TOO_LONG + ', "parent": null, "lambda": [0], "chi": []}]}')
+    docs = ['{"kind": "jointree", "nodes": [{"id": ' + TOO_LONG + ', "parent": null, "lambda": [0], "chi": []}]}']
+    for weight in (TOO_LONG, "1/" + TOO_LONG):
+        node = {"id": 0, "parent": None, "lambda": [0], "chi": [], "weights": {"0": weight}}
+        docs.append(json.dumps({"kind": "fractional", "nodes": [node]}))
     q = str(workdir / "q.cq")
-    for argv in (["verify", "-q", q], ["count", "-q", q, "-d", str(workdir / "d.facts")]):
-        assert run_cli([*argv, "--decomp", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}:1:1: integer longer than 4300 digits\n"
+    for doc in docs:
+        path.write_text(doc)
+        for argv in (["verify", "-q", q], ["count", "-q", q, "-d", str(workdir / "d.facts")]):
+            assert run_cli([*argv, "--decomp", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}:1:1: integer longer than 4300 digits\n"
 
 
 def test_cli_decomposition_weights_are_numbers_or_plain_fractions(workdir, capsys):

@@ -1,19 +1,11 @@
-"""A fast seeded slice of the parser differential in ``parser_differential.py``,
-plus the inputs on which a statement scanner is easiest to get wrong; the
-full run is ``PYTHONPATH=src python tests/parser_differential.py --inputs 20000``."""
+"""The inputs on which a statement scanner is easiest to get wrong; the
+slice of ``parser_differential.py`` is in ``test_differential_runner.py``."""
 
 import pytest
 
 from cqstar.parser import ParseError, parse_facts
 
-import parser_differential
 from oracles import parse_facts_reference
-
-
-def test_parser_differential_slice_has_no_mismatch():
-    parsed, bad = parser_differential.run(inputs=6000)
-    assert bad == []
-    assert 1000 < parsed < 5000  # both outcomes are well represented
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ document on stdout with every integer rendered as a decimal string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .generators import (
     gen_clique_star_instance,
-    gen_g_star,
     gen_is_hardness_hypergraph,
     gen_random_instance,
 )
@@ -153,7 +153,7 @@ def _cmd_count(args) -> int:
             h = from_query(query).hypergraph
             d = _auto_decomposition(h, args.auto_decomp, args.k)
         if args.method == "fractional":
-            if d.kind is not DecompKind.FRACTIONAL:
+            if d.kind in (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE):
                 d = dec.integralize(d)
             result = count_cq_via_fractional(inst, d)
         else:
@@ -293,7 +293,6 @@ def _cmd_gen(args) -> int:
         Path(dpath).write_text(decomposition_to_json(remapped), encoding="utf-8")
         written = [qpath, dpath]
     elif args.generator == "gstar":
-        sh = gen_g_star(args.n)
         atoms = tuple(
             Atom(f"P{i}", ("z", f"y{i}")) for i in range(1, args.n + 1)
         )
@@ -415,37 +414,20 @@ def _add_oracle(sub) -> None:
     o.set_defaults(func=_cmd_oracle)
 
 
-# subcommand -> the function that adds its parser, in the order help lists them
-_SUBCOMMANDS = dict(count=_add_count, starsize=_add_starsize, decompose=_add_decompose,
-                    verify=_add_verify, gen=_add_gen, oracle=_add_oracle)
-
-
-def _build_parser(commands) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built once per process; ``parse_args`` makes a fresh
+    ``Namespace`` per call, so no state carries between runs."""
     parser = _Parser(prog="cqstar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        _SUBCOMMANDS[name](sub)
+    for add in (_add_count, _add_starsize, _add_decompose, _add_verify, _add_gen, _add_oracle):
+        add(sub)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parser(_SUBCOMMANDS)
-
-
-def _parser_for(argv) -> argparse.ArgumentParser:
-    """Only the parser of the subcommand ``argv`` names, all one run reads.
-    Anything else gets the full parser, whose help and errors list every
-    subcommand. ``_Parser.error`` prints no usage line, so no error text
-    depends on which subparsers exist."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _build_parser([argv[0]])
-    return build_parser()
-
-
 def run_cli(argv) -> int:
-    parser = _parser_for(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_ArgumentError, ParseError, BindError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

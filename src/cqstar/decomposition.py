@@ -50,53 +50,47 @@ class Decomposition:
     root, no dangling parent, and no cycle. With one root and every parent
     present, a node lies on or below a cycle exactly when the root does not
     reach it, so one walk down from the root finds every cycle, a
-    self-parent included.
+    self-parent included. That walk's order and children map are kept and
+    shared by every traversal below; callers must not mutate them.
     """
 
     kind: DecompKind
     nodes: tuple[DecompNode, ...]
+    _order: tuple[DecompNode, ...] = field(init=False, repr=False, compare=False)
+    _children: dict[int, list[DecompNode]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = {n.node_id for n in self.nodes}
-        if len(ids) != len(self.nodes):
+        children: dict[int, list[DecompNode]] = {n.node_id: [] for n in self.nodes}
+        if len(children) != len(self.nodes):
             raise DecompositionInvalid("duplicate node id")
         roots = [n for n in self.nodes if n.parent is None]
         if len(roots) != 1:
             raise DecompositionInvalid(f"expected exactly one root, found {len(roots)}")
-        children: dict[int, list[int]] = {}
         for n in self.nodes:
             if n.parent is not None:
-                if n.parent not in ids:
+                if n.parent not in children:
                     raise DecompositionInvalid(f"node {n.node_id} has dangling parent {n.parent}")
-                children.setdefault(n.parent, []).append(n.node_id)
-        reached = [roots[0].node_id]
-        for nid in reached:
-            reached.extend(children.get(nid, ()))
-        if len(reached) != len(self.nodes):
+                children[n.parent].append(n)
+        order = roots
+        for n in order:
+            order.extend(children[n.node_id])
+        if len(order) != len(self.nodes):
             raise DecompositionInvalid("cycle in parent pointers")
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_children", children)
 
     def root(self) -> DecompNode:
-        return next(n for n in self.nodes if n.parent is None)
+        return self._order[0]
 
     def children_map(self) -> dict[int, list[DecompNode]]:
-        out: dict[int, list[DecompNode]] = {n.node_id: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None:
-                out[n.parent].append(n)
-        return out
+        return self._children
 
-    def topo_order(self) -> list[DecompNode]:
+    def topo_order(self) -> tuple[DecompNode, ...]:
         """Nodes with every parent before its children."""
-        children = self.children_map()
-        order = [self.root()]
-        i = 0
-        while i < len(order):
-            order.extend(children[order[i].node_id])
-            i += 1
-        return order
+        return self._order
 
-    def post_order(self) -> list[DecompNode]:
-        return list(reversed(self.topo_order()))
+    def post_order(self) -> tuple[DecompNode, ...]:
+        return self._order[::-1]
 
     def raw_width(self) -> Union[int, Fraction]:
         """Width by kind convention, without any validity check."""

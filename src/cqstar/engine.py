@@ -106,9 +106,6 @@ class Structure:
             vid = next(v for v in vids() if not (0 <= v < n))
             raise ValueError(f"value id {vid} outside domain of size {n}")
 
-    def value(self, vid: int) -> str:
-        return self.domain[vid]
-
 
 @dataclass(frozen=True)
 class QueryInstance:

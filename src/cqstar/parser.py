@@ -40,7 +40,7 @@ from .decomposition import Decomposition, DecompKind, DecompNode
 from .engine import Relation, Structure
 from .errors import CqstarError
 from .generators import SimpleGraph
-from .hypergraph import Atom, Query
+from .hypergraph import Atom, Query, edge_sort_key
 
 
 @dataclass(frozen=True)
@@ -331,11 +331,11 @@ def decomposition_to_json(d: Decomposition) -> str:
         entry = {
             "id": n.node_id,
             "parent": n.parent,
-            "lambda": sorted(n.guard, key=lambda e: (0, e) if isinstance(e, int) else (1, str(e))),
+            "lambda": sorted(n.guard, key=edge_sort_key),
             "chi": sorted(n.bag),
         }
         if n.weights is not None:
-            entry["weights"] = {str(e): str(w) for e, w in sorted(n.weights.items(), key=lambda kv: str(kv[0]))}
+            entry["weights"] = {str(e): str(w) for e, w in n.weights.items()}
         nodes.append(entry)
     return json.dumps({"kind": d.kind.value, "nodes": nodes}, indent=2, sort_keys=True) + "\n"
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cqstar
 from cqstar.cli import run_cli
 from cqstar.decomposition import DecompKind, ghd_search, gyo_join_tree, hinge_decompose
 from cqstar.engine import QueryInstance, count_brute
@@ -586,3 +591,42 @@ def test_cli_decompose_tree_kind(workdir, capsys):
     assert run_cli(["decompose", "-q", str(workdir / "ex1.cq"), "--kind", "tree"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "tree"
+
+
+def test_cli_count_fractional_refuses_a_tree_decomposition(workdir, capsys):
+    """A tree decomposition has no guards to integralize, so ``--method
+    fractional`` names its kind in one line, as ``--method ghd`` does."""
+    tree = workdir / "t.json"
+    query, data = str(workdir / "q.cq"), str(workdir / "d.facts")
+    assert run_cli(["decompose", "-q", query, "--kind", "tree", "-o", str(tree)]) == 0
+    capsys.readouterr()
+    for method, expected in (("fractional", "['fractional']"), ("ghd", "['jointree', 'ghd', 'hinge']")):
+        assert run_cli(["count", "-q", query, "-d", data, "--decomp", str(tree), "--method", method]) == 1
+        assert capsys.readouterr() == ("", f"error: expected kind in {expected}, got tree\n")
+
+
+def test_cli_cached_parser_carries_nothing_between_calls(workdir, capsys):
+    q, d = str(workdir / "q.cq"), str(workdir / "d.facts")
+    for first, then, expected in (
+        (["count", "-q", q, "-d", d, "--json"], ["count", "-q", q, "-d", d], "2\n"),
+        (["starsize", "-q", q, "--method", "ghd", "-k", "2"], ["starsize", "-q", q], "2\nwitness: y1 y2\n"),
+    ):
+        assert run_cli(first) == 0
+        capsys.readouterr()
+        assert run_cli(then) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
+def test_cli_runs_as_its_own_process(workdir):
+    src = str(Path(cqstar.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cqstar_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "cqstar.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, text=True)
+
+    done = cqstar_cli("count", "-q", "q.cq", "-d", "d.facts")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
+    done = cqstar_cli()
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

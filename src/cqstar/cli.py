@@ -153,7 +153,9 @@ def _cmd_count(args) -> int:
             h = from_query(query).hypergraph
             d = _auto_decomposition(h, args.auto_decomp, args.k)
         if args.method == "fractional":
-            if d.kind in (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE):
+            # the kinds this command reads, checked before integralizing
+            dec.ensure_kind(d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.FRACTIONAL))
+            if d.kind is not DecompKind.FRACTIONAL:
                 d = dec.integralize(d)
             result = count_cq_via_fractional(inst, d)
         else:

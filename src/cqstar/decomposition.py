@@ -237,9 +237,13 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     return WidthReport(d.kind, width, ())
 
 
-def ensure_valid(h: Hypergraph, d: Decomposition, kinds: tuple[DecompKind, ...]) -> WidthReport:
+def ensure_kind(d: Decomposition, kinds: tuple[DecompKind, ...]) -> None:
     if d.kind not in kinds:
         raise DecompositionInvalid(f"expected kind in {[k.value for k in kinds]}, got {d.kind.value}")
+
+
+def ensure_valid(h: Hypergraph, d: Decomposition, kinds: tuple[DecompKind, ...]) -> WidthReport:
+    ensure_kind(d, kinds)
     report = verify(h, d)
     if not report.ok:
         raise DecompositionInvalid(

@@ -15,13 +15,14 @@ Formats:
 
 Queries go through one token cursor: a single ``_TOKEN`` pass turns the
 text into ``(kind, text, offset)`` tuples and rejects any character no
-token starts with. Facts are read a statement at a time: each plain
+token starts with. Facts are read by one ``findall`` of ``_FACT`` with a
+last alternative that takes the rest of the text. It returns each plain
 statement (a name and name or number constants, with whitespace between
-tokens and comments before it) is one ``_FACT`` match. At the first offset
-where no plain statement matches, a token cursor starts at that offset and
-reads the rest of the text, so quoted constants, comments inside a
-statement and every error get the same diagnostics as when the cursor read
-the whole text.
+tokens and comments before it) as a ``(pred, consts)`` tuple, and then the
+text from the first offset where no plain statement starts. A token cursor
+reads that rest, so quoted constants, comments inside a statement and
+every error get the same diagnostics as when the cursor read the whole
+text.
 
 A ParseError names its position as file:line:column. Lines and columns are
 1-based, and a column counts characters, so a tab is one column.
@@ -32,8 +33,10 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
@@ -205,36 +208,63 @@ def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
     return re.sub(r"\\(.)", unescape, raw[1:-1])
 
 
+# Every plain statement, then one last item holding the rest of the text from
+# the first offset where none starts; ``findall`` therefore skips no text.
+_STATEMENTS = re.compile(_FACT.pattern + r"| (?P<rest>[\s\S]+)", re.VERBOSE)
+
+
+def _plain_uses(text: str, pred: str):
+    """``(offset, arity)`` of each plain statement of ``pred``, in order; read
+    again by one ``_FACT.match`` per statement, for an arity error only."""
+    pos = 0
+    while (m := _FACT.match(text, pos)) is not None:
+        if m["pred"] == pred:
+            yield m.start("pred"), m["consts"].count(",") + 1 if m["consts"] else 0
+        pos = m.end()
+
+
 def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     """Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
     every constant appearing anywhere, interned in first-appearance order.
 
-    Each plain statement (names and numbers only, whitespace anywhere, and
-    comments only before the predicate) is read by one ``_FACT`` match. At
-    the first offset where none matches, the token cursor takes over and
-    reads the rest of the text: quoted constants, comments inside a
-    statement, and every error. Both loops share one arity check."""
-    domain: dict[str, int] = {}
-    schemas: dict[str, tuple[int, int]] = {}  # arity and offset of first use
+    One ``findall`` reads every plain statement (names and numbers only,
+    whitespace anywhere, and comments only before the predicate) as a
+    ``(pred, consts)`` pair, up to the first offset where none starts. From
+    there the token cursor reads the rest of the text: quoted constants,
+    comments inside a statement, and every error. The arity check runs only
+    when the predicate or the row length differs from the previous plain
+    statement's, and an arity error finds its offsets by reading the plain
+    statements again."""
+    # a miss stores and returns the next id, all in C
+    domain: dict[str, int] = defaultdict(count().__next__)
+    schemas: dict[str, tuple[int, Optional[int]]] = {}  # arity and offset of first use, None if plain
     rows: dict[str, set] = {}
 
-    def add(pred: str, offset: int, values: list[int]) -> None:
-        known = schemas.setdefault(pred, (len(values), offset))
-        if known[0] != len(values):
-            message = f"predicate {pred!r} used with arity {len(values)}, earlier {known[0]}"
-            # Building a cursor tokenizes the rest of the text first, so a bad
-            # character after this statement still takes precedence.
-            raise _Cursor(text, filename, offset).error(message, offset, known[1])
-        rows.setdefault(pred, set()).add(tuple(values))
+    def arity_error(pred: str, arity: int, offset: Optional[int] = None) -> ParseError:
+        known, first = schemas[pred]
+        uses = _plain_uses(text, pred)
+        if first is None:
+            first = next(uses)[0]
+        if offset is None:
+            offset = next(where for where, n in uses if n != known)
+        message = f"predicate {pred!r} used with arity {arity}, earlier {known}"
+        # Building a cursor tokenizes the rest of the text first, so a bad
+        # character after this statement still takes precedence.
+        return _Cursor(text, filename, offset).error(message, offset, first)
 
-    pos = 0
-    while (m := _FACT.match(text, pos)) is not None:
-        consts = m.group("consts")
-        values = [domain.setdefault(c.strip(), len(domain)) for c in consts.split(",")] if consts else []
-        add(m.group("pred"), m.start("pred"), values)
-        pos = m.end()
+    found = _STATEMENTS.findall(text)
+    rest = found.pop()[2] if found and found[-1][2] else ""
+    last, arity, target = None, -1, None
+    for pred, consts, _ in found:
+        row = tuple([domain[c.strip()] for c in consts.split(",")]) if consts else ()
+        if pred != last or len(row) != arity:
+            arity = schemas.setdefault(pred, (len(row), None))[0]
+            if arity != len(row):
+                raise arity_error(pred, len(row))
+            last, target = pred, rows.setdefault(pred, set())
+        target.add(row)
 
-    cur = _Cursor(text, filename, pos)
+    cur = _Cursor(text, filename, len(text) - len(rest))
 
     def constant() -> int:
         kind, value, offset = cur.next()
@@ -242,14 +272,16 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
             value = _unquote(cur, value, offset)
         elif kind != "name" and kind != "number":
             raise cur.error(f"expected a constant, found {value!r}", offset)
-        return domain.setdefault(value, len(domain))
+        return domain[value]
 
     while cur.peek()[0] != "eof":
         _, pred, offset = cur.expect("name")
         values = []
         cur.items(lambda: values.append(constant()))
         cur.expect("punct", ".")
-        add(pred, offset, values)
+        if schemas.setdefault(pred, (len(values), offset))[0] != len(values):
+            raise arity_error(pred, len(values), offset)
+        rows.setdefault(pred, set()).add(tuple(values))
     relations = {
         name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))
         for name, tuples in rows.items()

@@ -1,11 +1,12 @@
 """Seeded differential of ``parse_facts`` against ``oracles.parse_facts_reference``.
 
-Each input is a ``.facts`` text from one of four families (c9-style
-binary facts, quoted constants with escapes, comments between tokens, and
-mixed arities with numbers), mutated by insertions, deletions and
-substitutions drawn from ``ALPHABET``. Both parsers read it, and their
-outcomes must be equal: the same domain, schemas and rows, or the same
-error type and message (which carries file, line and column).
+Each input is a ``.facts`` text from one of five families (c9-style
+binary facts, quoted constants with escapes, comments between tokens,
+mixed arities with numbers, and long runs of plain statements), mutated
+by insertions, deletions and substitutions drawn from ``ALPHABET``. Both
+parsers read it, and their outcomes must be equal: the same domain,
+schemas and rows, or the same error type and message (which carries file,
+line and column).
 
 Run the full version with ``PYTHONPATH=src python tests/parser_differential.py
 --instances 20000 [--seed S]``. It prints the seed and text of every
@@ -90,7 +91,26 @@ def _family_arity(rng: SplitMix64) -> str:
     return "".join(parts)
 
 
-FAMILIES = [_family_c9, _family_quoted, _family_commented, _family_arity]
+def _family_long(rng: SplitMix64) -> str:
+    """50–300 plain statements over 3–5 interleaved predicates, one of arity
+    0, each drawn from four statements per predicate, so rows repeat;
+    sometimes one statement in the second half clashes with its predicate's
+    arity, holds quoted constants or holds a comment."""
+    preds = ["L", "m1", "_n", "Oo", "p_2"][:3 + rng.below(3)]
+    arity = {pred: 1 + rng.below(2) for pred in preds}
+    arity[rng.choice(preds)] = 0
+    pool = [_fact(rng, pred, arity[pred], False, False) for pred in preds for _ in range(4)]
+    statements = [rng.choice(pool) for _ in range(50 + rng.below(251))]
+    i = len(statements) // 2 + rng.below(len(statements) - len(statements) // 2)
+    pred, pick = rng.choice([p for p in preds if arity[p]]), rng.below(4)
+    if pick == 0:
+        statements[i] = _fact(rng, pred, rng.choice([n for n in range(4) if n != arity[pred]]), False, False)
+    elif pick < 3:
+        statements[i] = _fact(rng, pred, arity[pred], pick == 1, pick == 2)
+    return "".join(statements)
+
+
+FAMILIES = [_family_c9, _family_quoted, _family_commented, _family_arity, _family_long]
 
 
 def mutate(rng: SplitMix64, text: str) -> str:

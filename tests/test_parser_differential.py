@@ -19,6 +19,12 @@ from oracles import parse_facts_reference
         ("A(a1).A(b,c).\n\n  B(x) & C(y).", "f:3:8: unexpected character '&'"),
         # the arity error itself, raised from a plain statement
         ("A(a1).\n A(b,c).\nB(x).", "f:2:2: predicate 'A' used with arity 2, earlier 1 (earlier at f:1:1)"),
+        # a plain first use and a clash in a statement the token cursor reads
+        ('P(a).\nQ("x").\nP(a, b).', "f:3:1: predicate 'P' used with arity 2, earlier 1 (earlier at f:1:1)"),
+        # rows of arity 0 and 1 hold the same number of commas
+        ("P().\nP(a).", "f:2:1: predicate 'P' used with arity 1, earlier 0 (earlier at f:1:1)"),
+        # a clash far from the first use, after many changes of predicate
+        ("A(a).\nB(b, c).\n" * 50 + "B(d).", "f:101:1: predicate 'B' used with arity 1, earlier 2 (earlier at f:2:1)"),
         # a run of whitespace or comments before a stray token fails in linear
         # time; nested quantifiers over it would never return
         ("P(a)." + " " * 10_000 + "(", "f:1:10006: expected 'name', found '('"),
@@ -27,7 +33,8 @@ from oracles import parse_facts_reference
     ],
     ids=[
         "comment-then-paren", "fact-comment-then-paren", "bad-char-after-arity", "bad-char-lines-later",
-        "arity", "spaces-before-paren", "comments-before-paren", "spaces-inside",
+        "arity", "arity-plain-then-cursor", "arity-0-then-1", "arity-far",
+        "spaces-before-paren", "comments-before-paren", "spaces-inside",
     ],
 )
 def test_facts_scanner_traps(text, message):
@@ -48,7 +55,7 @@ def test_plain_and_handed_over_statements_agree():
     """The same facts read by the scanner alone and after a hand-over to the
     token cursor (a quoted constant first) give the same relations."""
     plain = "P(a, 1).\n  # c\nQ( b ,c ) .\nP(\ta\t,\t2).\nR().\n"
-    for text in (plain, 'S("x").\n' + plain, plain + 'S("x").\n'):
+    for text in (plain, 'S("x").\n' + plain, plain + 'S("x").\n', plain + 'S("x").\n' + plain):
         s = parse_facts(text)
         assert s == parse_facts_reference(text)
         names = {name: {tuple(s.domain[v] for v in row) for row in rel.rows} for name, rel in s.relations.items()}

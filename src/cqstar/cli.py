@@ -190,10 +190,8 @@ def _cmd_starsize(args) -> int:
     if reads_decomp:
         if args.decomp is not None:
             d = decomposition_from_json(_read(args.decomp), args.decomp)
-        elif method is ISMethod.HINGE_FPT:
-            d = dec.hinge_decompose(sh.hypergraph)
         else:
-            d = _auto_decomposition(sh.hypergraph, "ghd", args.k)
+            d = _auto_decomposition(sh.hypergraph, "hinge" if method is ISMethod.HINGE_FPT else "ghd", args.k)
     size, witnesses = s_star_size(sh, method, d)
     best = next((w for w in witnesses if w.size == size), None)
     if args.json:

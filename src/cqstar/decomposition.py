@@ -330,26 +330,6 @@ def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
 # -- hingetree decompositions ----------------------------------------------
 
 
-class _TreeNode:
-    """Mutable scratch node used while building hinge decompositions."""
-
-    __slots__ = ("guard", "links")
-
-    def __init__(self, guard):
-        self.guard = set(guard)
-        self.links: list[tuple["_TreeNode", EdgeId]] = []  # (neighbor, shared edge label)
-
-
-def _link(a: _TreeNode, b: _TreeNode, label: EdgeId) -> None:
-    a.links.append((b, label))
-    b.links.append((a, label))
-
-
-def _unlink(a: _TreeNode, b: _TreeNode) -> None:
-    a.links = [(n, l) for n, l in a.links if n is not b]
-    b.links = [(n, l) for n, l in b.links if n is not a]
-
-
 def _e_components(members: list[EdgeId], pivot_set, edge_sets) -> list[list[EdgeId]]:
     """Partition edges by connectivity through vertices outside the pivot edge."""
     parent = {m: m for m in members}
@@ -377,144 +357,53 @@ def _e_components(members: list[EdgeId], pivot_set, edge_sets) -> list[list[Edge
     return comps
 
 
-def _split_once(nodes: list[_TreeNode], edge_sets) -> bool:
-    """Apply the first possible hinge split, preserving conditions 1-6."""
-    for node in nodes:
-        if len(node.guard) < 2:
-            continue
-        for pivot in sorted(node.guard, key=edge_sort_key):
-            rest = [e for e in node.guard if e != pivot]
-            comps = _e_components(rest, edge_sets[pivot], edge_sets)
-            if len(comps) < 2:
-                continue
-            children = [_TreeNode(comp + [pivot]) for comp in comps]
-            for neighbor, label in list(node.links):
-                _unlink(node, neighbor)
-                if label == pivot:
-                    target = children[0]
-                else:
-                    target = next(c for c, comp in zip(children, comps) if label in comp)
-                _link(neighbor, target, label)
-            for extra in children[1:]:
-                _link(children[0], extra, pivot)
-            nodes.remove(node)
-            nodes.extend(children)
-            return True
-    return False
-
-
-def _expand_acyclic(nodes: list[_TreeNode], h: Hypergraph, edge_sets) -> None:
-    """Replace multi-edge nodes whose edge set is acyclic by its join tree."""
-    for node in list(nodes):
-        if len(node.guard) < 2:
-            continue
-        members = sorted(node.guard, key=edge_sort_key)
-        vertices = h.sort_vertices(frozenset().union(*(edge_sets[m] for m in members)))
-        sub = Hypergraph(vertices, [(m, edge_sets[m]) for m in members])
-        jt = gyo_join_tree(sub)
-        if isinstance(jt, NotAcyclic):
-            continue
-        pieces = {next(iter(n.guard)): _TreeNode(n.guard) for n in jt.nodes}
-        by_id = {n.node_id: n for n in jt.nodes}
-        for n in jt.nodes:
-            if n.parent is not None:
-                par = by_id[n.parent]
-                _link(pieces[next(iter(n.guard))], pieces[next(iter(par.guard))],
-                      next(iter(par.guard)))
-        for neighbor, label in list(node.links):
-            _unlink(node, neighbor)
-            _link(neighbor, pieces[label], label)
-        nodes.remove(node)
-        nodes.extend(pieces[m] for m in members)
-
-
-def _contract_duplicates(nodes: list[_TreeNode]) -> None:
-    """Merge adjacent nodes with identical guards (expansion leftovers)."""
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes:
-            for neighbor, _ in node.links:
-                if neighbor.guard == node.guard:
-                    for other, label in list(neighbor.links):
-                        _unlink(neighbor, other)
-                        if other is not node:
-                            _link(node, other, label)
-                    nodes.remove(neighbor)
-                    changed = True
-                    break
-            if changed:
-                break
-
-
-def _assemble(forest_roots: list[_TreeNode], edge_sets) -> Decomposition:
-    nodes_out: list[DecompNode] = []
-    counter = itertools.count()
-    if len(forest_roots) == 1:
-        roots = [(forest_roots[0], None)]
-    else:
-        root_id = next(counter)
-        nodes_out.append(DecompNode(root_id, None, frozenset(), frozenset()))
-        roots = [(r, root_id) for r in forest_roots]
-    stack = list(reversed(roots))
-    seen = set()
-    while stack:
-        node, parent_id = stack.pop()
-        nid = next(counter)
-        bag = frozenset().union(*(edge_sets[e] for e in node.guard)) if node.guard else frozenset()
-        nodes_out.append(DecompNode(nid, parent_id, frozenset(node.guard), bag))
-        seen.add(id(node))
-        for neighbor, _ in node.links:
-            if id(neighbor) not in seen:
-                stack.append((neighbor, nid))
-    return Decomposition(DecompKind.HINGE, tuple(nodes_out))
-
-
 def hinge_decompose(h: Hypergraph) -> Decomposition:
-    """Greedy hinge splitting, then join-tree expansion of acyclic blocks.
+    """Hinge splitting (Gyssens, Jeavons and Cohen 1994) over a worklist of
+    blocks, then one join tree of the guards' bags.
 
-    Disconnected inputs are decomposed per component and attached under a
-    synthetic empty root, in the order of each component's first dedup
-    edge; the empty edge, if any, is a component of its own at its own
-    position. Edges contained in another edge ride along as width-1 leaves
-    next to a node guarding their dominator.
+    Each connected part's maximal edges form one block. A popped block that
+    is acyclic gives one width-1 guard per edge. Otherwise it is split at
+    its first pivot in edge order whose removal leaves two or more parts
+    connected outside the pivot, and each part plus the pivot is pushed; a
+    block that no pivot splits is one guard. An edge inside another edge is
+    a width-1 guard of its own. The hinge conditions that ``verify`` checks
+    hold for any join tree of these guards' bags, so ``gyo_join_tree`` over
+    the bags gives the tree. Nothing here recurses.
     """
-    dd = h.dedup_edges()
-    if not dd:
-        return Decomposition(DecompKind.HINGE, (DecompNode(0, None, frozenset(), frozenset()),))
-    edge_sets = {eid: fs for eid, fs in dd}
-
+    sets = dict(h.dedup_edges())
     comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
-    groups: dict[Optional[int], list[EdgeId]] = {}
-    for eid, fs in dd:
-        groups.setdefault(comp_of[next(iter(fs))] if fs else None, []).append(eid)
-
-    roots: list[_TreeNode] = []
-    for members in groups.values():
-        maximal = [
-            eid
-            for eid in members
-            if not any(f != eid and edge_sets[eid] < edge_sets[f] for f in members)
-        ]
-        maximal_set = set(maximal)
-        dominated = [
-            (eid, next(f for f in maximal if edge_sets[eid] < edge_sets[f]))
-            for eid in members
-            if eid not in maximal_set
-        ]
-        nodes = [_TreeNode(maximal)]
-        while _split_once(nodes, edge_sets):
-            pass
-        _expand_acyclic(nodes, h, edge_sets)
-        _contract_duplicates(nodes)
-        for eid, dom in dominated:
-            host = next(n for n in nodes if dom in n.guard)
-            leaf = _TreeNode([eid])
-            _link(host, leaf, eid)
-            nodes.append(leaf)
-        roots.append(nodes[0])
-
-    d = _assemble(roots, edge_sets)
+    blocks: dict[int, list[EdgeId]] = {}
+    guards: dict[frozenset, None] = {}
+    for eid, fs in sets.items():
+        v = next(iter(fs), None)
+        if v is None or any(fs < h.edge_set(f) for f in h.incident_edges(v)):
+            guards[frozenset({eid})] = None
+        else:
+            blocks.setdefault(comp_of[v], []).append(eid)
+    work = list(blocks.values())
+    while work:
+        block = sorted(work.pop(), key=edge_sort_key)
+        sub = Hypergraph(frozenset().union(*map(sets.get, block)), [(e, sets[e]) for e in block])
+        if not isinstance(gyo_join_tree(sub), NotAcyclic):
+            guards.update(dict.fromkeys(frozenset({e}) for e in block))
+            continue
+        for pivot in block:
+            parts = _e_components([e for e in block if e != pivot], sets[pivot], sets)
+            if len(parts) > 1:
+                work.extend(part + [pivot] for part in parts)
+                break
+        else:
+            guards[frozenset(block)] = None
+    order = list(guards)
+    bags = [frozenset().union(*map(sets.get, g)) for g in order]
+    jt = gyo_join_tree(Hypergraph(h.vertices, enumerate(bags)))
+    if isinstance(jt, NotAcyclic):
+        raise InvariantViolation("hinge blocks' bags are cyclic")
+    nodes = tuple(
+        DecompNode(n.node_id, n.parent, frozenset().union(*(order[i] for i in n.guard)), n.bag)
+        for n in jt.nodes
+    )
+    d = Decomposition(DecompKind.HINGE, nodes)
     report = verify(h, d)
     if not report.ok:
         raise InvariantViolation(f"hinge construction failed verification: {report.violations}")

@@ -3,8 +3,8 @@
 Every instance is a random hypergraph with a shuffled vertex order, int,
 str or mixed edge ids, and, by chance, empty edges, repeated edge sets,
 isolated vertices and disconnected parts, plus a random set S (sometimes
-empty, sometimes every vertex). Four checks compare the library with the
-one-scan-per-question references in ``oracles``:
+empty, sometimes every vertex). Five checks compare the library with the
+references in ``oracles``:
 
 - ``s_components`` against ``s_components_reference``: the core, the
   closure, the induced vertices, edges and lookups, and ``s_vertices``;
@@ -16,7 +16,10 @@ one-scan-per-question references in ``oracles``:
 - ``tree_decompose`` against the tree built from the elimination order of
   ``exact_elimination_order_reference``, the subset DP that searched once
   per (subset, vertex) pair, so the bitmask DP keeps its order and its
-  tie-break.
+  tie-break;
+- ``hinge_decompose`` against ``min_hinge_width``, the exhaustive search
+  over every split choice: the hingetree verifies, and no hingetree is
+  narrower.
 
 The ``within`` and ``vs`` sets are the empty set, every vertex, V minus S,
 S, a random subset, and now and then a set naming an unknown vertex, where
@@ -26,8 +29,9 @@ The outputs of ``hinge_decompose``, ``ghd_search`` for k = 1, 2, 3 and
 ``engine._rebuild_decomposition`` (along the hingetree and the first GHD
 found, each plain and integralized) are folded into one SHA-256 digest,
 with sets sorted before hashing. ``PINNED`` holds the digests that the
-default seed gave before these functions shared the components primitive,
-so a run from the default seed also checks that their outputs never moved.
+default seed gave once ``hinge_decompose`` built its tree as one join tree
+of its guards' bags, so a run from the default seed also checks that these
+outputs never moved since.
 
 Run the full version with ``PYTHONPATH=src python tests/hypergraph_differential.py
 --instances 5000 [--seed S]``. It prints the seed and hypergraph of every
@@ -47,6 +51,7 @@ from cqstar.decomposition import (
     hinge_decompose,
     integralize,
     tree_decompose,
+    verify,
 )
 from cqstar.engine import _rebuild_decomposition
 from cqstar.generators import SplitMix64
@@ -58,6 +63,7 @@ from oracles import (
     components_reference,
     exact_elimination_order_reference,
     hypergraph_induced_reference,
+    min_hinge_width,
     s_components_reference,
 )
 
@@ -65,8 +71,8 @@ DEFAULT_SEED = 4099
 
 # instances run from DEFAULT_SEED -> digest of the decomposition outputs
 PINNED = {
-    1000: "384345ebbfbfe94e5de0a6c8c2d5c0f86bed24cae102df8ac67ac8c56a3aea41",
-    5000: "d5b446748fefb1a0058563028377abcec40d815710660c35d88e9e9a02311b76",
+    1000: "9bed00abe7df972c88639fbada9b6a82ae31a2c90a6a396f0ed9fc5adda7fe05",
+    5000: "71f89461c105a65d084200644e0d36c613ede9919bb7d44afa5cd69f9ac619c2",
 }
 
 
@@ -146,10 +152,10 @@ def _canonical(d):
     return (d.kind.value, nodes)
 
 
-def decomposition_outputs(sh: SHypergraph) -> list:
-    """The pinned outputs of one instance, in a fixed order."""
+def decomposition_outputs(sh: SHypergraph, hinge) -> list:
+    """The pinned outputs of one instance, in a fixed order; ``hinge`` is
+    the outcome of ``hinge_decompose``."""
     h = sh.hypergraph
-    hinge = outcome(lambda: hinge_decompose(h))
     ghds = [outcome(lambda: ghd_search(h, k)) for k in (1, 2, 3)]
     out = [_canonical(hinge)] + [_canonical(g) for g in ghds]
     comps = s_components(sh)
@@ -164,7 +170,7 @@ def decomposition_outputs(sh: SHypergraph) -> list:
 
 
 def check(seed: int, tally: differential_runner.Tally) -> None:
-    """The four comparisons; the decomposition outputs go into the run's
+    """The five comparisons; the decomposition outputs go into the run's
     digest, which a run from the default seed checks against ``PINNED``."""
     sh = make_case(seed)
     h = sh.hypergraph
@@ -189,7 +195,10 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
             _canonical(outcome(lambda: tree_decompose(h))),
             _canonical(outcome(lambda: _elimination_tree(h, exact_elimination_order_reference(h)))),
         )
-    digest = tally.fold(decomposition_outputs(sh))
+    hinge = outcome(lambda: hinge_decompose(h))
+    width = verify(h, hinge).width if isinstance(hinge, Decomposition) else hinge
+    tally.compare("hinge_decompose width", width, min_hinge_width(h))
+    digest = tally.fold(decomposition_outputs(sh, hinge))
     done = seed - tally.start + 1
     if tally.start == DEFAULT_SEED and done in PINNED:
         tally.compare(f"digest after {done} instances", digest, PINNED[done])

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -349,6 +351,40 @@ def test_hinge_dominated_edge_rides_along():
     report = verify(h, d)
     assert report.ok
     assert report.width == 1
+
+
+def test_hinge_shared_pivot_is_one_node():
+    """Edge 0 is the pivot of the cyclic block {0, 1, 2} and of the acyclic
+    blocks {0, 3} and {0, 4}; those two give the one width-1 node {0}."""
+    h = Hypergraph("abcdfg", [(0, "abc"), (1, "ad"), (2, "db"), (3, "cf"), (4, "ag")])
+    d = hinge_decompose(h)
+    assert sorted(sorted(n.guard) for n in d.nodes) == [[0], [0, 1, 2], [3], [4]]
+    assert verify(h, d).width == 3
+
+
+def test_hinge_disconnected_has_no_empty_root():
+    h = Hypergraph("abcd", [("e", "ab"), ("f", "cd")])
+    d = hinge_decompose(h)
+    assert sorted(sorted(n.guard) for n in d.nodes) == [["e"], ["f"]]
+    assert verify(h, d).ok
+
+
+def test_hinge_long_tail_needs_no_recursion():
+    """A triangle with a 300-edge path tail: the triangle's node, one node
+    for the pivot edge "ca" that the tail block shares, and one per tail edge,
+    built within 100 frames of the caller."""
+    tail = [f"p{i}" for i in range(300)]
+    edges = [("ab", "ab"), ("bc", "bc"), ("ca", "ca"), ("t0", ("c", "p0"))]
+    edges += [(f"t{i}", (tail[i - 1], tail[i])) for i in range(1, 300)]
+    h = Hypergraph(["a", "b", "c"] + tail, edges)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        d = hinge_decompose(h)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(d.nodes) == 302
+    assert verify(h, d).width == 3
 
 
 # -- ghd search ---------------------------------------------------------------

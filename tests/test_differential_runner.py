@@ -27,7 +27,7 @@ SLICES = {
     # schema overlap and every kind of projection
     "kernel": (kernel_differential, 1200, 25, 0, dict.fromkeys(KERNEL_SHAPES, 50)),
     # up to the first pinned digest
-    "hypergraph": (hypergraph_differential, min(hypergraph_differential.PINNED), 13, 0, {}),
+    "hypergraph": (hypergraph_differential, min(hypergraph_differential.PINNED), 14, 0, {}),
 }
 
 

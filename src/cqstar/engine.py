@@ -5,11 +5,16 @@ enforced at construction and every count is of distinct answers. Each
 operator call builds one ``operator.itemgetter`` key or projection
 extractor and applies it with ``map``, so the per-row work runs in C, and a
 projection onto a relation's own schema costs nothing: it returns the
-relation, or shares its rows under a new name. The counting pipelines
-reduce a quantified instance to a quantifier-free one: each quantified
-component is replaced by the relation of its satisfiable free-boundary
-assignments, which Yannakakis's join-and-project computes over the
-component's bags. ``count_acyclic_qf`` then counts the rewritten instance:
+relation, or shares its rows under a new name. ``natural_join`` with
+``onto`` projects inside the join: it keeps only the columns whose
+variable is in ``onto``, and never builds the wider rows. The counting
+pipelines reduce a quantified instance to a quantifier-free one: each
+quantified component is replaced by the relation of its satisfiable
+free-boundary assignments, which Yannakakis's join-and-project computes
+over the component's bags. Its join phase builds each node's result
+already projected, in the node's last join, and the last join of each bag
+keeps only the bag in the same way.
+``count_acyclic_qf`` then counts the rewritten instance:
 it materializes one relation per bag and counts along the decomposition's
 own tree. Each piece, a component or the rewritten instance, gets its own
 join tree when it is acyclic; the query's decomposition is restricted or
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from operator import add, countOf, itemgetter, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import decomposition as dec, starsize
 from .decomposition import (
@@ -156,24 +161,36 @@ def _tuples(rows, positions: Sequence[int]):
     return _keys(rows, positions)
 
 
-def natural_join(r1: Relation, r2: Relation, name: Optional[str] = None) -> Relation:
+def natural_join(
+    r1: Relation, r2: Relation, name: Optional[str] = None, onto: Optional[Collection[str]] = None
+) -> Relation:
     """Rows of r1 x r2 agreeing on shared variables; r1's schema order first.
     r2 is indexed by its shared values, each entry holding the tails (r2's
-    other values) that a matching r1 row is extended by."""
+    other values) that a matching r1 row is extended by.
+
+    With ``onto``, the result keeps only the columns whose variable is in
+    ``onto``, in the same order; a repeated variable keeps all its columns.
+    Each r1 row is cut to its kept head as it is read and the index holds
+    only the kept tails, so the wider rows are never built."""
     shared = [v for v in r1.schema if v in r2.schema]
-    extra = [v for v in r2.schema if v not in r1.schema]
-    schema = r1.schema + tuple(extra)
     p1 = [r1.schema.index(v) for v in shared]
     p2 = [r2.schema.index(v) for v in shared]
+    heads, schema = r1.rows, r1.schema
+    extra = [v for v in r2.schema if v not in r1.schema]
+    if onto is not None:
+        keep = [i for i, v in enumerate(r1.schema) if v in onto]
+        if len(keep) < len(r1.schema):
+            heads, schema = _tuples(r1.rows, keep), tuple(r1.schema[i] for i in keep)
+        extra = [v for v in extra if v in onto]
     pextra = [r2.schema.index(v) for v in extra]
     index: dict = {}
     # both maps walk the same frozenset, whose iteration order is fixed
     for key, tail in zip(_keys(r2.rows, p2), _tuples(r2.rows, pextra)):
         index.setdefault(key, []).append(tail)
     matches = map(index.get, _keys(r1.rows, p1), repeat(()))
-    # row + tail for each matching tail, with no Python frame per row
-    joined = chain.from_iterable(map(map, repeat(add), map(repeat, r1.rows), matches))
-    return _relation(name or f"({r1.name}*{r2.name})", schema, frozenset(joined))
+    # head + tail for each matching tail, with no Python frame per row
+    joined = chain.from_iterable(map(map, repeat(add), map(repeat, heads), matches))
+    return _relation(name or f"({r1.name}*{r2.name})", schema + tuple(extra), frozenset(joined))
 
 
 def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -> Relation:
@@ -270,12 +287,16 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
         else:
             parts = [rels[i] for i in sorted(set(n.guard).union(assigned[n.node_id]))]
         if parts:
-            acc = parts[0]
-            for rel in parts[1:]:
-                acc = natural_join(acc, rel)
-            if not set(bag_vars) <= set(acc.schema):
+            if not set(bag_vars).issubset(chain.from_iterable(rel.schema for rel in parts)):
                 raise InvariantViolation(f"bag {bag_vars} not covered by joined atoms")
-            out[n.node_id] = project(acc, bag_vars, f"b{n.node_id}")
+            acc = parts[0]
+            for rel in parts[1:-1]:
+                acc = natural_join(acc, rel)
+            if len(parts) > 1:
+                # the last join keeps only the bag, so no projection follows it
+                out[n.node_id] = natural_join(acc, parts[-1], f"b{n.node_id}", n.bag)
+            else:
+                out[n.node_id] = project(acc, bag_vars, f"b{n.node_id}")
         else:
             if bag_vars:
                 raise InvariantViolation(f"nonempty bag {bag_vars} with no covering atom")
@@ -301,18 +322,26 @@ def _top_down(jt: Decomposition, rels: dict[int, Relation]) -> dict[int, Relatio
 
 def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[str], name: str) -> Relation:
     """The join of the node relations projected onto ``out`` (Yannakakis,
-    VLDB 1981): a full semijoin reduction, then one bottom-up pass that joins
-    each node into its parent, keeping only ``out`` and the variables the
-    parent's bag shares. Running intersection makes dropping the rest safe."""
+    VLDB 1981): a full semijoin reduction, then one bottom-up pass that
+    builds each node's result already projected. A node joins its children's
+    results into its own relation, and the last of these joins keeps only
+    ``out`` and the variables of the parent's bag (``out`` alone at the
+    root); a leaf is projected the same way. Running intersection makes
+    dropping the rest safe."""
     reduced = _top_down(jt, _bottom_up(jt, rels))
+    children = jt.children_map()
     keep_out = set(out)
-    acc = dict(reduced)
+    acc: dict[int, Relation] = {}
     for node in jt.post_order():
-        if node.parent is not None:
-            up = reduced[node.parent].schema
-            rel = acc[node.node_id]
-            rel = project(rel, [v for v in rel.schema if v in keep_out or v in up])
-            acc[node.parent] = natural_join(acc[node.parent], rel)
+        rel = reduced[node.node_id]
+        onto = keep_out if node.parent is None else keep_out.union(reduced[node.parent].schema)
+        kids = children[node.node_id]
+        if not kids and node.parent is not None:
+            rel = project(rel, [v for v in rel.schema if v in onto])
+        # children last to first, so kids[0] is the last join
+        for child in reversed(kids):
+            rel = natural_join(rel, acc.pop(child.node_id), onto=onto if child is kids[0] else None)
+        acc[node.node_id] = rel
     return project(acc[jt.root().node_id], out, name)
 
 

@@ -19,10 +19,12 @@ token starts with. Facts are read by one ``findall`` of ``_FACT`` with a
 last alternative that takes the rest of the text. It returns each plain
 statement (a name and name or number constants, with whitespace between
 tokens and comments before it) as a ``(pred, consts)`` tuple, and then the
-text from the first offset where no plain statement starts. A token cursor
-reads that rest, so quoted constants, comments inside a statement and
-every error get the same diagnostics as when the cursor read the whole
-text.
+text from the first offset where no plain statement starts. From there a
+token cursor reads each statement that is not plain, so quoted constants,
+comments inside a statement and every error get the same diagnostics as
+when the cursor read the whole text. After each such statement the plain
+statements that follow are matched again, and the cursor resumes where
+they stop.
 
 A ParseError names its position as file:line:column. Lines and columns are
 1-based, and a column counts characters, so a tab is one column.
@@ -37,6 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import methodcaller
 from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
@@ -90,41 +93,55 @@ _TOKEN = re.compile(
 
 
 class _Cursor:
-    """Tokens are ``(kind, text, offset)`` tuples; a ``SourceSpan`` is built
-    only for an error."""
+    """Reads ``(kind, text, offset)`` tokens one at a time from ``start``, as
+    the parser asks for them; a ``SourceSpan`` is built only for an error.
+    Since the text ahead is not tokenized yet, an error first looks for a
+    character no token starts with and reports that one instead: a bad
+    character anywhere after the cursor's start outranks any other error."""
 
     def __init__(self, text: str, filename: str, start: int = 0):
         self.text = text
         self.filename = filename
-        self.tokens = [
-            (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
-            for m in _TOKEN.finditer(text, start)
-        ]
-        self.i = 0
-        for kind, raw, offset in self.tokens:
-            if kind == "bad":
-                raise self.error(f"unexpected character {raw!r}", offset)
+        self.seek(start)
 
-    def error(self, message: str, offset: int, other: Optional[int] = None) -> ParseError:
+    def seek(self, offset: int) -> None:
+        """Read on from ``offset``, which must not lie inside a token."""
+        self._match = _TOKEN.scanner(self.text, offset).match
+        self.token = self._read()
+
+    def _read(self) -> tuple:
+        m = self._match()
+        kind = m.lastgroup
+        if kind == "bad":
+            raise self._error(f"unexpected character {m[kind]!r}", m.start(kind))
+        return kind, m[kind], m.start(kind)
+
+    def _error(self, message: str, offset: int, other: Optional[int] = None) -> ParseError:
         span = SourceSpan.at(self.text, offset, self.filename)
         earlier = None if other is None else SourceSpan.at(self.text, other, self.filename)
         return ParseError(message, span, earlier)
 
+    def error(self, message: str, offset: int, other: Optional[int] = None) -> ParseError:
+        for m in _TOKEN.finditer(self.text, self.token[2]):
+            if m.lastgroup == "bad":
+                return self._error(f"unexpected character {m['bad']!r}", m.start("bad"))
+        return self._error(message, offset, other)
+
     def peek(self) -> tuple:
-        return self.tokens[self.i]
+        return self.token
 
     def next(self) -> tuple:
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.token
+        if tok[0] != "eof":
+            self.token = self._read()
         return tok
 
     def expect(self, kind: str, text: Optional[str] = None) -> tuple:
-        tok = self.tokens[self.i]
+        tok = self.token
         if tok[0] != kind or (text is not None and tok[1] != text):
             want = text or kind
             raise self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.i += 1
-        return tok
+        return self.next()
 
     def items(self, item) -> tuple:
         """Parse ``( item, item, ... )``, calling ``item()`` once per item;
@@ -133,7 +150,7 @@ class _Cursor:
         if self.peek()[1] != ")":
             item()
             while self.peek()[1] == ",":
-                self.i += 1
+                self.next()
                 item()
         return self.expect("punct", ")")
 
@@ -210,17 +227,20 @@ def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
 
 # Every plain statement, then one last item holding the rest of the text from
 # the first offset where none starts; ``findall`` therefore skips no text.
-_STATEMENTS = re.compile(_FACT.pattern + r"| (?P<rest>[\s\S]+)", re.VERBOSE)
+# Under DOTALL the rest is a repeated ``.``, which the matcher skips to the
+# end of the text in one step instead of testing each character.
+_STATEMENTS = re.compile(_FACT.pattern + r"| (?P<rest>.+)", re.VERBOSE | re.DOTALL)
 
 
-def _plain_uses(text: str, pred: str):
+def _plain_uses(text: str, runs: list, pred: str):
     """``(offset, arity)`` of each plain statement of ``pred``, in order; read
-    again by one ``_FACT.match`` per statement, for an arity error only."""
-    pos = 0
-    while (m := _FACT.match(text, pos)) is not None:
-        if m["pred"] == pred:
-            yield m.start("pred"), m["consts"].count(",") + 1 if m["consts"] else 0
-        pos = m.end()
+    again by one ``_FACT.match`` per statement from the start of each run of
+    plain statements, for an arity error only."""
+    for pos in runs:
+        while (m := _FACT.match(text, pos)) is not None:
+            if m["pred"] == pred:
+                yield m.start("pred"), m["consts"].count(",") + 1 if m["consts"] else 0
+            pos = m.end()
 
 
 def parse_facts(text: str, filename: str = "<facts>") -> Structure:
@@ -230,40 +250,46 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     One ``findall`` reads every plain statement (names and numbers only,
     whitespace anywhere, and comments only before the predicate) as a
     ``(pred, consts)`` pair, up to the first offset where none starts. From
-    there the token cursor reads the rest of the text: quoted constants,
-    comments inside a statement, and every error. The arity check runs only
-    when the predicate or the row length differs from the previous plain
-    statement's, and an arity error finds its offsets by reading the plain
-    statements again."""
+    there a token cursor reads each statement that is not plain: quoted
+    constants, comments inside a statement, and every error. After each of
+    those, the plain statements that follow are matched again from the
+    statement's end, and the cursor resumes where they stop, so one quoted
+    constant costs one statement's tokens. The arity check runs only when the predicate or the row
+    length differs from the previous plain statement's, and an arity error
+    finds its offsets by reading the plain statements again."""
     # a miss stores and returns the next id, all in C
     domain: dict[str, int] = defaultdict(count().__next__)
     schemas: dict[str, tuple[int, Optional[int]]] = {}  # arity and offset of first use, None if plain
     rows: dict[str, set] = {}
+    runs = [0]  # where each run of plain statements starts
 
     def arity_error(pred: str, arity: int, offset: Optional[int] = None) -> ParseError:
         known, first = schemas[pred]
-        uses = _plain_uses(text, pred)
+        uses = _plain_uses(text, runs, pred)
         if first is None:
             first = next(uses)[0]
         if offset is None:
             offset = next(where for where, n in uses if n != known)
         message = f"predicate {pred!r} used with arity {arity}, earlier {known}"
-        # Building a cursor tokenizes the rest of the text first, so a bad
-        # character after this statement still takes precedence.
+        # A cursor's error looks ahead for a bad character first, so one
+        # after this statement still takes precedence.
         return _Cursor(text, filename, offset).error(message, offset, first)
+
+    def read_plain(statements) -> None:
+        """Add one run of ``(pred, consts, _)`` plain statements, in text order."""
+        last, arity, target = None, -1, None
+        for pred, consts, _ in statements:
+            row = tuple([domain[c.strip()] for c in consts.split(",")]) if consts else ()
+            if pred != last or len(row) != arity:
+                arity = schemas.setdefault(pred, (len(row), None))[0]
+                if arity != len(row):
+                    raise arity_error(pred, len(row))
+                last, target = pred, rows.setdefault(pred, set())
+            target.add(row)
 
     found = _STATEMENTS.findall(text)
     rest = found.pop()[2] if found and found[-1][2] else ""
-    last, arity, target = None, -1, None
-    for pred, consts, _ in found:
-        row = tuple([domain[c.strip()] for c in consts.split(",")]) if consts else ()
-        if pred != last or len(row) != arity:
-            arity = schemas.setdefault(pred, (len(row), None))[0]
-            if arity != len(row):
-                raise arity_error(pred, len(row))
-            last, target = pred, rows.setdefault(pred, set())
-        target.add(row)
-
+    read_plain(found)
     cur = _Cursor(text, filename, len(text) - len(rest))
 
     def constant() -> int:
@@ -278,10 +304,18 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
         _, pred, offset = cur.expect("name")
         values = []
         cur.items(lambda: values.append(constant()))
-        cur.expect("punct", ".")
+        end = cur.expect("punct", ".")[2] + 1
         if schemas.setdefault(pred, (len(values), offset))[0] != len(values):
             raise arity_error(pred, len(values), offset)
         rows.setdefault(pred, set()).add(tuple(values))
+        if _FACT.match(text, end):
+            # Match objects, not ``findall``: the rest of the text is skipped,
+            # never copied, so a resume costs only the statements it reads.
+            found = list(iter(_STATEMENTS.scanner(text, end).match, None))
+            stop = found.pop().start() if found[-1].lastgroup == "rest" else len(text)
+            runs.append(end)
+            read_plain(map(methodcaller("groups", ""), found))
+            cur.seek(stop)
     relations = {
         name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))
         for name, tuples in rows.items()

@@ -4,7 +4,10 @@ A differential defines ``check(seed, tally)``, which builds the case of one
 seed, runs the code under test and its references on it, and records each
 comparison in the ``Tally``; case ``i`` of a run from seed ``s`` has seed
 ``s + i``. ``main`` takes ``--instances`` and ``--seed``, prints every
-mismatch line and one summary line, and returns 1 on any mismatch.
+mismatch line and one summary line, and returns 1 on any mismatch. A
+differential may also pass ``shrink(seed, key)``, which returns a smaller
+case on which the comparison ``key`` still mismatches; the first mismatch
+of a run is shrunk, and the result printed after its line.
 """
 
 from __future__ import annotations
@@ -38,15 +41,18 @@ class Tally:
     """What a run from seed ``start`` has found so far: the checks made, the
     derived trees verified, a ``Counter`` of the shapes reached and a line
     per mismatch. ``seed`` is the case being checked; a mismatch line names
-    it and ends with ``describe()``, the text that the case sets."""
+    it and ends with ``describe()``, the text that the case sets. ``keys``
+    holds the key of each comparison that mismatched."""
 
-    def __init__(self, start: int):
+    def __init__(self, start: int, shrink=None):
         self.start = self.seed = start
         self.checks = self.trees = 0
         self.seen: Counter = Counter()
         self.bad: list[str] = []
+        self.keys: set[str] = set()
         self.describe = str
         self.digest = None
+        self.shrink = shrink
 
     def fail(self, what: str) -> None:
         about = self.describe()
@@ -56,6 +62,9 @@ class Tally:
         self.checks += 1
         if got != want:
             self.fail(f"{key} gave {got}, expected {want}")
+            if self.shrink is not None and not self.keys:
+                self.bad.append(f"shrunk: {outcome(lambda: self.shrink(self.seed, key))}")
+            self.keys.add(key)
 
     def verify_trees(self, key: str, build) -> None:
         """Verify each (name, hypergraph, tree) of ``build()`` with
@@ -78,10 +87,10 @@ class Tally:
         return self.digest.hexdigest()
 
 
-def run(check, instances: int, seed: int) -> Tally:
+def run(check, instances: int, seed: int, shrink=None) -> Tally:
     """Check cases ``seed`` to ``seed + instances - 1``. A check that raises
     is a mismatch of its case, and the run goes on."""
-    tally = Tally(seed)
+    tally = Tally(seed, shrink)
     for case in range(seed, seed + instances):
         tally.seed, tally.describe = case, str
         error = outcome(lambda: check(case, tally))
@@ -90,12 +99,12 @@ def run(check, instances: int, seed: int) -> Tally:
     return tally
 
 
-def main(check, doc: str, instances: int, seed: int, argv=None) -> int:
+def main(check, doc: str, instances: int, seed: int, argv=None, shrink=None) -> int:
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("--instances", type=int, default=instances)
     parser.add_argument("--seed", type=int, default=seed)
     args = parser.parse_args(argv)
-    tally = run(check, args.instances, args.seed)
+    tally = run(check, args.instances, args.seed, shrink)
     for line in tally.bad:
         print(line)
     figures = [f"{tally.checks} checks", f"{tally.trees} derived trees verified"]

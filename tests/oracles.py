@@ -570,6 +570,16 @@ def natural_join_reference(r1: Relation, r2: Relation, name: Optional[str] = Non
     return Relation(name or f"({r1.name}*{r2.name})", schema, frozenset(out))
 
 
+def natural_join_onto_reference(r1: Relation, r2: Relation, onto, name: Optional[str] = None) -> Relation:
+    """The reference join cut, position by position, to the columns whose
+    variable is in ``onto``: the oracle for ``engine.natural_join`` with
+    ``onto``. A repeated variable keeps every one of its columns."""
+    joined = natural_join_reference(r1, r2, name)
+    keep = [i for i, v in enumerate(joined.schema) if v in onto]
+    rows = frozenset(tuple(row[i] for i in keep) for row in joined.rows)
+    return Relation(joined.name, tuple(joined.schema[i] for i in keep), rows)
+
+
 def project_reference(r: Relation, variables: Sequence[str], name: Optional[str] = None) -> Relation:
     """A fresh tuple per row, also for an identity projection; the oracle
     for ``engine.project``."""

@@ -2,7 +2,10 @@
 The full runs are ``PYTHONPATH=src python tests/<name>_differential.py``
 with the sizes in each script's docstring."""
 
+from itertools import count
+
 import pytest
+from cqstar.engine import Relation, project
 
 import differential
 import differential_runner
@@ -16,6 +19,7 @@ KERNEL_SHAPES += [f"shared-{mode}" for mode in ("none", "one", "all", "some")]
 KERNEL_SHAPES += [
     f"project-{tag}" for tag in ("empty", "identity", "renamed", "same-name", "repeated", "permuted", "unknown")
 ]
+KERNEL_SHAPES += [f"onto-{tag}" for tag in ("empty", "random", "all", "repeated")]
 
 # script, instances, least checks and least derived trees per instance, least count of each shape
 SLICES = {
@@ -24,7 +28,7 @@ SLICES = {
     "parser": (parser_differential, 6000, 1, 0, {"parsed": 1500, "rejected": 1500}),
     "starsize": (starsize_differential, 400, 11, 6, {}),
     # empty and zero-width relations, repeated schema variables, every kind of
-    # schema overlap and every kind of projection
+    # schema overlap, every kind of projection and every kind of join onto
     "kernel": (kernel_differential, 1200, 25, 0, dict.fromkeys(KERNEL_SHAPES, 50)),
     # up to the first pinned digest
     "hypergraph": (hypergraph_differential, min(hypergraph_differential.PINNED), 14, 0, {}),
@@ -61,3 +65,25 @@ def test_runner_names_the_seed_of_each_mismatch_and_goes_on(capsys):
     ]
     assert differential_runner.main(_planted, "Planted faults.", 2, 10, []) == 0
     assert capsys.readouterr().out == "2 instances, seed 10: 2 checks, 0 derived trees verified, 0 mismatches\n"
+
+
+def _drops_least_row(r, variables, name=None):
+    """``project`` with a planted fault: the least row of the result is lost,
+    which one row of R is enough to show."""
+    rel = project(r, variables, name)
+    return Relation(rel.name, rel.schema, frozenset(sorted(rel.rows)[1:]))
+
+
+def test_runner_prints_the_shrunk_case_after_the_first_mismatch(monkeypatch, capsys):
+    seed = next(s for s in count(kernel_differential.DEFAULT_SEED) if len(kernel_differential.make_case(s)[0].rows) > 2)
+    r, s, _ = kernel_differential.make_case(seed)
+    monkeypatch.setattr(kernel_differential, "project", _drops_least_row)
+    argv = ["--instances", "2", "--seed", str(seed)]
+    assert differential_runner.main(kernel_differential.check, "Planted.", 1, 0, argv, kernel_differential.shrink) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # R's first projection is the first to mismatch; the greedy pass keeps
+    # only R's last row, and S matters to no projection of R
+    assert lines[0].startswith(f"mismatch: seed={seed} project(R, (), None) gave ")
+    assert lines[1] == f"shrunk: R={r.schema} {[max(r.rows)]} S={s.schema} []"
+    assert sum(line.startswith("shrunk: ") for line in lines) == 1
+    assert lines[-1].endswith(" mismatches") and not lines[-1].endswith(" 0 mismatches")

@@ -1,5 +1,6 @@
 import pytest
 
+from cqstar import engine
 from cqstar.decomposition import (
     DecompKind,
     DecompNode,
@@ -29,10 +30,10 @@ from cqstar.errors import (
     TooLarge,
     UnknownVariable,
 )
-from cqstar.generators import SplitMix64, gen_random_instance
+from cqstar.generators import SimpleGraph, SplitMix64, gen_clique_star_instance, gen_random_instance
 from cqstar.hypergraph import Atom, Query, from_query
 
-from oracles import count_by_full_join
+from oracles import count_by_full_join, count_k_cliques, natural_join_onto_reference, natural_join_reference, project_reference
 
 
 def rel(name, schema, rows):
@@ -87,6 +88,22 @@ def test_natural_join_basics():
     t = rel("U", ("p",), [(7,), (8,)])
     product = natural_join(r, t)
     assert len(product) == len(r) * len(t)
+
+
+def test_natural_join_onto_keeps_the_columns_of_the_variables():
+    r = rel("R", ("x", "y"), [(0, 1), (0, 2), (5, 2)])
+    s = rel("S", ("y", "z"), [(1, 3), (2, 3)])
+    joined = natural_join(r, s, "J", onto={"x", "z"})
+    assert (joined.name, joined.schema, joined.rows) == ("J", ("x", "z"), frozenset({(0, 3), (5, 3)}))
+    assert natural_join(r, s, onto=()).rows == frozenset({()})
+    assert natural_join(r, s, onto=("x", "y", "z")) == natural_join(r, s)
+    # a repeated variable keeps both of its columns, which need not agree
+    a = rel("A", ("b", "c", "f", "f"), [(0, 1, 2, 3), (0, 1, 4, 4), (1, 0, 2, 2)])
+    b = rel("B", ("b", "e", "c"), [(0, 7, 1), (1, 8, 0), (1, 9, 1)])
+    for onto in ({"f"}, {"f", "e"}, {"b", "f"}):
+        assert natural_join(a, b, onto=onto) == natural_join_onto_reference(a, b, onto)
+        assert natural_join(b, a, onto=onto) == natural_join_onto_reference(b, a, onto)
+    assert natural_join(a, b, onto={"f"}).rows == frozenset({(2, 3), (4, 4), (2, 2)})
 
 
 def test_project():
@@ -557,3 +574,90 @@ def test_count_fractional_random_hinge_weights():
         h = from_query(inst.query).hypergraph
         frac = integralize(hinge_decompose(h))
         assert count_cq_via_fractional(inst, frac).count == count_brute(inst).count
+
+
+def _record_joins(monkeypatch) -> list:
+    """One ``(jt, out, joins)`` per ``_join_project`` call, where ``joins``
+    lists the ``natural_join`` results built during it, in order."""
+    calls: list = []
+    inside: list = []
+    join, join_project = engine.natural_join, engine._join_project
+
+    def recorded_join(*args, **kwargs):
+        result = join(*args, **kwargs)
+        if inside:
+            inside[-1].append(result)
+        return result
+
+    def recorded_join_project(jt, rels, out, name):
+        calls.append((jt, out, []))
+        inside.append(calls[-1][2])
+        try:
+            return join_project(jt, rels, out, name)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(engine, "natural_join", recorded_join)
+    monkeypatch.setattr(engine, "_join_project", recorded_join_project)
+    return calls
+
+
+def test_join_phase_builds_each_node_result_already_projected(monkeypatch):
+    """On a clique-star instance each node's result, the output of its last
+    join, holds only the output variables and the parent's bag: the
+    quantified centre never reaches the root. The root's result is exactly
+    the free variables."""
+    g = SimpleGraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)])
+    inst = gen_clique_star_instance(g, 3)
+    jt = gyo_join_tree(from_query(inst.query).hypergraph)
+    calls = _record_joins(monkeypatch)
+    # the answers are the 125 triples that are not 3-cliques in order
+    assert count_cq_via_ghd(inst, jt).count == 5**3 - 6 * count_k_cliques(g, 3)
+    assert calls and any(joins for _, _, joins in calls)
+    for tree, out, joins in calls:
+        children = tree.children_map()
+        results = iter(joins)
+        for node in tree.post_order():
+            kids = children[node.node_id]
+            if not kids:
+                continue
+            for _ in kids:
+                result = next(results)
+            if node.parent is None:
+                assert set(result.schema) == set(out)
+            else:
+                parent_bag = next(n.bag for n in tree.nodes if n.node_id == node.parent)
+                assert set(result.schema) <= set(out) | parent_bag
+        assert next(results, None) is None
+
+
+def test_bag_join_drops_the_variables_outside_the_bag(monkeypatch):
+    """A width-2 GHD of the 4-cycle whose bag {a, c, d} is guarded by
+    E(a, b) and E(c, d): the bag's last join keeps only the bag, with no
+    projection after it, and gives the bag relation that the references
+    compute."""
+    e = rel("E", ("c0", "c1"), [(i, j) for i in range(4) for j in range(4) if (i + 2 * j) % 3])
+    struct = structure("0123", e)
+    atoms = (Atom("E", ("a", "b")), Atom("E", ("b", "c")), Atom("E", ("c", "d")), Atom("E", ("d", "a")))
+    inst = instance(("a", "b", "c", "d"), atoms, struct)
+    ghd = Decomposition(
+        DecompKind.GHD,
+        (
+            DecompNode(0, None, frozenset({0, 2}), frozenset("acd")),
+            DecompNode(1, 0, frozenset({0, 1}), frozenset("abc")),
+        ),
+    )
+    rels = engine._bind(inst)
+    projected = []
+    monkeypatch.setattr(engine, "project", lambda r, *args: projected.append(args) or project(r, *args))
+    bags = engine._bag_materialize(rels, ghd)
+    assert all(name != "b0" for _, name in projected)
+    # edges 2 and 3 lie inside the bag, so they are joined at node 0 too
+    want = rels[0]
+    for i in (2, 3):
+        want = natural_join_reference(want, rels[i])
+    want = project_reference(want, ("a", "c", "d"))
+    got = bags[0]
+    assert got.name == "b0" and set(got.schema) == {"a", "c", "d"}
+    assert project_reference(got, ("a", "c", "d")).rows == want.rows
+    assert count_acyclic_qf(inst, ghd).count == count_brute(inst).count

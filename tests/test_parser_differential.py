@@ -3,6 +3,7 @@ slice of ``parser_differential.py`` is in ``test_differential_runner.py``."""
 
 import pytest
 
+from cqstar import parser
 from cqstar.parser import ParseError, parse_facts
 
 from oracles import parse_facts_reference
@@ -21,6 +22,9 @@ from oracles import parse_facts_reference
         ("A(a1).\n A(b,c).\nB(x).", "f:2:2: predicate 'A' used with arity 2, earlier 1 (earlier at f:1:1)"),
         # a plain first use and a clash in a statement the token cursor reads
         ('P(a).\nQ("x").\nP(a, b).', "f:3:1: predicate 'P' used with arity 2, earlier 1 (earlier at f:1:1)"),
+        # a first use and a clash in the plain statements after a cursor statement
+        ('Q("x").\nP(a).\nP(a, b).', "f:3:1: predicate 'P' used with arity 2, earlier 1 (earlier at f:2:1)"),
+        ('Q("x").\nP(a).\nP(a, b).\n@', "f:4:1: unexpected character '@'"),
         # rows of arity 0 and 1 hold the same number of commas
         ("P().\nP(a).", "f:2:1: predicate 'P' used with arity 1, earlier 0 (earlier at f:1:1)"),
         # a clash far from the first use, after many changes of predicate
@@ -33,7 +37,8 @@ from oracles import parse_facts_reference
     ],
     ids=[
         "comment-then-paren", "fact-comment-then-paren", "bad-char-after-arity", "bad-char-lines-later",
-        "arity", "arity-plain-then-cursor", "arity-0-then-1", "arity-far",
+        "arity", "arity-plain-then-cursor", "arity-after-resume", "bad-char-after-resume",
+        "arity-0-then-1", "arity-far",
         "spaces-before-paren", "comments-before-paren", "spaces-inside",
     ],
 )
@@ -62,3 +67,20 @@ def test_plain_and_handed_over_statements_agree():
         assert names["P"] == {("a", "1"), ("a", "2")}
         assert names["Q"] == {("b", "c")}
         assert names["R"] == {()}
+
+
+def test_plain_statements_after_a_quoted_one_skip_the_cursor(monkeypatch):
+    """One quoted constant at the top of a large file costs the token cursor
+    one statement: the plain statements after it are matched again."""
+    items = parser._Cursor.items
+    read = []
+
+    def counted(cur, item):
+        read.append(cur.peek()[2])
+        return items(cur, item)
+
+    text = 'S("x y").\n' + "".join(f"E(v{i}, w{i}).\n" for i in range(3000))
+    want = parse_facts_reference(text)  # reads every statement with the cursor
+    monkeypatch.setattr(parser._Cursor, "items", counted)
+    assert parse_facts(text) == want
+    assert read == [1]

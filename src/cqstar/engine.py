@@ -7,14 +7,22 @@ extractor and applies it with ``map``, so the per-row work runs in C, and a
 projection onto a relation's own schema costs nothing: it returns the
 relation, or shares its rows under a new name. ``natural_join`` with
 ``onto`` projects inside the join: it keeps only the columns whose
-variable is in ``onto``, and never builds the wider rows. The counting
-pipelines reduce a quantified instance to a quantifier-free one: each
-quantified component is replaced by the relation of its satisfiable
-free-boundary assignments, which Yannakakis's join-and-project computes
-over the component's bags. Its join phase builds each node's result
-already projected, in the node's last join, and the last join of each bag
-keeps only the bag in the same way.
-``count_acyclic_qf`` then counts the rewritten instance:
+variable is in ``onto``, and never builds the wider rows.
+
+Every join of a bag or of Yannakakis's join phase keeps only what later
+steps need, by two rules. A join drops each variable that no later step
+holds: a bag join keeps the bag and the variables of the parts still to be
+joined, and a node's join with a child keeps the output, the parent's
+schema and the schemas of the children still to be joined (Yannakakis,
+VLDB 1981). A join whose second relation then keeps no column beyond the
+shared ones adds nothing, and runs as the semijoin it is (Bernstein and
+Chiu, JACM 1981), through the filter ``semijoin`` uses.
+
+The counting pipelines reduce a quantified instance to a quantifier-free
+one: each quantified component is replaced by the relation of its
+satisfiable free-boundary assignments, which Yannakakis's join-and-project
+computes over the component's bags. ``count_acyclic_qf`` then counts the
+rewritten instance:
 it materializes one relation per bag and counts along the decomposition's
 own tree. Each piece, a component or the rewritten instance, gets its own
 join tree when it is acyclic; the query's decomposition is restricted or
@@ -171,10 +179,11 @@ def natural_join(
     With ``onto``, the result keeps only the columns whose variable is in
     ``onto``, in the same order; a repeated variable keeps all its columns.
     Each r1 row is cut to its kept head as it is read and the index holds
-    only the kept tails, so the wider rows are never built."""
-    shared = [v for v in r1.schema if v in r2.schema]
-    p1 = [r1.schema.index(v) for v in shared]
-    p2 = [r2.schema.index(v) for v in shared]
+    only the kept tails, so the wider rows are never built. When r2 keeps
+    no column beyond the shared ones, the join is the semijoin of r1's heads
+    by r2 (Bernstein and Chiu, JACM 1981): one key set, with no index and
+    no concatenation. The counting pipelines pass ``onto`` on every join,
+    so each join drops every variable that no later step needs."""
     heads, schema = r1.rows, r1.schema
     extra = [v for v in r2.schema if v not in r1.schema]
     if onto is not None:
@@ -182,6 +191,12 @@ def natural_join(
         if len(keep) < len(r1.schema):
             heads, schema = _tuples(r1.rows, keep), tuple(r1.schema[i] for i in keep)
         extra = [v for v in extra if v in onto]
+    name = name or f"({r1.name}*{r2.name})"
+    if not extra:
+        return _relation(name, schema, _matching(heads, r1, r2))
+    shared = [v for v in r1.schema if v in r2.schema]
+    p1 = [r1.schema.index(v) for v in shared]
+    p2 = [r2.schema.index(v) for v in shared]
     pextra = [r2.schema.index(v) for v in extra]
     index: dict = {}
     # both maps walk the same frozenset, whose iteration order is fixed
@@ -190,7 +205,7 @@ def natural_join(
     matches = map(index.get, _keys(r1.rows, p1), repeat(()))
     # head + tail for each matching tail, with no Python frame per row
     joined = chain.from_iterable(map(map, repeat(add), map(repeat, heads), matches))
-    return _relation(name or f"({r1.name}*{r2.name})", schema + tuple(extra), frozenset(joined))
+    return _relation(name, schema + tuple(extra), frozenset(joined))
 
 
 def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -> Relation:
@@ -212,16 +227,20 @@ def project(r: Relation, variables: Sequence[str], name: Optional[str] = None) -
 
 
 def semijoin(r: Relation, s: Relation, name: Optional[str] = None) -> Relation:
+    return _relation(name or r.name, r.schema, _matching(r.rows, r, s))
+
+
+def _matching(heads, r: Relation, s: Relation) -> frozenset:
+    """The ``heads``, one per row of ``r`` in the order of ``r.rows``, whose
+    row agrees with some row of ``s`` on the variables both schemas share:
+    one set of ``s``'s keys and one ``compress``. With no shared variable,
+    every head is kept if ``s`` has a row."""
     shared = [v for v in r.schema if v in s.schema]
     if not shared:
-        rows = r.rows if s.rows else frozenset()
-        return _relation(name or r.name, r.schema, rows)
-    pr = [r.schema.index(v) for v in shared]
-    ps = [s.schema.index(v) for v in shared]
-    keys = set(_keys(s.rows, ps))
+        return frozenset(heads) if s.rows else frozenset()
+    keys = set(_keys(s.rows, [s.schema.index(v) for v in shared]))
     # compress and the key map walk the same frozenset, in one fixed order
-    rows = frozenset(compress(r.rows, map(keys.__contains__, _keys(r.rows, pr))))
-    return _relation(name or r.name, r.schema, rows)
+    return frozenset(compress(heads, map(keys.__contains__, _keys(r.rows, [r.schema.index(v) for v in shared]))))
 
 
 def atom_relation(structure: Structure, atom: Atom, name: Optional[str] = None) -> Relation:
@@ -261,6 +280,12 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
     bag holds its variables (so zero-arity atoms land at the root). A
     fractional node joins every atom's projection onto its bag, and the root
     also enforces the zero-arity atoms.
+
+    The parts are joined left-deep in edge-id order, and each join keeps the
+    bag and the variables of the parts still to be joined: a variable
+    outside the bag is dropped as soon as no later part holds it, so the
+    last join keeps only the bag and no projection follows it. A part that
+    then adds no column is joined as a semijoin.
     """
     fractional = d.kind is DecompKind.FRACTIONAL
     vertices = list(dict.fromkeys(v for rel in rels.values() for v in rel.schema))
@@ -289,14 +314,13 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
         if parts:
             if not set(bag_vars).issubset(chain.from_iterable(rel.schema for rel in parts)):
                 raise InvariantViolation(f"bag {bag_vars} not covered by joined atoms")
-            acc = parts[0]
-            for rel in parts[1:-1]:
-                acc = natural_join(acc, rel)
-            if len(parts) > 1:
-                # the last join keeps only the bag, so no projection follows it
-                out[n.node_id] = natural_join(acc, parts[-1], f"b{n.node_id}", n.bag)
-            else:
-                out[n.node_id] = project(acc, bag_vars, f"b{n.node_id}")
+            acc, last = parts[0], len(parts) - 1
+            for k in range(1, len(parts)):
+                # keep the bag and what a later part still joins on, so the
+                # last join keeps only the bag and no projection follows it
+                onto = n.bag.union(*(rel.schema for rel in parts[k + 1:]))
+                acc = natural_join(acc, parts[k], f"b{n.node_id}" if k == last else None, onto)
+            out[n.node_id] = acc if last else project(acc, bag_vars, f"b{n.node_id}")
         else:
             if bag_vars:
                 raise InvariantViolation(f"nonempty bag {bag_vars} with no covering atom")
@@ -324,10 +348,12 @@ def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[st
     """The join of the node relations projected onto ``out`` (Yannakakis,
     VLDB 1981): a full semijoin reduction, then one bottom-up pass that
     builds each node's result already projected. A node joins its children's
-    results into its own relation, and the last of these joins keeps only
-    ``out`` and the variables of the parent's bag (``out`` alone at the
-    root); a leaf is projected the same way. Running intersection makes
-    dropping the rest safe."""
+    results into its own relation, and each of these joins keeps only
+    ``out``, the variables of the parent's bag (``out`` alone at the root)
+    and the variables of the children still to be joined, so the last join
+    gives the node's result; a leaf is projected the same way. Running
+    intersection makes dropping the rest safe. A child that then adds no
+    column is joined as a semijoin."""
     reduced = _top_down(jt, _bottom_up(jt, rels))
     children = jt.children_map()
     keep_out = set(out)
@@ -338,9 +364,11 @@ def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[st
         kids = children[node.node_id]
         if not kids and node.parent is not None:
             rel = project(rel, [v for v in rel.schema if v in onto])
-        # children last to first, so kids[0] is the last join
-        for child in reversed(kids):
-            rel = natural_join(rel, acc.pop(child.node_id), onto=onto if child is kids[0] else None)
+        # children last to first, so kids[0] is the last join; each join
+        # keeps ``onto`` and what a child still to be joined shares
+        for i in range(len(kids) - 1, -1, -1):
+            child = acc.pop(kids[i].node_id)
+            rel = natural_join(rel, child, onto=onto.union(*(acc[k.node_id].schema for k in kids[:i])))
         acc[node.node_id] = rel
     return project(acc[jt.root().node_id], out, name)
 

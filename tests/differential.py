@@ -5,8 +5,13 @@ and by both pipelines (``count_cq_via_ghd``, and ``count_cq_via_fractional``
 on the integralized decomposition) along each of its decompositions: the
 default choice (a join tree if the query is acyclic, else a hingetree),
 ``hinge_decompose``, the narrowest GHD of width at most 3 that
-``ghd_search`` finds, and, for the ``cycle-ghd`` family, a width-2 GHD
-built by hand. Each count is one check against ``count_brute``.
+``ghd_search`` finds, and, for the ``cycle-ghd`` and ``wide-guards``
+families, a GHD built by hand. Each count is one check against
+``count_brute``. Along each of these decompositions, the relation that
+``engine._bag_materialize`` builds for each node is also checked against
+``oracles.bag_relations_reference``, by schema and rows. A count cannot
+show a bag relation that only lost an extra guard's filter, since every
+atom is still joined at the node it is assigned to; this check can.
 
 The pipelines trust the trees they derive from a verified decomposition:
 each S-component's own join tree (integralized for the fractional
@@ -20,7 +25,10 @@ free variables rewrite to an acyclic query, three spaced free variables
 rewrite to a triangle (the rewritten decomposition is the fallback), and
 adjacent free variables leave the whole cycle as one cyclic component (the
 restricted decomposition is the fallback). Boolean queries and zero-arity
-atoms are families of their own.
+atoms are families of their own. In ``wide-guards`` a node joins guards
+that reach outside its bag, and a variable outside the bag links two of its
+parts that are not adjacent in the join order, so a bag join that drops
+that variable too early, or keeps it to the end, gives a wrong relation.
 
 Run the full version with ``PYTHONPATH=src python tests/differential.py
 --instances 1500 [--seed S]``. It prints the seed, family and query of
@@ -31,7 +39,7 @@ every mismatch and exits 1 if there is any. Case ``i`` of a run from seed
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cqstar.decomposition import (
     DecompKind,
@@ -50,6 +58,8 @@ from cqstar.engine import (
     QueryInstance,
     Relation,
     Structure,
+    _bag_materialize,
+    _bind,
     count_brute,
     count_cq_via_fractional,
     count_cq_via_ghd,
@@ -60,7 +70,7 @@ from cqstar.parser import query_to_text
 
 import differential_runner
 from differential_runner import outcome
-from oracles import count_by_full_join
+from oracles import bag_relations_reference, count_by_full_join, project_reference
 
 DEFAULT_SEED = 20131
 
@@ -90,15 +100,16 @@ def cycle_instance(rng: SplitMix64, n: int, free_positions) -> QueryInstance:
     return QueryInstance(Query("ans", free, tuple(atoms)), structure)
 
 
-def cycle_ghd(n: int) -> Decomposition:
+def cycle_ghd(n: int, pivot: int = 0) -> Decomposition:
     """A width-2 GHD of the n-cycle from ``cycle_instance``: a path of bags
-    {x0, xi, x(i+1)} for i = 1..n-2, each guarded by edges 0 and i."""
+    {xp, x(p+i), x(p+i+1)} for i = 1..n-2, indices mod n and p the pivot,
+    each guarded by edges p and p+i."""
     nodes = tuple(
         DecompNode(
             i - 1,
             None if i == 1 else i - 2,
-            frozenset({0, i}),
-            frozenset({"x0", f"x{i}", f"x{i + 1}"}),
+            frozenset({pivot, (pivot + i) % n}),
+            frozenset({f"x{pivot}", f"x{(pivot + i) % n}", f"x{(pivot + i + 1) % n}"}),
         )
         for i in range(1, n - 1)
     )
@@ -159,6 +170,22 @@ def _family_cycle_ghd(rng, seed):
     return cycle_instance(rng, n, free), (("cycle-ghd", cycle_ghd(n)),)
 
 
+def _family_wide_guards(rng, seed):
+    """The cycle's GHD about a pivot p off x0, with extra guards that reach
+    outside the bags. The first bag {xp, x(p+1), x(p+2)} joins edges 0, p,
+    p+1 and n-1 in that order, so x0, outside the bag, links two parts that
+    are not adjacent; every other node gets one random edge more. An extra
+    guard only adds a filter that the whole query implies."""
+    n = 4 + rng.below(4)
+    pivot = 1 + rng.below(n - 3)
+    free = [i for i in range(n) if rng.chance(1, 3)]
+    nodes = tuple(
+        replace(node, guard=node.guard | ({0, n - 1} if node.parent is None else {rng.below(n)}))
+        for node in cycle_ghd(n, pivot).nodes
+    )
+    return cycle_instance(rng, n, free), (("wide-guards", Decomposition(DecompKind.GHD, nodes)),)
+
+
 FAMILIES = {
     "random": _family_random,
     "cycle-2-free": _family_cycle_two_free,
@@ -167,6 +194,7 @@ FAMILIES = {
     "boolean": _family_boolean,
     "zero-arity": _family_zero_arity,
     "cycle-ghd": _family_cycle_ghd,
+    "wide-guards": _family_wide_guards,
 }
 
 
@@ -205,13 +233,25 @@ def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     return out
 
 
+def bag_relations(inst: QueryInstance, d: Decomposition) -> dict:
+    """Each node's relation from ``engine._bag_materialize``, its columns put
+    in sorted order, as its schema and rows: a column outside the bag shows."""
+    return {
+        node: (tuple(sorted(rel.schema)), project_reference(rel, sorted(rel.schema)).rows)
+        for node, rel in _bag_materialize(_bind(inst), d).items()
+    }
+
+
 def check(seed: int, tally: differential_runner.Tally) -> None:
-    """Each count against ``count_brute``; every derived tree verified."""
+    """Each count against ``count_brute``, each node relation against the
+    reference; every derived tree verified."""
     case = make_case(seed)
     tally.describe = lambda: f"family {case.family}, query {query_to_text(case.inst.query).strip()}"
     expected = count_brute(case.inst).count
     tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
     for label, d in decompositions(case):
+        want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), d).items()}
+        tally.compare(f"bags/{label}", outcome(lambda: bag_relations(case.inst, d)), want)
         tally.compare(f"ghd/{label}", outcome(lambda: count_cq_via_ghd(case.inst, d).count), expected)
         got = outcome(lambda: count_cq_via_fractional(case.inst, integralize(d)).count)
         tally.compare(f"fractional/{label}", got, expected)

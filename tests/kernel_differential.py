@@ -11,7 +11,10 @@ The checks compare ``engine`` with the references in ``oracles``:
 - ``natural_join`` with ``onto`` both ways round against
   ``natural_join_onto_reference``, onto no variable, a random subset of
   the variables, every variable, and, when a schema repeats a variable, a
-  subset naming that variable, whose columns must all be kept;
+  subset naming that variable, whose columns must all be kept; the joins,
+  with or without ``onto``, in which the second relation keeps no column
+  beyond the shared ones take the semijoin path, and are tallied as
+  ``adds-nothing``;
 - ``semijoin`` both ways round against ``semijoin_reference``;
 - ``project`` against ``project_reference``, onto ``()``, a repeated
   variable, the schema in permuted order, a random sequence, the schema
@@ -146,6 +149,8 @@ def check_pair(seed: int, r: Relation, s: Relation, tally: differential_runner.T
         tally.compare(key, _result(got), _result(want))
 
     for a, b, label in ((r, s, "R,S"), (s, r, "S,R")):
+        adds = set(b.schema) - set(a.schema)
+        tally.seen["adds-nothing"] += not adds
         for name in (None, "N"):
             compare(f"natural_join({label}, {name})", lambda: natural_join(a, b, name),
                     lambda: natural_join_reference(a, b, name))
@@ -153,6 +158,7 @@ def check_pair(seed: int, r: Relation, s: Relation, tally: differential_runner.T
                     lambda: semijoin_reference(a, b, name))
         for tag, onto in ontos:
             tally.seen[f"onto-{tag}"] += 1
+            tally.seen["adds-nothing"] += not adds.intersection(onto)
             compare(f"natural_join({label}, onto={onto})", lambda: natural_join(a, b, onto=onto),
                     lambda: natural_join_onto_reference(a, b, onto))
         table, child = _table(rng, a), _table(rng, b)

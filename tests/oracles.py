@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from cqstar.decomposition import (
     DecompKind,
@@ -603,6 +603,25 @@ def semijoin_reference(r: Relation, s: Relation, name: Optional[str] = None) -> 
     keys = {tuple(row[i] for i in ps) for row in s.rows}
     rows = frozenset(row for row in r.rows if tuple(row[i] for i in pr) in keys)
     return Relation(name or r.name, r.schema, rows)
+
+
+def bag_relations_reference(rels: Mapping[int, Relation], d: Decomposition) -> dict[int, Relation]:
+    """Per node of a guard-based decomposition, the reference join of its
+    guard atoms and of the atoms assigned to it (each atom to the first node
+    in topological order whose bag holds its variables), projected onto the
+    bag's variables in sorted order: the oracle for
+    ``engine._bag_materialize``. ``rels[e]`` is the relation of edge e."""
+    order = d.topo_order()
+    parts = {n.node_id: set(n.guard) for n in order}
+    for e, rel in rels.items():
+        parts[next(n for n in order if set(rel.schema) <= n.bag).node_id].add(e)
+    out = {}
+    for n in order:
+        joined = Relation("", (), frozenset({()}))
+        for e in sorted(parts[n.node_id]):
+            joined = natural_join_reference(joined, rels[e])
+        out[n.node_id] = project_reference(joined, sorted(n.bag), f"b{n.node_id}")
+    return out
 
 
 def absorb_child_reference(table: dict, schema: tuple, child: dict, child_schema: tuple) -> dict:

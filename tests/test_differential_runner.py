@@ -19,7 +19,7 @@ KERNEL_SHAPES += [f"shared-{mode}" for mode in ("none", "one", "all", "some")]
 KERNEL_SHAPES += [
     f"project-{tag}" for tag in ("empty", "identity", "renamed", "same-name", "repeated", "permuted", "unknown")
 ]
-KERNEL_SHAPES += [f"onto-{tag}" for tag in ("empty", "random", "all", "repeated")]
+KERNEL_SHAPES += [f"onto-{tag}" for tag in ("empty", "random", "all", "repeated")] + ["adds-nothing"]
 
 # script, instances, least checks and least derived trees per instance, least count of each shape
 SLICES = {
@@ -28,7 +28,8 @@ SLICES = {
     "parser": (parser_differential, 6000, 1, 0, {"parsed": 1500, "rejected": 1500}),
     "starsize": (starsize_differential, 400, 11, 6, {}),
     # empty and zero-width relations, repeated schema variables, every kind of
-    # schema overlap, every kind of projection and every kind of join onto
+    # schema overlap, every kind of projection, every kind of join onto and
+    # the joins that take the semijoin path
     "kernel": (kernel_differential, 1200, 25, 0, dict.fromkeys(KERNEL_SHAPES, 50)),
     # up to the first pinned digest
     "hypergraph": (hypergraph_differential, min(hypergraph_differential.PINNED), 14, 0, {}),

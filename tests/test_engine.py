@@ -22,6 +22,7 @@ from cqstar.engine import (
     count_cq_via_ghd,
     natural_join,
     project,
+    semijoin,
 )
 from cqstar.errors import (
     BindError,
@@ -104,6 +105,24 @@ def test_natural_join_onto_keeps_the_columns_of_the_variables():
         assert natural_join(a, b, onto=onto) == natural_join_onto_reference(a, b, onto)
         assert natural_join(b, a, onto=onto) == natural_join_onto_reference(b, a, onto)
     assert natural_join(a, b, onto={"f"}).rows == frozenset({(2, 3), (4, 4), (2, 2)})
+
+
+def test_natural_join_that_adds_no_column_is_the_semijoin(monkeypatch):
+    """When s keeps no column beyond the shared ones, with or without
+    ``onto``, the join takes the semijoin's filter and gives its rows."""
+    r = rel("R", ("x", "y", "z"), [(0, 1, 2), (0, 2, 2), (1, 1, 3), (2, 0, 0)])
+    s = rel("S", ("z", "x"), [(2, 0), (3, 0), (0, 2)])
+    t = rel("T", ("y", "w"), [(1, 5), (1, 6), (9, 9)])
+    filtered = []
+    matching = engine._matching
+    monkeypatch.setattr(engine, "_matching", lambda *args: filtered.append(args) or matching(*args))
+    joined = natural_join(r, s)
+    assert (joined.name, joined.schema) == ("(R*S)", r.schema)
+    assert joined.rows == semijoin(r, s).rows == frozenset({(0, 1, 2), (0, 2, 2), (2, 0, 0)})
+    # t's column w is cut by onto, so t adds nothing either
+    assert natural_join(r, t, "N", onto={"x", "z"}) == Relation("N", ("x", "z"), frozenset({(0, 2), (1, 3)}))
+    assert len(filtered) == 3
+    assert natural_join(r, t).schema == ("x", "y", "z", "w") and len(filtered) == 3
 
 
 def test_project():
@@ -661,3 +680,20 @@ def test_bag_join_drops_the_variables_outside_the_bag(monkeypatch):
     assert got.name == "b0" and set(got.schema) == {"a", "c", "d"}
     assert project_reference(got, ("a", "c", "d")).rows == want.rows
     assert count_acyclic_qf(inst, ghd).count == count_brute(inst).count
+
+
+def test_ghd_bag_joins_drop_each_variable_no_later_part_holds(monkeypatch):
+    """The 4-cycle over a complete E on n values has n**4 answers. Along the
+    width-2 GHD that ``ghd_search`` finds, a bag {a, c, d} is guarded by
+    E(a, b) and E(c, d), whose cross product would hold every answer; the
+    first join drops b, which no later part holds, so no join exceeds n**3."""
+    n = 6
+    e = rel("E", ("c0", "c1"), [(i, j) for i in range(n) for j in range(n)])
+    atoms = (Atom("E", ("a", "b")), Atom("E", ("b", "c")), Atom("E", ("c", "d")), Atom("E", ("d", "a")))
+    inst = instance(("a", "b", "c", "d"), atoms, structure([str(i) for i in range(n)], e))
+    ghd = ghd_search(from_query(inst.query).hypergraph, 2)
+    sizes = []
+    join = engine.natural_join
+    monkeypatch.setattr(engine, "natural_join", lambda *args, **kw: sizes.append(len(r := join(*args, **kw))) or r)
+    assert count_cq_via_ghd(inst, ghd).count == n**4
+    assert sizes and max(sizes) <= n**3

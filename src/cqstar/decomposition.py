@@ -330,33 +330,6 @@ def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
 # -- hingetree decompositions ----------------------------------------------
 
 
-def _e_components(members: list[EdgeId], pivot_set, edge_sets) -> list[list[EdgeId]]:
-    """Partition edges by connectivity through vertices outside the pivot edge."""
-    parent = {m: m for m in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    vertex_home: dict = {}
-    for m in members:
-        for v in edge_sets[m] - pivot_set:
-            if v in vertex_home:
-                ra, rb = find(vertex_home[v]), find(m)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                vertex_home[v] = m
-    groups: dict = {}
-    for m in members:
-        groups.setdefault(find(m), []).append(m)
-    comps = [sorted(g, key=edge_sort_key) for g in groups.values()]
-    comps.sort(key=lambda g: edge_sort_key(g[0]))
-    return comps
-
-
 def hinge_decompose(h: Hypergraph) -> Decomposition:
     """Hinge splitting (Gyssens, Jeavons and Cohen 1994) over a worklist of
     blocks, then one join tree of the guards' bags.
@@ -365,10 +338,12 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
     is acyclic gives one width-1 guard per edge. Otherwise it is split at
     its first pivot in edge order whose removal leaves two or more parts
     connected outside the pivot, and each part plus the pivot is pushed; a
-    block that no pivot splits is one guard. An edge inside another edge is
-    a width-1 guard of its own. The hinge conditions that ``verify`` checks
-    hold for any join tree of these guards' bags, so ``gyo_join_tree`` over
-    the bags gives the tree. Nothing here recurses.
+    block that no pivot splits is one guard. The parts are the classes that
+    the block's ``connected_components`` finds outside the pivot, each with
+    the edges that reach it. An edge inside another edge is a width-1 guard
+    of its own. The hinge conditions that ``verify`` checks hold for any
+    join tree of these guards' bags, so ``gyo_join_tree`` over the bags
+    gives the tree. Nothing here recurses.
     """
     sets = dict(h.dedup_edges())
     comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
@@ -388,9 +363,15 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
             guards.update(dict.fromkeys(frozenset({e}) for e in block))
             continue
         for pivot in block:
-            parts = _e_components([e for e in block if e != pivot], sets[pivot], sets)
-            if len(parts) > 1:
-                work.extend(part + [pivot] for part in parts)
+            classes = sub.connected_components(set(sub.vertices) - sets[pivot])
+            if len(classes) > 1:
+                class_of = {v: i for i, c in enumerate(classes) for v in c}
+                parts: dict[int, list[EdgeId]] = {}
+                for e in block:
+                    if e != pivot:  # a maximal edge has a vertex outside the pivot
+                        home = class_of[next(iter(sets[e] - sets[pivot]))]
+                        parts.setdefault(home, []).append(e)
+                work.extend(part + [pivot] for part in parts.values())
                 break
         else:
             guards[frozenset(block)] = None
@@ -445,17 +426,8 @@ def ghd_search(
     budget = [node_budget]
     memo: dict[frozenset, Optional[_Plan]] = {}
 
-    edge_list = list(dd)
-
-    def connector(w: frozenset) -> frozenset:
-        out = set()
-        for eid, fs in edge_list:
-            if fs & w:
-                out |= fs
-        return frozenset(out) - w
-
     def candidate_edges(scope: frozenset, x: frozenset) -> list[tuple[EdgeId, frozenset]]:
-        cands = [(eid, fs) for eid, fs in edge_list if fs & scope]
+        cands = [(eid, fs) for eid, fs in dd if fs & scope]
         if exact:
             return cands
         cands.sort(key=lambda item: (-len(item[1] & x), -len(item[1] & scope),
@@ -465,7 +437,7 @@ def ghd_search(
     def solve(w: frozenset) -> Optional[_Plan]:
         if w in memo:
             return memo[w]
-        x = connector(w)
+        x = h.closure(w) - w
         scope = w | x
         cands = candidate_edges(scope, x)
         tried = 0
@@ -502,11 +474,8 @@ def ghd_search(
         memo[w] = result
         return result
 
-    covered = set()
-    for _, fs in edge_list:
-        covered |= fs
     top_plans = []
-    for comp in h.connected_components(covered):
+    for comp in h.connected_components(h.closure(h.vertices)):
         plan = solve(comp)
         if plan is None:
             return None

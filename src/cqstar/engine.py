@@ -32,8 +32,11 @@ Input is checked where it enters. ``Relation`` checks the width of every
 row and ``Structure`` the range of every value id; the operators build
 their outputs, valid by construction, without either check. The public
 counting functions verify the decomposition they are given. The join trees
-a pipeline builds for its pieces, and the restrictions of a verified
-decomposition, are not verified again; the differential verifies them.
+a pipeline builds for its components, and the restrictions of a verified
+decomposition, are not verified again; the differential verifies them. The
+rewritten instance is the exception: the pipeline counts it through the
+public ``count_acyclic_qf``, so its decomposition is verified again and its
+relations are bound again by ``atom_relation``.
 """
 
 from __future__ import annotations
@@ -487,10 +490,9 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     and name the original edge ids, which key the restricted relations."""
     scope = comp.closure
     sub_rels: dict[int, Relation] = {}
-    for o, rel in atom_rels.items():
-        keep = tuple(v for v in rel.schema if v in scope)
-        if keep:
-            sub_rels[o] = project(rel, keep, f"p{o}")
+    for o in comp.induced.edge_ids():
+        rel = atom_rels[o]
+        sub_rels[o] = project(rel, [v for v in rel.schema if v in scope], f"p{o}")
 
     own = dec.gyo_join_tree(comp.induced)
     if isinstance(own, NotAcyclic):

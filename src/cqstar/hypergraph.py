@@ -150,6 +150,15 @@ class Hypergraph:
     def sort_vertices(self, vs: Iterable[VertexId]) -> tuple[VertexId, ...]:
         return tuple(sorted(vs, key=self.vertex_index))
 
+    def closure(self, vs: Iterable[VertexId]) -> frozenset[VertexId]:
+        """The union of the edges that hold a vertex of ``vs``. Only those
+        edges are visited, each once."""
+        try:
+            ordinals = {o for v in vs for o in self._incidence[v]}
+        except KeyError as exc:
+            raise UnknownVertex(exc.args[0]) from None
+        return frozenset().union(*(self.edges[o][1] for o in ordinals))
+
     def conflict_adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
         """v -> vertices sharing at least one edge with v (v excluded)."""
         adj: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
@@ -264,13 +273,13 @@ def from_query(query: Query) -> SHypergraph:
 def s_components(sh: SHypergraph) -> list[SComponent]:
     """S-components of (H, S), ordered by the earliest core vertex.
 
-    The cores are the components of V minus S. Each closure is the union of
-    the edges on its core's vertices, so an edge is visited once for each
-    core vertex it holds, never for a core it misses. Empty when S = V.
+    The cores are the components of V minus S, and each closure is
+    ``h.closure(core)``, so no edge is visited for a core it misses. Empty
+    when S = V.
     """
     h, s = sh.hypergraph, sh.s
     out = []
     for core in h.connected_components(v for v in h.vertices if v not in s):
-        closure = frozenset().union(*(h.edges[o][1] for v in core for o in h._incidence[v]))
+        closure = h.closure(core)
         out.append(SComponent(core, closure, h.induced(closure), closure & s))
     return out

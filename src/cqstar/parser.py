@@ -13,10 +13,12 @@ Formats:
   .decomp.json {"kind": ..., "nodes": [{"id", "parent", "lambda", "chi",
                "weights"?}]} with guard entries as 0-based atom ordinals.
 
-Queries go through one token cursor: a single ``_TOKEN`` pass turns the
-text into ``(kind, text, offset)`` tuples and rejects any character no
-token starts with. Facts are read by one ``findall`` of ``_FACT`` with a
-last alternative that takes the rest of the text. It returns each plain
+Queries go through one token cursor, which reads ``(kind, text, offset)``
+tuples with ``_TOKEN`` one at a time, as the parser asks for them. Before
+it reports an error it looks ahead for a character no token starts with,
+and reports the first such character instead. Facts are read by one
+``findall`` of ``_FACT`` with a last alternative that takes the rest of the
+text. It returns each plain
 statement (a name and name or number constants, with whitespace between
 tokens and comments before it) as a ``(pred, consts)`` tuple, and then the
 text from the first offset where no plain statement starts. From there a

@@ -32,7 +32,6 @@ from .errors import (
     NotHinge,
     TooLarge,
     UncoverableVertex,
-    UnknownVertex,
     WidthNotOne,
 )
 from .hypergraph import EdgeId, Hypergraph, SHypergraph, VertexId, s_components
@@ -81,13 +80,7 @@ def _checked_witness(h: Hypergraph, vertices: Iterable, method: ISMethod,
 
 
 def _candidates(h: Hypergraph, restrict_to) -> list:
-    if restrict_to is None:
-        return list(h.vertices)
-    keep = set(restrict_to)
-    for v in keep:
-        if not h.has_vertex(v):
-            raise UnknownVertex(v)
-    return [v for v in h.vertices if v in keep]
+    return list(h.vertices if restrict_to is None else h.sort_vertices(set(restrict_to)))
 
 
 def _lex_key(h: Hypergraph, verts: Iterable) -> tuple:

@@ -3,7 +3,7 @@
 Every instance is a random hypergraph with a shuffled vertex order, int,
 str or mixed edge ids, and, by chance, empty edges, repeated edge sets,
 isolated vertices and disconnected parts, plus a random set S (sometimes
-empty, sometimes every vertex). Five checks compare the library with the
+empty, sometimes every vertex). Six checks compare the library with the
 references in ``oracles``:
 
 - ``s_components`` against ``s_components_reference``: the core, the
@@ -13,6 +13,8 @@ references in ``oracles``:
 - ``induced(vs)`` against ``hypergraph_induced_reference``, including the
   dedup family and the incidence, which ``induced`` derives from its
   parent's instead of rebuilding through the checked constructor;
+- ``closure(vs)`` against ``closure_reference``, the union of the edges
+  that meet ``vs`` by one scan of every edge;
 - ``tree_decompose`` against the tree built from the elimination order of
   ``exact_elimination_order_reference``, the subset DP that searched once
   per (subset, vertex) pair, so the bitmask DP keeps its order and its
@@ -60,6 +62,7 @@ from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 import differential_runner
 from differential_runner import outcome, shuffle
 from oracles import (
+    closure_reference,
     components_reference,
     exact_elimination_order_reference,
     hypergraph_induced_reference,
@@ -170,7 +173,7 @@ def decomposition_outputs(sh: SHypergraph, hinge) -> list:
 
 
 def check(seed: int, tally: differential_runner.Tally) -> None:
-    """The five comparisons; the decomposition outputs go into the run's
+    """The six comparisons; the decomposition outputs go into the run's
     digest, which a run from the default seed checks against ``PINNED``."""
     sh = make_case(seed)
     h = sh.hypergraph
@@ -186,6 +189,8 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
     for vs in _subsets(seed, sh):
         want = outcome(lambda: hypergraph_induced_reference(h, vs))
         tally.compare(f"induced({sorted(vs)})", _graph(outcome(lambda: h.induced(vs))), _graph(want))
+        want_closure = outcome(lambda: closure_reference(h, vs))
+        tally.compare(f"closure({sorted(vs)})", outcome(lambda: h.closure(vs)), want_closure)
         if isinstance(want, Hypergraph):
             want = components_reference(want)
         tally.compare(f"connected_components({sorted(vs)})", outcome(lambda: h.connected_components(vs)), want)

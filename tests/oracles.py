@@ -86,6 +86,20 @@ def components_reference(h: Hypergraph) -> list[frozenset]:
     return out
 
 
+def closure_reference(h: Hypergraph, vs: Iterable[VertexId]) -> frozenset:
+    """The union of every edge that meets ``vs``, by one scan of all edges.
+    The oracle for ``Hypergraph.closure``."""
+    keep = set(vs)
+    for v in keep:
+        if not h.has_vertex(v):
+            raise UnknownVertex(v)
+    closure: set = set()
+    for _, fs in h.edges:
+        if fs & keep:
+            closure |= fs
+    return frozenset(closure)
+
+
 def s_components_reference(sh: SHypergraph) -> list[SComponent]:
     """S-components by the definition: the components of H with S removed,
     each closed under every edge that meets it, with two scans of all edges
@@ -94,16 +108,13 @@ def s_components_reference(sh: SHypergraph) -> list[SComponent]:
     quantified = [v for v in h.vertices if v not in sh.s]
     out = []
     for core in components_reference(hypergraph_induced_reference(h, quantified)):
-        closure: set = set()
-        for _, fs in h.edges:
-            if fs & core:
-                closure |= fs
+        closure = closure_reference(h, core)
         out.append(
             SComponent(
                 core=core,
-                closure=frozenset(closure),
+                closure=closure,
                 induced=hypergraph_induced_reference(h, closure),
-                s_vertices=frozenset(closure) & sh.s,
+                s_vertices=closure & sh.s,
             )
         )
     return out
@@ -512,8 +523,9 @@ def tree_fault(h: Hypergraph, d: Decomposition) -> Optional[str]:
 
 def parse_facts_reference(text: str, filename: str = "<facts>") -> Structure:
     """Token-by-token fact parsing, the oracle for ``parse_facts``'s
-    statement scanner: every statement goes through the token cursor, and
-    the whole text is tokenized before the first statement is read.
+    statement scanner: every statement goes through the token cursor, which
+    reads one token at a time and, before any error, looks ahead for a
+    character no token starts with.
 
     Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
     every constant appearing anywhere, interned in first-appearance order."""

@@ -109,6 +109,16 @@ def test_components_match_union_find_on_random_inputs():
         assert {frozenset(c) for c in sub.connected_components()} == components_union_find(sub)
 
 
+def test_closure_is_the_union_of_the_edges_meeting_the_set(path3):
+    assert path3.closure({"a"}) == frozenset("ab")
+    assert path3.closure(iter("bd")) == frozenset("abcd")
+    assert path3.closure(set()) == frozenset()
+    # a vertex on no edge reaches nothing, not even itself
+    assert Hypergraph("xy", [("e", {"x"})]).closure({"y"}) == frozenset()
+    with pytest.raises(UnknownVertex):
+        path3.closure({"a", "z"})
+
+
 def test_s_components_ex1(ex1):
     comps = s_components(ex1)
     assert len(comps) == 3

@@ -12,7 +12,7 @@ from cqstar.decomposition import (
     hinge_decompose,
     verify,
 )
-from cqstar.errors import DecompositionInvalid, TooLarge, UncoverableVertex, WidthNotOne
+from cqstar.errors import DecompositionInvalid, TooLarge, UncoverableVertex, UnknownVertex, WidthNotOne
 from cqstar.generators import (
     SplitMix64,
     gen_g_star,
@@ -65,6 +65,13 @@ def test_brute_ex1_component_one(ex1):
     check_independent(comp.induced, w.vertices)
     # the specific witness from the worked example is itself independent
     check_independent(ex1.hypergraph, {"v1", "v2", "v3", "v7"})
+
+
+def test_brute_rejects_an_unknown_candidate(tri):
+    with pytest.raises(UnknownVertex):
+        max_is_brute(tri, ["nope"])
+    with pytest.raises(UnknownVertex):
+        max_is_brute(tri, ["a", "nope"])
 
 
 def test_brute_cutoff():

@@ -110,6 +110,7 @@ GUARD_GAP = "GUARD_GAP"
 HINGE_INTERSECTION = "HINGE_INTERSECTION"
 HINGE_UNION = "HINGE_UNION"
 HINGE_EDGE_MISSING = "HINGE_EDGE_MISSING"
+NEGATIVE_WEIGHT = "NEGATIVE_WEIGHT"
 WEIGHT_DEFICIT = "WEIGHT_DEFICIT"
 
 
@@ -170,7 +171,9 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     decomposition is checked against the primal graph's edges. Violations
     come in a fixed order: connectedness by vertex, uncovered edges in
     declared order, then the conditions of the kind, node by node or pair
-    by pair in node order. An empty edge is always covered.
+    by pair in node order; a fractional node reports each negative weight,
+    by edge, before each bag vertex its weights do not cover. An empty edge
+    is always covered.
     """
     holders: dict[VertexId, list[DecompNode]] = {}
     for n in d.nodes:
@@ -224,6 +227,9 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     if d.kind is DecompKind.FRACTIONAL:
         for n in d.nodes:
             weights = n.weights or {}
+            for eid in sorted(weights, key=edge_sort_key):
+                if weights[eid] < 0:
+                    violations.append(Violation(NEGATIVE_WEIGHT, node=n.node_id, edge=eid))
             for v in sorted(n.bag):
                 total = sum((w for eid, w in weights.items() if v in h.edge_set(eid)), Fraction(0))
                 if total < 1:

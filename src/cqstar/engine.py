@@ -22,11 +22,13 @@ The counting pipelines reduce a quantified instance to a quantifier-free
 one: each quantified component is replaced by the relation of its
 satisfiable free-boundary assignments, which Yannakakis's join-and-project
 computes over the component's bags. ``count_acyclic_qf`` then counts the
-rewritten instance:
-it materializes one relation per bag and counts along the decomposition's
-own tree. Each piece, a component or the rewritten instance, gets its own
-join tree when it is acyclic; the query's decomposition is restricted or
-rewritten only for the cyclic ones.
+rewritten instance: it materializes one relation per bag and counts along
+the decomposition's own tree. Each piece, a component or the rewritten
+instance, gets its own join tree when it is acyclic; the query's
+decomposition is restricted or rewritten only for the cyclic ones. Every
+decomposition kind is materialized and rewritten the same way: a node
+joins its guard atoms, the atoms its weights name and the atoms assigned
+to it, so a fractional node's bag is built from its weighted edges.
 
 Input is checked where it enters. ``Relation`` checks the width of every
 row and ``Structure`` the range of every value id; the operators build
@@ -56,7 +58,6 @@ from .decomposition import (
     blocks_hypergraph,
     ensure_valid,
     induced_decomposition,
-    integralize,
     jointree_over_bags,
     verify,  # unused here, but bench/tracing.py wraps engine.verify
 )
@@ -278,11 +279,11 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
     """One relation per decomposition node, keyed by node id: the join of the
     node's atoms projected onto its bag. ``rels[e]`` is the relation of edge e.
 
-    A guard-based node joins its guard atoms and every atom assigned to it;
-    each atom is assigned once, to the first node in topological order whose
-    bag holds its variables (so zero-arity atoms land at the root). A
-    fractional node joins every atom's projection onto its bag, and the root
-    also enforces the zero-arity atoms.
+    Every kind is materialized the same way. A node joins the atoms of its
+    guard, the atoms its weights name and every atom assigned to it; each
+    atom is assigned once, to the first node in topological order whose bag
+    holds its variables (so zero-arity atoms land at the root). A valid
+    decomposition's guard, or its weighted edges, cover the bag.
 
     The parts are joined left-deep in edge-id order, and each join keeps the
     bag and the variables of the parts still to be joined: a variable
@@ -290,30 +291,19 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
     last join keeps only the bag and no projection follows it. A part that
     then adds no column is joined as a semijoin.
     """
-    fractional = d.kind is DecompKind.FRACTIONAL
     vertices = list(dict.fromkeys(v for rel in rels.values() for v in rel.schema))
     order = d.topo_order()
-    assigned: dict[int, list[int]] = {n.node_id: [] for n in order}
-    if not fractional:
-        for i, rel in rels.items():
-            home = next((n for n in order if set(rel.schema) <= n.bag), None)
-            if home is None:
-                raise InvariantViolation(f"atom {i} is not covered by any bag")
-            assigned[home.node_id].append(i)
+    parts_of = {n.node_id: set(n.guard).union(n.weights or ()) for n in order}
+    for i, rel in rels.items():
+        home = next((n for n in order if set(rel.schema) <= n.bag), None)
+        if home is None:
+            raise InvariantViolation(f"atom {i} is not covered by any bag")
+        parts_of[home.node_id].add(i)
 
     out: dict[int, Relation] = {}
     for n in order:
         bag_vars = [v for v in vertices if v in n.bag]
-        if fractional:
-            parts = [
-                project(rel, [v for v in rel.schema if v in n.bag])
-                for rel in rels.values()
-                if n.bag & set(rel.schema)
-            ]
-            if n.parent is None:
-                parts += [rel for rel in rels.values() if not rel.schema]
-        else:
-            parts = [rels[i] for i in sorted(set(n.guard).union(assigned[n.node_id]))]
+        parts = [rels[i] for i in sorted(parts_of[n.node_id])]
         if parts:
             if not set(bag_vars).issubset(chain.from_iterable(rel.schema for rel in parts)):
                 raise InvariantViolation(f"bag {bag_vars} not covered by joined atoms")
@@ -433,15 +423,13 @@ def count_cq_via_fractional(inst: QueryInstance, d: Decomposition) -> CountResul
 def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKind, ...]) -> CountResult:
     """Count along per-piece decompositions. The pieces are the S-components
     and the rewritten query, whose edges are the kept atoms plus one boundary
-    edge per component. An acyclic piece is counted along its own join tree
-    (integralized for the fractional pipeline); only a cyclic piece uses
-    ``d``, restricted to a component or rewritten for the final count.
-    ``d`` is verified against the whole query either way.
-    ``stats["pieces"]`` records each piece's kind, width and source."""
+    edge per component. An acyclic piece is counted along its own join tree;
+    only a cyclic piece uses ``d``, restricted to a component or rewritten
+    for the final count. ``d`` is verified against the whole query either
+    way. ``stats["pieces"]`` records each piece's kind, width and source."""
     sh = from_query(inst.query)
     h = sh.hypergraph
     ensure_valid(h, d, kinds)
-    fractional = d.kind is DecompKind.FRACTIONAL
     comps = s_components(sh)
     atom_rels = _bind(inst)
     stats: dict = {
@@ -464,20 +452,25 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKi
         Query("ans", inst.query.free_vars, final_atoms),
         Structure(inst.structure.domain, dict(zip(names, final_rels))),
     )
-    df = dec.gyo_join_tree(from_query(final.query).hypergraph)
-    if isinstance(df, NotAcyclic):
-        source, df = "restricted", _rebuild_decomposition(h, d, comps, kept)
-    else:
-        source, df = "own-jointree", integralize(df) if fractional else df
-    _record_piece(stats, df, source)
+    df = _piece_decomposition(
+        stats, from_query(final.query).hypergraph, lambda: _rebuild_decomposition(h, d, comps, kept)
+    )
     result = count_acyclic_qf(final, df)
     stats["bag_sizes"].append(result.stats["bag_sizes"])
     stats["max_intermediate"] = max(stats["max_intermediate"], result.stats["max_intermediate"])
-    return CountResult(result.count, "fractional" if fractional else "ghd", stats)
+    return CountResult(result.count, "fractional" if d.kind is DecompKind.FRACTIONAL else "ghd", stats)
 
 
-def _record_piece(stats: dict, d: Decomposition, source: str) -> None:
+def _piece_decomposition(stats: dict, piece, derive) -> Decomposition:
+    """The piece's own GYO join tree, or ``derive()`` from the query's
+    decomposition when the piece hypergraph is cyclic; its kind, width and
+    source are appended to ``stats["pieces"]``."""
+    d = dec.gyo_join_tree(piece)
+    source = "own-jointree"
+    if isinstance(d, NotAcyclic):
+        source, d = "restricted", derive()
     stats["pieces"].append({"kind": d.kind.value, "width": d.raw_width(), "source": source})
+    return d
 
 
 def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
@@ -494,13 +487,7 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
         rel = atom_rels[o]
         sub_rels[o] = project(rel, [v for v in rel.schema if v in scope], f"p{o}")
 
-    own = dec.gyo_join_tree(comp.induced)
-    if isinstance(own, NotAcyclic):
-        source, di = "restricted", induced_decomposition(h, d, scope)
-    else:
-        source, di = "own-jointree", integralize(own) if d.kind is DecompKind.FRACTIONAL else own
-    _record_piece(stats, di, source)
-
+    di = _piece_decomposition(stats, comp.induced, lambda: induced_decomposition(h, d, scope))
     bags = _bag_materialize(sub_rels, di)
     sizes = [len(bags[n.node_id]) for n in di.topo_order()]
     stats["bag_sizes"].append(sizes)
@@ -516,14 +503,15 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
 
 
 def _rebuild_decomposition(h, d, comps, kept) -> Decomposition:
-    """Quantifier-elimination rewrite of the decomposition: bags lose core
-    vertices and gain the boundary sets of the components they touched;
-    guards and weights swap core-meeting edges for the new component edges.
-    Kept atom ``kept[j]`` becomes edge j and component i's edge is
-    ``len(kept) + i``. One vertex -> component map answers which cores a
-    bag or an edge meets. Node ids and the tree are unchanged. The pipeline
-    counts along it only when the rewritten query is cyclic."""
-    fractional = d.kind is DecompKind.FRACTIONAL
+    """Quantifier-elimination rewrite of the decomposition, the same for
+    every kind. Kept atom ``kept[j]`` becomes edge j and component i's edge
+    is ``len(kept) + i``. A node touches the components that its bag, its
+    guard edges or its weighted edges meet. Its bag loses the core vertices
+    and gains the boundary of each component the bag meets; its guard and
+    its weights each keep their kept edges and gain the edge of each touched
+    component, weighted 1. One vertex -> component map answers which cores
+    a bag or an edge meets. Node ids and the tree are unchanged. The
+    pipeline counts along it only when the rewritten query is cyclic."""
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp.core}
     new_id = {e: j for j, e in enumerate(kept)}
 
@@ -532,33 +520,18 @@ def _rebuild_decomposition(h, d, comps, kept) -> Decomposition:
 
     nodes = []
     for n in d.nodes:
-        touched = hits(n.bag)
-        bag = frozenset(v for v in n.bag if v not in comp_of)
-        bag = bag.union(*(comps[i].s_vertices for i in touched))
-        triggers = set(touched)
-        guard = set()
-        for e in n.guard:
-            hit = hits(h.edge_set(e))
-            if hit:
-                triggers |= hit
-            else:
-                guard.add(new_id[e])
-        guard |= {len(kept) + i for i in triggers}
-
+        met = hits(n.bag)
+        bag = frozenset(v for v in n.bag if v not in comp_of).union(*(comps[i].s_vertices for i in met))
+        touched = met.union(*(hits(h.edge_set(e)) for e in n.guard.union(n.weights or ())))
+        new_edges = [len(kept) + i for i in sorted(touched)]
+        guard = frozenset(new_id[e] for e in n.guard if e in new_id).union(new_edges)
         weights = None
-        if fractional:
-            weights = {}
-            for e, w in (n.weights or {}).items():
-                hit = hits(h.edge_set(e))
-                if hit:
-                    triggers |= hit
-                else:
-                    weights[new_id[e]] = w
-            for i in sorted(triggers):
-                weights[len(kept) + i] = Fraction(1)
-            guard |= set(weights)
-        nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag, weights))
-    return Decomposition(DecompKind.FRACTIONAL if fractional else DecompKind.GHD, tuple(nodes))
+        if n.weights is not None:
+            weights = {new_id[e]: w for e, w in n.weights.items() if e in new_id}
+            weights.update(dict.fromkeys(new_edges, Fraction(1)))
+        nodes.append(DecompNode(n.node_id, n.parent, guard, bag, weights))
+    kind = DecompKind.FRACTIONAL if d.kind is DecompKind.FRACTIONAL else DecompKind.GHD
+    return Decomposition(kind, tuple(nodes))
 
 
 # -- brute-force oracle ------------------------------------------------------

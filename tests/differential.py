@@ -6,19 +6,26 @@ on the integralized decomposition) along each of its decompositions: the
 default choice (a join tree if the query is acyclic, else a hingetree),
 ``hinge_decompose``, the narrowest GHD of width at most 3 that
 ``ghd_search`` finds, and, for the ``cycle-ghd`` and ``wide-guards``
-families, a GHD built by hand. Each count is one check against
-``count_brute``. Along each of these decompositions, the relation that
+families, a GHD built by hand. The ``half-weights`` family adds a
+fractional decomposition built by hand, which only
+``count_cq_via_fractional`` counts, along itself. Each count is one check
+against ``count_brute``. Along each of these decompositions, and along
+the integralization of each guard-based one, the relation that
 ``engine._bag_materialize`` builds for each node is also checked against
 ``oracles.bag_relations_reference``, by schema and rows. A count cannot
 show a bag relation that only lost an extra guard's filter, since every
-atom is still joined at the node it is assigned to; this check can.
+atom is still joined at the node it is assigned to; this check can. Both
+pipelines materialize every kind the same way, so the fractional pipeline
+along the integralized decomposition must report the same ``stats`` as
+``count_cq_via_ghd`` along the plain one, but for the kind of a
+``restricted`` piece, which is ``fractional`` there.
 
 The pipelines trust the trees they derive from a verified decomposition:
-each S-component's own join tree (integralized for the fractional
-pipeline) or the decomposition's restriction to the component's closure,
-and the join tree over that tree's bags. The differential verifies every
-one of them, along every decomposition, plain and integralized, with
-``oracles.tree_fault``; a faulty tree is a mismatch too.
+each S-component's own join tree or the decomposition's restriction to the
+component's closure, and the join tree over that tree's bags. The
+differential verifies every one of them, along every decomposition it
+counts along, with ``oracles.tree_fault``; a faulty tree is a mismatch
+too.
 
 The families make sure every per-piece path runs: cycles with two spaced
 free variables rewrite to an acyclic query, three spaced free variables
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from cqstar.decomposition import (
     DecompKind,
@@ -116,6 +124,18 @@ def cycle_ghd(n: int, pivot: int = 0) -> Decomposition:
     return Decomposition(DecompKind.GHD, nodes)
 
 
+def half_weights(n: int) -> Decomposition:
+    """A fractional decomposition of the n-cycle from ``cycle_instance``
+    with empty guards: ``cycle_ghd``'s path of bags {x0, xi, x(i+1)}, each
+    with weight 1/2 on edges i-1, i, i+1, 0 and n-1, so each bag vertex lies
+    on two of them. For n >= 5 its width is 5/2."""
+    nodes = tuple(
+        replace(node, guard=frozenset(), weights=dict.fromkeys({i - 1, i, i + 1, 0, n - 1}, Fraction(1, 2)))
+        for i, node in enumerate(cycle_ghd(n).nodes, start=1)
+    )
+    return Decomposition(DecompKind.FRACTIONAL, nodes)
+
+
 def _random(rng: SplitMix64, seed: int) -> QueryInstance:
     return gen_random_instance(
         variables=2 + rng.below(5),
@@ -186,6 +206,12 @@ def _family_wide_guards(rng, seed):
     return cycle_instance(rng, n, free), (("wide-guards", Decomposition(DecompKind.GHD, nodes)),)
 
 
+def _family_half_weights(rng, seed):
+    n = 5 + rng.below(3)
+    free = [i for i in range(n) if rng.chance(1, 3)]
+    return cycle_instance(rng, n, free), (("half-weights", half_weights(n)),)
+
+
 FAMILIES = {
     "random": _family_random,
     "cycle-2-free": _family_cycle_two_free,
@@ -195,6 +221,7 @@ FAMILIES = {
     "zero-arity": _family_zero_arity,
     "cycle-ghd": _family_cycle_ghd,
     "wide-guards": _family_wide_guards,
+    "half-weights": _family_half_weights,
 }
 
 
@@ -217,9 +244,8 @@ def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
 
 def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
-    and trusts: per S-component, its own join tree (integralized when ``d``
-    is fractional) or ``d`` restricted to its closure, and the join tree
-    over that tree's bags."""
+    and trusts: per S-component, its own join tree or ``d`` restricted to
+    its closure, and the join tree over that tree's bags."""
     sh = from_query(inst.query)
     out = []
     for idx, comp in enumerate(s_components(sh)):
@@ -227,7 +253,7 @@ def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
         if isinstance(own, NotAcyclic):
             name, di = "restricted", induced_decomposition(sh.hypergraph, d, comp.closure)
         else:
-            name, di = "own-jointree", integralize(own) if d.kind is DecompKind.FRACTIONAL else own
+            name, di = "own-jointree", own
         out.append((f"component {idx} {name}", comp.induced, di))
         out.append((f"component {idx} bags", blocks_hypergraph(comp.induced, di), jointree_over_bags(di)))
     return out
@@ -242,21 +268,38 @@ def bag_relations(inst: QueryInstance, d: Decomposition) -> dict:
     }
 
 
+def as_fractional(stats: dict) -> dict:
+    """``count_cq_via_ghd``'s ``stats`` along a decomposition as the
+    fractional pipeline reports them along its integralization: the same,
+    but that a ``restricted`` piece reads kind ``fractional``."""
+    pieces = [dict(p, kind="fractional") if p["source"] == "restricted" else p for p in stats["pieces"]]
+    return dict(stats, pieces=pieces)
+
+
+PIPELINES = {"ghd": count_cq_via_ghd, "fractional": count_cq_via_fractional}
+
+
 def check(seed: int, tally: differential_runner.Tally) -> None:
     """Each count against ``count_brute``, each node relation against the
-    reference; every derived tree verified."""
+    reference, the two pipelines' ``stats`` against each other; every
+    derived tree verified."""
     case = make_case(seed)
     tally.describe = lambda: f"family {case.family}, query {query_to_text(case.inst.query).strip()}"
     expected = count_brute(case.inst).count
     tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
     for label, d in decompositions(case):
-        want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), d).items()}
-        tally.compare(f"bags/{label}", outcome(lambda: bag_relations(case.inst, d)), want)
-        tally.compare(f"ghd/{label}", outcome(lambda: count_cq_via_ghd(case.inst, d).count), expected)
-        got = outcome(lambda: count_cq_via_fractional(case.inst, integralize(d)).count)
-        tally.compare(f"fractional/{label}", got, expected)
-        for pipeline, along in (("ghd", d), ("fractional", integralize(d))):
+        fractional = d.kind is DecompKind.FRACTIONAL
+        alongs = {"fractional": d} if fractional else {"ghd": d, "fractional": integralize(d)}
+        results = {}
+        for pipeline, along in alongs.items():
+            want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), along).items()}
+            tally.compare(f"bags/{pipeline}/{label}", outcome(lambda: bag_relations(case.inst, along)), want)
+            result = results[pipeline] = outcome(lambda: PIPELINES[pipeline](case.inst, along))
+            tally.compare(f"{pipeline}/{label}", getattr(result, "count", result), expected)
             tally.verify_trees(f"{pipeline}/{label}", lambda: derived_trees(case.inst, along))
+        if not fractional:
+            want = outcome(lambda: as_fractional(results["ghd"].stats))
+            tally.compare(f"stats/{label}", outcome(lambda: results["fractional"].stats), want)
 
 
 if __name__ == "__main__":

@@ -618,13 +618,14 @@ def semijoin_reference(r: Relation, s: Relation, name: Optional[str] = None) -> 
 
 
 def bag_relations_reference(rels: Mapping[int, Relation], d: Decomposition) -> dict[int, Relation]:
-    """Per node of a guard-based decomposition, the reference join of its
-    guard atoms and of the atoms assigned to it (each atom to the first node
-    in topological order whose bag holds its variables), projected onto the
-    bag's variables in sorted order: the oracle for
-    ``engine._bag_materialize``. ``rels[e]`` is the relation of edge e."""
+    """Per node of a decomposition of any kind, the reference join of its
+    guard atoms, of the atoms its weights name and of the atoms assigned to
+    it (each atom to the first node in topological order whose bag holds its
+    variables), projected onto the bag's variables in sorted order: the
+    oracle for ``engine._bag_materialize``. ``rels[e]`` is the relation of
+    edge e."""
     order = d.topo_order()
-    parts = {n.node_id: set(n.guard) for n in order}
+    parts = {n.node_id: set(n.guard) | set(n.weights or ()) for n in order}
     for e, rel in rels.items():
         parts[next(n for n in order if set(rel.schema) <= n.bag).node_id].add(e)
     out = {}

@@ -197,6 +197,15 @@ def test_verify_fractional(tri):
     )
     report = verify(tri, short)
     assert any(x.tag == WEIGHT_DEFICIT for x in report.violations)
+    negative = Decomposition(
+        DecompKind.FRACTIONAL,
+        (DecompNode(0, None, frozenset(), frozenset("abc"), {"ca": 1, "bc": -1, "ab": 1}),),
+    )
+    assert [str(x) for x in verify(tri, negative).violations] == [
+        "(NEGATIVE_WEIGHT node=0 edge=bc)",
+        "(WEIGHT_DEFICIT node=0 vertex=b)",
+        "(WEIGHT_DEFICIT node=0 vertex=c)",
+    ]
 
 
 def test_verify_tree_kind(tri):

@@ -1,6 +1,8 @@
 """The families of ``differential.py`` reach the paths they are there for;
 its slice is in ``test_differential_runner.py``."""
 
+from fractions import Fraction
+
 from cqstar.decomposition import DecompKind, ensure_valid, hinge_decompose
 from cqstar.engine import count_cq_via_ghd
 from cqstar.hypergraph import from_query
@@ -30,3 +32,11 @@ def test_cycle_ghd_is_a_width_two_ghd():
         h = from_query(inst.query).hypergraph
         report = ensure_valid(h, differential.cycle_ghd(n), (DecompKind.GHD,))
         assert report.width == 2
+
+
+def test_half_weights_is_a_width_five_halves_fractional_decomposition():
+    for n in range(5, 8):
+        inst = differential.cycle_instance(differential.SplitMix64(n), n, ())
+        h = from_query(inst.query).hypergraph
+        report = ensure_valid(h, differential.half_weights(n), (DecompKind.FRACTIONAL,))
+        assert report.width == Fraction(5, 2)

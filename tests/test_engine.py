@@ -533,7 +533,6 @@ def cycle_instance(n, free):
 
 
 OWN = {"kind": "jointree", "width": 1, "source": "own-jointree"}
-OWN_FRACTIONAL = {"kind": "fractional", "width": 1, "source": "own-jointree"}
 
 
 def test_pieces_acyclic_components_get_own_join_trees():
@@ -548,7 +547,7 @@ def test_pieces_acyclic_components_get_own_join_trees():
     assert result.stats["pieces"] == [OWN, OWN, OWN]
     result = count_cq_via_fractional(inst, integralize(hinge))
     assert result.count == expected
-    assert result.stats["pieces"] == [OWN_FRACTIONAL] * 3
+    assert result.stats["pieces"] == [OWN] * 3
 
     # free x0, x2, x4: the rewritten query is a triangle, which falls back
     # to the rewritten hingetree
@@ -556,6 +555,19 @@ def test_pieces_acyclic_components_get_own_join_trees():
     result = count_cq_via_ghd(inst, hinge)
     assert result.count == count_brute(inst).count
     assert result.stats["pieces"] == [OWN] * 3 + [{"kind": "ghd", "width": 3, "source": "restricted"}]
+
+
+def test_fractional_pipeline_along_integralized_reports_the_ghd_stats():
+    """Every kind is materialized and rewritten the same way, so the weights
+    of 1 on each guard edge change nothing but the kind of the restricted
+    piece: here the rewritten triangle, counted along the rewritten
+    hingetree."""
+    inst = cycle_instance(6, ("x0", "x2", "x4"))
+    hinge = hinge_decompose(from_query(inst.query).hypergraph)
+    ghd = count_cq_via_ghd(inst, hinge).stats
+    frac = count_cq_via_fractional(inst, integralize(hinge)).stats
+    assert ghd["pieces"][-1] == {"kind": "ghd", "width": 3, "source": "restricted"}
+    assert frac == dict(ghd, pieces=[OWN] * 3 + [{"kind": "fractional", "width": 3, "source": "restricted"}])
 
 
 def test_pieces_cyclic_component_restricts_the_decomposition():

@@ -213,7 +213,7 @@ def test_cli_count_json_stable(workdir, capsys):
     doc = json.loads(first)
     assert doc["count"] == "2"
     assert doc["method"] == "fractional"
-    assert doc["stats"]["pieces"] == [{"kind": "fractional", "source": "own-jointree", "width": "1"}] * 2
+    assert doc["stats"]["pieces"] == [{"kind": "jointree", "source": "own-jointree", "width": "1"}] * 2
     assert run_cli(args) == 0
     assert capsys.readouterr().out == first
 
@@ -571,6 +571,29 @@ def test_cli_count_fractional_decomp_file(workdir, capsys):
         "count", "-q", str(tri_query), "-d", str(tri_facts), "--method", "brute",
     ]) == 0
     assert capsys.readouterr().out.strip() == engine_count
+
+
+def test_cli_negative_weights_are_violations(workdir, capsys):
+    """A negative weight could lower a node's width below that of any cover;
+    ``verify`` names each one, by node and edge in node order, and
+    ``count --method fractional`` refuses the decomposition in one line."""
+    query = workdir / "neg.cq"
+    query.write_text("ans(x, y, z, q) :- R(x, y), S(y, z), T(z, x), W(q).\n")
+    facts = workdir / "neg.facts"
+    facts.write_text("R(a, b). S(b, c). T(c, a). W(a).\n")
+    path = workdir / "neg.decomp.json"
+    path.write_text(json.dumps({"kind": "fractional", "nodes": [
+        {"id": 0, "parent": None, "lambda": [], "chi": ["x", "y", "z"],
+         "weights": {"0": 1, "1": 1, "2": 1, "3": -5}},
+        {"id": 1, "parent": 0, "lambda": [], "chi": ["q"], "weights": {"3": 1, "0": -3}},
+    ]}))
+    violations = "(NEGATIVE_WEIGHT node=0 edge=3)", "(NEGATIVE_WEIGHT node=1 edge=0)"
+    assert run_cli(["verify", "-q", str(query), "--decomp", str(path)]) == 1
+    assert capsys.readouterr() == ("".join(f"{v}\n" for v in violations), "")
+    assert run_cli([
+        "count", "-q", str(query), "-d", str(facts), "--decomp", str(path), "--method", "fractional",
+    ]) == 1
+    assert capsys.readouterr() == ("", f"error: decomposition fails verification: {', '.join(violations)}\n")
 
 
 def test_cli_starsize_decomp_file(workdir, capsys):

@@ -112,6 +112,7 @@ HINGE_UNION = "HINGE_UNION"
 HINGE_EDGE_MISSING = "HINGE_EDGE_MISSING"
 NEGATIVE_WEIGHT = "NEGATIVE_WEIGHT"
 WEIGHT_DEFICIT = "WEIGHT_DEFICIT"
+STRAY_WEIGHTS = "STRAY_WEIGHTS"
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,9 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     come in a fixed order: connectedness by vertex, uncovered edges in
     declared order, then the conditions of the kind, node by node or pair
     by pair in node order; a fractional node reports each negative weight,
-    by edge, before each bag vertex its weights do not cover. An empty edge
-    is always covered.
+    by edge, before each bag vertex its weights do not cover, and a node of
+    any other kind that carries a weights map reports it. An empty edge is
+    always covered.
     """
     holders: dict[VertexId, list[DecompNode]] = {}
     for n in d.nodes:
@@ -234,6 +236,8 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
                 total = sum((w for eid, w in weights.items() if v in h.edge_set(eid)), Fraction(0))
                 if total < 1:
                     violations.append(Violation(WEIGHT_DEFICIT, node=n.node_id, vertex=v))
+    else:
+        violations += [Violation(STRAY_WEIGHTS, node=n.node_id) for n in d.nodes if n.weights is not None]
 
     if violations:
         return WidthReport(d.kind, None, tuple(violations))

@@ -16,17 +16,17 @@ Formats:
 Queries go through one token cursor, which reads ``(kind, text, offset)``
 tuples with ``_TOKEN`` one at a time, as the parser asks for them. Before
 it reports an error it looks ahead for a character no token starts with,
-and reports the first such character instead. Facts are read by one
-``findall`` of ``_FACT`` with a last alternative that takes the rest of the
-text. It returns each plain
-statement (a name and name or number constants, with whitespace between
-tokens and comments before it) as a ``(pred, consts)`` tuple, and then the
-text from the first offset where no plain statement starts. From there a
-token cursor reads each statement that is not plain, so quoted constants,
-comments inside a statement and every error get the same diagnostics as
-when the cursor read the whole text. After each such statement the plain
-statements that follow are matched again, and the cursor resumes where
-they stop.
+and reports the first such character instead. Facts are read a run of plain
+statements at a time (a name and name or number constants, with whitespace
+between tokens and comments before it). One ``_RUN`` match finds where the
+run stops; with its comments and whitespace removed, string splits cut it
+into predicates and constant lists, and the rows are built from them with
+no Python step per statement. From the first offset where no plain
+statement starts, a token cursor reads each statement that is not plain,
+so quoted constants, comments inside a statement and every error get the
+same diagnostics as when the cursor read the whole text. After each such
+statement the run of plain statements that follows is read the same way,
+and the cursor resumes where it stops.
 
 A ParseError names its position as file:line:column. Lines and columns are
 1-based, and a column counts characters, so a tab is one column.
@@ -37,11 +37,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from operator import methodcaller
+from itertools import accumulate, count, islice, repeat
+from operator import add
 from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
@@ -75,7 +75,7 @@ class ParseError(CqstarError):
         self.other = other
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*+"
 
 # One match per token: whitespace and comments are skipped before it. The
 # ``bad`` group takes any character no other token starts with, and ``eof``
@@ -203,18 +203,20 @@ _ESCAPE = {char: "\\" + code for code, char in _UNESCAPE.items()}
 # One plain fact statement: the whitespace and comments before it, then a
 # name, ``(``, name or number constants separated by ``,``, ``)`` and ``.``.
 # Each repetition of the prefix takes one whitespace character or one whole
-# comment, which must run to the end of its line, and no two ``\s*`` stand
-# side by side. Otherwise a failed match backtracks through every split of a
-# run of spaces (exponential for ``\s+`` inside the repetition), and a
-# comment cut short would let the rest of its line be read as a statement.
-_CONST = rf"(?:{_NAME}|\d+)"
-_FACT = re.compile(
-    rf"""(?:\s|\#[^\n]*(?![^\n]))*
-      (?P<pred>{_NAME}) \s*\(\s*
-      (?:(?P<consts>{_CONST}(?:\s*,\s*{_CONST})*)\s*)?
-      \)\s*\.""",
-    re.VERBOSE,
-)
+# comment, which runs to the end of its line, and the prefix is atomic: a name
+# cannot start with either, so giving any of it back never helps. Every other
+# quantifier is possessive, since what follows it can never start what it
+# takes. No match therefore backtracks through the splits of a run of spaces,
+# and a run of statements is found in time linear in its length.
+_CONST = rf"(?:{_NAME}|\d++)"
+_PLAIN = rf"""(?>(?:\s|\#[^\n]*+)*)
+      (?P<pred>{_NAME}) \s*+\(\s*+
+      (?:(?P<consts>{_CONST}(?:\s*+,\s*+{_CONST})*+)\s*+)?+
+      \)\s*+\."""
+_FACT = re.compile(_PLAIN, re.VERBOSE)
+# A run of plain statements, as many as follow each other, without captures.
+_RUN = re.compile(f"(?:{_PLAIN.replace('?P<pred>', '?:').replace('?P<consts>', '?:')})*+", re.VERBOSE)
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
@@ -225,13 +227,6 @@ def _unquote(cur: _Cursor, raw: str, offset: int) -> str:
         return char
 
     return re.sub(r"\\(.)", unescape, raw[1:-1])
-
-
-# Every plain statement, then one last item holding the rest of the text from
-# the first offset where none starts; ``findall`` therefore skips no text.
-# Under DOTALL the rest is a repeated ``.``, which the matcher skips to the
-# end of the text in one step instead of testing each character.
-_STATEMENTS = re.compile(_FACT.pattern + r"| (?P<rest>.+)", re.VERBOSE | re.DOTALL)
 
 
 def _plain_uses(text: str, runs: list, pred: str):
@@ -249,21 +244,23 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     """Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
     every constant appearing anywhere, interned in first-appearance order.
 
-    One ``findall`` reads every plain statement (names and numbers only,
-    whitespace anywhere, and comments only before the predicate) as a
-    ``(pred, consts)`` pair, up to the first offset where none starts. From
-    there a token cursor reads each statement that is not plain: quoted
-    constants, comments inside a statement, and every error. After each of
-    those, the plain statements that follow are matched again from the
-    statement's end, and the cursor resumes where they stop, so one quoted
-    constant costs one statement's tokens. The arity check runs only when the predicate or the row
-    length differs from the previous plain statement's, and an arity error
-    finds its offsets by reading the plain statements again."""
+    Plain statements (names and numbers only, whitespace anywhere, and
+    comments only before the predicate) are read a run at a time: one
+    ``_RUN`` match finds where the run stops, and string methods cut it into
+    predicates and constants, so no Python step runs once per statement.
+    From the first offset where no plain statement starts, a token cursor
+    reads each statement that is not plain: quoted constants, comments
+    inside a statement, and every error. After each of those, the run of
+    plain statements that follows is read the same way, and the cursor
+    resumes where it stops, so one quoted constant costs one statement's
+    tokens. The arity check runs once per distinct predicate and arity of a
+    run, and an arity error finds its offsets by reading the plain
+    statements again."""
     # a miss stores and returns the next id, all in C
     domain: dict[str, int] = defaultdict(count().__next__)
     schemas: dict[str, tuple[int, Optional[int]]] = {}  # arity and offset of first use, None if plain
     rows: dict[str, set] = {}
-    runs = [0]  # where each run of plain statements starts
+    runs = []  # where each run of plain statements starts
 
     def arity_error(pred: str, arity: int, offset: Optional[int] = None) -> ParseError:
         known, first = schemas[pred]
@@ -277,22 +274,35 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
         # after this statement still takes precedence.
         return _Cursor(text, filename, offset).error(message, offset, first)
 
-    def read_plain(statements) -> None:
-        """Add one run of ``(pred, consts, _)`` plain statements, in text order."""
-        last, arity, target = None, -1, None
-        for pred, consts, _ in statements:
-            row = tuple([domain[c.strip()] for c in consts.split(",")]) if consts else ()
-            if pred != last or len(row) != arity:
-                arity = schemas.setdefault(pred, (len(row), None))[0]
-                if arity != len(row):
-                    raise arity_error(pred, len(row))
-                last, target = pred, rows.setdefault(pred, set())
-            target.add(row)
+    def read_run(start: int) -> int:
+        """Add the run of plain statements at ``start``; return where it stops.
 
-    found = _STATEMENTS.findall(text)
-    rest = found.pop()[2] if found and found[-1][2] else ""
-    read_plain(found)
-    cur = _Cursor(text, filename, len(text) - len(rest))
+        In a run, ``#`` only starts a comment and whitespace only separates
+        tokens, so without both the run reads ``P(a,b).Q().``, and with each
+        ``).`` made a ``(``, splitting at ``(`` alternates predicates and
+        constant lists. ``str.split()`` and ``\\s`` agree on whitespace."""
+        stop = _RUN.match(text, start).end()
+        if stop == start:
+            return stop
+        runs.append(start)
+        run = text[start:stop]
+        if "#" in run:
+            run = _COMMENT.sub("", run)
+        parts = "".join(run.split()).replace(").", "(").split("(")
+        preds, lists = parts[0:-1:2], parts[1::2]
+        arities = list(map(add, map(str.count, lists, repeat(",")), map(bool, lists)))
+        for pred, arity in dict.fromkeys(zip(preds, arities)):
+            if schemas.setdefault(pred, (arity, None))[0] != arity:
+                raise arity_error(pred, arity)
+            rows.setdefault(pred, set())
+        consts = ",".join(filter(None, lists))
+        ids = tuple(map(domain.__getitem__, consts.split(","))) if consts else ()
+        bounds = list(accumulate(arities, initial=0))
+        rows_iter = map(ids.__getitem__, map(slice, bounds, islice(bounds, 1, None)))
+        deque(map(set.add, map(rows.__getitem__, preds), rows_iter), 0)
+        return stop
+
+    cur = _Cursor(text, filename, read_run(0))
 
     def constant() -> int:
         kind, value, offset = cur.next()
@@ -310,13 +320,8 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
         if schemas.setdefault(pred, (len(values), offset))[0] != len(values):
             raise arity_error(pred, len(values), offset)
         rows.setdefault(pred, set()).add(tuple(values))
-        if _FACT.match(text, end):
-            # Match objects, not ``findall``: the rest of the text is skipped,
-            # never copied, so a resume costs only the statements it reads.
-            found = list(iter(_STATEMENTS.scanner(text, end).match, None))
-            stop = found.pop().start() if found[-1].lastgroup == "rest" else len(text)
-            runs.append(end)
-            read_plain(map(methodcaller("groups", ""), found))
+        stop = read_run(end)
+        if stop != end:
             cur.seek(stop)
     relations = {
         name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))

@@ -1,12 +1,16 @@
 """Seeded differential of ``parse_facts`` against ``oracles.parse_facts_reference``.
 
-Each input is a ``.facts`` text from one of five families (c9-style
+Each input is a ``.facts`` text from one of six families (c9-style
 binary facts, quoted constants with escapes, comments between tokens,
-mixed arities with numbers, and long runs of plain statements), mutated
-by insertions, deletions and substitutions drawn from ``ALPHABET``. Both
-parsers read it, and their outcomes must be equal: the same domain,
-schemas and rows, or the same error type and message (which carries file,
-line and column).
+mixed arities with numbers, long runs of plain statements, and long runs
+whose predicate and arity change on every statement, with unusual
+whitespace and comments), mutated by insertions, deletions and
+substitutions drawn from ``ALPHABET``. Both parsers read it, and their
+outcomes must be equal: the same domain, schemas and rows, or the same
+error type and message (which carries file, line and column). The first
+mismatch of a run is shrunk: ``shrink`` drops lines, then single
+characters, one at a time while the texts still parse differently, and
+the runner prints the text it is left with.
 
 Run the full version with ``PYTHONPATH=src python tests/parser_differential.py
 --instances 20000 [--seed S]``. It prints the seed and text of every
@@ -110,7 +114,38 @@ def _family_long(rng: SplitMix64) -> str:
     return "".join(statements)
 
 
-FAMILIES = [_family_c9, _family_quoted, _family_commented, _family_arity, _family_long]
+# whitespace that str.split() and the regex \s both take, beyond ASCII's
+_SPACES = [" ", "\n", "\t", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+_MIXED_ARITY = {"A": 0, "b1": 1, "C_": 2, "d": 3}
+
+
+def _family_mixed(rng: SplitMix64) -> str:
+    """30–120 plain statements whose predicate, and so arity (0 to 3),
+    differs from the previous statement's, with unusual whitespace between
+    and inside them and comment lines between them; sometimes one statement
+    in the first half holds a quoted constant, and sometimes one after it
+    clashes with its predicate's arity."""
+
+    def sp() -> str:
+        return "".join(rng.choice(_SPACES) for _ in range(rng.below(3)))
+
+    statements, pred = [], None
+    for _ in range(30 + rng.below(91)):
+        pred = rng.choice([p for p in _MIXED_ARITY if p != pred])
+        consts = [sp() + _constant(rng, False) + sp() for _ in range(_MIXED_ARITY[pred])]
+        statements.append(f"{pred}{sp()}({','.join(consts)}){sp()}.{sp()}")
+        if rng.chance(1, 4):
+            statements.append(rng.choice(["# (a, b).\n", "#\n", "\x85# x\n"]))
+    n = len(statements)
+    if rng.chance(1, 2):
+        statements[rng.below(n // 2)] = '_q("x y", a).'
+    if rng.chance(1, 3):
+        pred = rng.choice(list(_MIXED_ARITY))
+        statements[n // 2 + rng.below(n - n // 2)] = _fact(rng, pred, 3 - _MIXED_ARITY[pred], False, False)
+    return "".join(statements)
+
+
+FAMILIES = [_family_c9, _family_quoted, _family_commented, _family_arity, _family_long, _family_mixed]
 
 
 def mutate(rng: SplitMix64, text: str) -> str:
@@ -139,13 +174,42 @@ def _structure(parse, text: str):
     return s.domain, {name: (rel.schema, rel.rows) for name, rel in s.relations.items()}
 
 
+def compare(text: str, tally: differential_runner.Tally):
+    """Compare what both parsers read from ``text``; return ``parse_facts``'s outcome."""
+    got = _structure(parse_facts, text)
+    tally.compare("parse_facts", got, _structure(parse_facts_reference, text))
+    return got
+
+
 def check(seed: int, tally: differential_runner.Tally) -> None:
     text = make_text(seed)
     tally.describe = lambda: f"text={text!r}"
-    got = _structure(parse_facts, text)
-    tally.compare("parse_facts", got, _structure(parse_facts_reference, text))
+    got = compare(text, tally)
     tally.seen["rejected" if isinstance(got, str) else "parsed"] += 1
 
 
+def shrink(seed: int, key: str) -> str:
+    """The text of ``seed`` with lines, then single characters, dropped one
+    at a time while the comparison ``key`` still mismatches."""
+
+    def mismatches(pieces: list) -> bool:
+        tally = differential_runner.Tally(seed)
+        compare("".join(pieces), tally)
+        return key in tally.keys
+
+    def drop(pieces: list) -> str:
+        """``pieces`` joined, less each piece whose removal keeps the mismatch."""
+        i = 0
+        while i < len(pieces):
+            if mismatches(pieces[:i] + pieces[i + 1:]):
+                del pieces[i]
+            else:
+                i += 1
+        return "".join(pieces)
+
+    lines = drop(make_text(seed).splitlines(keepends=True))
+    return f"text={drop(list(lines))!r}"
+
+
 if __name__ == "__main__":
-    sys.exit(differential_runner.main(check, __doc__, 20000, DEFAULT_SEED))
+    sys.exit(differential_runner.main(check, __doc__, 20000, DEFAULT_SEED, shrink=shrink))

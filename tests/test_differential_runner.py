@@ -6,6 +6,7 @@ from itertools import count
 
 import pytest
 from cqstar.engine import Relation, project
+from cqstar.parser import parse_facts
 
 import differential
 import differential_runner
@@ -88,3 +89,23 @@ def test_runner_prints_the_shrunk_case_after_the_first_mismatch(monkeypatch, cap
     assert lines[1] == f"shrunk: R={r.schema} {[max(r.rows)]} S={s.schema} []"
     assert sum(line.startswith("shrunk: ") for line in lines) == 1
     assert lines[-1].endswith(" mismatches") and not lines[-1].endswith(" 0 mismatches")
+
+
+def _fails_on_file_separator(text, filename):
+    """``parse_facts`` with a planted fault: any ``\\x1c`` in the text, which
+    is whitespace to the reference, makes it raise."""
+    if "\x1c" in text:
+        raise RuntimeError("planted")
+    return parse_facts(text, filename)
+
+
+def test_parser_shrink_keeps_only_the_character_that_mismatches(monkeypatch, capsys):
+    seed = next(s for s in count(parser_differential.DEFAULT_SEED) if "\x1c" in parser_differential.make_text(s))
+    monkeypatch.setattr(parser_differential, "parse_facts", _fails_on_file_separator)
+    argv = ["--instances", "1", "--seed", str(seed)]
+    assert differential_runner.main(parser_differential.check, "Planted.", 1, 0, argv, parser_differential.shrink) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"mismatch: seed={seed} parse_facts gave RuntimeError: planted, expected ")
+    # every line, then every character but the last file separator, is dropped
+    assert lines[1] == "shrunk: text='\\x1c'"
+    assert len(lines) == 3

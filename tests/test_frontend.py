@@ -596,6 +596,30 @@ def test_cli_negative_weights_are_violations(workdir, capsys):
     assert capsys.readouterr() == ("", f"error: decomposition fails verification: {', '.join(violations)}\n")
 
 
+
+def test_cli_weights_outside_a_fractional_decomposition_are_violations(workdir, capsys):
+    """Only a fractional node is read by its weights. A weights map on a node
+    of any other kind would still name atoms for the bag join, so ``verify``
+    names the node, and ``count`` refuses the decomposition in one line."""
+    query = workdir / "stray.cq"
+    query.write_text("ans(x, y, z, q) :- R(x, y), S(y, z), T(z, x), W(q).\n")
+    facts = workdir / "stray.facts"
+    facts.write_text("R(a, b). S(b, c). T(c, a). W(a).\n")
+    path = workdir / "stray.decomp.json"
+    path.write_text(json.dumps({"kind": "ghd", "nodes": [
+        {"id": 0, "parent": None, "lambda": [0, 1], "chi": ["x", "y", "z"], "weights": {"3": -5}},
+        {"id": 1, "parent": 0, "lambda": [3], "chi": ["q"]},
+    ]}))
+    assert run_cli(["verify", "-q", str(query), "--decomp", str(path)]) == 1
+    assert capsys.readouterr() == ("(STRAY_WEIGHTS node=0)\n", "")
+    assert run_cli(["count", "-q", str(query), "-d", str(facts), "--decomp", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: decomposition fails verification: (STRAY_WEIGHTS node=0)\n")
+    doc = json.loads(path.read_text())
+    del doc["nodes"][0]["weights"]
+    path.write_text(json.dumps(doc))
+    assert run_cli(["verify", "-q", str(query), "--decomp", str(path)]) == 0
+    assert capsys.readouterr().out == "valid ghd decomposition, width 2\n"
+
 def test_cli_starsize_decomp_file(workdir, capsys):
     decomp_path = workdir / "ex1.hinge.json"
     assert run_cli([

@@ -1,6 +1,8 @@
 """The inputs on which a statement scanner is easiest to get wrong; the
 slice of ``parser_differential.py`` is in ``test_differential_runner.py``."""
 
+import re
+
 import pytest
 
 from cqstar import parser
@@ -25,6 +27,9 @@ from oracles import parse_facts_reference
         # a first use and a clash in the plain statements after a cursor statement
         ('Q("x").\nP(a).\nP(a, b).', "f:3:1: predicate 'P' used with arity 2, earlier 1 (earlier at f:2:1)"),
         ('Q("x").\nP(a).\nP(a, b).\n@', "f:4:1: unexpected character '@'"),
+        # a clash inside the second plain run, with the first use in the first
+        ('P(a).\nQ(b, c).\nS("x").\nQ(d, e).\nP(f).\n  P(g, h).\nQ(i, j).\n',
+         "f:6:3: predicate 'P' used with arity 2, earlier 1 (earlier at f:1:1)"),
         # rows of arity 0 and 1 hold the same number of commas
         ("P().\nP(a).", "f:2:1: predicate 'P' used with arity 1, earlier 0 (earlier at f:1:1)"),
         # a clash far from the first use, after many changes of predicate
@@ -37,7 +42,7 @@ from oracles import parse_facts_reference
     ],
     ids=[
         "comment-then-paren", "fact-comment-then-paren", "bad-char-after-arity", "bad-char-lines-later",
-        "arity", "arity-plain-then-cursor", "arity-after-resume", "bad-char-after-resume",
+        "arity", "arity-plain-then-cursor", "arity-after-resume", "bad-char-after-resume", "arity-in-second-run",
         "arity-0-then-1", "arity-far",
         "spaces-before-paren", "comments-before-paren", "spaces-inside",
     ],
@@ -84,3 +89,41 @@ def test_plain_statements_after_a_quoted_one_skip_the_cursor(monkeypatch):
     monkeypatch.setattr(parser._Cursor, "items", counted)
     assert parse_facts(text) == want
     assert read == [1]
+
+
+def _agrees(text: str):
+    """``parse_facts(text)``, which must equal the reference's structure."""
+    s = parse_facts(text, "f")
+    assert s == parse_facts_reference(text, "f")
+    return s
+
+
+def test_whitespace_of_str_split_is_the_regex_whitespace():
+    """The run reader finds a run with the regex ``\\s`` and then removes its
+    whitespace with ``str.split()``; both must take the same characters."""
+    every = "".join(map(chr, range(0x110000)))
+    assert "".join(every.split()) == re.sub(r"\s", "", every)
+
+
+@pytest.mark.parametrize("space", ["\x1c", "\x85", "\u2028", "\u3000", "\xa0"])
+def test_runs_read_unicode_whitespace(space):
+    text = space.join(["P(a,b).", f"Q({space}c{space},{space}1{space}){space}.", "R().", "P(b,a)."]) + space
+    s = _agrees(text)
+    assert {name: len(rel.rows) for name, rel in s.relations.items()} == {"P": 2, "Q": 1, "R": 1}
+    assert s.domain == ("a", "b", "c", "1")
+
+
+def test_runs_read_a_comment_line_between_every_statement():
+    text = "".join(f"# fact {i} (x, y).\nE(v{i % 7}, w{i % 5}).\n" for i in range(200)) + "# end"
+    s = _agrees(text)
+    assert len(s.relations["E"].rows) == 35
+
+
+def test_runs_read_predicates_and_arities_that_change_every_statement():
+    preds = ["Z", "O", "T", "H"]  # arities 0, 1, 2 and 3
+    text = "".join(
+        f"{preds[i % 4]}({', '.join(f'c{(i + j) % 11}' for j in range(i % 4))}).\n" for i in range(400)
+    )
+    s = _agrees(text)
+    assert {name: len(rel.schema) for name, rel in s.relations.items()} == {"Z": 0, "O": 1, "T": 2, "H": 3}
+    assert s.relations["Z"].rows == {()}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -147,87 +148,109 @@ class WidthReport:
         return not self.violations
 
 
-def _connectedness_violations(holders: dict[VertexId, list[DecompNode]]) -> list[Violation]:
-    """A vertex's nodes are connected iff exactly one of them has its parent
-    outside the set."""
-    out = []
-    for v in sorted(holders):
-        ids = {n.node_id for n in holders[v]}
-        if sum(n.parent not in ids for n in holders[v]) > 1:
-            out.append(Violation(CONNECTEDNESS, vertex=v))
-    return out
-
-
 def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     """Check exactly the conditions of d.kind against h; report all findings.
 
     Raises IdMismatch for ids that do not refer to h at all. A width is
     reported only when the violation list is empty.
 
-    One index maps each vertex to the nodes whose bag holds it, in node
-    order. It gives the connectedness check. It limits the coverage check
-    of an edge to the bags holding the edge's rarest vertex, and the hinge
-    intersection check to pairs of nodes that share a vertex, so neither
-    check compares every edge or node with every node. A TREE
-    decomposition is checked against the primal graph's edges. Violations
-    come in a fixed order: connectedness by vertex, uncovered edges in
-    declared order, then the conditions of the kind, node by node or pair
-    by pair in node order; a fractional node reports each negative weight,
-    by edge, before each bag vertex its weights do not cover, and a node of
-    any other kind that carries a weights map reports it. An empty edge is
-    always covered.
-    """
-    holders: dict[VertexId, list[DecompNode]] = {}
-    for n in d.nodes:
-        for eid in n.guard:
-            if not h.has_edge_id(eid):
-                raise IdMismatch(f"node {n.node_id}: unknown edge id {eid!r}")
-        for v in n.bag:
-            if not h.has_vertex(v):
-                raise IdMismatch(f"node {n.node_id}: unknown vertex {v!r}")
-            holders.setdefault(v, []).append(n)
-        for eid in n.weights or ():
-            if not h.has_edge_id(eid):
-                raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
+    The checks run as a few passes over whole sets and counts, with a
+    Python step per node or per edge but not per (node, vertex) incidence:
 
-    violations = _connectedness_violations(holders)
-    target = h.primal_graph() if d.kind is DecompKind.TREE else h
-    for eid, fs in target.dedup_edges():
-        if fs and not any(fs <= n.bag for n in min((holders.get(v, ()) for v in fs), key=len)):
-            violations.append(Violation(EDGE_UNCOVERED, edge=eid))
+    - Ids: one subset test of all bag vertices, and one of all guard and
+      weight edge ids, against h. Only when one fails is the first unknown
+      id looked for, node by node, to name it.
+    - Connectedness: a vertex's nodes form one subtree iff the count of
+      nodes holding it, less the count of (node, parent) links whose two
+      bags both hold it, is 1. Summed over all vertices this is one
+      comparison; only when it fails are the two counts made per vertex.
+    - Cover: an edge equal to some bag is covered by one set lookup. Only
+      the other edges are looked for among the bags that hold their rarest
+      vertex, through an index from each vertex to its nodes that is built
+      only then. A TREE decomposition is checked against the primal graph's
+      edges: a covered edge covers its pairs, so only the pairs of the
+      edges not covered are checked, and the primal graph is not built.
+    - Guards: a one-edge guard's union is that edge's own set. One pass of
+      subset tests finds whether any bag has a gap; only then are the gaps
+      listed node by node.
+    - Hinge: two nodes each guarded by one edge equal to its bag meet
+      inside both edges, so of the node pairs that share a vertex, only
+      those with a node guarded otherwise are checked.
+
+    Violations come in a fixed order: connectedness by vertex, uncovered
+    edges in declared order, then the conditions of the kind, node by node
+    or pair by pair in node order; a fractional node reports each negative
+    weight, by edge, before each bag vertex its weights do not cover, and a
+    node of any other kind that carries a weights map reports it. An empty
+    edge is always covered.
+    """
+    nodes = d.nodes
+    bags = [n.bag for n in nodes]
+    union = frozenset().union(*bags)
+    guards = [n.guard for n in nodes]
+    guard_ids = frozenset().union(*guards)
+    weighted = [n.weights for n in nodes if n.weights is not None]
+    if not (h.has_vertices(union) and h.has_edge_ids(guard_ids.union(*weighted))):
+        _raise_unknown_id(h, d)
+
+    violations = []
+    bag_of = {n.node_id: n.bag for n in nodes}
+    links = [n.bag & bag_of[n.parent] for n in nodes if n.parent is not None]
+    if sum(map(len, bags)) - sum(map(len, links)) != len(union):
+        held = Counter(itertools.chain.from_iterable(bags))
+        linked = Counter(itertools.chain.from_iterable(links))
+        violations += [Violation(CONNECTEDNESS, vertex=v) for v in sorted(held) if held[v] - linked[v] > 1]
+
+    holders: dict[VertexId, list[int]] = {}  # vertex -> positions of its nodes, built on first use
+
+    def index() -> dict[VertexId, list[int]]:
+        if not holders:
+            for i, bag in enumerate(bags):
+                for v in bag:
+                    holders.setdefault(v, []).append(i)
+        return holders
+
+    def covered(fs: frozenset) -> bool:
+        held = index()
+        return any(fs <= bags[i] for i in min((held.get(v, ()) for v in fs), key=len))
+
+    bagset = set(bags)
+    missed = [(eid, fs) for eid, fs in h.dedup_edges() if fs and fs not in bagset and not covered(fs)]
+    if d.kind is DecompKind.TREE:
+        pairs: dict[frozenset, str] = {}
+        for _, fs in missed:
+            for u, v in itertools.combinations(h.sort_vertices(fs), 2):
+                pairs.setdefault(frozenset((u, v)), f"{u}~{v}")
+        missed = [(eid, pair) for pair, eid in pairs.items() if not covered(pair)]
+    violations += [Violation(EDGE_UNCOVERED, edge=eid) for eid, _ in missed]
 
     if d.kind in (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE):
-        for n in d.nodes:
-            if n.bag:
-                for v in sorted(n.bag.difference(*map(h.edge_set, n.guard))):
+        spans = [h.edge_set(*g) if len(g) == 1 else frozenset().union(*map(h.edge_set, g)) for g in guards]
+        if not all(map(frozenset.issubset, bags, spans)):
+            for n, span in zip(nodes, spans):
+                for v in sorted(n.bag - span):
                     violations.append(Violation(GUARD_GAP, node=n.node_id, vertex=v))
 
     if d.kind is DecompKind.HINGE:
-        for n in d.nodes:
-            if frozenset().union(*map(h.edge_set, n.guard)) != n.bag:
-                violations.append(Violation(HINGE_UNION, node=n.node_id))
-        position = {n.node_id: i for i, n in enumerate(d.nodes)}
-        meeting = {
-            (position[a.node_id], position[b.node_id])
-            for nodes in holders.values()
-            for a, b in itertools.combinations(nodes, 2)
-        }
-        for i, j in sorted(meeting):
-            a, b = d.nodes[i], d.nodes[j]
-            shared = a.bag & b.bag
-            if not any(
-                shared <= (h.edge_set(e1) & h.edge_set(e2))
-                for e1 in a.guard
-                for e2 in b.guard
-            ):
-                violations.append(Violation(HINGE_INTERSECTION, node=a.node_id, node2=b.node_id))
-        guarded_sets = {h.edge_set(e) for n in d.nodes for e in n.guard}
-        for eid, fs in h.dedup_edges():
-            if fs not in guarded_sets:
-                violations.append(Violation(HINGE_EDGE_MISSING, edge=eid))
+        violations += [Violation(HINGE_UNION, node=n.node_id) for n, span in zip(nodes, spans) if span != n.bag]
+        wide = [i for i, n in enumerate(nodes) if len(n.guard) != 1 or spans[i] != n.bag]
+        if wide:
+            held = index()
+            meeting = {(min(i, j), max(i, j)) for i in wide for v in bags[i] for j in held[v] if j != i}
+            for i, j in sorted(meeting):
+                a, b = nodes[i], nodes[j]
+                shared = a.bag & b.bag
+                if not any(
+                    shared <= (h.edge_set(e1) & h.edge_set(e2))
+                    for e1 in a.guard
+                    for e2 in b.guard
+                ):
+                    violations.append(Violation(HINGE_INTERSECTION, node=a.node_id, node2=b.node_id))
+        guarded_sets = set(map(h.edge_set, guard_ids))
+        violations += [Violation(HINGE_EDGE_MISSING, edge=eid) for eid, fs in h.dedup_edges() if fs not in guarded_sets]
 
     if d.kind is DecompKind.FRACTIONAL:
-        for n in d.nodes:
+        for n in nodes:
             weights = n.weights or {}
             for eid in sorted(weights, key=edge_sort_key):
                 if weights[eid] < 0:
@@ -237,7 +260,7 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
                 if total < 1:
                     violations.append(Violation(WEIGHT_DEFICIT, node=n.node_id, vertex=v))
     else:
-        violations += [Violation(STRAY_WEIGHTS, node=n.node_id) for n in d.nodes if n.weights is not None]
+        violations += [Violation(STRAY_WEIGHTS, node=n.node_id) for n in nodes if n.weights is not None]
 
     if violations:
         return WidthReport(d.kind, None, tuple(violations))
@@ -245,6 +268,21 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     if d.kind is DecompKind.TREE:
         width = max(width, 0)
     return WidthReport(d.kind, width, ())
+
+
+def _raise_unknown_id(h: Hypergraph, d: Decomposition) -> None:
+    """Raise IdMismatch for the first id in d that h lacks: node by node, its
+    guard edges, then its bag vertices, then its weighted edges."""
+    for n in d.nodes:
+        for eid in n.guard:
+            if not h.has_edge_id(eid):
+                raise IdMismatch(f"node {n.node_id}: unknown edge id {eid!r}")
+        for v in n.bag:
+            if not h.has_vertex(v):
+                raise IdMismatch(f"node {n.node_id}: unknown vertex {v!r}")
+        for eid in n.weights or ():
+            if not h.has_edge_id(eid):
+                raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
 
 
 def ensure_kind(d: Decomposition, kinds: tuple[DecompKind, ...]) -> None:

@@ -8,7 +8,7 @@ derived from them are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Optional, Union
 
 from .errors import UnknownVertex, VariableWithoutAtom
 
@@ -62,8 +62,9 @@ class Hypergraph:
     """Finite hypergraph with ordered vertices and identified edges.
 
     Edges may repeat as sets under distinct ids; ``dedup_edges`` is the
-    deduplicated set family used by independence and cover computations.
-    Instances are immutable by convention: no method mutates state.
+    deduplicated set family used by independence and cover computations,
+    built on its first call and kept. Instances are immutable by
+    convention: no method mutates state.
     """
 
     __slots__ = ("vertices", "edges", "_vindex", "_edge_map", "_dedup", "_incidence")
@@ -99,10 +100,7 @@ class Hypergraph:
         self.edges = edges
         self._vindex = {v: i for i, v in enumerate(vertices)}
         self._edge_map = dict(edges)
-        dedup: dict[frozenset[VertexId], EdgeId] = {}
-        for eid, fs in edges:
-            dedup.setdefault(fs, eid)
-        self._dedup = dedup
+        self._dedup = None  # dedup_edges(), once built
         self._incidence = incidence
 
     def __eq__(self, other):
@@ -127,6 +125,10 @@ class Hypergraph:
     def has_vertex(self, v: VertexId) -> bool:
         return v in self._vindex
 
+    def has_vertices(self, vs: AbstractSet[VertexId]) -> bool:
+        """Whether every member of the set ``vs`` is a vertex, by one subset test."""
+        return self._vindex.keys() >= vs
+
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(eid for eid, _ in self.edges)
 
@@ -136,9 +138,18 @@ class Hypergraph:
     def has_edge_id(self, eid: EdgeId) -> bool:
         return eid in self._edge_map
 
+    def has_edge_ids(self, eids: AbstractSet[EdgeId]) -> bool:
+        """Whether every member of the set ``eids`` is an edge id, by one subset test."""
+        return self._edge_map.keys() >= eids
+
     def dedup_edges(self) -> tuple[tuple[EdgeId, frozenset[VertexId]], ...]:
         """The deduplicated set family, one (first id, set) per distinct set."""
-        return tuple((eid, fs) for fs, eid in self._dedup.items())
+        if self._dedup is None:
+            first: dict[frozenset[VertexId], EdgeId] = {}
+            for eid, fs in self.edges:
+                first.setdefault(fs, eid)
+            self._dedup = tuple((eid, fs) for fs, eid in first.items())
+        return self._dedup
 
     def incident_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
         try:

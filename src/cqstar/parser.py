@@ -46,7 +46,7 @@ from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
 from .engine import Relation, Structure
-from .errors import CqstarError
+from .errors import CqstarError, DecompositionInvalid
 from .generators import SimpleGraph
 from .hypergraph import Atom, Query, edge_sort_key
 
@@ -430,7 +430,10 @@ def decomposition_from_json(text: str, filename: str = "<decomp>") -> Decomposit
     nodes = [_node_from_json(entry, span) for entry in entries]
     if not nodes:
         raise ParseError("decomposition has no nodes", span)
-    return Decomposition(kind, tuple(nodes))
+    try:
+        return Decomposition(kind, tuple(nodes))
+    except DecompositionInvalid as exc:  # the tree's shape: ids, root, parents, cycles
+        raise ParseError(str(exc), span) from None
 
 
 _JSON_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")

@@ -9,20 +9,37 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from cqstar.decomposition import (
+    CONNECTEDNESS,
+    EDGE_UNCOVERED,
+    GUARD_GAP,
+    HINGE_EDGE_MISSING,
+    HINGE_INTERSECTION,
+    HINGE_UNION,
+    NEGATIVE_WEIGHT,
+    STRAY_WEIGHTS,
+    WEIGHT_DEFICIT,
     DecompKind,
     DecompNode,
     Decomposition,
     NotAcyclic,
+    Violation,
+    WidthReport,
     _primal_adjacency,
-    ensure_valid,
-    verify,
 )
 from cqstar.engine import Relation, Structure
-from cqstar.errors import CqstarError, UnknownVariable, UnknownVertex, WidthNotOne
-from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId
+from cqstar.errors import (
+    CqstarError,
+    DecompositionInvalid,
+    IdMismatch,
+    UnknownVariable,
+    UnknownVertex,
+    WidthNotOne,
+)
+from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId, edge_sort_key
 from cqstar.parser import _Cursor, _unquote
 
 
@@ -491,6 +508,109 @@ def induced_reference(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -
     return Decomposition(d.kind, tuple(nodes))
 
 
+# The verifier that ``decomposition.verify`` was before it ran as bulk set
+# and count passes, kept word for word: one Python step per (node, vertex)
+# incidence, and every node pair that shares a vertex compared.
+def _connectedness_violations(holders: dict[VertexId, list[DecompNode]]) -> list[Violation]:
+    """A vertex's nodes are connected iff exactly one of them has its parent
+    outside the set."""
+    out = []
+    for v in sorted(holders):
+        ids = {n.node_id for n in holders[v]}
+        if sum(n.parent not in ids for n in holders[v]) > 1:
+            out.append(Violation(CONNECTEDNESS, vertex=v))
+    return out
+
+
+def verify_reference(h: Hypergraph, d: Decomposition) -> WidthReport:
+    """Check exactly the conditions of d.kind against h; report all findings.
+
+    Raises IdMismatch for ids that do not refer to h at all. A width is
+    reported only when the violation list is empty.
+
+    One index maps each vertex to the nodes whose bag holds it, in node
+    order. It gives the connectedness check. It limits the coverage check
+    of an edge to the bags holding the edge's rarest vertex, and the hinge
+    intersection check to pairs of nodes that share a vertex, so neither
+    check compares every edge or node with every node. A TREE
+    decomposition is checked against the primal graph's edges. Violations
+    come in a fixed order: connectedness by vertex, uncovered edges in
+    declared order, then the conditions of the kind, node by node or pair
+    by pair in node order; a fractional node reports each negative weight,
+    by edge, before each bag vertex its weights do not cover, and a node of
+    any other kind that carries a weights map reports it. An empty edge is
+    always covered.
+    """
+    holders: dict[VertexId, list[DecompNode]] = {}
+    for n in d.nodes:
+        for eid in n.guard:
+            if not h.has_edge_id(eid):
+                raise IdMismatch(f"node {n.node_id}: unknown edge id {eid!r}")
+        for v in n.bag:
+            if not h.has_vertex(v):
+                raise IdMismatch(f"node {n.node_id}: unknown vertex {v!r}")
+            holders.setdefault(v, []).append(n)
+        for eid in n.weights or ():
+            if not h.has_edge_id(eid):
+                raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
+
+    violations = _connectedness_violations(holders)
+    target = h.primal_graph() if d.kind is DecompKind.TREE else h
+    for eid, fs in target.dedup_edges():
+        if fs and not any(fs <= n.bag for n in min((holders.get(v, ()) for v in fs), key=len)):
+            violations.append(Violation(EDGE_UNCOVERED, edge=eid))
+
+    if d.kind in (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE):
+        for n in d.nodes:
+            if n.bag:
+                for v in sorted(n.bag.difference(*map(h.edge_set, n.guard))):
+                    violations.append(Violation(GUARD_GAP, node=n.node_id, vertex=v))
+
+    if d.kind is DecompKind.HINGE:
+        for n in d.nodes:
+            if frozenset().union(*map(h.edge_set, n.guard)) != n.bag:
+                violations.append(Violation(HINGE_UNION, node=n.node_id))
+        position = {n.node_id: i for i, n in enumerate(d.nodes)}
+        meeting = {
+            (position[a.node_id], position[b.node_id])
+            for nodes in holders.values()
+            for a, b in itertools.combinations(nodes, 2)
+        }
+        for i, j in sorted(meeting):
+            a, b = d.nodes[i], d.nodes[j]
+            shared = a.bag & b.bag
+            if not any(
+                shared <= (h.edge_set(e1) & h.edge_set(e2))
+                for e1 in a.guard
+                for e2 in b.guard
+            ):
+                violations.append(Violation(HINGE_INTERSECTION, node=a.node_id, node2=b.node_id))
+        guarded_sets = {h.edge_set(e) for n in d.nodes for e in n.guard}
+        for eid, fs in h.dedup_edges():
+            if fs not in guarded_sets:
+                violations.append(Violation(HINGE_EDGE_MISSING, edge=eid))
+
+    if d.kind is DecompKind.FRACTIONAL:
+        for n in d.nodes:
+            weights = n.weights or {}
+            for eid in sorted(weights, key=edge_sort_key):
+                if weights[eid] < 0:
+                    violations.append(Violation(NEGATIVE_WEIGHT, node=n.node_id, edge=eid))
+            for v in sorted(n.bag):
+                total = sum((w for eid, w in weights.items() if v in h.edge_set(eid)), Fraction(0))
+                if total < 1:
+                    violations.append(Violation(WEIGHT_DEFICIT, node=n.node_id, vertex=v))
+    else:
+        violations += [Violation(STRAY_WEIGHTS, node=n.node_id) for n in d.nodes if n.weights is not None]
+
+    if violations:
+        return WidthReport(d.kind, None, tuple(violations))
+    width = d.raw_width()
+    if d.kind is DecompKind.TREE:
+        width = max(width, 0)
+    return WidthReport(d.kind, width, ())
+
+
 def require_width_one(h: Hypergraph, jt: Decomposition) -> None:
     """Raise WidthNotOne unless jt is a valid width-1 join tree or GHD of h.
     The checked form that ``decomposition.require_width_one`` had; the
@@ -498,7 +618,7 @@ def require_width_one(h: Hypergraph, jt: Decomposition) -> None:
     ``starsize.acyclic_is_and_cover``."""
     if jt.kind not in (DecompKind.JOINTREE, DecompKind.GHD):
         raise WidthNotOne(f"expected a join tree, got kind {jt.kind.value}")
-    report = verify(h, jt)
+    report = verify_reference(h, jt)
     if not report.ok:
         raise WidthNotOne(f"join tree fails verification: {report.violations}")
     if report.width > 1:
@@ -506,16 +626,19 @@ def require_width_one(h: Hypergraph, jt: Decomposition) -> None:
 
 
 def tree_fault(h: Hypergraph, d: Decomposition) -> Optional[str]:
-    """None if ``d`` is a valid decomposition of ``h``, by ``require_width_one``
-    for a join tree and ``ensure_valid`` otherwise; else what is wrong. The
-    check of the trees the library derives from a verified decomposition
-    and trusts: a component's own join tree, a restriction, and the join
-    tree over a decomposition's bags."""
+    """None if ``d`` is a valid decomposition of ``h`` by ``verify_reference``,
+    and of width 1 when it is a join tree; else what is wrong. The check of
+    the trees the library derives from a verified decomposition and trusts:
+    a component's own join tree, a restriction, and the join tree over a
+    decomposition's bags."""
     try:
         if d.kind is DecompKind.JOINTREE:
             require_width_one(h, d)
         else:
-            ensure_valid(h, d, (d.kind,))
+            report = verify_reference(h, d)
+            if not report.ok:
+                violations = ", ".join(map(str, report.violations))
+                raise DecompositionInvalid(f"decomposition fails verification: {violations}")
     except CqstarError as exc:
         return f"{type(exc).__name__}: {exc}"
     return None

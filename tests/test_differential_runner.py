@@ -1,10 +1,24 @@
-"""Fast seeded slices of the five differentials, and the runner they share.
+"""Fast seeded slices of the six differentials, and the runner they share.
 The full runs are ``PYTHONPATH=src python tests/<name>_differential.py``
 with the sizes in each script's docstring."""
 
+import ast
 from itertools import count
 
 import pytest
+from cqstar.decomposition import (
+    CONNECTEDNESS,
+    EDGE_UNCOVERED,
+    GUARD_GAP,
+    HINGE_EDGE_MISSING,
+    HINGE_INTERSECTION,
+    HINGE_UNION,
+    NEGATIVE_WEIGHT,
+    STRAY_WEIGHTS,
+    WEIGHT_DEFICIT,
+    WidthReport,
+    verify,
+)
 from cqstar.engine import Relation, project
 from cqstar.parser import parse_facts
 
@@ -14,6 +28,7 @@ import hypergraph_differential
 import kernel_differential
 import parser_differential
 import starsize_differential
+import verify_differential
 
 KERNEL_SHAPES = ["empty-relation", "zero-width", "repeated-schema"]
 KERNEL_SHAPES += [f"shared-{mode}" for mode in ("none", "one", "all", "some")]
@@ -21,6 +36,10 @@ KERNEL_SHAPES += [
     f"project-{tag}" for tag in ("empty", "identity", "renamed", "same-name", "repeated", "permuted", "unknown")
 ]
 KERNEL_SHAPES += [f"onto-{tag}" for tag in ("empty", "random", "all", "repeated")] + ["adds-nothing"]
+VERIFY_SHAPES = [
+    CONNECTEDNESS, EDGE_UNCOVERED, GUARD_GAP, HINGE_INTERSECTION, HINGE_UNION, HINGE_EDGE_MISSING,
+    NEGATIVE_WEIGHT, WEIGHT_DEFICIT, STRAY_WEIGHTS, "IdMismatch", "valid",
+]
 
 # script, instances, least checks and least derived trees per instance, least count of each shape
 SLICES = {
@@ -34,6 +53,8 @@ SLICES = {
     "kernel": (kernel_differential, 1200, 25, 0, dict.fromkeys(KERNEL_SHAPES, 50)),
     # up to the first pinned digest
     "hypergraph": (hypergraph_differential, min(hypergraph_differential.PINNED), 14, 0, {}),
+    # every violation tag, unknown ids and valid trees
+    "verify": (verify_differential, 150, 40, 0, dict.fromkeys(VERIFY_SHAPES, 100)),
 }
 
 
@@ -109,3 +130,24 @@ def test_parser_shrink_keeps_only_the_character_that_mismatches(monkeypatch, cap
     # every line, then every character but the last file separator, is dropped
     assert lines[1] == "shrunk: text='\\x1c'"
     assert len(lines) == 3
+
+
+def _misses_connectedness(h, d):
+    """``verify`` with a planted fault: it reports no CONNECTEDNESS violation."""
+    report = verify(h, d)
+    kept = tuple(v for v in report.violations if v.tag != CONNECTEDNESS)
+    return WidthReport(report.kind, report.width if kept else d.raw_width(), kept)
+
+
+def test_verify_shrink_keeps_one_vertex_held_apart(monkeypatch, capsys):
+    monkeypatch.setattr(verify_differential, "verify", _misses_connectedness)
+    argv = ["--instances", "20", "--seed", str(verify_differential.DEFAULT_SEED)]
+    assert differential_runner.main(verify_differential.check, "Planted.", 1, 0, argv, verify_differential.shrink) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mismatch: seed=")
+    assert lines[1].startswith("shrunk: kind=")
+    # a path of three nodes whose two ends hold the same vertex, and nothing else
+    nodes = ast.literal_eval(lines[1].split(" nodes=", 1)[1])
+    bags = [bag for _, _, _, bag, _ in nodes]
+    assert len(nodes) == 3
+    assert sorted(map(len, bags)) == [0, 1, 1] and len({tuple(b) for b in bags if b}) == 1

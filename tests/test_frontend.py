@@ -374,6 +374,29 @@ def test_cli_decomposition_json_takes_only_json_integers(workdir, capsys):
         decomposition_from_json(json.dumps({"kind": "jointree", "nodes": [node]}))
 
 
+# nodes whose parent links do not make one tree -> the message naming it
+BAD_TREE_SHAPES = [
+    ([(0, None), (0, None)], "duplicate node id"),
+    ([(0, None), (1, None)], "expected exactly one root, found 2"),
+    ([(0, 1), (1, 0)], "expected exactly one root, found 0"),
+    ([(0, None), (1, 7)], "node 1 has dangling parent 7"),
+    ([(0, None), (1, 2), (2, 1)], "cycle in parent pointers"),
+]
+
+
+def test_cli_decomposition_tree_shape_errors_name_the_file(workdir, capsys):
+    """A decomposition whose nodes are no tree is an error of the file it
+    was read from, for ``verify`` and ``count --decomp`` alike."""
+    path = workdir / "shape.decomp.json"
+    q = str(workdir / "q.cq")
+    for links, message in BAD_TREE_SHAPES:
+        nodes = [{"id": i, "parent": p, "lambda": [0], "chi": ["x"]} for i, p in links]
+        path.write_text(json.dumps({"kind": "jointree", "nodes": nodes}))
+        for argv in (["verify", "-q", q], ["count", "-q", q, "-d", str(workdir / "d.facts")]):
+            assert run_cli([*argv, "--decomp", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}:1:1: {message}\n"
+
+
 TOO_LONG = "1" * 4400  # past Python's 4,300-digit int-string limit
 
 

@@ -181,3 +181,18 @@ def test_primal_graph_ex1_p4(ex1):
     members = h.edge_set(3)
     inside = [fs for _, fs in primal.edges if fs <= members]
     assert len(inside) == 15  # C(6,2)
+
+
+def test_dedup_edges_is_built_once_and_keeps_first_ids():
+    h = Hypergraph("abc", [("r", "ab"), (0, "ba"), ("s", ""), ("t", "c"), (1, "")])
+    assert h.dedup_edges() == (("r", frozenset("ab")), ("s", frozenset()), ("t", frozenset("c")))
+    assert h.dedup_edges() is h.dedup_edges()
+    sub = h.induced("ab")
+    assert sub.dedup_edges() == (("r", frozenset("ab")),)
+
+
+def test_id_subset_tests():
+    h = Hypergraph("abc", [("r", "ab"), (0, "bc")])
+    assert h.has_vertices(frozenset("ca")) and h.has_vertices(frozenset())
+    assert not h.has_vertices(frozenset("az"))
+    assert h.has_edge_ids(frozenset({0, "r"})) and not h.has_edge_ids(frozenset({"0"}))

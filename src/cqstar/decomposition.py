@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation
-from .hypergraph import EdgeId, Hypergraph, VertexId, edge_sort_key
+from .hypergraph import EdgeId, Hypergraph, VertexId, edge_sort_key, pair_id
 
 
 class DecompKind(str, Enum):
@@ -220,7 +220,7 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
         pairs: dict[frozenset, str] = {}
         for _, fs in missed:
             for u, v in itertools.combinations(h.sort_vertices(fs), 2):
-                pairs.setdefault(frozenset((u, v)), f"{u}~{v}")
+                pairs.setdefault(frozenset((u, v)), pair_id(u, v))
         missed = [(eid, pair) for pair, eid in pairs.items() if not covered(pair)]
     violations += [Violation(EDGE_UNCOVERED, edge=eid) for eid, _ in missed]
 

@@ -21,11 +21,15 @@ Chiu, JACM 1981), through the filter ``semijoin`` uses.
 The counting pipelines reduce a quantified instance to a quantifier-free
 one: each quantified component is replaced by the relation of its
 satisfiable free-boundary assignments, which Yannakakis's join-and-project
-computes over the component's bags. ``count_acyclic_qf`` then counts the
-rewritten instance: it materializes one relation per bag and counts along
-the decomposition's own tree. Each piece, a component or the rewritten
-instance, gets its own join tree when it is acyclic; the query's
-decomposition is restricted or rewritten only for the cyclic ones. Every
+computes over the bags of the component's core piece, the atoms that meet
+its quantified core. The closure's boundary-only edges are left out: the
+final count joins each of them anyway, as a kept atom when it is all-free
+and else inside the one other component whose core it meets.
+``count_acyclic_qf`` then counts the rewritten instance: it materializes
+one relation per bag and counts along the decomposition's own tree. Each
+piece, a component's core piece or the rewritten instance, gets its own
+join tree when it is acyclic; the query's decomposition is restricted or
+rewritten only for the cyclic ones. Every
 decomposition kind is materialized and rewritten the same way: a node
 joins its guard atoms, the atoms its weights name and the atoms assigned
 to it, so a fractional node's bag is built from its weighted edges.
@@ -452,7 +456,7 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKi
         Query("ans", inst.query.free_vars, final_atoms),
         Structure(inst.structure.domain, dict(zip(names, final_rels))),
     )
-    df = _piece_decomposition(
+    df, _ = _piece_decomposition(
         stats, from_query(final.query).hypergraph, lambda: _rebuild_decomposition(h, d, comps, kept)
     )
     result = count_acyclic_qf(final, df)
@@ -461,40 +465,57 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKi
     return CountResult(result.count, "fractional" if d.kind is DecompKind.FRACTIONAL else "ghd", stats)
 
 
-def _piece_decomposition(stats: dict, piece, derive) -> Decomposition:
+def _piece_decomposition(stats: dict, piece, derive) -> tuple[Decomposition, bool]:
     """The piece's own GYO join tree, or ``derive()`` from the query's
-    decomposition when the piece hypergraph is cyclic; its kind, width and
-    source are appended to ``stats["pieces"]``."""
+    decomposition when the piece hypergraph is cyclic, and whether it is the
+    piece's own; its kind, width and source are appended to
+    ``stats["pieces"]``."""
     d = dec.gyo_join_tree(piece)
+    own = not isinstance(d, NotAcyclic)
     source = "own-jointree"
-    if isinstance(d, NotAcyclic):
+    if not own:
         source, d = "restricted", derive()
     stats["pieces"].append({"kind": d.kind.value, "width": d.raw_width(), "source": source})
-    return d
+    return d, own
 
 
 def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
-    """Steps (2)-(4) for one S-component: restrict the atoms to the
-    component, decompose it, materialize one relation per bag, and project
-    their join onto the free boundary. An acyclic component gets its own
-    join tree; a cyclic one gets the subtree of the verified ``d`` that
-    meets its closure, so its ``bag_sizes`` list only that subtree. Both
-    trees, and the join tree over either's bags, are valid by construction
-    and name the original edge ids, which key the restricted relations."""
-    scope = comp.closure
-    sub_rels: dict[int, Relation] = {}
-    for o in comp.induced.edge_ids():
-        rel = atom_rels[o]
-        sub_rels[o] = project(rel, [v for v in rel.schema if v in scope], f"p{o}")
+    """Steps (2)-(4) for one S-component: decompose it, materialize one
+    relation per bag, and project their join onto the free boundary.
 
-    di = _piece_decomposition(stats, comp.induced, lambda: induced_decomposition(h, d, scope))
+    The component is counted from its core piece: the atoms that meet its
+    core, whose union is the closure, each whole. The closure's other,
+    boundary-only edges (atoms over free variables only, and other
+    components' atoms cut down to this closure) are left out, which is
+    sound because the final count still joins each of them: an all-free
+    atom is a kept atom of the rewritten query, and any other meets exactly
+    one other core, so it lies inside that component's relation.
+
+    An acyclic core piece gets its own join tree. A cyclic one gets the
+    subtree of the verified ``d`` that meets the closure, so its
+    ``bag_sizes`` list only that subtree; that subtree's guards may name a
+    boundary-only edge, so it joins every edge of the closure, each cut
+    down to it. Both trees, and the join tree over either's bags, are valid
+    by construction and name the original edge ids, which key the
+    relations."""
+    scope = comp.closure
+    piece = h.touching(comp.core)
+    di, own = _piece_decomposition(stats, piece, lambda: induced_decomposition(h, d, scope))
+    if own:
+        sub_rels = {o: atom_rels[o] for o in piece.edge_ids()}
+    else:
+        sub_rels = {}
+        for o in comp.induced.edge_ids():
+            rel = atom_rels[o]
+            sub_rels[o] = project(rel, [v for v in rel.schema if v in scope], f"p{o}")
+
     bags = _bag_materialize(sub_rels, di)
     sizes = [len(bags[n.node_id]) for n in di.topo_order()]
     stats["bag_sizes"].append(sizes)
     stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
 
     # the edge-cover size is the paper's bound on the boundary relation
-    hp = blocks_hypergraph(comp.induced, di)
+    hp = blocks_hypergraph(piece, di)
     _, cover = starsize._acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
     stats["cover_sizes"].append(len(cover))
 

@@ -23,6 +23,13 @@ def edge_sort_key(eid: EdgeId):
     return (1, 0, str(eid))
 
 
+def pair_id(u: VertexId, v: VertexId) -> str:
+    """The id of the primal-graph edge {u, v}, u first: ``u~v``, with each
+    backslash and tilde inside a name escaped by a backslash, so distinct
+    pairs get distinct ids. Names without either keep ``f"{u}~{v}"``."""
+    return "~".join(str(w).replace("\\", "\\\\").replace("~", "\\~") for w in (u, v))
+
+
 @dataclass(frozen=True)
 class Atom:
     predicate: str
@@ -161,14 +168,17 @@ class Hypergraph:
     def sort_vertices(self, vs: Iterable[VertexId]) -> tuple[VertexId, ...]:
         return tuple(sorted(vs, key=self.vertex_index))
 
+    def _meeting(self, vs: Iterable[VertexId]) -> set[int]:
+        """The ordinals of the edges that hold a vertex of ``vs``."""
+        try:
+            return {o for v in vs for o in self._incidence[v]}
+        except KeyError as exc:
+            raise UnknownVertex(exc.args[0]) from None
+
     def closure(self, vs: Iterable[VertexId]) -> frozenset[VertexId]:
         """The union of the edges that hold a vertex of ``vs``. Only those
         edges are visited, each once."""
-        try:
-            ordinals = {o for v in vs for o in self._incidence[v]}
-        except KeyError as exc:
-            raise UnknownVertex(exc.args[0]) from None
-        return frozenset().union(*(self.edges[o][1] for o in ordinals))
+        return frozenset().union(*(self.edges[o][1] for o in self._meeting(vs)))
 
     def conflict_adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
         """v -> vertices sharing at least one edge with v (v excluded)."""
@@ -190,13 +200,31 @@ class Hypergraph:
         """
         keep = set(vs)
         vertices = self.sort_vertices(keep)  # raises UnknownVertex first
-        ordinals = sorted({o for v in keep for o in self._incidence[v]})
+        ordinals = sorted(self._meeting(keep))
         renumber = {o: i for i, o in enumerate(ordinals)}.__getitem__
         sub = object.__new__(Hypergraph)
         sub._index(
             vertices,
             tuple((self.edges[o][0], self.edges[o][1] & keep) for o in ordinals),
             {v: tuple(map(renumber, self._incidence[v])) for v in vertices},
+        )
+        return sub
+
+    def touching(self, vs: Iterable[VertexId]) -> "Hypergraph":
+        """The partial hypergraph of the edges that hold a vertex of ``vs``,
+        each whole, under its own id, in declared order, on their union
+        ``closure(vs)``. Only those edges are visited. Its edges are this
+        one's, so they are not checked again, and its incidence is this
+        one's, renumbered, less the edges it drops.
+        """
+        ordinals = sorted(self._meeting(vs))
+        renumber = {o: i for i, o in enumerate(ordinals)}
+        vertices = self.sort_vertices(frozenset().union(*(self.edges[o][1] for o in ordinals)))
+        sub = object.__new__(Hypergraph)
+        sub._index(
+            vertices,
+            tuple(self.edges[o] for o in ordinals),
+            {v: tuple(renumber[o] for o in self._incidence[v] if o in renumber) for v in vertices},
         )
         return sub
 
@@ -226,7 +254,8 @@ class Hypergraph:
         return out
 
     def primal_graph(self) -> "Hypergraph":
-        """Clique expansion: one 2-vertex edge per co-occurring pair."""
+        """Clique expansion: one 2-vertex edge per co-occurring pair, under
+        its ``pair_id``."""
         pairs: dict[frozenset[VertexId], None] = {}
         for _, fs in self.dedup_edges():
             members = self.sort_vertices(fs)
@@ -236,7 +265,7 @@ class Hypergraph:
         edges = []
         for pair in pairs:
             u, v = self.sort_vertices(pair)
-            edges.append((f"{u}~{v}", pair))
+            edges.append((pair_id(u, v), pair))
         return Hypergraph(self.vertices, edges)
 
 

@@ -5,9 +5,9 @@ and by both pipelines (``count_cq_via_ghd``, and ``count_cq_via_fractional``
 on the integralized decomposition) along each of its decompositions: the
 default choice (a join tree if the query is acyclic, else a hingetree),
 ``hinge_decompose``, the narrowest GHD of width at most 3 that
-``ghd_search`` finds, and, for the ``cycle-ghd`` and ``wide-guards``
-families, a GHD built by hand. The ``half-weights`` family adds a
-fractional decomposition built by hand, which only
+``ghd_search`` finds, and, for the ``cycle-ghd``, ``wide-guards`` and
+``cycle-free-atom`` families, a GHD built by hand. The ``half-weights``
+family adds a fractional decomposition built by hand, which only
 ``count_cq_via_fractional`` counts, along itself. Each count is one check
 against ``count_brute``. Along each of these decompositions, and along
 the integralization of each guard-based one, the relation that
@@ -21,21 +21,31 @@ along the integralized decomposition must report the same ``stats`` as
 ``restricted`` piece, which is ``fractional`` there.
 
 The pipelines trust the trees they derive from a verified decomposition:
-each S-component's own join tree or the decomposition's restriction to the
-component's closure, and the join tree over that tree's bags. The
-differential verifies every one of them, along every decomposition it
-counts along, with ``oracles.tree_fault``; a faulty tree is a mismatch
-too.
+each S-component's counted piece is either its core piece (the atoms that
+meet its core) along the core piece's own join tree, or, when the core
+piece is cyclic, its whole closure along the decomposition's restriction
+to the closure; then the join tree over that tree's bags. The differential
+verifies every one of them, along every decomposition it counts along,
+with ``oracles.tree_fault``; a faulty tree is a mismatch too. Along each
+decomposition it also checks the paper's bound (``bound/<label>``): each
+component's boundary relation holds at most the product, over the edge
+cover of the counted piece's bags, of each bag relation projected onto
+its free vertices.
 
 The families make sure every per-piece path runs: cycles with two spaced
 free variables rewrite to an acyclic query, three spaced free variables
 rewrite to a triangle (the rewritten decomposition is the fallback), and
-adjacent free variables leave the whole cycle as one cyclic component (the
-restricted decomposition is the fallback). Boolean queries and zero-arity
-atoms are families of their own. In ``wide-guards`` a node joins guards
-that reach outside its bag, and a variable outside the bag links two of its
-parts that are not adjacent in the join order, so a bag join that drops
-that variable too early, or keeps it to the end, gives a wrong relation.
+adjacent free variables leave the atom between them out of the one
+component, whose core piece is then a path with its own join tree. In
+``cycle-free-atom`` one free variable x0 leaves the whole cycle as the
+core piece, which is cyclic (the restricted decomposition is the
+fallback), and an atom U(x0) puts an all-free edge into the closure, which
+the fallback joins and which its hand-built GHD names as a guard.
+Boolean queries and zero-arity atoms are families of their own. In
+``wide-guards`` a node joins guards that reach outside its bag, and a
+variable outside the bag links two of its parts that are not adjacent in
+the join order, so a bag join that drops that variable too early, or
+keeps it to the end, gives a wrong relation.
 
 Run the full version with ``PYTHONPATH=src python tests/differential.py
 --instances 1500 [--seed S]``. It prints the seed, family and query of
@@ -75,10 +85,11 @@ from cqstar.engine import (
 from cqstar.generators import SplitMix64, gen_random_instance
 from cqstar.hypergraph import Atom, Query, from_query, s_components
 from cqstar.parser import query_to_text
+from cqstar.starsize import acyclic_is_and_cover
 
 import differential_runner
 from differential_runner import outcome
-from oracles import bag_relations_reference, count_by_full_join, project_reference
+from oracles import bag_relations_reference, count_by_full_join, project_reference, touching_reference
 
 DEFAULT_SEED = 20131
 
@@ -206,6 +217,22 @@ def _family_wide_guards(rng, seed):
     return cycle_instance(rng, n, free), (("wide-guards", Decomposition(DecompKind.GHD, nodes)),)
 
 
+def _family_cycle_free_atom(rng, seed):
+    """An n-cycle with x0 free and an atom U(x0) more, as edge n, so the
+    one component's core piece is the whole cycle, which is cyclic, and its
+    closure holds the all-free U. The extra GHD is ``cycle_ghd`` with U in
+    the root's guard, so the restriction the component falls back to names
+    a boundary-only edge."""
+    n = 3 + rng.below(4)
+    inst = cycle_instance(rng, n, (0,))
+    domain = len(inst.structure.domain)
+    relations = dict(inst.structure.relations, U=Relation("U", ("c0",), _random_rows(rng, 1, domain, domain)))
+    query = Query("ans", inst.query.free_vars, inst.query.atoms + (Atom("U", ("x0",)),))
+    nodes = tuple(replace(node, guard=node.guard | {n}) if node.parent is None else node for node in cycle_ghd(n).nodes)
+    extra = (("free-atom-guard", Decomposition(DecompKind.GHD, nodes)),)
+    return QueryInstance(query, Structure(inst.structure.domain, relations)), extra
+
+
 def _family_half_weights(rng, seed):
     n = 5 + rng.below(3)
     free = [i for i in range(n) if rng.chance(1, 3)]
@@ -222,6 +249,7 @@ FAMILIES = {
     "cycle-ghd": _family_cycle_ghd,
     "wide-guards": _family_wide_guards,
     "half-weights": _family_half_weights,
+    "cycle-free-atom": _family_cycle_free_atom,
 }
 
 
@@ -242,20 +270,62 @@ def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
     return [("auto", auto), ("hinge", hinge), *([("ghd", ghd)] if ghd else []), *case.extra]
 
 
-def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
-    """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
-    and trusts: per S-component, its own join tree or ``d`` restricted to
-    its closure, and the join tree over that tree's bags."""
+def counted_pieces(inst: QueryInstance, d: Decomposition) -> list:
+    """(component, source, hypergraph, tree) for the piece the pipeline
+    counts for each S-component, and the tree it counts it along: the core
+    piece (the atoms that meet the core, built here by
+    ``oracles.touching_reference``) along its own join tree, or, when the
+    core piece is cyclic, the whole closure along ``d`` restricted to it."""
     sh = from_query(inst.query)
     out = []
-    for idx, comp in enumerate(s_components(sh)):
-        own = gyo_join_tree(comp.induced)
+    for comp in s_components(sh):
+        piece = touching_reference(sh.hypergraph, comp.core)
+        own = gyo_join_tree(piece)
         if isinstance(own, NotAcyclic):
-            name, di = "restricted", induced_decomposition(sh.hypergraph, d, comp.closure)
+            out.append((comp, "restricted", comp.induced, induced_decomposition(sh.hypergraph, d, comp.closure)))
         else:
-            name, di = "own-jointree", own
-        out.append((f"component {idx} {name}", comp.induced, di))
-        out.append((f"component {idx} bags", blocks_hypergraph(comp.induced, di), jointree_over_bags(di)))
+            out.append((comp, "own-jointree", piece, own))
+    return out
+
+
+def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
+    """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
+    and trusts: per S-component, the tree its counted piece is counted
+    along, and the join tree over that tree's bags."""
+    out = []
+    for idx, (_, source, piece, di) in enumerate(counted_pieces(inst, d)):
+        out.append((f"component {idx} {source}", piece, di))
+        out.append((f"component {idx} bags", blocks_hypergraph(piece, di), jointree_over_bags(di)))
+    return out
+
+
+def bound_excesses(inst: QueryInstance, d: Decomposition) -> list:
+    """(component, rows, bound) for each S-component whose boundary relation
+    holds more rows than the paper's bound on it: the product, over the
+    edge cover of the counted piece's bags, of each bag relation projected
+    onto its free vertices. The piece's relations are its atoms cut down to
+    the closure; the boundary relation is their join projected onto the
+    free vertices, whose rows ``count_brute`` counts, and the bag relations
+    are ``oracles.bag_relations_reference`` along the piece's tree."""
+    atom_rels = _bind(inst)
+    out = []
+    for idx, (comp, _, piece, di) in enumerate(counted_pieces(inst, d)):
+        rels = {e: project_reference(atom_rels[e], sorted(piece.edge_set(e))) for e in piece.edge_ids()}
+        names = {e: f"r{e}" for e in rels}
+        piece_query = Query(
+            "ans",
+            piece.sort_vertices(comp.s_vertices),
+            tuple(Atom(names[e], rel.schema) for e, rel in rels.items()),
+        )
+        structure = Structure(inst.structure.domain, {names[e]: rel for e, rel in rels.items()})
+        rows = count_brute(QueryInstance(piece_query, structure)).count
+        bags = bag_relations_reference(rels, di)
+        _, cover = acyclic_is_and_cover(blocks_hypergraph(piece, di), jointree_over_bags(di), comp.s_vertices)
+        bound = 1
+        for node in cover:
+            bound *= len(project_reference(bags[node], sorted(comp.s_vertices.intersection(bags[node].schema))))
+        if rows > bound:
+            out.append((idx, rows, bound))
     return out
 
 
@@ -297,6 +367,7 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
             result = results[pipeline] = outcome(lambda: PIPELINES[pipeline](case.inst, along))
             tally.compare(f"{pipeline}/{label}", getattr(result, "count", result), expected)
             tally.verify_trees(f"{pipeline}/{label}", lambda: derived_trees(case.inst, along))
+        tally.compare(f"bound/{label}", outcome(lambda: bound_excesses(case.inst, d)), [])
         if not fractional:
             want = outcome(lambda: as_fractional(results["ghd"].stats))
             tally.compare(f"stats/{label}", outcome(lambda: results["fractional"].stats), want)

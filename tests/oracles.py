@@ -117,6 +117,19 @@ def closure_reference(h: Hypergraph, vs: Iterable[VertexId]) -> frozenset:
     return frozenset(closure)
 
 
+def touching_reference(h: Hypergraph, vs: Iterable[VertexId]) -> Hypergraph:
+    """Every edge that meets ``vs``, whole, by one scan of all edges in
+    declared order, on the union of those edges. The oracle for
+    ``Hypergraph.touching``."""
+    keep = set(vs)
+    for v in keep:
+        if not h.has_vertex(v):
+            raise UnknownVertex(v)
+    edges = [(eid, fs) for eid, fs in h.edges if fs & keep]
+    union = frozenset().union(*(fs for _, fs in edges))
+    return Hypergraph((v for v in h.vertices if v in union), edges)
+
+
 def s_components_reference(sh: SHypergraph) -> list[SComponent]:
     """S-components by the definition: the components of H with S removed,
     each closed under every edge that meets it, with two scans of all edges

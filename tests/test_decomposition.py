@@ -652,6 +652,15 @@ def test_verify_uncovered_edges_match_all_bags_check():
     assert mutated >= 100 and tree_kind >= 30
 
 
+def test_verify_tree_names_each_uncovered_pair_by_its_primal_id():
+    # two pairs that the unescaped id a~b~c could not tell apart
+    h = Hypergraph(["a~b", "c", "a", "b~c"], [(0, {"a~b", "c"}), (1, {"a", "b~c"})])
+    nodes = tuple(DecompNode(i, i - 1 if i else None, frozenset(), frozenset({v})) for i, v in enumerate(h.vertices))
+    d = Decomposition(DecompKind.TREE, nodes)
+    got = [x.edge for x in verify(h, d).violations if x.tag == EDGE_UNCOVERED]
+    assert got == ["a\\~b~c", "a~b\\~c"] == naive_uncovered(h, d)
+
+
 def test_verify_hinge_intersections_match_all_pairs_check():
     """GHDs and tree decompositions read as hingetrees break condition 4 on
     many pairs at once; the pairs come out in node order."""

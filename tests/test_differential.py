@@ -23,7 +23,10 @@ def test_cycle_families_reach_their_pieces():
     assert set(two) == {"own-jointree"} and len(two) == 3
     three = _sources("cycle-3-free")
     assert three == ["own-jointree"] * 3 + ["restricted"]
-    assert _sources("cycle-adjacent-free") == ["restricted", "own-jointree"]
+    # the boundary-only edge x0 - x1 is left out of the core piece, a path
+    assert _sources("cycle-adjacent-free") == ["own-jointree", "own-jointree"]
+    # the core piece is the whole cycle, and the restriction joins U too
+    assert _sources("cycle-free-atom") == ["restricted", "own-jointree"]
 
 
 def test_cycle_ghd_is_a_width_two_ghd():

@@ -571,14 +571,27 @@ def test_fractional_pipeline_along_integralized_reports_the_ghd_stats():
 
 
 def test_pieces_cyclic_component_restricts_the_decomposition():
-    # free x0, x1: the one component is the whole cycle, so it runs on the
-    # restricted hingetree; the rewritten query is acyclic
-    inst = cycle_instance(5, ("x0", "x1"))
+    # free x0: the one component's core piece is the whole cycle, so it runs
+    # on the restricted hingetree; the rewritten query is acyclic
+    inst = cycle_instance(5, ("x0",))
     hinge = hinge_decompose(from_query(inst.query).hypergraph)
     result = count_cq_via_ghd(inst, hinge)
     assert result.count == count_brute(inst).count
     assert result.stats["pieces"] == [{"kind": "hinge", "width": 5, "source": "restricted"}, OWN]
     assert len(result.stats["cover_sizes"]) == 1
+
+
+def test_pieces_adjacent_free_cycle_leaves_out_the_boundary_only_edge():
+    # free x0, x1: the core piece drops E(x0, x1), so the component is the
+    # path x1 - ... - x0 along its own join tree, and E(x0, x1) is joined
+    # only by the final count; no bag outgrows an atom relation
+    inst = cycle_instance(5, ("x0", "x1"))
+    hinge = hinge_decompose(from_query(inst.query).hypergraph)
+    result = count_cq_via_ghd(inst, hinge)
+    assert result.count == count_brute(inst).count
+    assert result.stats["pieces"] == [OWN, OWN]
+    largest = max(len(rel) for rel in inst.structure.relations.values())
+    assert max(max(sizes) for sizes in result.stats["bag_sizes"]) <= largest
 
 
 def test_count_acyclic_qf_disconnected():

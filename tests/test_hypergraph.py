@@ -1,10 +1,10 @@
 import pytest
 
 from cqstar.errors import UnknownVertex, VariableWithoutAtom
-from cqstar.generators import SplitMix64, gen_g_star, gen_random_acyclic
+from cqstar.generators import SplitMix64, gen_g_star, gen_random_acyclic, gen_random_instance
 from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
 
-from oracles import components_union_find
+from oracles import components_union_find, touching_reference
 
 
 def test_from_query_ex1(ex1):
@@ -119,6 +119,32 @@ def test_closure_is_the_union_of_the_edges_meeting_the_set(path3):
         path3.closure({"a", "z"})
 
 
+def test_touching_keeps_each_edge_meeting_the_set_whole(path3):
+    sub = path3.touching({"b"})
+    assert sub.vertices == ("a", "b", "c")
+    assert sub.edges == (("ab", frozenset("ab")), ("bc", frozenset("bc")))
+    # c's incidence loses the dropped edge cd
+    assert sub.incident_edges("c") == ("bc",)
+    assert path3.touching(set()) == Hypergraph(())
+    with pytest.raises(UnknownVertex):
+        path3.touching({"a", "z"})
+
+
+def test_touching_matches_the_reference_on_random_inputs():
+    rng = SplitMix64(2026)
+    for _ in range(200):
+        inst = gen_random_instance(
+            variables=1 + rng.below(7), atoms=1 + rng.below(6), max_arity=3, domain=2, seed=rng.next_u64()
+        )
+        h = from_query(inst.query).hypergraph
+        keep = [v for v in h.vertices if rng.chance(1, 3)]
+        sub, ref = h.touching(keep), touching_reference(h, keep)
+        assert sub == ref
+        assert sub.closure(keep) == h.closure(keep)
+        for v in ref.vertices:
+            assert sub.incident_edges(v) == ref.incident_edges(v)
+
+
 def test_s_components_ex1(ex1):
     comps = s_components(ex1)
     assert len(comps) == 3
@@ -173,6 +199,19 @@ def test_primal_graph(tri):
         frozenset({"a", "c"}),
     }
     assert {fs for _, fs in tri.primal_graph().edges} == {fs for _, fs in tri.edges}
+
+
+def test_primal_graph_ids_are_injective():
+    # names holding the separator once gave both pairs the id a~b~c
+    h = Hypergraph(["a~b", "c", "a", "b~c"], [(0, {"a~b", "c"}), (1, {"a", "b~c"})])
+    assert dict(h.primal_graph().edges) == {
+        "a\\~b~c": frozenset({"a~b", "c"}),
+        "a~b\\~c": frozenset({"a", "b~c"}),
+    }
+    h = Hypergraph(["a\\", "b", "a", "\\b"], [(0, {"a\\", "b"}), (1, {"a", "\\b"})])
+    assert [eid for eid, _ in h.primal_graph().edges] == ["a\\\\~b", "a~\\\\b"]
+    # names without a backslash or a tilde keep their ids
+    assert [eid for eid, _ in Hypergraph("ab", [(0, "ab")]).primal_graph().edges] == ["a~b"]
 
 
 def test_primal_graph_ex1_p4(ex1):

@@ -4,7 +4,7 @@ quantified star size.
 The package splits into: hypergraph structure (components, S-components),
 decompositions (join tree, GHD, hingetree, tree, fractional) with a
 violation-reporting verifier, independent-set machinery behind star size,
-a relational engine with the decomposition-guided counting pipelines, and
+a relational engine with the decomposition-guided counting pipeline, and
 generators for the reduction constructions used in testing.
 """
 

@@ -17,11 +17,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import decomposition as dec
-from .decomposition import DecompKind, Decomposition, DecompNode, NotAcyclic
+from .decomposition import Decomposition, DecompNode, NotAcyclic
 from .engine import (
     QueryInstance,
     count_brute,
-    count_cq_via_fractional,
+    count_cq_via_fractional,  # unused here, but bench/tracing.py wraps it
     count_cq_via_ghd,
 )
 from .errors import (
@@ -152,14 +152,7 @@ def _cmd_count(args) -> int:
         else:
             h = from_query(query).hypergraph
             d = _auto_decomposition(h, args.auto_decomp, args.k)
-        if args.method == "fractional":
-            # the kinds this command reads, checked before integralizing
-            dec.ensure_kind(d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.FRACTIONAL))
-            if d.kind is not DecompKind.FRACTIONAL:
-                d = dec.integralize(d)
-            result = count_cq_via_fractional(inst, d)
-        else:
-            result = count_cq_via_ghd(inst, d)
+        result = count_cq_via_ghd(inst, d)
     if args.json:
         _emit_json({"command": "count", "count": result.count, "method": result.method,
                     "stats": dict(result.stats)})
@@ -332,16 +325,17 @@ def _add_count(sub) -> None:
     p.add_argument("-d", "--data", required=True)
     p.add_argument(
         "--decomp",
-        help="decomposition JSON of the query, read by --method ghd and fractional, not with "
-        "--auto-decomp; verified against the query, it is used only for cyclic pieces, since "
-        "each acyclic S-component and an acyclic rewritten query get their own join tree",
+        help="decomposition JSON of the query, of any kind, not read with --auto-decomp; verified "
+        "against the query and guarded if it is a tree decomposition, it is used only for cyclic "
+        "pieces: each acyclic S-component and an acyclic rewritten query get their own join tree",
     )
     p.add_argument("--auto-decomp", choices=["jointree", "hinge", "ghd"], help="decomposition to "
                    "build, read by --method ghd and fractional (default: join tree, else hingetree)")
     p.add_argument("-k", type=_positive_int, help="GHD width, read only with --auto-decomp ghd "
                    "(default: the narrowest found)")
     p.add_argument("--method", choices=["ghd", "fractional", "brute"], default="ghd",
-                   help="brute reads none of --decomp, --auto-decomp and -k")
+                   help="fractional is another spelling of ghd, kept for scripts; brute reads none "
+                   "of --decomp, --auto-decomp and -k")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -351,10 +345,12 @@ def _add_starsize(sub) -> None:
     p.add_argument("-q", "--query", required=True)
     p.add_argument(
         "--decomp",
-        help="decomposition JSON for --method ghd, hinge or approx (brute and acyclic read "
-        "none), verified against the query and then restricted to each S-component",
+        help="decomposition JSON for --method ghd, hinge or approx, verified against the query, "
+        "guarded if it is a tree decomposition and restricted to each S-component",
     )
-    p.add_argument("--method", choices=sorted(_STAR_METHODS), default="brute")
+    p.add_argument("--method", choices=sorted(_STAR_METHODS), default="brute",
+                   help="ghd and approx read any kind but fractional, hinge only a hingetree, and "
+                   "brute and acyclic no decomposition")
     p.add_argument("-k", type=_positive_int, help="GHD width, read only by --method ghd or "
                    "approx without --decomp (default: the narrowest found)")
     p.add_argument("--json", action="store_true")

@@ -1,13 +1,14 @@
 """Decompositions of hypergraphs: join trees, GHDs, hingetrees, tree
 decompositions, and fractional hypertree decompositions.
 
-A decomposition is a rooted tree of guarded blocks. ``verify`` checks
-exactly the conditions of the decomposition's kind and reports every
-violation. The hinge, GHD and tree constructors verify their own output.
-A decomposition from outside is verified where it enters, by
-``ensure_valid`` in each public function that takes one. The trees that
-``gyo_join_tree`` builds, and those derived from a verified one
-(``induced_decomposition`` on a connected set, ``integralize``,
+A decomposition is a rooted tree of guarded blocks; a tree decomposition's
+bags are guarded by ``guarded`` before a count or star size reads them.
+``verify`` checks exactly the conditions of the decomposition's kind and
+reports every violation. The hinge, GHD and tree constructors verify their
+own output. A decomposition from outside is verified, kind included, where
+it enters: by ``ensure_valid`` in each public function that takes one. The
+trees that ``gyo_join_tree`` builds, and those derived from a verified one
+(``guarded``, ``induced_decomposition`` on a connected set, ``integralize``,
 ``jointree_over_bags``), are valid by construction and are not verified
 again at run time; the differentials in ``tests/`` verify every one.
 """
@@ -96,7 +97,7 @@ class Decomposition:
     def raw_width(self) -> Union[int, Fraction]:
         """Width by kind convention, without any validity check."""
         if self.kind is DecompKind.TREE:
-            return max((len(n.bag) for n in self.nodes), default=0) - 1 if self.nodes else 0
+            return max(max(len(n.bag) for n in self.nodes) - 1, 0)  # a tree has a node
         if self.kind is DecompKind.FRACTIONAL:
             widths = [sum((n.weights or {}).values(), Fraction(0)) for n in self.nodes]
             return max(widths, default=Fraction(0))
@@ -264,10 +265,7 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
 
     if violations:
         return WidthReport(d.kind, None, tuple(violations))
-    width = d.raw_width()
-    if d.kind is DecompKind.TREE:
-        width = max(width, 0)
-    return WidthReport(d.kind, width, ())
+    return WidthReport(d.kind, d.raw_width(), ())
 
 
 def _raise_unknown_id(h: Hypergraph, d: Decomposition) -> None:
@@ -285,20 +283,24 @@ def _raise_unknown_id(h: Hypergraph, d: Decomposition) -> None:
                 raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
 
 
-def ensure_kind(d: Decomposition, kinds: tuple[DecompKind, ...]) -> None:
-    if d.kind not in kinds:
-        raise DecompositionInvalid(f"expected kind in {[k.value for k in kinds]}, got {d.kind.value}")
-
-
 def ensure_valid(h: Hypergraph, d: Decomposition, kinds: tuple[DecompKind, ...]) -> WidthReport:
-    ensure_kind(d, kinds)
     report = verify(h, d)
     if not report.ok:
         raise DecompositionInvalid(
             f"decomposition fails verification: {', '.join(map(str, report.violations))}",
             report.violations,
         )
+    if d.kind not in kinds:
+        raise DecompositionInvalid(f"expected kind in {[k.value for k in kinds]}, got {d.kind.value}")
     return report
+
+
+def _checked(h: Hypergraph, d: Decomposition, builder: str) -> Decomposition:
+    """``d`` if it verifies against ``h``; else a bug in ``builder``."""
+    report = verify(h, d)
+    if not report.ok:
+        raise InvariantViolation(f"{builder} produced invalid decomposition: {report.violations}")
+    return d
 
 
 # -- GYO join trees --------------------------------------------------------
@@ -432,11 +434,7 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
         DecompNode(n.node_id, n.parent, frozenset().union(*(order[i] for i in n.guard)), n.bag)
         for n in jt.nodes
     )
-    d = Decomposition(DecompKind.HINGE, nodes)
-    report = verify(h, d)
-    if not report.ok:
-        raise InvariantViolation(f"hinge construction failed verification: {report.violations}")
-    return d
+    return _checked(h, Decomposition(DecompKind.HINGE, nodes), "hinge_decompose")
 
 
 # -- generalized hypertree decompositions -----------------------------------
@@ -540,11 +538,7 @@ def ghd_search(
         nodes.append(DecompNode(root_id, None, frozenset(), frozenset()))
         for plan in top_plans:
             _materialize_plan(plan, root_id, nodes, counter)
-    d = Decomposition(DecompKind.GHD, tuple(nodes))
-    report = verify(h, d)
-    if not report.ok:
-        raise InvariantViolation(f"ghd_search produced invalid decomposition: {report.violations}")
-    return d
+    return _checked(h, Decomposition(DecompKind.GHD, tuple(nodes)), "ghd_search")
 
 
 def _materialize_plan(plan: _Plan, parent: Optional[int], nodes: list, counter) -> None:
@@ -645,10 +639,7 @@ def tree_decompose(h: Hypergraph) -> Decomposition:
         return Decomposition(DecompKind.TREE, (DecompNode(0, None, frozenset(), frozenset()),))
     exact = len(h.vertices) <= TREE_EXACT_VERTEX_CUTOFF
     d = _elimination_tree(h, _exact_elimination_order(h) if exact else _min_fill_order(h))
-    report = verify(h, d)
-    if not report.ok:
-        raise InvariantViolation(f"tree_decompose produced invalid decomposition: {report.violations}")
-    return d
+    return _checked(h, d, "tree_decompose")
 
 
 def _elimination_tree(h: Hypergraph, order: list[VertexId]) -> Decomposition:
@@ -699,6 +690,25 @@ def integralize(d: Decomposition) -> Decomposition:
     a fractional one of the same width."""
     nodes = tuple(replace(n, weights={e: Fraction(1) for e in n.guard}) for n in d.nodes)
     return Decomposition(DecompKind.FRACTIONAL, nodes)
+
+
+def guarded(h: Hypergraph, d: Decomposition) -> Decomposition:
+    """``d``, or if it is a tree decomposition, the GHD of the same tree whose
+    bags are cut to the vertices in some edge and guarded greedily, by the
+    first edge of ``h`` that covers most of what is left until none is: valid,
+    as an edge lies in a bag once each of its pairs does, and no wider than a bag."""
+    if d.kind is not DecompKind.TREE:
+        return d
+    nodes = []
+    for n in d.nodes:
+        guard, bag = set(), frozenset(filter(h.incident_edges, n.bag))
+        left = bag
+        while left:
+            eid, fs = max(h.dedup_edges(), key=lambda item: len(item[1] & left))
+            guard.add(eid)
+            left -= fs
+        nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag))
+    return Decomposition(DecompKind.GHD, tuple(nodes))
 
 
 def blocks_hypergraph(h: Hypergraph, d: Decomposition) -> Hypergraph:

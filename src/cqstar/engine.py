@@ -18,7 +18,7 @@ VLDB 1981). A join whose second relation then keeps no column beyond the
 shared ones adds nothing, and runs as the semijoin it is (Bernstein and
 Chiu, JACM 1981), through the filter ``semijoin`` uses.
 
-The counting pipelines reduce a quantified instance to a quantifier-free
+The counting pipeline reduces a quantified instance to a quantifier-free
 one: each quantified component is replaced by the relation of its
 satisfiable free-boundary assignments, which Yannakakis's join-and-project
 computes over the bags of the component's core piece, the atoms that meet
@@ -29,16 +29,16 @@ and else inside the one other component whose core it meets.
 one relation per bag and counts along the decomposition's own tree. Each
 piece, a component's core piece or the rewritten instance, gets its own
 join tree when it is acyclic; the query's decomposition is restricted or
-rewritten only for the cyclic ones. Every
-decomposition kind is materialized and rewritten the same way: a node
-joins its guard atoms, the atoms its weights name and the atoms assigned
-to it, so a fractional node's bag is built from its weighted edges.
+rewritten only for the cyclic ones. ``count_cq_via_ghd`` takes every kind
+and, once a tree decomposition is guarded, materializes and rewrites each
+the same way: a node joins its guard atoms, the atoms its weights name and
+those assigned to it, so a fractional bag is built from its weighted edges.
 
 Input is checked where it enters. ``Relation`` checks the width of every
 row and ``Structure`` the range of every value id; the operators build
 their outputs, valid by construction, without either check. The public
 counting functions verify the decomposition they are given. The join trees
-a pipeline builds for its components, and the restrictions of a verified
+the pipeline builds for its components, and the restrictions of a verified
 decomposition, are not verified again; the differential verifies them. The
 rewritten instance is the exception: the pipeline counts it through the
 public ``count_acyclic_qf``, so its decomposition is verified again and its
@@ -190,7 +190,7 @@ def natural_join(
     only the kept tails, so the wider rows are never built. When r2 keeps
     no column beyond the shared ones, the join is the semijoin of r1's heads
     by r2 (Bernstein and Chiu, JACM 1981): one key set, with no index and
-    no concatenation. The counting pipelines pass ``onto`` on every join,
+    no concatenation. The counting pipeline passes ``onto`` on every join,
     so each join drops every variable that no later step needs."""
     heads, schema = r1.rows, r1.schema
     extra = [v for v in r2.schema if v not in r1.schema]
@@ -371,8 +371,8 @@ def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[st
 
 
 def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
-    """Exact count for a quantifier-free instance along any valid join tree,
-    GHD, hingetree or fractional decomposition of it.
+    """Exact count for a quantifier-free instance along any valid
+    decomposition of it, of any kind; a tree decomposition is guarded first.
 
     The bag relations of a valid decomposition form an acyclic instance over
     the decomposition's own tree. One bottom-up pass stores, per bag tuple,
@@ -382,8 +382,9 @@ def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
     q = inst.query
     if set(q.free_vars) != set(q.variables()):
         raise NotQuantifierFree("count_acyclic_qf requires all variables free")
-    kinds = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.FRACTIONAL)
-    ensure_valid(from_query(q).hypergraph, d, kinds)
+    h = from_query(q).hypergraph
+    ensure_valid(h, d, tuple(DecompKind))
+    d = dec.guarded(h, d)
     rels = _bag_materialize(_bind(inst), d)
     max_intermediate = max((len(r) for r in rels.values()), default=0)
     children = d.children_map()
@@ -417,23 +418,17 @@ def _absorb_child(table: dict, schema: tuple, child: dict, child_schema: tuple) 
 
 
 def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
-    return _count_pipeline(inst, d, (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE))
-
-
-def count_cq_via_fractional(inst: QueryInstance, d: Decomposition) -> CountResult:
-    return _count_pipeline(inst, d, (DecompKind.FRACTIONAL,))
-
-
-def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKind, ...]) -> CountResult:
     """Count along per-piece decompositions. The pieces are the S-components
     and the rewritten query, whose edges are the kept atoms plus one boundary
     edge per component. An acyclic piece is counted along its own join tree;
     only a cyclic piece uses ``d``, restricted to a component or rewritten
-    for the final count. ``d`` is verified against the whole query either
-    way. ``stats["pieces"]`` records each piece's kind, width and source."""
+    for the final count. ``d``, of any kind, is verified against the whole
+    query either way, and guarded if it is a tree decomposition.
+    ``stats["pieces"]`` records each piece's kind, width and source."""
     sh = from_query(inst.query)
     h = sh.hypergraph
-    ensure_valid(h, d, kinds)
+    ensure_valid(h, d, tuple(DecompKind))
+    d = dec.guarded(h, d)
     comps = s_components(sh)
     atom_rels = _bind(inst)
     stats: dict = {
@@ -463,6 +458,9 @@ def _count_pipeline(inst: QueryInstance, d: Decomposition, kinds: tuple[DecompKi
     stats["bag_sizes"].append(result.stats["bag_sizes"])
     stats["max_intermediate"] = max(stats["max_intermediate"], result.stats["max_intermediate"])
     return CountResult(result.count, "fractional" if d.kind is DecompKind.FRACTIONAL else "ghd", stats)
+
+
+count_cq_via_fractional = count_cq_via_ghd  # an alias, kept only because bench/tracing.py wraps it
 
 
 def _piece_decomposition(stats: dict, piece, derive) -> tuple[Decomposition, bool]:

@@ -21,10 +21,11 @@ from .decomposition import (
     NotAcyclic,
     blocks_hypergraph,
     ensure_valid,
+    guarded,
     gyo_join_tree,
     induced_decomposition,
     jointree_over_bags,
-    verify,
+    verify,  # unused here, but bench/tracing.py wraps starsize.verify
 )
 from .errors import (
     DecompositionInvalid,
@@ -37,7 +38,7 @@ from .errors import (
 from .hypergraph import EdgeId, Hypergraph, SHypergraph, VertexId, s_components
 
 BRUTE_CUTOFF = 24
-_GUARDED = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE)
+_KINDS = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.TREE)
 
 
 class ISMethod(str, Enum):
@@ -192,10 +193,11 @@ def max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitnes
 
     For every node and every independent subset of its bag, keep the
     largest independent set of the subtree agreeing with that subset on
-    the bag; children combine through their shared-bag keys.
+    the bag; children combine through their shared-bag keys. A tree
+    decomposition is guarded first.
     """
-    ensure_valid(h, d, _GUARDED)
-    return _max_is_ghd_dp(h, d, restrict_to)
+    ensure_valid(h, d, _KINDS)
+    return _max_is_ghd_dp(h, guarded(h, d), restrict_to)
 
 
 def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
@@ -247,11 +249,6 @@ def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
 # -- hingetree fixed-parameter DP -------------------------------------------
 
 
-def _require_hinge(d: Decomposition) -> None:
-    if d.kind is not DecompKind.HINGE:
-        raise NotHinge(f"expected hinge decomposition, got {d.kind.value}")
-
-
 def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
     """Fixed-parameter maximum independent set along a hingetree decomposition.
 
@@ -259,10 +256,9 @@ def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWit
     incidence signature; per node we keep one best independent set per
     interface vertex plus one avoiding the interface entirely.
     """
-    _require_hinge(d)
-    report = verify(h, d)
-    if not report.ok:
-        raise NotHinge(f"hinge decomposition fails verification: {report.violations}")
+    if d.kind is not DecompKind.HINGE:
+        raise NotHinge(f"expected hinge decomposition, got {d.kind.value}")
+    ensure_valid(h, d, (DecompKind.HINGE,))
     return _max_is_hinge_fpt(h, d, restrict_to)
 
 
@@ -397,9 +393,10 @@ def _max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness
 def approx_is(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
     """Width-factor approximation: exact maximum on the acyclic hypergraph of
     bags, which stays independent in h; guaranteed within 1/width of optimal.
+    A tree decomposition is guarded first.
     """
-    ensure_valid(h, d, _GUARDED)
-    return _approx_is(h, d, restrict_to)
+    ensure_valid(h, d, _KINDS)
+    return _approx_is(h, guarded(h, d), restrict_to)
 
 
 def _approx_is(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
@@ -425,19 +422,18 @@ def s_star_size(
 ) -> tuple[int, list[StarWitness]]:
     """Largest independent set of S-vertices over the S-components.
 
-    Decomposition-backed strategies verify the decomposition against h once,
-    HINGE_FPT its kind too, then run on its subtree meeting each component
-    closure, which is valid by construction, so it is not verified again;
-    nor is the join tree ACYCLIC builds. Returns 0 with no witnesses when
-    S = V, and 0 with empty stars when S is empty.
+    Decomposition-backed strategies verify the decomposition and its kind
+    against h once, guard a tree decomposition, then run on its subtree
+    meeting each component closure, which is valid by construction, so it
+    is not verified again; nor is the join tree ACYCLIC builds. Returns 0
+    with no witnesses when S = V, and 0 with empty stars when S is empty.
     """
     h = sh.hypergraph
     if strategy in _ALONG:
         if decomposition is None:
             raise ValueError(f"strategy {strategy.value} requires a decomposition")
-        ensure_valid(h, decomposition, _GUARDED)
-        if strategy is ISMethod.HINGE_FPT:
-            _require_hinge(decomposition)
+        ensure_valid(h, decomposition, (DecompKind.HINGE,) if strategy is ISMethod.HINGE_FPT else _KINDS)
+        decomposition = guarded(h, decomposition)
     witnesses: list[StarWitness] = []
     best = 0
     for idx, comp in enumerate(s_components(sh)):

@@ -1,26 +1,28 @@
-"""Seeded differential of the counting pipelines against brute force.
+"""Seeded differential of the counting pipeline against brute force.
 
 Every instance is counted by ``count_brute``, by ``oracles.count_by_full_join``
-and by both pipelines (``count_cq_via_ghd``, and ``count_cq_via_fractional``
-on the integralized decomposition) along each of its decompositions: the
-default choice (a join tree if the query is acyclic, else a hingetree),
+and by ``count_cq_via_ghd`` along each of its decompositions, and along
+the integralization of each one that is not fractional: the default choice
+(a join tree if the query is acyclic, else a hingetree),
 ``hinge_decompose``, the narrowest GHD of width at most 3 that
-``ghd_search`` finds, and, for the ``cycle-ghd``, ``wide-guards`` and
-``cycle-free-atom`` families, a GHD built by hand. The ``half-weights``
-family adds a fractional decomposition built by hand, which only
-``count_cq_via_fractional`` counts, along itself. Each count is one check
-against ``count_brute``. Along each of these decompositions, and along
-the integralization of each guard-based one, the relation that
-``engine._bag_materialize`` builds for each node is also checked against
-``oracles.bag_relations_reference``, by schema and rows. A count cannot
-show a bag relation that only lost an extra guard's filter, since every
-atom is still joined at the node it is assigned to; this check can. Both
-pipelines materialize every kind the same way, so the fractional pipeline
-along the integralized decomposition must report the same ``stats`` as
-``count_cq_via_ghd`` along the plain one, but for the kind of a
+``ghd_search`` finds, ``tree_decompose``, and, for the ``cycle-ghd``,
+``wide-guards`` and ``cycle-free-atom`` families, a GHD built by hand. The
+``half-weights`` family adds a fractional decomposition built by hand,
+counted only along itself. Each count is one check against
+``count_brute``. The pipeline guards the tree decomposition itself
+(``decomposition.guarded``); the differential verifies that guarded tree
+with ``oracles.tree_fault``, integralizes it, and reads it wherever it
+reads the decomposition below. Along each decomposition, plain and
+integralized, the relation that ``engine._bag_materialize`` builds for
+each node is also checked against ``oracles.bag_relations_reference``, by
+schema and rows. A count cannot show a bag relation that only lost an
+extra guard's filter, since every atom is still joined at the node it is
+assigned to; this check can. Every kind is materialized the same way, so
+the count along the integralized decomposition must report the same
+``stats`` as the count along the plain one, but for the kind of a
 ``restricted`` piece, which is ``fractional`` there.
 
-The pipelines trust the trees they derive from a verified decomposition:
+The pipeline trusts the trees it derives from a verified decomposition:
 each S-component's counted piece is either its core piece (the atoms that
 meet its core) along the core piece's own join tree, or, when the core
 piece is cyclic, its whole closure along the decomposition's restriction
@@ -67,10 +69,12 @@ from cqstar.decomposition import (
     blocks_hypergraph,
     ghd_search,
     gyo_join_tree,
+    guarded,
     hinge_decompose,
     induced_decomposition,
     integralize,
     jointree_over_bags,
+    tree_decompose,
 )
 from cqstar.engine import (
     QueryInstance,
@@ -79,7 +83,6 @@ from cqstar.engine import (
     _bag_materialize,
     _bind,
     count_brute,
-    count_cq_via_fractional,
     count_cq_via_ghd,
 )
 from cqstar.generators import SplitMix64, gen_random_instance
@@ -267,7 +270,8 @@ def decompositions(case: Case) -> list[tuple[str, Decomposition]]:
     jt = gyo_join_tree(h)
     auto = hinge if isinstance(jt, NotAcyclic) else jt
     ghd = next((g for g in (ghd_search(h, k) for k in (1, 2, 3)) if g is not None), None)
-    return [("auto", auto), ("hinge", hinge), *([("ghd", ghd)] if ghd else []), *case.extra]
+    found = [("ghd", ghd)] if ghd else []
+    return [("auto", auto), ("hinge", hinge), *found, ("tree", tree_decompose(h)), *case.extra]
 
 
 def counted_pieces(inst: QueryInstance, d: Decomposition) -> list:
@@ -339,35 +343,37 @@ def bag_relations(inst: QueryInstance, d: Decomposition) -> dict:
 
 
 def as_fractional(stats: dict) -> dict:
-    """``count_cq_via_ghd``'s ``stats`` along a decomposition as the
-    fractional pipeline reports them along its integralization: the same,
-    but that a ``restricted`` piece reads kind ``fractional``."""
+    """``count_cq_via_ghd``'s ``stats`` along a decomposition as it reports
+    them along the decomposition's integralization: the same, but that a
+    ``restricted`` piece reads kind ``fractional``."""
     pieces = [dict(p, kind="fractional") if p["source"] == "restricted" else p for p in stats["pieces"]]
     return dict(stats, pieces=pieces)
 
 
-PIPELINES = {"ghd": count_cq_via_ghd, "fractional": count_cq_via_fractional}
-
-
 def check(seed: int, tally: differential_runner.Tally) -> None:
     """Each count against ``count_brute``, each node relation against the
-    reference, the two pipelines' ``stats`` against each other; every
-    derived tree verified."""
+    reference, the ``stats`` along each decomposition against those along
+    its integralization; every guarded and every derived tree verified."""
     case = make_case(seed)
     tally.describe = lambda: f"family {case.family}, query {query_to_text(case.inst.query).strip()}"
     expected = count_brute(case.inst).count
     tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
+    h = from_query(case.inst.query).hypergraph
     for label, d in decompositions(case):
+        read = guarded(h, d)  # d itself, unless a tree decomposition
+        if read is not d:
+            tally.verify_trees(f"guarded/{label}", lambda: [("guarded tree", h, read)])
         fractional = d.kind is DecompKind.FRACTIONAL
-        alongs = {"fractional": d} if fractional else {"ghd": d, "fractional": integralize(d)}
+        alongs = {"fractional": d} if fractional else {"ghd": d, "fractional": integralize(read)}
         results = {}
-        for pipeline, along in alongs.items():
-            want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), along).items()}
-            tally.compare(f"bags/{pipeline}/{label}", outcome(lambda: bag_relations(case.inst, along)), want)
-            result = results[pipeline] = outcome(lambda: PIPELINES[pipeline](case.inst, along))
-            tally.compare(f"{pipeline}/{label}", getattr(result, "count", result), expected)
-            tally.verify_trees(f"{pipeline}/{label}", lambda: derived_trees(case.inst, along))
-        tally.compare(f"bound/{label}", outcome(lambda: bound_excesses(case.inst, d)), [])
+        for form, along in alongs.items():
+            built = guarded(h, along)
+            want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), built).items()}
+            tally.compare(f"bags/{form}/{label}", outcome(lambda: bag_relations(case.inst, built)), want)
+            result = results[form] = outcome(lambda: count_cq_via_ghd(case.inst, along))
+            tally.compare(f"{form}/{label}", getattr(result, "count", result), expected)
+            tally.verify_trees(f"{form}/{label}", lambda: derived_trees(case.inst, built))
+        tally.compare(f"bound/{label}", outcome(lambda: bound_excesses(case.inst, read)), [])
         if not fractional:
             want = outcome(lambda: as_fractional(results["ghd"].stats))
             tally.compare(f"stats/{label}", outcome(lambda: results["fractional"].stats), want)

@@ -1,21 +1,23 @@
 """Seeded differential of star size along restricted decompositions.
 
 Every instance is a random hypergraph (some with an edgeless vertex), a
-random set S of its vertices, and two decompositions of it: the narrowest
-GHD that ``ghd_search`` finds up to width 3, and ``hinge_decompose``. For
-every S-component with a nonempty closure, each strategy that takes the
-decomposition (``max_is_ghd_dp`` and ``approx_is`` on both,
+random set S of its vertices, and three decompositions of it: the
+narrowest GHD that ``ghd_search`` finds up to width 3, ``hinge_decompose``
+and ``tree_decompose``. Star size reads a tree decomposition through
+``decomposition.guarded``, so the differential does too. For every
+S-component with a nonempty closure, each strategy that takes the
+decomposition (``max_is_ghd_dp`` and ``approx_is`` on all three,
 ``max_is_hinge_fpt`` on the hingetree) runs along ``induced_decomposition``'s
 subtree and along ``oracles.induced_reference``'s full-size copy, and the
 two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT
 must give BRUTE's size for every component, and APPROX a size within a
-factor of the decomposition's width of it.
+factor of the (guarded) decomposition's width of it.
 
-Star size trusts the trees it derives: each restriction, the join tree
-over a restriction's bags (APPROX's acyclic hypergraph) and the join tree
-the ACYCLIC strategy builds for an acyclic component. The differential
-verifies every one of them with ``oracles.tree_fault``; a faulty tree is a
-mismatch too.
+Star size trusts the trees it derives: each guarded tree decomposition,
+each restriction, the join tree over a restriction's bags (APPROX's
+acyclic hypergraph) and the join tree the ACYCLIC strategy builds for an
+acyclic component. The differential verifies every one of them with
+``oracles.tree_fault``; a faulty tree is a mismatch too.
 
 Run the full version with ``PYTHONPATH=src python tests/starsize_differential.py
 --instances 2000 [--seed S]``. It prints the seed and hypergraph of every
@@ -33,10 +35,12 @@ from cqstar.decomposition import (
     NotAcyclic,
     blocks_hypergraph,
     ghd_search,
+    guarded,
     gyo_join_tree,
     hinge_decompose,
     induced_decomposition,
     jointree_over_bags,
+    tree_decompose,
 )
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import Hypergraph, SComponent, SHypergraph, s_components
@@ -73,6 +77,7 @@ def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
         if ghd is not None:
             decomps.append(("ghd", ghd))
             break
+    decomps.append(("tree", tree_decompose(h)))
     return SHypergraph(h, s), decomps
 
 
@@ -87,6 +92,9 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
         if not isinstance(jt, NotAcyclic):
             tally.verify_trees(f"component {idx}", lambda: [("own join tree", comp.induced, jt)])
     for label, d in decomps:
+        read = guarded(h, d)  # d itself, unless a tree decomposition
+        if read is not d:
+            tally.verify_trees(f"{label} guarded", lambda: [("guarded tree", h, read)])
         strategies = {"ghd_dp": max_is_ghd_dp, "approx": approx_is}
         methods = [ISMethod.GHD_DP]
         if label == "hinge":
@@ -95,16 +103,16 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
         for idx, comp in enumerate(comps):
             if not comp.closure:
                 continue
-            tally.verify_trees(f"{label} component {idx}", lambda: _restriction_trees(h, d, comp))
+            tally.verify_trees(f"{label} component {idx}", lambda: _restriction_trees(h, read, comp))
             for name, strategy in strategies.items():
-                got = _along(strategy, induced_decomposition, h, d, comp)
-                want = _along(strategy, induced_reference, h, d, comp)
+                got = _along(strategy, induced_decomposition, h, read, comp)
+                want = _along(strategy, induced_reference, h, read, comp)
                 tally.compare(f"{label}/{name} component {idx}", got, want)
         for method in methods:
             tally.compare(f"{label}/s_star_size {method.value}", outcome(lambda: _sizes(sh, method, d)), brute)
-        # APPROX is within the decomposition's width of the maximum, per component
+        # APPROX is within the guarded decomposition's width of the maximum, per component
         approx = outcome(lambda: _sizes(sh, ISMethod.APPROX, d))
-        k = max(1, d.raw_width())
+        k = max(1, read.raw_width())
         within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, brute))
         tally.compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {brute}")
 

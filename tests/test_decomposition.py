@@ -20,6 +20,7 @@ from cqstar.decomposition import (
     NotAcyclic,
     blocks_hypergraph,
     ghd_search,
+    guarded,
     gyo_join_tree,
     hinge_decompose,
     induced_decomposition,
@@ -473,6 +474,27 @@ def test_tree_decompose_heuristic_is_valid(ex1):
     h = ex1.hypergraph  # 17 vertices: heuristic regime
     d = tree_decompose(h)
     assert verify(h, d).ok
+
+
+def test_guarded_tree_with_an_edgeless_vertex_verifies(tri):
+    """No edge can guard a vertex that lies in no edge, so ``guarded`` cuts it
+    from its bag, and keeps the tree; the triangle's bag gets two edges."""
+    h = Hypergraph("abcz", tri.edges)
+    tree = tree_decompose(h)
+    d = guarded(h, tree)
+    assert [(n.node_id, n.parent) for n in d.nodes] == [(n.node_id, n.parent) for n in tree.nodes]
+    guards = {n.bag: len(n.guard) for n in d.nodes}
+    assert {"z"} in [n.bag for n in tree.nodes] and guards[frozenset()] == 0
+    assert guards[frozenset("abc")] == 2
+    report = verify(h, d)
+    assert report.ok and report.kind is DecompKind.GHD and report.width == 2
+
+
+def test_guarded_leaves_other_kinds_alone(ex1):
+    h = ex1.hypergraph
+    for d in (hinge_decompose(h), ghd_search(h, 3)):
+        assert guarded(h, d) is d
+    assert verify(h, guarded(h, tree_decompose(h))).ok
 
 
 def order_case(seed, n, dense, parts=1):

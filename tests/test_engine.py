@@ -10,6 +10,7 @@ from cqstar.decomposition import (
     gyo_join_tree,
     hinge_decompose,
     integralize,
+    tree_decompose,
 )
 from cqstar.engine import (
     QueryInstance,
@@ -325,6 +326,23 @@ def test_count_fractional_matches_ghd():
     d = auto_ghd(E1E2_INSTANCE)
     frac = count_cq_via_fractional(E1E2_INSTANCE, integralize(d))
     assert frac.count == 2
+
+
+def test_one_pipeline_counts_along_a_tree_decomposition():
+    """``count_cq_via_fractional`` is the same function as ``count_cq_via_ghd``.
+    It takes a tree decomposition, which it guards before reading it, as
+    ``count_acyclic_qf`` does; the method reads ``fractional`` only for a
+    fractional decomposition."""
+    assert count_cq_via_fractional is count_cq_via_ghd
+    for seed in range(40):
+        inst = gen_random_instance(variables=4, atoms=4, max_arity=3, domain=3, seed=seed)
+        h = from_query(inst.query).hypergraph
+        tree = tree_decompose(h)
+        result = count_cq_via_ghd(inst, tree)
+        assert (result.count, result.method) == (count_brute(inst).count, "ghd")
+        assert count_cq_via_ghd(inst, integralize(hinge_decompose(h))).method == "fractional"
+        free = QueryInstance(Query("ans", inst.query.variables(), inst.query.atoms), inst.structure)
+        assert count_acyclic_qf(free, tree).count == count_brute(free).count
 
 
 def test_count_fractional_triangle_half_weights():

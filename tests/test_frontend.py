@@ -212,7 +212,7 @@ def test_cli_count_json_stable(workdir, capsys):
     first = capsys.readouterr().out
     doc = json.loads(first)
     assert doc["count"] == "2"
-    assert doc["method"] == "fractional"
+    assert doc["method"] == "ghd"
     assert doc["stats"]["pieces"] == [{"kind": "jointree", "source": "own-jointree", "width": "1"}] * 2
     assert run_cli(args) == 0
     assert capsys.readouterr().out == first
@@ -663,19 +663,32 @@ def test_cli_decompose_tree_kind(workdir, capsys):
     assert doc["kind"] == "tree"
 
 
-def test_cli_count_fractional_refuses_a_tree_decomposition(workdir, capsys):
-    """A tree decomposition has no guards to integralize, so ``--method
-    fractional`` names its kind in one line, as ``--method ghd`` does."""
-    tree = workdir / "t.json"
-    query, data = str(workdir / "q.cq"), str(workdir / "d.facts")
-    assert run_cli(["decompose", "-q", query, "--kind", "tree", "-o", str(tree)]) == 0
-    capsys.readouterr()
-    for method, expected in (
-        ("fractional", "['jointree', 'ghd', 'hinge', 'fractional']"),
-        ("ghd", "['jointree', 'ghd', 'hinge']"),
-    ):
-        assert run_cli(["count", "-q", query, "-d", data, "--decomp", str(tree), "--method", method]) == 1
-        assert capsys.readouterr() == ("", f"error: expected kind in {expected}, got tree\n")
+def test_cli_count_and_starsize_read_a_tree_decomposition(workdir, capsys):
+    """A tree decomposition is guarded before it is read: ``count``, by either
+    spelling of its method, counts along it what ``--method brute`` counts;
+    along it ``starsize --method ghd`` sizes the running example as brute
+    force does, and ``approx`` no larger. ``--method hinge`` names its kind."""
+    def run(*argv):
+        assert run_cli(list(argv)) == 0
+        return capsys.readouterr().out
+
+    (workdir / "tri.cq").write_text("ans(x,y,z) :- R(x,y), S(y,z), T(z,x).\n")
+    (workdir / "tri.facts").write_text("R(a,b). R(b,a). S(b,a). S(a,a). T(a,a). T(b,a).\n")
+    tree = str(workdir / "tree.json")
+    for query, facts in (("q.cq", "d.facts"), ("tri.cq", "tri.facts")):
+        query, facts = str(workdir / query), str(workdir / facts)
+        run("decompose", "-q", query, "--kind", "tree", "-o", tree)
+        want = run("count", "-q", query, "-d", facts, "--method", "brute")
+        for method in ("ghd", "fractional"):
+            assert run("count", "-q", query, "-d", facts, "--decomp", tree, "--method", method) == want
+    ex1 = str(workdir / "ex1.cq")
+    run("decompose", "-q", ex1, "--kind", "tree", "-o", tree)
+    brute = int(run("starsize", "-q", ex1).splitlines()[0])
+    assert int(run("starsize", "-q", ex1, "--method", "ghd", "--decomp", tree).splitlines()[0]) == brute
+    approx = int(run("starsize", "-q", ex1, "--method", "approx", "--decomp", tree).splitlines()[0])
+    assert 1 <= approx <= brute
+    assert run_cli(["starsize", "-q", ex1, "--method", "hinge", "--decomp", tree]) == 1
+    assert capsys.readouterr() == ("", "error: expected kind in ['hinge'], got tree\n")
 
 
 def test_cli_cached_parser_carries_nothing_between_calls(workdir, capsys):

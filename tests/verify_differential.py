@@ -3,11 +3,12 @@
 Every instance is a hypergraph and the decompositions the constructors
 build for it: ``gyo_join_tree`` when it is acyclic, ``hinge_decompose``,
 the narrowest GHD up to width 3 that ``ghd_search`` finds,
-``tree_decompose``, and ``integralize`` of each guard-based one. Half the
-hypergraphs are the small random ones of ``hypergraph_differential``, with
-int, str or mixed edge ids, empty edges, repeated edge sets and isolated
-vertices; the other half are random acyclic hypergraphs of 10 to 60
-edges, whose trees are large enough for the bulk passes to matter.
+``tree_decompose`` and its ``guarded`` GHD, and ``integralize`` of each
+guard-based one. Half the hypergraphs are the small random ones of
+``hypergraph_differential``, with int, str or mixed edge ids, empty edges,
+repeated edge sets and isolated vertices; the other half are random
+acyclic hypergraphs of 10 to 60 edges, whose trees are large enough for
+the bulk passes to matter.
 
 Each decomposition is checked as built and in mutants of it: a bag vertex
 dropped or added, a node moved under another parent, a guard edge dropped
@@ -41,6 +42,7 @@ from cqstar.decomposition import (
     WidthReport,
     ghd_search,
     gyo_join_tree,
+    guarded,
     hinge_decompose,
     integralize,
     tree_decompose,
@@ -71,7 +73,8 @@ def built(h: Hypergraph, large: bool) -> list[tuple[str, Decomposition]]:
                 out.append(("ghd", ghd))
                 break
     if h.vertices:
-        out.append(("tree", tree_decompose(h)))
+        tree = tree_decompose(h)
+        out += [("tree", tree), ("guarded-tree", guarded(h, tree))]
     out += [(f"integral-{label}", integralize(d)) for label, d in out if d.kind is not DecompKind.TREE]
     return out
 

@@ -168,9 +168,10 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     - Cover: an edge equal to some bag is covered by one set lookup. Only
       the other edges are looked for among the bags that hold their rarest
       vertex, through an index from each vertex to its nodes that is built
-      only then. A TREE decomposition is checked against the primal graph's
-      edges: a covered edge covers its pairs, so only the pairs of the
-      edges not covered are checked, and the primal graph is not built.
+      only then. A TREE decomposition is checked against its one-vertex
+      edges, each under its own id, then the primal graph's edges: a
+      covered edge covers its pairs, so only the pairs of the edges not
+      covered are checked, and the primal graph is not built.
     - Guards: a one-edge guard's union is that edge's own set. One pass of
       subset tests finds whether any bag has a gap; only then are the gaps
       listed node by node.
@@ -179,11 +180,12 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
       those with a node guarded otherwise are checked.
 
     Violations come in a fixed order: connectedness by vertex, uncovered
-    edges in declared order, then the conditions of the kind, node by node
-    or pair by pair in node order; a fractional node reports each negative
-    weight, by edge, before each bag vertex its weights do not cover, and a
-    node of any other kind that carries a weights map reports it. An empty
-    edge is always covered.
+    edges in declared order (for a TREE, the one-vertex edges, then the
+    pairs in order of first appearance), then the conditions of the kind,
+    node by node or pair by pair in node order; a fractional node reports
+    each negative weight, by edge, before each bag vertex its weights do
+    not cover, and a node of any other kind that carries a weights map
+    reports it. An empty edge is always covered.
     """
     nodes = d.nodes
     bags = [n.bag for n in nodes]
@@ -222,7 +224,8 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
         for _, fs in missed:
             for u, v in itertools.combinations(h.sort_vertices(fs), 2):
                 pairs.setdefault(frozenset((u, v)), pair_id(u, v))
-        missed = [(eid, pair) for pair, eid in pairs.items() if not covered(pair)]
+        singles = [(eid, fs) for eid, fs in missed if len(fs) == 1]  # no pair covers one
+        missed = singles + [(eid, pair) for pair, eid in pairs.items() if not covered(pair)]
     violations += [Violation(EDGE_UNCOVERED, edge=eid) for eid, _ in missed]
 
     if d.kind in (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE):

@@ -5,14 +5,17 @@ edge-cover duality on acyclic hypergraphs, dynamic programming along a
 generalized hypertree decomposition, and a fixed-parameter dynamic program
 along a hingetree decomposition; plus a width-factor approximation.
 
-Every witness is re-checked for independence on construction, and ties
-always break toward the lexicographically smallest vertex sequence.
+Every witness is re-checked for independence on construction. BRUTE,
+GHD_DP and HINGE_FPT return the lexicographically smallest maximum set
+(by vertex order); ACYCLIC and APPROX return their greedy's choice, which
+for ACYCLIC is a maximum set but not always that one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Optional
 
 from .decomposition import (
@@ -84,8 +87,11 @@ def _candidates(h: Hypergraph, restrict_to) -> list:
     return list(h.vertices if restrict_to is None else h.sort_vertices(set(restrict_to)))
 
 
-def _lex_key(h: Hypergraph, verts: Iterable) -> tuple:
-    return tuple(h.vertex_index(v) for v in h.sort_vertices(verts))
+def _rank(h: Hypergraph, verts: Iterable) -> tuple:
+    """The key under which exact strategies pick a witness: larger sets
+    first, then the lexicographically smallest vertex sequence. No two
+    distinct sets share a key, so the least one is the same in any order."""
+    return -len(verts), tuple(h.vertex_index(v) for v in h.sort_vertices(verts))
 
 
 def max_is_brute(h: Hypergraph, restrict_to=None, *, cutoff: int = BRUTE_CUTOFF) -> ISWitness:
@@ -171,14 +177,14 @@ def _acyclic_is_and_cover(h: Hypergraph, jt: Decomposition, restrict_to) -> tupl
     return _checked_witness(h, chosen, ISMethod.ACYCLIC), frozenset(cover)
 
 
-def _bag_independent_subsets(h, adj, bag_cands: list, limit: int):
-    """All independent subsets of the bag candidates, at most ``limit`` big."""
+def _independent_subsets(adj, items: list, limit: int):
+    """All subsets of ``items`` at most ``limit`` big with no member in another's ``adj``."""
     out = [frozenset()]
     stack = [(0, [], frozenset())]
     while stack:
         i, chosen, blocked = stack.pop()
-        for j in range(i, len(bag_cands)):
-            v = bag_cands[j]
+        for j in range(i, len(items)):
+            v = items[j]
             if v in blocked:
                 continue
             picked = chosen + [v]
@@ -207,6 +213,7 @@ def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
     adj = h.conflict_adjacency()
     freebies = [v for v in cands if not h.incident_edges(v)]
 
+    rank = partial(_rank, h)
     tables: dict[int, dict[frozenset, frozenset]] = {}
     children = d.children_map()
     for node in d.post_order():
@@ -217,17 +224,12 @@ def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
         for child in children[node.node_id]:
             idx: dict[frozenset, frozenset] = {}
             shared_scope = child.bag & node.bag
-            items = sorted(
-                tables[child.node_id].items(),
-                key=lambda kv: (len(kv[0]), _lex_key(h, kv[0])),
-            )
-            for sigma_c, best_c in items:
+            for sigma_c, best_c in tables[child.node_id].items():
                 key = sigma_c & shared_scope
-                cur = idx.get(key)
-                if cur is None or (-len(best_c), _lex_key(h, best_c)) < (-len(cur), _lex_key(h, cur)):
+                if key not in idx or rank(best_c) < rank(idx[key]):
                     idx[key] = best_c
             child_indexes.append((child, idx))
-        for sigma in _bag_independent_subsets(h, adj, bag_cands, limit):
+        for sigma in _independent_subsets(adj, bag_cands, limit):
             acc = set(sigma)
             ok = True
             for child, idx in child_indexes:
@@ -242,7 +244,7 @@ def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
         tables[node.node_id] = table
 
     root_table = tables[d.root().node_id]
-    best = min(root_table.values(), key=lambda s: (-len(s), _lex_key(h, s)))
+    best = min(root_table.values(), key=rank)
     return _checked_witness(h, set(best) | set(freebies), ISMethod.GHD_DP)
 
 
@@ -252,9 +254,15 @@ def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
 def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
     """Fixed-parameter maximum independent set along a hingetree decomposition.
 
-    Vertices of a bag are grouped into equivalence classes by their guard
-    incidence signature; per node we keep one best independent set per
-    interface vertex plus one avoiding the interface entirely.
+    One pass in post-order. Each node keeps the best independent set of its
+    subtree holding each candidate of its interface (the part of its bag it
+    shares with its parent, which lies inside one edge), plus the best one
+    avoiding the interface. A bag's candidates are grouped by the set of
+    guard edges that hold them; two groups conflict when those sets meet,
+    and a node tries every set of at most ``max(1, |guard|)`` groups with
+    no conflict. Each group of a set contributes its best vertex together
+    with the children that hang on that group (their bags meet it), and
+    every other child joins with its interface-avoiding set.
     """
     if d.kind is not DecompKind.HINGE:
         raise NotHinge(f"expected hinge decomposition, got {d.kind.value}")
@@ -263,131 +271,45 @@ def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWit
 
 
 def _max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
-    """``max_is_hinge_fpt`` along a hingetree valid by construction."""
+    """``max_is_hinge_fpt`` along a hingetree valid by construction.
+
+    An interface lies in one guard edge of its node and of its child, so
+    the groups holding interface vertices conflict pairwise, and each child
+    hangs on groups that conflict pairwise: at most one group of a set
+    holds the interface or any one child's part of the bag.
+    """
     cands = _candidates(h, restrict_to)
     cand_set = set(cands)
-    freebies = [v for v in cands if not h.incident_edges(v)]
-    by_id = {n.node_id: n for n in d.nodes}
+    rank = partial(_rank, h)
+    bag_of = {n.node_id: n.bag for n in d.nodes}
     children = d.children_map()
-
-    def better(a: Optional[frozenset], b: frozenset) -> frozenset:
-        if a is None:
-            return b
-        return min((a, b), key=lambda s: (-len(s), _lex_key(h, s)))
-
-    # j_sets[node_id] maps interface vertex v -> best subtree IS containing v,
-    # and the key None -> best subtree IS avoiding the interface.
-    j_sets: dict[int, dict[Optional[VertexId], frozenset]] = {}
-
+    best: dict[int, dict[Optional[VertexId], frozenset]] = {}  # node -> interface vertex or None -> set
     for node in d.post_order():
-        interface = (node.bag & by_id[node.parent].bag) if node.parent is not None else frozenset()
-        sig: dict[VertexId, frozenset] = {}
-        for v in h.sort_vertices(node.bag):
-            if v in cand_set:
-                sig[v] = frozenset(e for e in node.guard if v in h.edge_set(e))
-        classes: dict[frozenset, list[VertexId]] = {}
-        for v, s in sig.items():
-            classes.setdefault(s, []).append(v)
-        class_list = sorted(classes.values(), key=lambda vs: h.vertex_index(vs[0]))
-        kids = children[node.node_id]
-        child_bags = [(c.node_id, c.bag) for c in kids]
-
-        def class_of(v: VertexId) -> list[VertexId]:
-            return classes[sig[v]]
-
-        def adjacent_classes(c1: list, c2: list) -> bool:
-            return bool(sig[c1[0]] & sig[c2[0]])
-
-        def class_sets(exclude_interface: bool) -> list[list[VertexId]]:
-            if not exclude_interface:
-                return class_list
-            out = []
-            for members in class_list:
-                kept = [v for v in members if v not in interface]
-                if kept:
-                    out.append(kept)
-            return out
-
-        def solve(required: Optional[VertexId], exclude_interface: bool) -> Optional[frozenset]:
-            """Best IS of the subtree hypergraph containing ``required`` (or
-            avoiding the interface when ``exclude_interface``)."""
-            universe = class_sets(exclude_interface)
-            if required is not None:
-                req_class = class_of(required)
-                universe = [req_class] + [c for c in universe if sig[c[0]] != sig[required]]
-            best: Optional[frozenset] = None
-            max_picks = max(1, len(node.guard))
-
-            def assemble(sigma: list[list[VertexId]]) -> Optional[frozenset]:
-                # sigma: chosen classes, pairwise non-adjacent
-                acc: set = set()
-                used_children: set[int] = set()
-                blocks: list[tuple[list[VertexId], list[int]]] = []
-                for members in sigma:
-                    touching = [
-                        cid for cid, cbag in child_bags
-                        if any(m in cbag for m in classes[sig[members[0]]])
-                    ]
-                    if set(touching) & used_children:
-                        raise InvariantViolation("hinge class blocks overlap on a child")
-                    used_children.update(touching)
-                    blocks.append((members, touching))
-                for members, touching in blocks:
-                    pinned = required is not None and sig[members[0]] == sig[required]
-                    pool = [required] if pinned else members
-                    best_block: Optional[frozenset] = None
-                    for u in pool:
-                        part: set = {u}
-                        feasible = True
-                        for cid in touching:
-                            sub = j_sets[cid].get(u) if u in by_id[cid].bag else j_sets[cid].get(None)
-                            if sub is None:
-                                feasible = False
-                                break
-                            part |= sub
-                        if feasible:
-                            best_block = better(best_block, frozenset(part))
-                    if best_block is None:
-                        return None
-                    acc |= best_block
-                for cid, _ in child_bags:
-                    if cid not in used_children:
-                        sub = j_sets[cid].get(None)
-                        if sub is None:
-                            return None
-                        acc |= sub
-                return frozenset(acc)
-
-            def enumerate_sigmas(start: int, chosen: list[list[VertexId]]) -> None:
-                nonlocal best
-                if required is None or any(sig[c[0]] == sig[required] for c in chosen):
-                    candidate = assemble(chosen)
-                    if candidate is not None:
-                        best = better(best, candidate)
-                if len(chosen) >= max_picks:
-                    return
-                for idx in range(start, len(universe)):
-                    cls = universe[idx]
-                    if any(adjacent_classes(cls, c) for c in chosen):
-                        continue
-                    enumerate_sigmas(idx + 1, chosen + [cls])
-
-            enumerate_sigmas(0, [])
-            return best
-
-        per_node: dict[Optional[VertexId], frozenset] = {}
-        empty = solve(None, exclude_interface=True)
-        if empty is not None:
-            per_node[None] = empty
-        for v in h.sort_vertices(interface):
-            if v in cand_set:
-                got = solve(v, exclude_interface=False)
-                if got is not None:
-                    per_node[v] = got
-        j_sets[node.node_id] = per_node
-
-    root_best = j_sets[d.root().node_id].get(None, frozenset())
-    return _checked_witness(h, set(root_best) | set(freebies), ISMethod.HINGE_FPT)
+        interface = node.bag & bag_of[node.parent] if node.parent is not None else frozenset()
+        groups: dict[frozenset, list[VertexId]] = {}  # guard edges holding a candidate -> the candidates
+        for v in h.sort_vertices(node.bag & cand_set):
+            groups.setdefault(frozenset(e for e in node.guard if v in h.edge_set(e)), []).append(v)
+        sigs, members, kids = list(groups), list(groups.values()), children[node.node_id]
+        hangs = [[c for c in kids if not c.bag.isdisjoint(group)] for group in members]
+        part = {  # a candidate with the best sets of the children hanging on its group
+            u: frozenset({u}).union(*(best[c.node_id][u if u in c.bag else None] for c in hang))
+            for group, hang in zip(members, hangs)
+            for u in group
+        }
+        avoid = [min((part[u] for u in g if u not in interface), key=rank, default=None) for g in members]
+        clash = [{j for j, other in enumerate(sigs) if sig & other} for sig in sigs]
+        found: dict[Optional[VertexId], list[frozenset]] = {}
+        for chosen in _independent_subsets(clash, range(len(sigs)), max(1, len(node.guard))):
+            hung = {c.node_id for i in chosen for c in hangs[i]}
+            rest = frozenset().union(*(best[c.node_id][None] for c in kids if c.node_id not in hung))
+            for i in [None, *chosen]:  # None avoids the interface; a group pins each interface vertex in it
+                for v in [None] if i is None else [u for u in members[i] if u in interface]:
+                    blocks = [part[v] if j == i else avoid[j] for j in chosen]
+                    if None not in blocks:
+                        found.setdefault(v, []).append(rest.union(*blocks))
+        best[node.node_id] = {v: min(sets, key=rank) for v, sets in found.items()}
+    root_best = best[d.root().node_id][None]
+    return _checked_witness(h, root_best | {v for v in cands if not h.incident_edges(v)}, ISMethod.HINGE_FPT)
 
 
 def approx_is(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:

@@ -535,6 +535,14 @@ def _connectedness_violations(holders: dict[VertexId, list[DecompNode]]) -> list
     return out
 
 
+def tree_targets(h: Hypergraph) -> list:
+    """What some bag of a tree decomposition must hold, each: the one-vertex
+    edges of h under their own ids, in declared order, then the edges of
+    its primal graph."""
+    singles = [(eid, fs) for eid, fs in h.dedup_edges() if len(fs) == 1]
+    return singles + list(h.primal_graph().dedup_edges())
+
+
 def verify_reference(h: Hypergraph, d: Decomposition) -> WidthReport:
     """Check exactly the conditions of d.kind against h; report all findings.
 
@@ -546,13 +554,13 @@ def verify_reference(h: Hypergraph, d: Decomposition) -> WidthReport:
     of an edge to the bags holding the edge's rarest vertex, and the hinge
     intersection check to pairs of nodes that share a vertex, so neither
     check compares every edge or node with every node. A TREE
-    decomposition is checked against the primal graph's edges. Violations
-    come in a fixed order: connectedness by vertex, uncovered edges in
-    declared order, then the conditions of the kind, node by node or pair
-    by pair in node order; a fractional node reports each negative weight,
-    by edge, before each bag vertex its weights do not cover, and a node of
-    any other kind that carries a weights map reports it. An empty edge is
-    always covered.
+    decomposition is checked against its ``tree_targets``. Violations come
+    in a fixed order: connectedness by vertex, uncovered edges in declared
+    order (for a TREE, in the order of ``tree_targets``), then the
+    conditions of the kind, node by node or pair by pair in node order; a
+    fractional node reports each negative weight, by edge, before each bag
+    vertex its weights do not cover, and a node of any other kind that
+    carries a weights map reports it. An empty edge is always covered.
     """
     holders: dict[VertexId, list[DecompNode]] = {}
     for n in d.nodes:
@@ -568,8 +576,7 @@ def verify_reference(h: Hypergraph, d: Decomposition) -> WidthReport:
                 raise IdMismatch(f"node {n.node_id}: unknown weighted edge id {eid!r}")
 
     violations = _connectedness_violations(holders)
-    target = h.primal_graph() if d.kind is DecompKind.TREE else h
-    for eid, fs in target.dedup_edges():
+    for eid, fs in tree_targets(h) if d.kind is DecompKind.TREE else h.dedup_edges():
         if fs and not any(fs <= n.bag for n in min((holders.get(v, ()) for v in fs), key=len)):
             violations.append(Violation(EDGE_UNCOVERED, edge=eid))
 

@@ -10,8 +10,9 @@ decomposition (``max_is_ghd_dp`` and ``approx_is`` on all three,
 ``max_is_hinge_fpt`` on the hingetree) runs along ``induced_decomposition``'s
 subtree and along ``oracles.induced_reference``'s full-size copy, and the
 two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT
-must give BRUTE's size for every component, and APPROX a size within a
-factor of the (guarded) decomposition's width of it.
+must give BRUTE's witness for every component (each exact strategy returns
+the lexicographically smallest maximum set), and APPROX a size within a
+factor of the (guarded) decomposition's width of BRUTE's.
 
 Star size trusts the trees it derives: each guarded tree decomposition,
 each restriction, the join tree over a restriction's bags (APPROX's
@@ -86,7 +87,8 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
     h = sh.hypergraph
     tally.describe = lambda: f"S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
     comps = s_components(sh)
-    brute = [w.size for w in s_star_size(sh, ISMethod.BRUTE)[1]]
+    brute = _stars(sh, ISMethod.BRUTE, None)
+    sizes = [len(star) for star in brute]
     for idx, comp in enumerate(comps):
         jt = gyo_join_tree(comp.induced)
         if not isinstance(jt, NotAcyclic):
@@ -109,12 +111,12 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
                 want = _along(strategy, induced_reference, h, read, comp)
                 tally.compare(f"{label}/{name} component {idx}", got, want)
         for method in methods:
-            tally.compare(f"{label}/s_star_size {method.value}", outcome(lambda: _sizes(sh, method, d)), brute)
+            tally.compare(f"{label}/s_star_size {method.value}", outcome(lambda: _stars(sh, method, d)), brute)
         # APPROX is within the guarded decomposition's width of the maximum, per component
-        approx = outcome(lambda: _sizes(sh, ISMethod.APPROX, d))
+        approx = outcome(lambda: [len(star) for star in _stars(sh, ISMethod.APPROX, d)])
         k = max(1, read.raw_width())
-        within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, brute))
-        tally.compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {brute}")
+        within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, sizes))
+        tally.compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {sizes}")
 
 
 def _restriction_trees(h: Hypergraph, d: Decomposition, comp: SComponent) -> list:
@@ -129,8 +131,9 @@ def _along(strategy, restrict, h: Hypergraph, d: Decomposition, comp: SComponent
     return outcome(lambda: strategy(comp.induced, restrict(h, d, comp.closure), comp.s_vertices))
 
 
-def _sizes(sh: SHypergraph, method: ISMethod, d: Decomposition) -> list[int]:
-    return [w.size for w in s_star_size(sh, method, d)[1]]
+def _stars(sh: SHypergraph, method: ISMethod, d) -> list[list]:
+    """Each component's witness, sorted."""
+    return [sorted(w.star) for w in s_star_size(sh, method, d)[1]]
 
 
 if __name__ == "__main__":

@@ -36,7 +36,9 @@ from oracles import (
     gyo_reference,
     is_acyclic_bruteforce,
     min_hinge_width,
+    tree_targets,
     treewidth_by_permutations,
+    verify_reference,
 )
 
 
@@ -648,8 +650,8 @@ def test_long_path_decomposition_builds_and_verifies():
 
 
 def naive_uncovered(h, d):
-    target = h.primal_graph() if d.kind is DecompKind.TREE else h
-    return [eid for eid, fs in target.dedup_edges() if not any(fs <= n.bag for n in d.nodes)]
+    target = tree_targets(h) if d.kind is DecompKind.TREE else h.dedup_edges()
+    return [eid for eid, fs in target if not any(fs <= n.bag for n in d.nodes)]
 
 
 def test_verify_uncovered_edges_match_all_bags_check():
@@ -681,6 +683,23 @@ def test_verify_tree_names_each_uncovered_pair_by_its_primal_id():
     d = Decomposition(DecompKind.TREE, nodes)
     got = [x.edge for x in verify(h, d).violations if x.tag == EDGE_UNCOVERED]
     assert got == ["a\\~b~c", "a~b\\~c"] == naive_uncovered(h, d)
+
+
+def test_verify_tree_needs_each_one_vertex_edge_in_a_bag():
+    """A vertex only in a one-vertex edge has no pair to cover it; the edge
+    itself must lie in a bag, and is named by its own id, before any pair."""
+    h = Hypergraph(["x", "y", "w", "z"], [(0, {"x", "y"}), (1, {"y", "w"}), (2, {"w", "x"}), (3, {"z"})])
+    one_bag = Decomposition(DecompKind.TREE, (DecompNode(0, None, frozenset(), frozenset({"x", "y", "w"})),))
+    assert [str(x) for x in verify(h, one_bag).violations] == ["(EDGE_UNCOVERED edge=3)"]
+    split = Decomposition(DecompKind.TREE, (
+        DecompNode(0, None, frozenset(), frozenset({"x", "y"})),
+        DecompNode(1, 0, frozenset(), frozenset({"y", "w"})),
+    ))
+    for d in (one_bag, split):
+        assert verify(h, d) == verify_reference(h, d)
+        assert [x.edge for x in verify(h, d).violations] == naive_uncovered(h, d)
+    assert [x.edge for x in verify(h, split).violations] == [3, "x~w"]
+    assert verify(h, tree_decompose(h)).ok
 
 
 def test_verify_hinge_intersections_match_all_pairs_check():

@@ -657,6 +657,19 @@ def test_cli_starsize_decomp_file(workdir, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "4"
 
 
+def test_cli_verify_and_count_refuse_a_tree_missing_a_one_vertex_edge(workdir, capsys):
+    """``U(z)`` has no pair, so a tree whose one bag lacks ``z`` leaves it
+    uncovered: ``verify`` says so under the edge's own id, as ``count`` does."""
+    query, facts, tree = workdir / "u.cq", workdir / "u.facts", workdir / "u.json"
+    query.write_text("ans(x, y, w, z) :- R(x, y), S(y, w), T(w, x), U(z).\n")
+    facts.write_text("R(a, b). S(b, c). T(c, a). U(d).\n")
+    tree.write_text(json.dumps({"kind": "tree", "nodes": [{"id": 0, "parent": None, "lambda": [], "chi": ["x", "y", "w"]}]}))
+    assert run_cli(["verify", "-q", str(query), "--decomp", str(tree)]) == 1
+    assert capsys.readouterr() == ("(EDGE_UNCOVERED edge=3)\n", "")
+    assert run_cli(["count", "-q", str(query), "-d", str(facts), "--decomp", str(tree)]) == 1
+    assert capsys.readouterr() == ("", "error: decomposition fails verification: (EDGE_UNCOVERED edge=3)\n")
+
+
 def test_cli_decompose_tree_kind(workdir, capsys):
     assert run_cli(["decompose", "-q", str(workdir / "ex1.cq"), "--kind", "tree"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -218,11 +218,11 @@ def test_exact_strategies_agree_on_random_inputs():
                 restrict = None
             else:
                 restrict = [v for v in h.vertices if rng.chance(1, 2)]
-            expect = max_is_brute(h, restrict).size
-            assert max_is_ghd_dp(h, ghd, restrict).size == expect
-            assert max_is_hinge_fpt(h, hinge, restrict).size == expect
+            expect = max_is_brute(h, restrict).vertices  # the lexicographically smallest maximum
+            assert max_is_ghd_dp(h, ghd, restrict).vertices == expect
+            assert max_is_hinge_fpt(h, hinge, restrict).vertices == expect
             hinge_as_ghd = Decomposition(DecompKind.GHD, hinge.nodes)
-            assert max_is_ghd_dp(h, hinge_as_ghd, restrict).size == expect
+            assert max_is_ghd_dp(h, hinge_as_ghd, restrict).vertices == expect
         checked += 1
 
 

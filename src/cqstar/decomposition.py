@@ -11,6 +11,16 @@ trees that ``gyo_join_tree`` builds, and those derived from a verified one
 (``guarded``, ``induced_decomposition`` on a connected set, ``integralize``,
 ``jointree_over_bags``), are valid by construction and are not verified
 again at run time; the differentials in ``tests/`` verify every one.
+
+Structural work is done once per value. A decomposition keeps the last
+report of ``verify`` with its hypergraph, so checking it again against the
+same or an equal hypergraph is free, and an index from each vertex to the
+nodes that hold it, which ``verify``'s cover pass and
+``induced_decomposition`` share: restricting one decomposition to each
+S-component in turn looks up the component's vertices rather than scanning
+every node. ``hinge_decompose`` runs GYO once over the whole hypergraph and
+reads which blocks are acyclic off its kernel; only the parts of a split
+are built as hypergraphs and reduced again.
 """
 
 from __future__ import annotations
@@ -54,12 +64,20 @@ class Decomposition:
     reach it, so one walk down from the root finds every cycle, a
     self-parent included. That walk's order and children map are kept and
     shared by every traversal below; callers must not mutate them.
+
+    Two more lookups are kept once made: the vertex index of ``holders``,
+    and the last report of ``verify`` with the hypergraph it was made
+    against. None of the kept fields takes part in ``==``, ``hash`` or
+    ``repr``, and ``dataclasses.replace`` starts without them. A
+    decomposition is immutable by convention, its weights maps included.
     """
 
     kind: DecompKind
     nodes: tuple[DecompNode, ...]
     _order: tuple[DecompNode, ...] = field(init=False, repr=False, compare=False)
     _children: dict[int, list[DecompNode]] = field(init=False, repr=False, compare=False)
+    _holders: Optional[dict[VertexId, list[int]]] = field(init=False, repr=False, compare=False)
+    _report: Optional[tuple[Hypergraph, WidthReport]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         children: dict[int, list[DecompNode]] = {n.node_id: [] for n in self.nodes}
@@ -80,9 +98,22 @@ class Decomposition:
             raise DecompositionInvalid("cycle in parent pointers")
         object.__setattr__(self, "_order", tuple(order))
         object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_holders", None)
+        object.__setattr__(self, "_report", None)
 
     def root(self) -> DecompNode:
         return self._order[0]
+
+    def holders(self) -> dict[VertexId, list[int]]:
+        """Vertex -> the positions in ``nodes`` of the nodes whose bags hold
+        it, ascending. Built on first use and kept; callers must not mutate it."""
+        if self._holders is None:
+            held: dict[VertexId, list[int]] = {}
+            for i, n in enumerate(self.nodes):
+                for v in n.bag:
+                    held.setdefault(v, []).append(i)
+            object.__setattr__(self, "_holders", held)
+        return self._holders
 
     def children_map(self) -> dict[int, list[DecompNode]]:
         return self._children
@@ -167,11 +198,11 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
       comparison; only when it fails are the two counts made per vertex.
     - Cover: an edge equal to some bag is covered by one set lookup. Only
       the other edges are looked for among the bags that hold their rarest
-      vertex, through an index from each vertex to its nodes that is built
-      only then. A TREE decomposition is checked against its one-vertex
-      edges, each under its own id, then the primal graph's edges: a
-      covered edge covers its pairs, so only the pairs of the edges not
-      covered are checked, and the primal graph is not built.
+      vertex, through ``d.holders()``, which is built only then. A TREE
+      decomposition is checked against its one-vertex edges, each under
+      its own id, then the primal graph's edges: a covered edge covers its
+      pairs, so only the pairs of the edges not covered are checked, and
+      the primal graph is not built.
     - Guards: a one-edge guard's union is that edge's own set. One pass of
       subset tests finds whether any bag has a gap; only then are the gaps
       listed node by node.
@@ -186,7 +217,16 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
     each negative weight, by edge, before each bag vertex its weights do
     not cover, and a node of any other kind that carries a weights map
     reports it. An empty edge is always covered.
+
+    The report is kept on ``d`` with ``h``, the last one only: verifying
+    ``d`` again against ``h`` itself or an equal hypergraph returns it
+    without another pass, so a constructor's own check, a caller's
+    ``verify`` and ``ensure_valid`` check a pair once. A raised IdMismatch
+    is not kept.
     """
+    kept = d._report
+    if kept is not None and (kept[0] is h or kept[0] == h):
+        return kept[1]
     nodes = d.nodes
     bags = [n.bag for n in nodes]
     union = frozenset().union(*bags)
@@ -204,17 +244,8 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
         linked = Counter(itertools.chain.from_iterable(links))
         violations += [Violation(CONNECTEDNESS, vertex=v) for v in sorted(held) if held[v] - linked[v] > 1]
 
-    holders: dict[VertexId, list[int]] = {}  # vertex -> positions of its nodes, built on first use
-
-    def index() -> dict[VertexId, list[int]]:
-        if not holders:
-            for i, bag in enumerate(bags):
-                for v in bag:
-                    holders.setdefault(v, []).append(i)
-        return holders
-
     def covered(fs: frozenset) -> bool:
-        held = index()
+        held = d.holders()
         return any(fs <= bags[i] for i in min((held.get(v, ()) for v in fs), key=len))
 
     bagset = set(bags)
@@ -239,7 +270,7 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
         violations += [Violation(HINGE_UNION, node=n.node_id) for n, span in zip(nodes, spans) if span != n.bag]
         wide = [i for i, n in enumerate(nodes) if len(n.guard) != 1 or spans[i] != n.bag]
         if wide:
-            held = index()
+            held = d.holders()
             meeting = {(min(i, j), max(i, j)) for i in wide for v in bags[i] for j in held[v] if j != i}
             for i, j in sorted(meeting):
                 a, b = nodes[i], nodes[j]
@@ -267,8 +298,11 @@ def verify(h: Hypergraph, d: Decomposition) -> WidthReport:
         violations += [Violation(STRAY_WEIGHTS, node=n.node_id) for n in nodes if n.weights is not None]
 
     if violations:
-        return WidthReport(d.kind, None, tuple(violations))
-    return WidthReport(d.kind, d.raw_width(), ())
+        report = WidthReport(d.kind, None, tuple(violations))
+    else:
+        report = WidthReport(d.kind, d.raw_width(), ())
+    object.__setattr__(d, "_report", (h, report))
+    return report
 
 
 def _raise_unknown_id(h: Hypergraph, d: Decomposition) -> None:
@@ -397,6 +431,13 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
     of its own. The hinge conditions that ``verify`` checks hold for any
     join tree of these guards' bags, so ``gyo_join_tree`` over the bags
     gives the tree. Nothing here recurses.
+
+    GYO runs once over ``h`` to classify the original blocks. It reduces
+    each connected part on its own, so a block is acyclic iff the kernel
+    that run leaves holds none of its part's vertices; an acyclic block
+    gets its guards with no hypergraph or GYO run of its own. Only a cyclic
+    block, to find its pivot, and each part of a split, to classify it, are
+    built as hypergraphs, and only the parts are reduced again.
     """
     sets = dict(h.dedup_edges())
     comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
@@ -408,11 +449,17 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
             guards[frozenset({eid})] = None
         else:
             blocks.setdefault(comp_of[v], []).append(eid)
-    work = list(blocks.values())
+    reduced = gyo_join_tree(h)
+    cyclic = {comp_of[v] for v in reduced.kernel.vertices} if isinstance(reduced, NotAcyclic) else set()
+    work: list = [(block, i not in cyclic) for i, block in blocks.items()]  # (edges, acyclic or None if unknown)
     while work:
-        block = sorted(work.pop(), key=edge_sort_key)
-        sub = Hypergraph(frozenset().union(*map(sets.get, block)), [(e, sets[e]) for e in block])
-        if not isinstance(gyo_join_tree(sub), NotAcyclic):
+        block, acyclic = work.pop()
+        block = sorted(block, key=edge_sort_key)
+        if not acyclic:
+            sub = Hypergraph(frozenset().union(*map(sets.get, block)), [(e, sets[e]) for e in block])
+            if acyclic is None:
+                acyclic = not isinstance(gyo_join_tree(sub), NotAcyclic)
+        if acyclic:
             guards.update(dict.fromkeys(frozenset({e}) for e in block))
             continue
         for pivot in block:
@@ -424,7 +471,7 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
                     if e != pivot:  # a maximal edge has a vertex outside the pivot
                         home = class_of[next(iter(sets[e] - sets[pivot]))]
                         parts.setdefault(home, []).append(e)
-                work.extend(part + [pivot] for part in parts.values())
+                work.extend((part + [pivot], None) for part in parts.values())
                 break
         else:
             guards[frozenset(block)] = None
@@ -667,7 +714,10 @@ def _elimination_tree(h: Hypergraph, order: list[VertexId]) -> Decomposition:
 
 def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -> Decomposition:
     """The nodes whose bags meet ``vs``, with bags, guards and weights cut to
-    ``vs``; a kept node whose parent was dropped becomes the root.
+    ``vs``, in their order in ``d``; a kept node whose parent was dropped
+    becomes the root. The kept nodes are looked up per vertex of ``vs`` in
+    ``d.holders()``, which is built once per ``d``, so restricting ``d`` to
+    each S-component's closure in turn does not scan every node each time.
 
     For a valid d and a ``vs`` connected in h (as a component closure is),
     the kept nodes are one subtree, and it decomposes ``h.induced(vs)`` no
@@ -675,7 +725,8 @@ def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId
     DecompositionInvalid for zero or several roots.
     """
     keep = frozenset(vs)
-    kept = [n for n in d.nodes if not keep.isdisjoint(n.bag)]
+    held = d.holders()
+    kept = [d.nodes[i] for i in sorted({i for v in keep for i in held.get(v, ())})]
     ids = {n.node_id for n in kept}
     nodes = []
     for n in kept:

@@ -5,10 +5,14 @@ edge-cover duality on acyclic hypergraphs, dynamic programming along a
 generalized hypertree decomposition, and a fixed-parameter dynamic program
 along a hingetree decomposition; plus a width-factor approximation.
 
-Every witness is re-checked for independence on construction. BRUTE,
-GHD_DP and HINGE_FPT return the lexicographically smallest maximum set
-(by vertex order); ACYCLIC and APPROX return their greedy's choice, which
-for ACYCLIC is a maximum set but not always that one.
+Every witness is re-checked for independence on construction, from
+incidence: it is independent iff no edge id repeats among its vertices'
+incident edges, so the conflict graph is built only for a set that fails,
+to name its first conflicting pair in vertex order.
+
+BRUTE, GHD_DP and HINGE_FPT return the lexicographically smallest maximum
+set (by vertex order); ACYCLIC and APPROX return their greedy's choice,
+which for ACYCLIC is a maximum set but not always that one.
 """
 
 from __future__ import annotations
@@ -73,13 +77,18 @@ class StarWitness:
 
 def _checked_witness(h: Hypergraph, vertices: Iterable, method: ISMethod,
                      bound: Optional[int] = None) -> ISWitness:
+    """The witness, once no edge of ``h`` holds two of its vertices: no edge
+    id repeats among their incident edges. Only a repeat builds the conflict
+    graph, to name the first conflicting pair in vertex order."""
     verts = frozenset(vertices)
-    adj = h.conflict_adjacency()
-    ordered = h.sort_vertices(verts)
-    for i, v in enumerate(ordered):
-        for u in ordered[i + 1:]:
-            if u in adj[v]:
-                raise InvariantViolation(f"witness not independent: {v!r} and {u!r} share an edge")
+    held = [e for v in verts for e in h.incident_edges(v)]
+    if len(set(held)) != len(held):
+        adj = h.conflict_adjacency()
+        ordered = h.sort_vertices(verts)
+        for i, v in enumerate(ordered):
+            for u in ordered[i + 1:]:
+                if u in adj[v]:
+                    raise InvariantViolation(f"witness not independent: {v!r} and {u!r} share an edge")
     return ISWitness(verts, method, bound)
 
 

@@ -20,6 +20,10 @@ acyclic hypergraph) and the join tree the ACYCLIC strategy builds for an
 acyclic component. The differential verifies every one of them with
 ``oracles.tree_fault``; a faulty tree is a mismatch too.
 
+The first mismatch of a run is shrunk: ``shrink`` drops edges one at a
+time while the comparison still mismatches, and the runner prints the
+hypergraph, with its vertices and S, that it is left with.
+
 Run the full version with ``PYTHONPATH=src python tests/starsize_differential.py
 --instances 2000 [--seed S]``. It prints the seed and hypergraph of every
 mismatch and exits 1 if there is any. Instance ``i`` of a run from seed
@@ -72,6 +76,13 @@ def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
     rng = SplitMix64(seed)
     h = random_hypergraph(rng)
     s = frozenset(v for v in h.vertices if rng.chance(1, 3))
+    return with_decompositions(SHypergraph(h, s))
+
+
+def with_decompositions(sh: SHypergraph) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
+    """``sh`` with the hingetree, the narrowest GHD found up to width 3 and
+    the tree decomposition of its hypergraph."""
+    h = sh.hypergraph
     decomps = [("hinge", hinge_decompose(h))]
     for k in (1, 2, 3):
         ghd = ghd_search(h, k)
@@ -79,13 +90,22 @@ def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
             decomps.append(("ghd", ghd))
             break
     decomps.append(("tree", tree_decompose(h)))
-    return SHypergraph(h, s), decomps
+    return sh, decomps
+
+
+def _describe(sh: SHypergraph) -> str:
+    h = sh.hypergraph
+    return f"V={list(h.vertices)} S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
 
 
 def check(seed: int, tally: differential_runner.Tally) -> None:
-    sh, decomps = make_case(seed)
+    check_case(*make_case(seed), tally)
+
+
+def check_case(sh: SHypergraph, decomps: list[tuple[str, Decomposition]], tally: differential_runner.Tally) -> None:
+    """Every check of one case: ``sh`` and the decompositions of its hypergraph."""
     h = sh.hypergraph
-    tally.describe = lambda: f"S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
+    tally.describe = lambda: _describe(sh)
     comps = s_components(sh)
     brute = _stars(sh, ISMethod.BRUTE, None)
     sizes = [len(star) for star in brute]
@@ -136,5 +156,33 @@ def _stars(sh: SHypergraph, method: ISMethod, d) -> list[list]:
     return [sorted(w.star) for w in s_star_size(sh, method, d)[1]]
 
 
+def shrink(seed: int, key: str) -> str:
+    """The case of ``seed`` with edges dropped one at a time, in declared
+    order, while the comparison ``key`` still mismatches. A vertex goes
+    with the last edge that held it, and leaves S with it."""
+    sh, _ = make_case(seed)
+
+    def mismatches(candidate: SHypergraph) -> bool:
+        tally = differential_runner.Tally(seed)
+        outcome(lambda: check_case(*with_decompositions(candidate), tally))
+        return key in tally.keys
+
+    i = 0
+    while i < len(sh.hypergraph.edges):
+        smaller = _without_edge(sh, i)
+        if mismatches(smaller):
+            sh = smaller
+        else:
+            i += 1
+    return _describe(sh)
+
+
+def _without_edge(sh: SHypergraph, i: int) -> SHypergraph:
+    h = sh.hypergraph
+    edges = h.edges[:i] + h.edges[i + 1:]
+    gone = h.edges[i][1].difference(*(fs for _, fs in edges))
+    return SHypergraph(Hypergraph([v for v in h.vertices if v not in gone], edges), sh.s - gone)
+
+
 if __name__ == "__main__":
-    sys.exit(differential_runner.main(check, __doc__, 2000, DEFAULT_SEED))
+    sys.exit(differential_runner.main(check, __doc__, 2000, DEFAULT_SEED, shrink=shrink))

@@ -736,6 +736,29 @@ def test_verify_hinge_intersections_match_all_pairs_check():
     assert multi >= 30, multi
 
 
+def test_verify_keeps_its_last_report_per_hypergraph():
+    h = Hypergraph("abc", [(0, {"a", "b"}), (1, {"b", "c"})])
+    d = gyo_join_tree(h)
+    report = verify(h, d)
+    assert report.ok and report.width == 1
+    equal = Hypergraph("abc", [(0, {"a", "b"}), (1, {"b", "c"})])
+    assert equal is not h and equal == h
+    assert verify(equal, d) is report
+    wider = Hypergraph("abc", [(0, {"a", "b"}), (1, {"b", "c"}), (2, {"a", "c"})])
+    assert verify(wider, d).violations == (dec.Violation(EDGE_UNCOVERED, edge=2),)
+    again = verify(h, d)
+    assert again.ok and again.width == 1
+    # a mutant starts with no kept report, whether or not its nodes changed
+    same = replace(d)
+    assert verify(h, same) == again and verify(h, same) is not again
+    cut = replace(d, nodes=tuple(replace(n, bag=n.bag - {"b"}) if n.parent is None else n for n in d.nodes))
+    assert [x.tag for x in verify(h, cut).violations] == [EDGE_UNCOVERED]
+    # the kept report and vertex index are not part of the value
+    d.holders()
+    fresh = Decomposition(d.kind, d.nodes)
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+
+
 def test_zero_arity_edge():
     h = Hypergraph("ab", [("nil", frozenset()), ("ab", frozenset("ab"))])
     jt = gyo_join_tree(h)

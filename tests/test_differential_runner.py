@@ -3,6 +3,7 @@ The full runs are ``PYTHONPATH=src python tests/<name>_differential.py``
 with the sizes in each script's docstring."""
 
 import ast
+from dataclasses import replace
 from itertools import count
 
 import pytest
@@ -21,6 +22,7 @@ from cqstar.decomposition import (
 )
 from cqstar.engine import Relation, project
 from cqstar.parser import parse_facts
+from cqstar.starsize import ISMethod, s_star_size
 
 import differential
 import differential_runner
@@ -151,3 +153,30 @@ def test_verify_shrink_keeps_one_vertex_held_apart(monkeypatch, capsys):
     bags = [bag for _, _, _, bag, _ in nodes]
     assert len(nodes) == 3
     assert sorted(map(len, bags)) == [0, 1, 1] and len({tuple(b) for b in bags if b}) == 1
+
+
+def _drops_a_star_vertex(sh, strategy, decomposition=None):
+    """``s_star_size`` with a planted fault: GHD_DP loses the last vertex of
+    each star of two or more."""
+    best, witnesses = s_star_size(sh, strategy, decomposition)
+    if strategy is ISMethod.GHD_DP:
+        witnesses = [replace(w, star=w.star - {max(w.star)}) if len(w.star) > 1 else w for w in witnesses]
+    return best, witnesses
+
+
+def test_starsize_shrink_keeps_two_edges_through_a_quantified_vertex(monkeypatch, capsys):
+    monkeypatch.setattr(starsize_differential, "s_star_size", _drops_a_star_vertex)
+    argv = ["--instances", "20", "--seed", str(starsize_differential.DEFAULT_SEED)]
+    main = differential_runner.main
+    assert main(starsize_differential.check, "Planted.", 1, 0, argv, starsize_differential.shrink) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mismatch: seed=") and " hinge/s_star_size ghd_dp gave " in lines[0]
+    assert lines[1].startswith("shrunk: V=")
+    s_text, edges_text = lines[1].split(" S=", 1)[1].split(" edges=", 1)
+    s = set(ast.literal_eval(s_text))
+    edges = [frozenset(fs) for _, fs in ast.literal_eval(edges_text)]
+    # the least case with a star of two: two edges that meet outside S,
+    # each with a vertex of S that the other lacks
+    assert len(edges) == 2
+    a, b = edges
+    assert (a & b) - s and (a - b) & s and (b - a) & s

@@ -12,7 +12,14 @@ from cqstar.decomposition import (
     hinge_decompose,
     verify,
 )
-from cqstar.errors import DecompositionInvalid, TooLarge, UncoverableVertex, UnknownVertex, WidthNotOne
+from cqstar.errors import (
+    DecompositionInvalid,
+    InvariantViolation,
+    TooLarge,
+    UncoverableVertex,
+    UnknownVertex,
+    WidthNotOne,
+)
 from cqstar.generators import (
     SplitMix64,
     gen_g_star,
@@ -24,6 +31,8 @@ from cqstar.generators import (
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 from cqstar.starsize import (
     ISMethod,
+    ISWitness,
+    _checked_witness,
     acyclic_is_and_cover,
     approx_is,
     max_is_brute,
@@ -72,6 +81,21 @@ def test_brute_rejects_an_unknown_candidate(tri):
         max_is_brute(tri, ["nope"])
     with pytest.raises(UnknownVertex):
         max_is_brute(tri, ["a", "nope"])
+
+
+def test_witness_check_fails_as_the_pairwise_search_did():
+    # vertex order d, c, b, a; e2 and e3 are one set under two ids
+    h = Hypergraph("dcba", [("e0", {"a", "b"}), ("e1", {"c", "a"}), ("e2", {"d"}), ("e3", {"d"})])
+    assert _checked_witness(h, ["d", "c", "b"], ISMethod.BRUTE) == ISWitness(frozenset("dcb"), ISMethod.BRUTE)
+    assert _checked_witness(h, [], ISMethod.APPROX, 1) == ISWitness(frozenset(), ISMethod.APPROX, 1)
+    # the first conflicting pair in vertex order, not in name order ('a' and 'b')
+    with pytest.raises(InvariantViolation) as exc:
+        _checked_witness(h, {"a", "b", "c"}, ISMethod.GHD_DP)
+    assert str(exc.value) == "witness not independent: 'c' and 'a' share an edge"
+    with pytest.raises(UnknownVertex):
+        _checked_witness(h, {"b", "nope"}, ISMethod.BRUTE)
+    with pytest.raises(UnknownVertex):
+        _checked_witness(h, {"a", "b", "nope"}, ISMethod.BRUTE)
 
 
 def test_brute_cutoff():

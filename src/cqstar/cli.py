@@ -33,10 +33,11 @@ from .errors import (
 )
 from .generators import (
     gen_clique_star_instance,
+    gen_g_star,
     gen_is_hardness_hypergraph,
     gen_random_instance,
 )
-from .hypergraph import Atom, Query, from_query
+from .hypergraph import Atom, Query, SHypergraph, from_query
 from .parser import (
     ParseError,
     SourceSpan,
@@ -260,6 +261,14 @@ def _write_instance(prefix: str, inst: QueryInstance) -> list[str]:
     return [qpath, fpath]
 
 
+def _hypergraph_query(sh: SHypergraph) -> Query:
+    """One atom per edge, named by its id over its vertices in sorted order;
+    the head holds S in the hypergraph's vertex order."""
+    h = sh.hypergraph
+    atoms = tuple(Atom(str(eid), tuple(sorted(fs))) for eid, fs in h.edges)
+    return Query("ans", tuple(v for v in h.vertices if v in sh.s), atoms)
+
+
 def _cmd_gen(args) -> int:
     written: list[str]
     if args.generator == "clique-star":
@@ -270,10 +279,7 @@ def _cmd_gen(args) -> int:
         g = parse_edge_list(_read(args.graph), args.graph)
         h, d = gen_is_hardness_hypergraph(g, args.k)
         ordinals = {eid: i for i, (eid, _) in enumerate(h.edges)}
-        atoms = tuple(
-            Atom(str(eid), tuple(sorted(fs))) for eid, fs in h.edges
-        )
-        query = Query("ans", (), atoms)
+        query = _hypergraph_query(SHypergraph(h, frozenset()))
         remapped = Decomposition(
             d.kind,
             tuple(
@@ -286,10 +292,7 @@ def _cmd_gen(args) -> int:
         Path(dpath).write_text(decomposition_to_json(remapped), encoding="utf-8")
         written = [qpath, dpath]
     elif args.generator == "gstar":
-        atoms = tuple(
-            Atom(f"P{i}", ("z", f"y{i}")) for i in range(1, args.n + 1)
-        )
-        query = Query("ans", tuple(f"y{i}" for i in range(1, args.n + 1)), atoms)
+        query = _hypergraph_query(gen_g_star(args.n))
         qpath = f"{args.output}.cq"
         Path(qpath).write_text(query_to_text(query), encoding="utf-8")
         written = [qpath]
@@ -307,18 +310,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    query = _load_query(args.query)
-    if args.oracle == "count":
-        structure = parse_facts(_read(args.data), args.data)
-        result = count_brute(QueryInstance(query, structure))
-        print(result.count)
-    else:
-        size, _ = s_star_size(from_query(query), ISMethod.BRUTE)
-        print(size)
-    return 0
-
-
 def _add_count(sub) -> None:
     p = sub.add_parser("count", help="count query answers")
     p.add_argument("-q", "--query", required=True)
@@ -330,12 +321,12 @@ def _add_count(sub) -> None:
         "pieces: each acyclic S-component and an acyclic rewritten query get their own join tree",
     )
     p.add_argument("--auto-decomp", choices=["jointree", "hinge", "ghd"], help="decomposition to "
-                   "build, read by --method ghd and fractional (default: join tree, else hingetree)")
+                   "build, read by --method ghd (default: join tree, else hingetree)")
     p.add_argument("-k", type=_positive_int, help="GHD width, read only with --auto-decomp ghd "
                    "(default: the narrowest found)")
-    p.add_argument("--method", choices=["ghd", "fractional", "brute"], default="ghd",
-                   help="fractional is another spelling of ghd, kept for scripts; brute reads none "
-                   "of --decomp, --auto-decomp and -k")
+    p.add_argument("--method", choices=["ghd", "brute"], default="ghd",
+                   help="ghd counts along a decomposition of any kind; brute, the brute-force "
+                   "reference, reads none of --decomp, --auto-decomp and -k")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -398,25 +389,13 @@ def _add_gen(sub) -> None:
     g.set_defaults(func=_cmd_gen)
 
 
-def _add_oracle(sub) -> None:
-    p = sub.add_parser("oracle", help="brute-force reference answers")
-    osub = p.add_subparsers(dest="oracle", required=True)
-    o = osub.add_parser("count")
-    o.add_argument("-q", "--query", required=True)
-    o.add_argument("-d", "--data", required=True)
-    o.set_defaults(func=_cmd_oracle)
-    o = osub.add_parser("starsize")
-    o.add_argument("-q", "--query", required=True)
-    o.set_defaults(func=_cmd_oracle)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser, built once per process; ``parse_args`` makes a fresh
     ``Namespace`` per call, so no state carries between runs."""
     parser = _Parser(prog="cqstar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in (_add_count, _add_starsize, _add_decompose, _add_verify, _add_gen, _add_oracle):
+    for add in (_add_count, _add_starsize, _add_decompose, _add_verify, _add_gen):
         add(sub)
     return parser
 

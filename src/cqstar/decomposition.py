@@ -8,7 +8,7 @@ reports every violation. The hinge, GHD and tree constructors verify their
 own output. A decomposition from outside is verified, kind included, where
 it enters: by ``ensure_valid`` in each public function that takes one. The
 trees that ``gyo_join_tree`` builds, and those derived from a verified one
-(``guarded``, ``induced_decomposition`` on a connected set, ``integralize``,
+(``guarded``, ``induced_decomposition`` on a connected set,
 ``jointree_over_bags``), are valid by construction and are not verified
 again at run time; the differentials in ``tests/`` verify every one.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -737,13 +737,6 @@ def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId
         parent = n.parent if n.parent in ids else None
         nodes.append(DecompNode(n.node_id, parent, guard, n.bag & keep, weights))
     return Decomposition(d.kind, tuple(nodes))
-
-
-def integralize(d: Decomposition) -> Decomposition:
-    """Characteristic-function weights turn a guard-based decomposition into
-    a fractional one of the same width."""
-    nodes = tuple(replace(n, weights={e: Fraction(1) for e in n.guard}) for n in d.nodes)
-    return Decomposition(DecompKind.FRACTIONAL, nodes)
 
 
 def guarded(h: Hypergraph, d: Decomposition) -> Decomposition:

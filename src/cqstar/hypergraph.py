@@ -39,6 +39,8 @@ class Atom:
 @dataclass(frozen=True)
 class Query:
     """A conjunctive query: head variables are free, other body variables bound.
+    A head variable that occurs in no atom is a ``VariableWithoutAtom``:
+    silent answer multiplication by the domain size is a foot-gun we reject.
 
     Atoms are identified by their 0-based ordinal in the body; repeated
     predicate names are legal as long as arities agree at bind time.
@@ -51,6 +53,10 @@ class Query:
     def __post_init__(self):
         if len(set(self.free_vars)) != len(self.free_vars):
             raise ValueError("duplicate free variable in query head")
+        present = set(self.variables())
+        for v in self.free_vars:
+            if v not in present:
+                raise VariableWithoutAtom(v)
 
     def variables(self) -> tuple[str, ...]:
         """All variables in first-appearance (body) order."""
@@ -59,10 +65,6 @@ class Query:
             for v in atom.variables:
                 seen.setdefault(v)
         return tuple(seen)
-
-    def bound_vars(self) -> tuple[str, ...]:
-        free = set(self.free_vars)
-        return tuple(v for v in self.variables() if v not in free)
 
 
 class Hypergraph:
@@ -253,21 +255,6 @@ class Hypergraph:
             out.append(frozenset(comp))
         return out
 
-    def primal_graph(self) -> "Hypergraph":
-        """Clique expansion: one 2-vertex edge per co-occurring pair, under
-        its ``pair_id``."""
-        pairs: dict[frozenset[VertexId], None] = {}
-        for _, fs in self.dedup_edges():
-            members = self.sort_vertices(fs)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.setdefault(frozenset((members[i], members[j])))
-        edges = []
-        for pair in pairs:
-            u, v = self.sort_vertices(pair)
-            edges.append((pair_id(u, v), pair))
-        return Hypergraph(self.vertices, edges)
-
 
 @dataclass(frozen=True)
 class SHypergraph:
@@ -296,16 +283,9 @@ class SComponent:
 
 
 def from_query(query: Query) -> SHypergraph:
-    """Canonical S-hypergraph of a query: a vertex per variable, an edge per atom.
-
-    Raises VariableWithoutAtom for a free variable occurring in no atom;
-    silent answer multiplication by the domain size is a foot-gun we reject.
-    """
+    """Canonical S-hypergraph of a query: a vertex per variable, an edge per
+    atom. ``Query`` itself rejects a free variable in no atom."""
     vertices = query.variables()
-    present = set(vertices)
-    for v in query.free_vars:
-        if v not in present:
-            raise VariableWithoutAtom(v)
     edges = [(i, frozenset(atom.variables)) for i, atom in enumerate(query.atoms)]
     return SHypergraph(Hypergraph(vertices, edges), frozenset(query.free_vars))
 

@@ -385,14 +385,6 @@ def _integer(text: str, span: SourceSpan, convert=int):
         raise ParseError(f"integer longer than {sys.get_int_max_str_digits()} digits", span) from None
 
 
-def edge_list_to_text(g: SimpleGraph) -> str:
-    lines = [f"n {g.n}"]
-    for e in sorted(g.edges, key=lambda e: tuple(sorted(e))):
-        u, v = sorted(e)
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
-
-
 # -- decomposition JSON -------------------------------------------------------
 
 _KINDS = {k.value: k for k in DecompKind}

@@ -49,6 +49,11 @@ variable outside the bag links two of its parts that are not adjacent in
 the join order, so a bag join that drops that variable too early, or
 keeps it to the end, gives a wrong relation.
 
+The first mismatch of a run is shrunk: ``shrink`` drops atoms, in a
+family with no hand-built decomposition, then rows, one at a time while the
+comparison still mismatches, and the runner prints the query and the rows
+it is left with.
+
 Run the full version with ``PYTHONPATH=src python tests/differential.py
 --instances 1500 [--seed S]``. It prints the seed, family and query of
 every mismatch and exits 1 if there is any. Case ``i`` of a run from seed
@@ -72,7 +77,6 @@ from cqstar.decomposition import (
     guarded,
     hinge_decompose,
     induced_decomposition,
-    integralize,
     jointree_over_bags,
     tree_decompose,
 )
@@ -92,7 +96,13 @@ from cqstar.starsize import acyclic_is_and_cover
 
 import differential_runner
 from differential_runner import outcome
-from oracles import bag_relations_reference, count_by_full_join, project_reference, touching_reference
+from oracles import (
+    bag_relations_reference,
+    count_by_full_join,
+    integralize,
+    project_reference,
+    touching_reference,
+)
 
 DEFAULT_SEED = 20131
 
@@ -350,12 +360,19 @@ def as_fractional(stats: dict) -> dict:
     return dict(stats, pieces=pieces)
 
 
+def _describe(case: Case) -> str:
+    return f"family {case.family}, query {query_to_text(case.inst.query).strip()}"
+
+
 def check(seed: int, tally: differential_runner.Tally) -> None:
+    check_case(make_case(seed), tally)
+
+
+def check_case(case: Case, tally: differential_runner.Tally) -> None:
     """Each count against ``count_brute``, each node relation against the
     reference, the ``stats`` along each decomposition against those along
     its integralization; every guarded and every derived tree verified."""
-    case = make_case(seed)
-    tally.describe = lambda: f"family {case.family}, query {query_to_text(case.inst.query).strip()}"
+    tally.describe = lambda: _describe(case)
     expected = count_brute(case.inst).count
     tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
     h = from_query(case.inst.query).hypergraph
@@ -379,5 +396,49 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
             tally.compare(f"stats/{label}", outcome(lambda: results["fractional"].stats), want)
 
 
+def shrink(seed: int, key: str) -> str:
+    """The case of ``seed`` with atoms dropped one at a time, in body order,
+    if its family has no hand-built decomposition (whose guards name atoms
+    by ordinal), then rows, relation by relation in name order, while the
+    comparison ``key`` still mismatches. A head variable goes with the last
+    atom that held it, and a relation with the last atom over it."""
+    case = make_case(seed)
+
+    def mismatches(candidate: Case) -> bool:
+        tally = differential_runner.Tally(seed)
+        outcome(lambda: check_case(candidate, tally))
+        return key in tally.keys
+
+    i = 0
+    while not case.extra and i < len(case.inst.query.atoms):
+        smaller = replace(case, inst=_without_atom(case.inst, i))
+        if mismatches(smaller):
+            case = smaller
+        else:
+            i += 1
+    for name in sorted(case.inst.structure.relations):
+        for row in sorted(case.inst.structure.relations[name].rows):
+            relations = dict(case.inst.structure.relations)
+            relations[name] = replace(relations[name], rows=relations[name].rows - {row})
+            smaller = replace(case, inst=replace(case.inst, structure=replace(case.inst.structure, relations=relations)))
+            if mismatches(smaller):
+                case = smaller
+    structure = case.inst.structure
+    rows = {
+        name: sorted(tuple(structure.domain[v] for v in row) for row in rel.rows)
+        for name, rel in sorted(structure.relations.items())
+    }
+    return f"{_describe(case)}, rows {rows}"
+
+
+def _without_atom(inst: QueryInstance, i: int) -> QueryInstance:
+    atoms = inst.query.atoms[:i] + inst.query.atoms[i + 1:]
+    kept = {v for atom in atoms for v in atom.variables}
+    query = Query(inst.query.head, tuple(v for v in inst.query.free_vars if v in kept), atoms)
+    used = {atom.predicate for atom in atoms}
+    relations = {name: rel for name, rel in inst.structure.relations.items() if name in used}
+    return QueryInstance(query, Structure(inst.structure.domain, relations))
+
+
 if __name__ == "__main__":
-    sys.exit(differential_runner.main(check, __doc__, 1500, DEFAULT_SEED))
+    sys.exit(differential_runner.main(check, __doc__, 1500, DEFAULT_SEED, shrink=shrink))

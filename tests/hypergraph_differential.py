@@ -51,7 +51,6 @@ from cqstar.decomposition import (
     _elimination_tree,
     ghd_search,
     hinge_decompose,
-    integralize,
     tree_decompose,
     verify,
 )
@@ -66,6 +65,7 @@ from oracles import (
     components_reference,
     exact_elimination_order_reference,
     hypergraph_induced_reference,
+    integralize,
     min_hinge_width,
     s_components_reference,
 )

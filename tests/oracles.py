@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -39,7 +40,8 @@ from cqstar.errors import (
     UnknownVertex,
     WidthNotOne,
 )
-from cqstar.hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId, edge_sort_key
+from cqstar.generators import SimpleGraph
+from cqstar.hypergraph import EdgeId, Hypergraph, Query, SComponent, SHypergraph, VertexId, edge_sort_key, pair_id
 from cqstar.parser import _Cursor, _unquote
 
 
@@ -540,7 +542,7 @@ def tree_targets(h: Hypergraph) -> list:
     edges of h under their own ids, in declared order, then the edges of
     its primal graph."""
     singles = [(eid, fs) for eid, fs in h.dedup_edges() if len(fs) == 1]
-    return singles + list(h.primal_graph().dedup_edges())
+    return singles + list(primal_graph(h).dedup_edges())
 
 
 def verify_reference(h: Hypergraph, d: Decomposition) -> WidthReport:
@@ -795,3 +797,42 @@ def absorb_child_reference(table: dict, schema: tuple, child: dict, child_schema
         key = tuple(row[i] for i in pp)
         table[row] *= sums.get(key, 0)
     return table
+
+
+# -- helpers that only tests call ------------------------------------------------
+
+
+def integralize(d: Decomposition) -> Decomposition:
+    """Characteristic-function weights turn a guard-based decomposition into
+    a fractional one of the same width."""
+    nodes = tuple(replace(n, weights={e: Fraction(1) for e in n.guard}) for n in d.nodes)
+    return Decomposition(DecompKind.FRACTIONAL, nodes)
+
+
+def bound_vars(query: Query) -> tuple[str, ...]:
+    free = set(query.free_vars)
+    return tuple(v for v in query.variables() if v not in free)
+
+
+def edge_list_to_text(g: SimpleGraph) -> str:
+    lines = [f"n {g.n}"]
+    for e in sorted(g.edges, key=lambda e: tuple(sorted(e))):
+        u, v = sorted(e)
+        lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def primal_graph(h: Hypergraph) -> Hypergraph:
+    """Clique expansion: one 2-vertex edge per co-occurring pair, under
+    its ``pair_id``."""
+    pairs: dict[frozenset[VertexId], None] = {}
+    for _, fs in h.dedup_edges():
+        members = h.sort_vertices(fs)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                pairs.setdefault(frozenset((members[i], members[j])))
+    edges = []
+    for pair in pairs:
+        u, v = h.sort_vertices(pair)
+        edges.append((pair_id(u, v), pair))
+    return Hypergraph(h.vertices, edges)

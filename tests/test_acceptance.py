@@ -23,7 +23,6 @@ from cqstar.decomposition import (
     ghd_search,
     gyo_join_tree,
     hinge_decompose,
-    integralize,
     verify,
 )
 from cqstar.engine import (
@@ -48,7 +47,7 @@ from cqstar.parser import decomposition_to_json, parse_query, query_to_text
 from cqstar.starsize import ISMethod, acyclic_is_and_cover, approx_is, max_is_brute, max_is_ghd_dp, max_is_hinge_fpt, s_star_size
 
 from conftest import EX1_TEXT
-from oracles import count_k_cliques, has_k_independent_set, max_is_size
+from oracles import count_k_cliques, has_k_independent_set, integralize, max_is_size
 from test_decomposition import random_hypergraph
 
 

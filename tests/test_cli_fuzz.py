@@ -1,20 +1,22 @@
-"""Seeded fuzz of ``cqstar count``, ``cqstar decompose`` and both ``cqstar
-oracle`` commands on mutated query and facts files, of ``verify``, ``count
---decomp`` and ``starsize --decomp`` on mutated decomposition JSON, and of
-both graph generators on mutated edge lists: every run ends in an answer
-(exit 0), one ``error:`` line (exit 1) or a budget line (exit 2). Exit 3,
-the catch-all for internal errors, is a failure."""
+"""Seeded fuzz of ``cqstar count``, ``cqstar decompose`` and both brute-force
+methods (``count`` and ``starsize`` with ``--method brute``) on mutated
+query and facts files, of ``verify``, ``count --decomp`` and ``starsize
+--decomp`` on mutated decomposition JSON, and of both graph generators on
+mutated edge lists: every run ends in an answer (exit 0), one ``error:``
+line (exit 1) or a budget line (exit 2). Exit 3, the catch-all for internal
+errors, is a failure."""
 
 import re
 from collections import Counter
 
 from cqstar import cli
 from cqstar.cli import run_cli
-from cqstar.decomposition import TREE_EXACT_VERTEX_CUTOFF, hinge_decompose, integralize
+from cqstar.decomposition import TREE_EXACT_VERTEX_CUTOFF, hinge_decompose
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import from_query
 from cqstar.parser import decomposition_to_json, parse_query
 
+from oracles import integralize
 from parser_differential import mutate
 
 QUERIES = [
@@ -53,7 +55,7 @@ def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
         for seed in range(600):
             rng = SplitMix64(seed)
             files = {q: mutate(rng, QUERIES[seed % len(QUERIES)]), f: mutate(rng, FACTS[rng.below(len(FACTS))])}
-            argv = ["count", "-q", str(q), "-d", str(f), "--method", rng.choice(["ghd", "fractional", "brute"])]
+            argv = ["count", "-q", str(q), "-d", str(f), "--method", rng.choice(["ghd", "brute"])]
             if rng.chance(1, 2):
                 argv.append("--json")
             yield seed, files, argv
@@ -62,7 +64,7 @@ def test_cli_count_fuzz_never_crashes(tmp_path, capsys):
     assert exits[0] > 50 and exits[1] > 50
 
 
-def test_cli_oracle_fuzz_never_crashes(tmp_path, capsys):
+def test_cli_brute_fuzz_never_crashes(tmp_path, capsys):
     q, f = tmp_path / "q.cq", tmp_path / "d.facts"
 
     def runs():
@@ -70,10 +72,10 @@ def test_cli_oracle_fuzz_never_crashes(tmp_path, capsys):
             rng = SplitMix64(seed)
             files = {q: mutate(rng, QUERIES[seed % len(QUERIES)])}
             if rng.chance(1, 2):
-                yield seed, files, ["oracle", "starsize", "-q", str(q)]
+                yield seed, files, ["starsize", "-q", str(q), "--method", "brute"]
             else:
                 files[f] = mutate(rng, FACTS[rng.below(len(FACTS))])
-                yield seed, files, ["oracle", "count", "-q", str(q), "-d", str(f)]
+                yield seed, files, ["count", "-q", str(q), "-d", str(f), "--method", "brute"]
 
     exits = Counter(_fuzz(capsys, runs()))
     assert exits[0] > 50 and exits[1] > 50, exits
@@ -140,7 +142,7 @@ def test_cli_decomposition_json_fuzz_never_crashes(tmp_path, capsys):
             command = rng.choice(["verify", "count", "starsize"])
             argv = [command, "-q", str(q), "--decomp", str(dj)]
             if command == "count":
-                argv += ["-d", str(f), "--method", rng.choice(["ghd", "fractional"])]
+                argv += ["-d", str(f), "--method", "ghd"]
             elif command == "starsize":
                 argv += ["--method", rng.choice(["ghd", "hinge", "approx"])]
             yield seed, files, argv
@@ -192,7 +194,7 @@ def test_cli_undefined_predicate_is_an_input_error(tmp_path, capsys):
     q, f = tmp_path / "q.cq", tmp_path / "d.facts"
     q.write_text("ans(x,y) :- R(x,y).\n")
     f.write_text("S(a).\n")
-    for method in ("ghd", "fractional", "brute"):
+    for method in ("ghd", "brute"):
         assert run_cli(["count", "-q", str(q), "-d", str(f), "--method", method]) == 1
         assert capsys.readouterr().err == "error: predicate 'R' not defined in the structure\n"
 

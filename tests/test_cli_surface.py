@@ -1,19 +1,27 @@
 """Help and usage errors of the CLI's one parser, which lists every
 subcommand: each ``--help`` exits 0 with its usage on stdout, and each usage
-error exits 1 with one ``error:`` line on stderr. argparse's wording differs
-between Python versions, so no full text is pinned."""
+error exits 1 with one ``error:`` line on stderr. The removed spellings are
+usage errors: ``oracle count`` and ``oracle starsize``, which were ``count``
+and ``starsize`` with ``--method brute``, help included, and ``count --method
+fractional``, which was ``--method ghd``. argparse's wording differs between
+Python versions, so no full text is pinned."""
 
 import pytest
 
 from cqstar import cli
 
 HELP = (
-    [[c, "--help"] for c in ("count", "starsize", "decompose", "verify", "gen", "oracle")]
+    [[c, "--help"] for c in ("count", "starsize", "decompose", "verify", "gen")]
     + [["gen", g, "--help"] for g in ("clique-star", "is-hard", "gstar", "random")]
-    + [["oracle", o, "--help"] for o in ("count", "starsize")]
     + [["--help"], ["-h"]]
 )
 ERRORS = [[], ["nosuch"], ["count", "--bogus"], ["gen"], ["gen", "nosuch"], ["oracle"]]
+ERRORS += [["oracle", "--help"]] + [["oracle", o, "--help"] for o in ("count", "starsize")]
+ERRORS += [
+    ["oracle", "count", "-q", "q.cq", "-d", "d.facts"],
+    ["oracle", "starsize", "-q", "q.cq"],
+    ["count", "-q", "q.cq", "-d", "d.facts", "--method", "fractional"],
+]
 
 
 @pytest.mark.parametrize("argv", HELP + ERRORS, ids=lambda argv: " ".join(argv) or "no-arguments")

@@ -20,8 +20,8 @@ from cqstar.decomposition import (
     WidthReport,
     verify,
 )
-from cqstar.engine import Relation, project
-from cqstar.parser import parse_facts
+from cqstar.engine import Relation, count_brute, count_cq_via_ghd, project
+from cqstar.parser import parse_facts, parse_query
 from cqstar.starsize import ISMethod, s_star_size
 
 import differential
@@ -180,3 +180,42 @@ def test_starsize_shrink_keeps_two_edges_through_a_quantified_vertex(monkeypatch
     assert len(edges) == 2
     a, b = edges
     assert (a & b) - s and (a - b) & s and (b - a) & s
+
+
+def _undercounts(inst, d):
+    """``count_cq_via_ghd`` with a planted fault: a count of two or more
+    loses one answer."""
+    result = count_cq_via_ghd(inst, d)
+    return replace(result, count=result.count - 1) if result.count >= 2 else result
+
+
+def _shrunk_query_and_rows(line: str) -> tuple:
+    query_text, rows_text = line.split(" query ", 1)[1].split(", rows ", 1)
+    return parse_query(query_text), ast.literal_eval(rows_text)
+
+
+def test_counting_shrink_keeps_one_atom_with_two_rows(monkeypatch, capsys):
+    monkeypatch.setattr(differential, "count_cq_via_ghd", _undercounts)
+    argv = ["--instances", "20", "--seed", str(differential.DEFAULT_SEED)]
+    assert differential_runner.main(differential.check, "Planted.", 1, 0, argv, differential.shrink) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mismatch: seed=") and " ghd/auto gave " in lines[0]
+    assert lines[1].startswith("shrunk: family ")
+    assert sum(line.startswith("shrunk: ") for line in lines) == 1
+    # the least case with two answers: one atom over a relation of two rows
+    query, rows = _shrunk_query_and_rows(lines[1])
+    assert len(query.atoms) == 1 and len(query.free_vars) >= 1
+    assert {name: len(kept) for name, kept in rows.items()} == {query.atoms[0].predicate: 2}
+
+
+def test_counting_shrink_keeps_the_atoms_of_a_hand_built_decomposition(monkeypatch):
+    """A hand-built decomposition names atoms by ordinal, so only rows go."""
+    monkeypatch.setattr(differential, "count_cq_via_ghd", _undercounts)
+    seed = next(
+        s for s in count(differential.DEFAULT_SEED)
+        if differential.make_case(s).extra and count_brute(differential.make_case(s).inst).count >= 2
+    )
+    inst = differential.make_case(seed).inst
+    query, rows = _shrunk_query_and_rows(differential.shrink(seed, "ghd/auto"))
+    assert query == inst.query
+    assert sum(map(len, rows.values())) < sum(map(len, inst.structure.relations.values()))

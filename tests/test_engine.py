@@ -9,7 +9,6 @@ from cqstar.decomposition import (
     ghd_search,
     gyo_join_tree,
     hinge_decompose,
-    integralize,
     tree_decompose,
 )
 from cqstar.engine import (
@@ -35,7 +34,14 @@ from cqstar.errors import (
 from cqstar.generators import SimpleGraph, SplitMix64, gen_clique_star_instance, gen_random_instance
 from cqstar.hypergraph import Atom, Query, from_query
 
-from oracles import count_by_full_join, count_k_cliques, natural_join_onto_reference, natural_join_reference, project_reference
+from oracles import (
+    count_by_full_join,
+    count_k_cliques,
+    integralize,
+    natural_join_onto_reference,
+    natural_join_reference,
+    project_reference,
+)
 
 
 def rel(name, schema, rows):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,12 @@ import cqstar
 from cqstar.cli import run_cli
 from cqstar.decomposition import DecompKind, ghd_search, gyo_join_tree, hinge_decompose
 from cqstar.engine import QueryInstance, count_brute
+from cqstar.generators import gen_g_star
 from cqstar.hypergraph import from_query
 from cqstar.parser import (
     ParseError,
     decomposition_from_json,
     decomposition_to_json,
-    edge_list_to_text,
     facts_to_text,
     parse_edge_list,
     parse_facts,
@@ -24,6 +25,7 @@ from cqstar.parser import (
 )
 
 from conftest import EX1_TEXT
+from oracles import bound_vars, edge_list_to_text
 
 
 E1E2_FACTS = "E1(a, 1).\nE1(b, 1).\nE2(a, 1).\nE2(c, 2).\n"
@@ -36,7 +38,7 @@ E1E2_QUERY = "ans(y1, y2) :- E1(y1, z), E2(y2, z).\n"
 def test_parse_query_basic():
     q = parse_query("ans(y1,y2) :- E1(y1,z), E2(y2,z).")
     assert q.free_vars == ("y1", "y2")
-    assert q.bound_vars() == ("z",)
+    assert bound_vars(q) == ("z",)
     assert [a.predicate for a in q.atoms] == ["E1", "E2"]
 
 
@@ -206,7 +208,7 @@ def test_cli_count(workdir, capsys):
 def test_cli_count_json_stable(workdir, capsys):
     args = [
         "count", "-q", str(workdir / "q.cq"), "-d", str(workdir / "d.facts"),
-        "--method", "fractional", "--json",
+        "--method", "ghd", "--json",
     ]
     assert run_cli(args) == 0
     first = capsys.readouterr().out
@@ -218,11 +220,9 @@ def test_cli_count_json_stable(workdir, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_count_brute_and_oracle(workdir, capsys):
+def test_cli_count_brute(workdir, capsys):
     assert run_cli(["count", "-q", str(workdir / "q.cq"), "-d", str(workdir / "d.facts"),
                     "--method", "brute"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
-    assert run_cli(["oracle", "count", "-q", str(workdir / "q.cq"), "-d", str(workdir / "d.facts")]) == 0
     assert capsys.readouterr().out.strip() == "2"
 
 
@@ -231,8 +231,8 @@ def test_cli_starsize_ex1(workdir, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "4"
     assert "witness:" in out
-    assert run_cli(["oracle", "starsize", "-q", str(workdir / "ex1.cq")]) == 0
-    assert capsys.readouterr().out.strip() == "4"
+    assert run_cli(["starsize", "-q", str(workdir / "ex1.cq"), "--method", "brute"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "4"
 
 
 def test_cli_starsize_methods(workdir, capsys):
@@ -301,6 +301,11 @@ def test_cli_gen_round_trips(workdir, capsys):
     capsys.readouterr()
     q3 = parse_query((workdir / "st.cq").read_text())
     assert len(q3.free_vars) == 4
+    sh3, star = from_query(q3), gen_g_star(4)
+    assert sh3.s == star.s
+    assert sorted(fs for _, fs in sh3.hypergraph.edges) == sorted(fs for _, fs in star.hypergraph.edges)
+    assert run_cli(["starsize", "-q", str(workdir / "st.cq")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "4"
 
     assert run_cli([
         "gen", "random", "--vars", "4", "--atoms", "3", "--seed", "7",
@@ -332,6 +337,58 @@ def test_cli_exit_codes(workdir, capsys):
     capsys.readouterr()
     assert run_cli(["bogus"]) == 1
     capsys.readouterr()
+
+
+def test_cli_free_variable_in_no_atom_is_one_error_line(workdir, capsys):
+    """The query itself rejects the head variable, so every path does,
+    brute force included."""
+    query, facts = str(workdir / "w.cq"), str(workdir / "w.facts")
+    Path(query).write_text("ans(w) :- E(x, y).\n")
+    Path(facts).write_text("E(a, b).\n")
+    for argv in (["count", "-q", query, "-d", facts],
+                 ["count", "-q", query, "-d", facts, "--method", "brute"],
+                 ["starsize", "-q", query]):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", "error: variable 'w' occurs in no atom\n")
+
+
+def _readme_cli_session() -> list[tuple[str, list[str]]]:
+    """Each ``$ `` line of the README's CLI block, with the lines printed
+    under it up to the next ``$ `` line or blank line."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    session: list[tuple[str, list[str]]] = []
+    printing = False
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            session.append((line[2:], []))
+            printing = True
+        elif not line:
+            printing = False
+        elif printing:
+            session[-1][1].append(line)
+    return session
+
+
+def test_readme_cli_session(tmp_path, capsys, monkeypatch):
+    """Every ``cqstar`` line of the README's CLI session prints what the
+    README shows under it, on the files its ``cat`` lines show and a
+    triangle ``g.edges``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n0 2\n")
+    session = _readme_cli_session()
+    for command, printed in session:
+        if command.startswith("cat "):
+            (tmp_path / command[4:]).write_text("".join(f"{line}\n" for line in printed))
+    ran = 0
+    for command, printed in session:
+        argv = shlex.split(command, comments=True)
+        if argv[0] != "cqstar":
+            continue
+        assert run_cli(argv[1:]) == 0, command
+        assert capsys.readouterr() == ("".join(f"{line}\n" for line in printed), ""), command
+        ran += 1
+    assert ran >= 6
 
 
 BAD_DECOMPS = {
@@ -587,19 +644,23 @@ def test_cli_count_fractional_decomp_file(workdir, capsys):
     )
     assert run_cli([
         "count", "-q", str(tri_query), "-d", str(tri_facts),
-        "--decomp", str(frac), "--method", "fractional",
+        "--decomp", str(frac),
     ]) == 0
     engine_count = capsys.readouterr().out.strip()
     assert run_cli([
         "count", "-q", str(tri_query), "-d", str(tri_facts), "--method", "brute",
     ]) == 0
     assert capsys.readouterr().out.strip() == engine_count
+    # --json names the method by the decomposition's kind
+    assert run_cli(["count", "-q", str(tri_query), "-d", str(tri_facts), "--decomp", str(frac), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["count"], doc["method"]) == (engine_count, "fractional")
 
 
 def test_cli_negative_weights_are_violations(workdir, capsys):
     """A negative weight could lower a node's width below that of any cover;
     ``verify`` names each one, by node and edge in node order, and
-    ``count --method fractional`` refuses the decomposition in one line."""
+    ``count`` refuses the decomposition in one line."""
     query = workdir / "neg.cq"
     query.write_text("ans(x, y, z, q) :- R(x, y), S(y, z), T(z, x), W(q).\n")
     facts = workdir / "neg.facts"
@@ -614,7 +675,7 @@ def test_cli_negative_weights_are_violations(workdir, capsys):
     assert run_cli(["verify", "-q", str(query), "--decomp", str(path)]) == 1
     assert capsys.readouterr() == ("".join(f"{v}\n" for v in violations), "")
     assert run_cli([
-        "count", "-q", str(query), "-d", str(facts), "--decomp", str(path), "--method", "fractional",
+        "count", "-q", str(query), "-d", str(facts), "--decomp", str(path),
     ]) == 1
     assert capsys.readouterr() == ("", f"error: decomposition fails verification: {', '.join(violations)}\n")
 
@@ -677,10 +738,10 @@ def test_cli_decompose_tree_kind(workdir, capsys):
 
 
 def test_cli_count_and_starsize_read_a_tree_decomposition(workdir, capsys):
-    """A tree decomposition is guarded before it is read: ``count``, by either
-    spelling of its method, counts along it what ``--method brute`` counts;
-    along it ``starsize --method ghd`` sizes the running example as brute
-    force does, and ``approx`` no larger. ``--method hinge`` names its kind."""
+    """A tree decomposition is guarded before it is read: ``count`` counts
+    along it what ``--method brute`` counts; along it ``starsize --method
+    ghd`` sizes the running example as brute force does, and ``approx`` no
+    larger. ``--method hinge`` names its kind."""
     def run(*argv):
         assert run_cli(list(argv)) == 0
         return capsys.readouterr().out
@@ -692,8 +753,7 @@ def test_cli_count_and_starsize_read_a_tree_decomposition(workdir, capsys):
         query, facts = str(workdir / query), str(workdir / facts)
         run("decompose", "-q", query, "--kind", "tree", "-o", tree)
         want = run("count", "-q", query, "-d", facts, "--method", "brute")
-        for method in ("ghd", "fractional"):
-            assert run("count", "-q", query, "-d", facts, "--decomp", tree, "--method", method) == want
+        assert run("count", "-q", query, "-d", facts, "--decomp", tree, "--method", "ghd") == want
     ex1 = str(workdir / "ex1.cq")
     run("decompose", "-q", ex1, "--kind", "tree", "-o", tree)
     brute = int(run("starsize", "-q", ex1).splitlines()[0])

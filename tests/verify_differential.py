@@ -44,7 +44,6 @@ from cqstar.decomposition import (
     gyo_join_tree,
     guarded,
     hinge_decompose,
-    integralize,
     tree_decompose,
     verify,
 )
@@ -54,7 +53,7 @@ from cqstar.hypergraph import Hypergraph
 import differential_runner
 import hypergraph_differential
 from differential_runner import outcome
-from oracles import verify_reference
+from oracles import integralize, verify_reference
 
 DEFAULT_SEED = 7919
 

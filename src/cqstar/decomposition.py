@@ -500,6 +500,68 @@ class _Plan:
     children: list["_Plan"] = field(default_factory=list)
 
 
+class _GhdSearch:
+    """The memoized component splitting of one ``ghd_search``. ``solve``
+    recurses as a method rather than as a closure that names itself, so a
+    finished search leaves no reference cycle: reference counting frees it
+    all, with no work for Python's cyclic collector."""
+
+    def __init__(self, h: Hypergraph, k: int, node_budget: int):
+        self.h, self.k, self.budget = h, k, node_budget
+        self.dd = h.dedup_edges()
+        self.exact = len(self.dd) <= GHD_EXACT_EDGE_CUTOFF
+        self.memo: dict[frozenset, Optional[_Plan]] = {}
+
+    def candidate_edges(self, scope: frozenset, x: frozenset) -> list[tuple[EdgeId, frozenset]]:
+        cands = [(eid, fs) for eid, fs in self.dd if fs & scope]
+        if self.exact:
+            return cands
+        cands.sort(key=lambda item: (-len(item[1] & x), -len(item[1] & scope),
+                                     edge_sort_key(item[0])))
+        return cands[: max(self.k + 8, 16)]
+
+    def solve(self, w: frozenset) -> Optional[_Plan]:
+        if w in self.memo:
+            return self.memo[w]
+        h, exact = self.h, self.exact
+        x = h.closure(w) - w
+        scope = w | x
+        cands = self.candidate_edges(scope, x)
+        tried = 0
+        result: Optional[_Plan] = None
+        for size in range(1, self.k + 1):
+            for combo in itertools.combinations(cands, size):
+                self.budget -= 1
+                if self.budget < 0:
+                    raise BudgetExceeded("ghd_search node budget exhausted")
+                tried += 1
+                if not exact and tried > GHD_BRANCH_LIMIT:
+                    break
+                union = frozenset().union(*(fs for _, fs in combo))
+                if not (x <= union):
+                    continue
+                bag = union & scope
+                if not (bag & w):
+                    continue
+                remaining = w - bag
+                plans = []
+                failed = False
+                for comp in h.connected_components(remaining):
+                    sub = self.solve(comp)
+                    if sub is None:
+                        failed = True
+                        break
+                    plans.append(sub)
+                if failed:
+                    continue
+                result = _Plan(tuple(eid for eid, _ in combo), bag, plans)
+                break
+            if result is not None or (not exact and tried > GHD_BRANCH_LIMIT):
+                break
+        self.memo[w] = result
+        return result
+
+
 def ghd_search(
     h: Hypergraph,
     k: int,
@@ -517,62 +579,10 @@ def ghd_search(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dd = h.dedup_edges()
-    exact = len(dd) <= GHD_EXACT_EDGE_CUTOFF
-    budget = [node_budget]
-    memo: dict[frozenset, Optional[_Plan]] = {}
-
-    def candidate_edges(scope: frozenset, x: frozenset) -> list[tuple[EdgeId, frozenset]]:
-        cands = [(eid, fs) for eid, fs in dd if fs & scope]
-        if exact:
-            return cands
-        cands.sort(key=lambda item: (-len(item[1] & x), -len(item[1] & scope),
-                                     edge_sort_key(item[0])))
-        return cands[: max(k + 8, 16)]
-
-    def solve(w: frozenset) -> Optional[_Plan]:
-        if w in memo:
-            return memo[w]
-        x = h.closure(w) - w
-        scope = w | x
-        cands = candidate_edges(scope, x)
-        tried = 0
-        result: Optional[_Plan] = None
-        for size in range(1, k + 1):
-            for combo in itertools.combinations(cands, size):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded("ghd_search node budget exhausted")
-                tried += 1
-                if not exact and tried > GHD_BRANCH_LIMIT:
-                    break
-                union = frozenset().union(*(fs for _, fs in combo))
-                if not (x <= union):
-                    continue
-                bag = union & scope
-                if not (bag & w):
-                    continue
-                remaining = w - bag
-                plans = []
-                failed = False
-                for comp in h.connected_components(remaining):
-                    sub = solve(comp)
-                    if sub is None:
-                        failed = True
-                        break
-                    plans.append(sub)
-                if failed:
-                    continue
-                result = _Plan(tuple(eid for eid, _ in combo), bag, plans)
-                break
-            if result is not None or (not exact and tried > GHD_BRANCH_LIMIT):
-                break
-        memo[w] = result
-        return result
-
+    search = _GhdSearch(h, k, node_budget)
     top_plans = []
     for comp in h.connected_components(h.closure(h.vertices)):
-        plan = solve(comp)
+        plan = search.solve(comp)
         if plan is None:
             return None
         top_plans.append(plan)

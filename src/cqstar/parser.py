@@ -45,8 +45,8 @@ from operator import add
 from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
-from .engine import Relation, Structure
-from .errors import CqstarError, DecompositionInvalid
+from .engine import Relation, Structure, _collector_paused
+from .errors import CqstarError, DecompositionInvalid, VariableWithoutAtom
 from .generators import SimpleGraph
 from .hypergraph import Atom, Query, edge_sort_key
 
@@ -159,16 +159,18 @@ class _Cursor:
 
 def parse_query(text: str, filename: str = "<query>") -> Query:
     """``head(v1,...,vm) :- A1(t...), ..., An(t...).`` — head variables are
-    free, every other body variable is existentially quantified."""
+    free, every other body variable is existentially quantified. A head
+    variable in no atom is a ``ParseError`` at that variable; ``Query``
+    makes the check."""
     cur = _Cursor(text, filename)
     head = cur.expect("name")
-    free: list[str] = []
+    free: dict[str, int] = {}  # each head variable and its offset
 
     def head_variable():
         _, name, offset = cur.expect("name")
         if name in free:
             raise cur.error(f"duplicate head variable {name!r}", offset)
-        free.append(name)
+        free[name] = offset
 
     cur.items(head_variable)
     cur.expect("arrow")
@@ -185,7 +187,10 @@ def parse_query(text: str, filename: str = "<query>") -> Query:
         cur.next()
     cur.expect("punct", ".")
     cur.expect("eof")
-    return Query(head[1], tuple(free), tuple(atoms))
+    try:
+        return Query(head[1], tuple(free), tuple(atoms))
+    except VariableWithoutAtom as exc:
+        raise cur.error(str(exc), free[exc.variable]) from None
 
 
 def query_to_text(query: Query) -> str:
@@ -240,6 +245,7 @@ def _plain_uses(text: str, runs: list, pred: str):
             pos = m.end()
 
 
+@_collector_paused
 def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     """Fact statements ``P(a,b,c).``; relations deduplicate, the domain is
     every constant appearing anywhere, interned in first-appearance order.
@@ -255,7 +261,13 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     resumes where it stops, so one quoted constant costs one statement's
     tokens. The arity check runs once per distinct predicate and arity of a
     run, and an arity error finds its offsets by reading the plain
-    statements again."""
+    statements again.
+
+    It runs with Python's cyclic collector paused, as the count functions
+    do (see ``engine``): it builds a tuple per fact and no reference cycle,
+    so the collector's passes over those tuples, 2% of a ``c9-cli`` op,
+    would reclaim nothing. Another thread's cyclic garbage waits until it
+    returns."""
     # a miss stores and returns the next id, all in C
     domain: dict[str, int] = defaultdict(count().__next__)
     schemas: dict[str, tuple[int, Optional[int]]] = {}  # arity and offset of first use, None if plain

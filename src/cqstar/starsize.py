@@ -112,25 +112,27 @@ def max_is_brute(h: Hypergraph, restrict_to=None, *, cutoff: int = BRUTE_CUTOFF)
     cands = _candidates(h, restrict_to)
     if len(cands) > cutoff:
         raise TooLarge(f"{len(cands)} candidate vertices exceed brute-force cutoff {cutoff}")
-    adj = h.conflict_adjacency()
     best: list = []
-
-    def dfs(i: int, chosen: list, blocked: frozenset) -> None:
-        nonlocal best
-        if len(chosen) + (len(cands) - i) <= len(best):
-            return
-        if i == len(cands):
-            best = list(chosen)
-            return
-        v = cands[i]
-        if v not in blocked:
-            chosen.append(v)
-            dfs(i + 1, chosen, blocked | adj[v])
-            chosen.pop()
-        dfs(i + 1, chosen, blocked)
-
-    dfs(0, [], frozenset())
+    _include_first(cands, h.conflict_adjacency(), 0, [], frozenset(), best)
     return _checked_witness(h, best, ISMethod.BRUTE)
+
+
+def _include_first(cands: list, adj, i: int, chosen: list, blocked: frozenset, best: list) -> None:
+    """``max_is_brute``'s search from ``cands[i]`` on, with ``chosen`` taken
+    and the vertices in ``blocked`` ruled out; a larger set replaces the
+    contents of ``best``. A module-level function, not a closure that names
+    itself, so the search leaves no reference cycle behind."""
+    if len(chosen) + (len(cands) - i) <= len(best):
+        return
+    if i == len(cands):
+        best[:] = chosen
+        return
+    v = cands[i]
+    if v not in blocked:
+        chosen.append(v)
+        _include_first(cands, adj, i + 1, chosen, blocked | adj[v], best)
+        chosen.pop()
+    _include_first(cands, adj, i + 1, chosen, blocked, best)
 
 
 def acyclic_is_and_cover(

@@ -1,6 +1,20 @@
+import gc
+
 import pytest
 
 from cqstar.hypergraph import Atom, Hypergraph, Query, from_query
+
+
+@pytest.fixture(autouse=True)
+def collector_enabled_after_each_test():
+    """Fail any test that ends with Python's cyclic collector disabled, as a
+    code path that leaks the pause of ``engine._collector_paused`` would
+    leave it; the collector is enabled again for the tests that follow."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test ended with the cyclic collector disabled")
+
 
 # The running example: eight atoms over v1..v9 (free) and u1..u8 (quantified).
 EX1_TEXT = (

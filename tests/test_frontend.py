@@ -110,6 +110,7 @@ def test_parse_edge_list():
         (parse_query, "ans(x) :- R(x) & S(x).", "f:1:16: unexpected character '&'"),
         (parse_facts, 'P(a).\nP(b, "c\\q").', "f:2:6: unknown escape \\q in string"),
         (parse_query, "ans(x, y, x) :- R(x, y).", "f:1:11: duplicate head variable 'x'"),
+        (parse_query, "ans(x, w) :- R(x).", "f:1:8: variable 'w' occurs in no atom"),
         (parse_query, "ans(x) :- R(x", "f:1:14: expected ')', found 'end of input'"),
         (
             parse_facts,
@@ -117,7 +118,10 @@ def test_parse_edge_list():
             "f:3:1: predicate 'P' used with arity 1, earlier 2 (earlier at f:1:1)",
         ),
     ],
-    ids=["tab", "non-ascii", "after-comment", "bad-char", "escape", "duplicate-head", "premature-end", "arity"],
+    ids=[
+        "tab", "non-ascii", "after-comment", "bad-char", "escape", "duplicate-head", "head-in-no-atom",
+        "premature-end", "arity",
+    ],
 )
 def test_parse_error_messages(parse, text, message):
     """Columns count characters from 1; a tab and an 'é' are one column each."""
@@ -341,7 +345,7 @@ def test_cli_exit_codes(workdir, capsys):
 
 def test_cli_free_variable_in_no_atom_is_one_error_line(workdir, capsys):
     """The query itself rejects the head variable, so every path does,
-    brute force included."""
+    brute force included, at the variable's position."""
     query, facts = str(workdir / "w.cq"), str(workdir / "w.facts")
     Path(query).write_text("ans(w) :- E(x, y).\n")
     Path(facts).write_text("E(a, b).\n")
@@ -349,7 +353,7 @@ def test_cli_free_variable_in_no_atom_is_one_error_line(workdir, capsys):
                  ["count", "-q", query, "-d", facts, "--method", "brute"],
                  ["starsize", "-q", query]):
         assert run_cli(argv) == 1
-        assert capsys.readouterr() == ("", "error: variable 'w' occurs in no atom\n")
+        assert capsys.readouterr() == ("", f"error: {query}:1:5: variable 'w' occurs in no atom\n")
 
 
 def _readme_cli_session() -> list[tuple[str, list[str]]]:

@@ -200,12 +200,13 @@ def _cmd_starsize(args) -> int:
             },
             "components": [
                 {"index": w.component_index, "size": w.size, "star": w.star}
+                | ({"cover": w.cover_edges} if method is ISMethod.ACYCLIC else {})
                 for w in witnesses
             ],
         })
     else:
         print(size)
-        if best:
+        if size:
             print("witness:", " ".join(sorted(best.star)))
     return 0
 

@@ -21,6 +21,11 @@ S-component in turn looks up the component's vertices rather than scanning
 every node. ``hinge_decompose`` runs GYO once over the whole hypergraph and
 reads which blocks are acyclic off its kernel; only the parts of a split
 are built as hypergraphs and reduced again.
+
+There is one GYO reduction, ``_gyo``, over a plain list of sets: it gives
+each absorbed set's parent, or the state the kernel is read from.
+``gyo_join_tree`` wraps it to build a join tree or a ``NotAcyclic``; star
+size's ACYCLIC strategy reads the parents directly.
 """
 
 from __future__ import annotations
@@ -354,28 +359,51 @@ def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
     """GYO ear elimination; a width-1 decomposition over the dedup edges,
     or the irreducible kernel when the hypergraph is cyclic.
 
-    The reduced set of an alive edge is its vertices that lie in at least
-    two alive edges. An edge is absorbable when its reduced set lies in
-    another alive edge. Each step absorbs the earliest-declared absorbable
-    edge under the earliest-declared alive edge that contains its reduced
-    set, so the tree is stable. The kernel is the alive edges' reduced sets
-    once no edge is absorbable.
-
-    Each vertex keeps the alive edges that hold it, in declared order, and
-    only the absorbed edge's vertices are updated. An edge can become
-    absorbable only when one of its vertices drops to a single alive edge,
-    so a min-heap of ordinals, re-fed at exactly those moments, yields the
-    next edge to absorb. Its parent is the first fitting edge among the
-    holders of its reduced set's rarest vertex. On acyclic inputs of
-    bounded degree this runs in time near linear in the total edge size.
-    The output is a join tree by construction and is not verified here.
+    ``_gyo`` does the reduction; node ``i`` is dedup edge ``i``, under its
+    parent there. The output is a join tree by construction and is not
+    verified here.
     """
     dd = h.dedup_edges()
     if not dd:
         node = DecompNode(0, None, frozenset(), frozenset())
         return Decomposition(DecompKind.JOINTREE, (node,))
     sets = [fs for _, fs in dd]
-    # vertex -> alive edge ordinals holding it, in declared order
+    parent, alive, holders = _gyo(sets)
+    if len(alive) > 1:
+        kernel_vertices = [v for v in h.vertices if len(holders.get(v, ())) > 1]
+        kernel_edges = [
+            (dd[i][0], frozenset(v for v in sets[i] if len(holders[v]) > 1)) for i in alive
+        ]
+        return NotAcyclic(Hypergraph(kernel_vertices, kernel_edges))
+    nodes = tuple(
+        DecompNode(i, parent.get(i), frozenset({eid}), fs) for i, (eid, fs) in enumerate(dd)
+    )
+    return Decomposition(DecompKind.JOINTREE, nodes)
+
+
+def _gyo(sets: list[frozenset]) -> tuple[dict[int, int], dict[int, None], dict[VertexId, dict[int, None]]]:
+    """GYO ear elimination over distinct ``sets``, the one reduction that
+    ``gyo_join_tree`` and star size's ACYCLIC strategy share. Returns each
+    absorbed set's parent ordinal, the ordinals still alive (the sets are
+    acyclic iff at most one is) and, per vertex, the alive ordinals that
+    hold it, from which the kernel is read.
+
+    The reduced set of an alive set is its vertices that lie in at least
+    two alive sets. A set is absorbable when its reduced set lies in
+    another alive set. Each step absorbs the earliest absorbable set under
+    the earliest alive set that contains its reduced set, so the tree is
+    stable. The kernel is the alive sets' reduced sets once no set is
+    absorbable.
+
+    Each vertex keeps the alive sets that hold it, in order, and only the
+    absorbed set's vertices are updated. A set can become absorbable only
+    when one of its vertices drops to a single alive set, so a min-heap of
+    ordinals, re-fed at exactly those moments, yields the next set to
+    absorb. Its parent is the first fitting set among the holders of its
+    reduced set's rarest vertex. On acyclic inputs of bounded degree this
+    runs in time near linear in the total set size.
+    """
+    # vertex -> alive ordinals holding it, in order
     holders: dict[VertexId, dict[int, None]] = {}
     for i, fs in enumerate(sets):
         for v in fs:
@@ -402,16 +430,7 @@ def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
             del rest[i]
             if len(rest) == 1:
                 heapq.heappush(heap, next(iter(rest)))
-    if len(alive) > 1:
-        kernel_vertices = [v for v in h.vertices if len(holders.get(v, ())) > 1]
-        kernel_edges = [
-            (dd[i][0], frozenset(v for v in sets[i] if len(holders[v]) > 1)) for i in alive
-        ]
-        return NotAcyclic(Hypergraph(kernel_vertices, kernel_edges))
-    nodes = tuple(
-        DecompNode(i, parent.get(i), frozenset({eid}), fs) for i, (eid, fs) in enumerate(dd)
-    )
-    return Decomposition(DecompKind.JOINTREE, nodes)
+    return parent, alive, holders
 
 
 # -- hingetree decompositions ----------------------------------------------

@@ -7,7 +7,8 @@ derived from them are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Union
 
 from .errors import UnknownVertex, VariableWithoutAtom
@@ -154,10 +155,7 @@ class Hypergraph:
     def dedup_edges(self) -> tuple[tuple[EdgeId, frozenset[VertexId]], ...]:
         """The deduplicated set family, one (first id, set) per distinct set."""
         if self._dedup is None:
-            first: dict[frozenset[VertexId], EdgeId] = {}
-            for eid, fs in self.edges:
-                first.setdefault(fs, eid)
-            self._dedup = tuple((eid, fs) for fs, eid in first.items())
+            self._dedup = _first_ids(self.edges)
         return self._dedup
 
     def incident_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
@@ -212,6 +210,12 @@ class Hypergraph:
         )
         return sub
 
+    def induced_dedup_edges(self, vs: AbstractSet[VertexId]) -> tuple[tuple[EdgeId, frozenset[VertexId]], ...]:
+        """``induced(vs).dedup_edges()``, read off this hypergraph without
+        building the induced one: each edge that holds a vertex of the set
+        ``vs``, cut to it, in declared order, once per distinct cut."""
+        return _first_ids((self.edges[o][0], self.edges[o][1] & vs) for o in sorted(self._meeting(vs)))
+
     def touching(self, vs: Iterable[VertexId]) -> "Hypergraph":
         """The partial hypergraph of the edges that hold a vertex of ``vs``,
         each whole, under its own id, in declared order, on their union
@@ -256,6 +260,14 @@ class Hypergraph:
         return out
 
 
+def _first_ids(edges: Iterable[tuple[EdgeId, frozenset[VertexId]]]) -> tuple[tuple[EdgeId, frozenset[VertexId]], ...]:
+    """One (first id, set) per distinct set of ``edges``, in order of first appearance."""
+    first: dict[frozenset[VertexId], EdgeId] = {}
+    for eid, fs in edges:
+        first.setdefault(fs, eid)
+    return tuple((eid, fs) for fs, eid in first.items())
+
+
 @dataclass(frozen=True)
 class SHypergraph:
     """A hypergraph with a distinguished vertex set S (the free variables)."""
@@ -271,15 +283,21 @@ class SHypergraph:
 
 @dataclass(frozen=True)
 class SComponent:
-    """One S-component: a connected chunk of quantified vertices (the core),
-    the union of the edges meeting it (the closure), the subhypergraph induced
-    on the closure, whose kept edge ids are the provenance, and the closure's
-    free vertices."""
+    """One S-component of ``hypergraph``: a connected chunk of quantified
+    vertices (the core), the union of the edges meeting it (the closure) and
+    the closure's free vertices. ``induced``, the subhypergraph induced on
+    the closure, whose kept edge ids are the provenance, is built on its
+    first read and kept; a caller that needs only its dedup edges reads
+    them with ``hypergraph.induced_dedup_edges(closure)`` instead."""
 
     core: frozenset[VertexId]
     closure: frozenset[VertexId]
-    induced: Hypergraph
     s_vertices: frozenset[VertexId]
+    hypergraph: Hypergraph = field(repr=False)
+
+    @cached_property
+    def induced(self) -> Hypergraph:
+        return self.hypergraph.induced(self.closure)
 
 
 def from_query(query: Query) -> SHypergraph:
@@ -294,12 +312,12 @@ def s_components(sh: SHypergraph) -> list[SComponent]:
     """S-components of (H, S), ordered by the earliest core vertex.
 
     The cores are the components of V minus S, and each closure is
-    ``h.closure(core)``, so no edge is visited for a core it misses. Empty
-    when S = V.
+    ``h.closure(core)``, so no edge is visited for a core it misses. No
+    induced subhypergraph is built until one is read. Empty when S = V.
     """
     h, s = sh.hypergraph, sh.s
     out = []
     for core in h.connected_components(v for v in h.vertices if v not in s):
         closure = h.closure(core)
-        out.append(SComponent(core, closure, h.induced(closure), closure & s))
+        out.append(SComponent(core, closure, closure & s, h))
     return out

@@ -13,6 +13,15 @@ to name its first conflicting pair in vertex order.
 BRUTE, GHD_DP and HINGE_FPT return the lexicographically smallest maximum
 set (by vertex order); ACYCLIC and APPROX return their greedy's choice,
 which for ACYCLIC is a maximum set but not always that one.
+
+There is one greedy, ``_cover_greedy``, fed a deepest-first walk of a
+join tree. ``acyclic_is_and_cover`` and APPROX feed it a ``Decomposition``,
+and so does the count pipeline for its cover sizes. Star size's ACYCLIC
+strategy feeds it plain lists: each S-component's edges cut to its
+closure (``Hypergraph.induced_dedup_edges``), their parents from the GYO
+reduction that ``gyo_join_tree`` also runs (``decomposition._gyo``), and
+the walk a join tree of them would take; no induced hypergraph, tree or
+node is built per component.
 """
 
 from __future__ import annotations
@@ -20,16 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .decomposition import (
     Decomposition,
     DecompKind,
-    NotAcyclic,
+    _gyo,
     blocks_hypergraph,
     ensure_valid,
     guarded,
-    gyo_join_tree,
+    gyo_join_tree,  # unused here, but bench/tracing.py wraps starsize.gyo_join_tree
     induced_decomposition,
     jointree_over_bags,
     verify,  # unused here, but bench/tracing.py wraps starsize.verify
@@ -42,7 +51,7 @@ from .errors import (
     UncoverableVertex,
     WidthNotOne,
 )
-from .hypergraph import EdgeId, Hypergraph, SHypergraph, VertexId, s_components
+from .hypergraph import EdgeId, Hypergraph, SComponent, SHypergraph, VertexId, s_components
 
 BRUTE_CUTOFF = 24
 _KINDS = (DecompKind.JOINTREE, DecompKind.GHD, DecompKind.HINGE, DecompKind.TREE)
@@ -161,31 +170,69 @@ def _acyclic_is_and_cover(h: Hypergraph, jt: Decomposition, restrict_to) -> tupl
     for v in cands:
         if not h.incident_edges(v):
             raise UncoverableVertex(v)
-    cand_set = set(cands)
-    by_id = {n.node_id: n for n in jt.nodes}
+    bag_of = {n.node_id: n.bag for n in jt.nodes}
+    walk = (
+        (n.guard, n.bag, bag_of[n.parent] if n.parent is not None else frozenset())
+        for n in jt.post_order()
+        if n.guard
+    )
+    chosen, cover = _cover_greedy(walk, set(cands), h.vertex_index)
+    return _checked_witness(h, chosen, ISMethod.ACYCLIC), frozenset(cover)
+
+
+def _acyclic_star(h: Hypergraph, comp: SComponent, idx: int) -> tuple[ISWitness, frozenset]:
+    """The ACYCLIC strategy on one S-component of ``h``: what
+    ``_acyclic_is_and_cover`` gives along ``gyo_join_tree(comp.induced)``,
+    from plain lists, with neither built. Node ``i`` is the closure's
+    ``i``-th dedup edge, cut to the closure, under its GYO parent, and the
+    walk is the join tree's post-order: breadth-first from the root with
+    children in node order, reversed. No candidate can be uncovered: each
+    closure vertex lies in an edge that meets the core, which the closure
+    holds whole. The witness is checked against ``h``, whose edges conflict
+    on the closure exactly as their cuts do."""
+    dd = h.induced_dedup_edges(comp.closure)
+    sets = [fs for _, fs in dd]
+    parent, alive, _ = _gyo(sets)
+    if len(alive) > 1:
+        raise WidthNotOne(f"component {idx} is not acyclic")
+    order: list[int] = []  # the root, then the breadth-first walk
+    children: list[list[int]] = [[] for _ in sets]
+    for i in range(len(sets)):
+        if i in parent:
+            children[parent[i]].append(i)
+        else:
+            order.append(i)
+    for i in order:
+        order.extend(children[i])
+    empty = frozenset()
+    walk = (((dd[i][0],), sets[i], sets[parent[i]] if i in parent else empty) for i in reversed(order))
+    chosen, cover = _cover_greedy(walk, comp.s_vertices, h.vertex_index)
+    return _checked_witness(h, chosen, ISMethod.ACYCLIC), frozenset(cover)
+
+
+def _cover_greedy(walk: Iterable, cands: AbstractSet, rank) -> tuple[list, list[EdgeId]]:
+    """The duality's greedy, shared by every route to it: the independent
+    set and the edge cover of ``cands`` along a width-1 join tree walked
+    deepest-first, given as each guarded node's guard, bag and parent's bag
+    (empty at the root). Whenever a bag holds an uncovered candidate seen
+    for the last time (not in the parent's bag), the bag's one edge enters
+    the cover and the first such candidate by ``rank`` the independent set."""
     covered: set = set()
     chosen: list = []
     cover: list[EdgeId] = []
-    for node in jt.post_order():
-        if not node.guard:
-            continue
-        parent_bag = by_id[node.parent].bag if node.parent is not None else frozenset()
-        last_chance = [
-            v
-            for v in h.sort_vertices(node.bag)
-            if v in cand_set and v not in covered and v not in parent_bag
-        ]
+    for guard, bag, parent_bag in walk:
+        last_chance = [v for v in bag if v in cands and v not in covered and v not in parent_bag]
         if last_chance:
-            (eid,) = node.guard
+            (eid,) = guard
             cover.append(eid)
-            chosen.append(last_chance[0])
-            covered |= set(node.bag) & cand_set
+            chosen.append(min(last_chance, key=rank))
+            covered |= bag & cands
     if len(chosen) != len(cover):
         raise InvariantViolation("independent set and cover sizes diverged")
-    missing = cand_set - covered
+    missing = cands - covered
     if missing:
         raise InvariantViolation(f"cover misses candidates {sorted(missing)}")
-    return _checked_witness(h, chosen, ISMethod.ACYCLIC), frozenset(cover)
+    return chosen, cover
 
 
 def _independent_subsets(adj, items: list, limit: int):
@@ -358,8 +405,10 @@ def s_star_size(
     Decomposition-backed strategies verify the decomposition and its kind
     against h once, guard a tree decomposition, then run on its subtree
     meeting each component closure, which is valid by construction, so it
-    is not verified again; nor is the join tree ACYCLIC builds. Returns 0
-    with no witnesses when S = V, and 0 with empty stars when S is empty.
+    is not verified again. ACYCLIC builds no tree: it runs GYO and the
+    greedy on each component's cut edges (``_acyclic_star``), and raises
+    WidthNotOne for the first component that is cyclic. Returns 0 with no
+    witnesses when S = V, and 0 with empty stars when S is empty.
     """
     h = sh.hypergraph
     if strategy in _ALONG:
@@ -375,10 +424,7 @@ def s_star_size(
         if strategy is ISMethod.BRUTE:
             w = max_is_brute(comp.induced, cands)
         elif strategy is ISMethod.ACYCLIC:
-            jt = gyo_join_tree(comp.induced)
-            if isinstance(jt, NotAcyclic):
-                raise WidthNotOne(f"component {idx} is not acyclic")
-            w, cover = _acyclic_is_and_cover(comp.induced, jt, cands)
+            w, cover = _acyclic_star(h, comp, idx)
         elif not comp.closure:  # an edgeless quantified vertex: no S-vertex, no bag to restrict to
             w = max_is_brute(comp.induced, cands)
         else:

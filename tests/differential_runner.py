@@ -17,6 +17,7 @@ import hashlib
 from collections import Counter
 
 from cqstar.generators import SplitMix64
+from cqstar.hypergraph import Hypergraph, SHypergraph
 
 from oracles import tree_fault
 
@@ -35,6 +36,24 @@ def shuffle(rng: SplitMix64, items: list) -> list:
         j = rng.below(i + 1)
         items[i], items[j] = items[j], items[i]
     return items
+
+
+def drop_edges(sh: SHypergraph, mismatches) -> SHypergraph:
+    """``sh`` with edges dropped one at a time, in declared order, while
+    ``mismatches`` holds for the smaller case: the greedy pass of a
+    differential's ``shrink``. A vertex goes with the last edge that held
+    it, and leaves S with it."""
+    i = 0
+    while i < len(sh.hypergraph.edges):
+        h = sh.hypergraph
+        edges = h.edges[:i] + h.edges[i + 1:]
+        gone = h.edges[i][1].difference(*(fs for _, fs in edges))
+        smaller = SHypergraph(Hypergraph([v for v in h.vertices if v not in gone], edges), sh.s - gone)
+        if mismatches(smaller):
+            sh = smaller
+        else:
+            i += 1
+    return sh
 
 
 class Tally:

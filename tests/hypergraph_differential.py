@@ -12,7 +12,8 @@ references in ``oracles``:
   ``components_reference``, on the reference restriction to ``within``;
 - ``induced(vs)`` against ``hypergraph_induced_reference``, including the
   dedup family and the incidence, which ``induced`` derives from its
-  parent's instead of rebuilding through the checked constructor;
+  parent's instead of rebuilding through the checked constructor, and
+  ``induced_dedup_edges(vs)`` against that dedup family;
 - ``closure(vs)`` against ``closure_reference``, the union of the edges
   that meet ``vs`` by one scan of every edge;
 - ``tree_decompose`` against the tree built from the elimination order of
@@ -34,6 +35,10 @@ with sets sorted before hashing. ``PINNED`` holds the digests that the
 default seed gave once ``hinge_decompose`` built its tree as one join tree
 of its guards' bags, so a run from the default seed also checks that these
 outputs never moved since.
+
+The first mismatch of a run is shrunk: ``shrink`` drops edges one at a
+time while the comparison still mismatches, and the runner prints the
+hypergraph, with its vertices and S, that it is left with.
 
 Run the full version with ``PYTHONPATH=src python tests/hypergraph_differential.py
 --instances 5000 [--seed S]``. It prints the seed and hypergraph of every
@@ -172,14 +177,21 @@ def decomposition_outputs(sh: SHypergraph, hinge) -> list:
     return out
 
 
-def check(seed: int, tally: differential_runner.Tally) -> None:
-    """The six comparisons; the decomposition outputs go into the run's
-    digest, which a run from the default seed checks against ``PINNED``."""
-    sh = make_case(seed)
+def _describe(sh: SHypergraph) -> str:
     h = sh.hypergraph
-    tally.describe = lambda: (
-        f"vertices={list(h.vertices)} S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
-    )
+    return f"vertices={list(h.vertices)} S={sorted(sh.s)} edges={[(e, sorted(fs)) for e, fs in h.edges]}"
+
+
+def check(seed: int, tally: differential_runner.Tally) -> None:
+    check_case(seed, make_case(seed), tally)
+
+
+def check_case(seed: int, sh: SHypergraph, tally: differential_runner.Tally) -> None:
+    """The six comparisons on ``sh``, the case of ``seed`` or a shrunk one;
+    the decomposition outputs go into the run's digest, which a run from
+    the default seed checks against ``PINNED``."""
+    h = sh.hypergraph
+    tally.describe = lambda: _describe(sh)
     tally.compare(
         "s_components",
         _components(outcome(lambda: s_components(sh))),
@@ -189,6 +201,11 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
     for vs in _subsets(seed, sh):
         want = outcome(lambda: hypergraph_induced_reference(h, vs))
         tally.compare(f"induced({sorted(vs)})", _graph(outcome(lambda: h.induced(vs))), _graph(want))
+        tally.compare(
+            f"induced_dedup_edges({sorted(vs)})",
+            outcome(lambda: h.induced_dedup_edges(vs)),
+            want.dedup_edges() if isinstance(want, Hypergraph) else want,
+        )
         want_closure = outcome(lambda: closure_reference(h, vs))
         tally.compare(f"closure({sorted(vs)})", outcome(lambda: h.closure(vs)), want_closure)
         if isinstance(want, Hypergraph):
@@ -209,5 +226,20 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
         tally.compare(f"digest after {done} instances", digest, PINNED[done])
 
 
+def shrink(seed: int, key: str) -> str:
+    """The case of ``seed`` with edges dropped one at a time, in declared
+    order, while the comparison ``key`` still mismatches. A vertex goes
+    with the last edge that held it, and leaves S with it; an isolated
+    vertex stays. A digest mismatch needs the whole run, so its case is
+    not shrunk."""
+
+    def mismatches(candidate: SHypergraph) -> bool:
+        tally = differential_runner.Tally(seed)
+        outcome(lambda: check_case(seed, candidate, tally))
+        return key in tally.keys
+
+    return _describe(differential_runner.drop_edges(make_case(seed), mismatches))
+
+
 if __name__ == "__main__":
-    sys.exit(differential_runner.main(check, __doc__, 5000, DEFAULT_SEED))
+    sys.exit(differential_runner.main(check, __doc__, 5000, DEFAULT_SEED, shrink=shrink))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles (union-find,
 permutation sweeps, exhaustive tree enumeration) so it shares no code path
-with the operations it checks.
+with the operations it checks. One exception keeps a superseded route of
+the library instead, and says what it shares: ``acyclic_star_reference``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from cqstar.decomposition import (
     CONNECTEDNESS,
@@ -30,6 +31,7 @@ from cqstar.decomposition import (
     Violation,
     WidthReport,
     _primal_adjacency,
+    gyo_join_tree,
 )
 from cqstar.engine import Relation, Structure
 from cqstar.errors import (
@@ -41,8 +43,9 @@ from cqstar.errors import (
     WidthNotOne,
 )
 from cqstar.generators import SimpleGraph
-from cqstar.hypergraph import EdgeId, Hypergraph, Query, SComponent, SHypergraph, VertexId, edge_sort_key, pair_id
+from cqstar.hypergraph import EdgeId, Hypergraph, Query, SHypergraph, VertexId, edge_sort_key, pair_id, s_components
 from cqstar.parser import _Cursor, _unquote
+from cqstar.starsize import StarWitness, _acyclic_is_and_cover
 
 
 def components_union_find(h: Hypergraph) -> set[frozenset]:
@@ -132,7 +135,17 @@ def touching_reference(h: Hypergraph, vs: Iterable[VertexId]) -> Hypergraph:
     return Hypergraph((v for v in h.vertices if v in union), edges)
 
 
-def s_components_reference(sh: SHypergraph) -> list[SComponent]:
+class ComponentReference(NamedTuple):
+    """An S-component as ``s_components_reference`` builds it: the fields of
+    ``SComponent``, with ``induced`` built up front by the reference."""
+
+    core: frozenset
+    closure: frozenset
+    induced: Hypergraph
+    s_vertices: frozenset
+
+
+def s_components_reference(sh: SHypergraph) -> list[ComponentReference]:
     """S-components by the definition: the components of H with S removed,
     each closed under every edge that meets it, with two scans of all edges
     per component. The oracle for ``s_components``."""
@@ -142,7 +155,7 @@ def s_components_reference(sh: SHypergraph) -> list[SComponent]:
     for core in components_reference(hypergraph_induced_reference(h, quantified)):
         closure = closure_reference(h, core)
         out.append(
-            SComponent(
+            ComponentReference(
                 core=core,
                 closure=closure,
                 induced=hypergraph_induced_reference(h, closure),
@@ -150,6 +163,26 @@ def s_components_reference(sh: SHypergraph) -> list[SComponent]:
             )
         )
     return out
+
+
+def acyclic_star_reference(sh: SHypergraph) -> tuple[int, list[StarWitness]]:
+    """``s_star_size(sh, ISMethod.ACYCLIC)`` by the per-component route it
+    took before it ran on plain lists: each component's induced hypergraph,
+    its GYO join tree as a ``Decomposition``, and the greedy along that
+    tree. It shares ``s_components``, ``gyo_join_tree`` and the greedy with
+    the library, so it checks the list route (the cut edges, their GYO
+    parents and the walk order), not those."""
+    witnesses: list[StarWitness] = []
+    best = 0
+    for idx, comp in enumerate(s_components(sh)):
+        cands = comp.s_vertices
+        jt = gyo_join_tree(comp.induced)
+        if isinstance(jt, NotAcyclic):
+            raise WidthNotOne(f"component {idx} is not acyclic")
+        w, cover = _acyclic_is_and_cover(comp.induced, jt, cands)
+        witnesses.append(StarWitness(w.size, idx, w.vertices, cover))
+        best = max(best, w.size)
+    return best, witnesses
 
 
 def max_is_size(h: Hypergraph, candidates=None) -> int:

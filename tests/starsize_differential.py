@@ -14,11 +14,19 @@ must give BRUTE's witness for every component (each exact strategy returns
 the lexicographically smallest maximum set), and APPROX a size within a
 factor of the (guarded) decomposition's width of BRUTE's.
 
+``s_star_size`` with ACYCLIC, which runs GYO and the cover greedy on each
+component's cut edges as plain lists, must give what
+``oracles.acyclic_star_reference`` gives along each component's own join
+tree: every witness with its cover, or the same error. When every
+component is acyclic, its sizes must be BRUTE's, and each cover must have
+as many edges as its star and cover the component's S-vertices. The
+summary counts the ``acyclic`` and ``cyclic`` cases.
+
 Star size trusts the trees it derives: each guarded tree decomposition,
-each restriction, the join tree over a restriction's bags (APPROX's
-acyclic hypergraph) and the join tree the ACYCLIC strategy builds for an
-acyclic component. The differential verifies every one of them with
-``oracles.tree_fault``; a faulty tree is a mismatch too.
+each restriction and the join tree over a restriction's bags (APPROX's
+acyclic hypergraph). The differential verifies every one of them, and
+each acyclic component's own join tree, which the ACYCLIC reference
+walks, with ``oracles.tree_fault``; a faulty tree is a mismatch too.
 
 The first mismatch of a run is shrunk: ``shrink`` drops edges one at a
 time while the comparison still mismatches, and the runner prints the
@@ -53,7 +61,7 @@ from cqstar.starsize import ISMethod, approx_is, max_is_ghd_dp, max_is_hinge_fpt
 
 import differential_runner
 from differential_runner import outcome
-from oracles import induced_reference
+from oracles import acyclic_star_reference, induced_reference
 
 DEFAULT_SEED = 8191
 
@@ -72,11 +80,14 @@ def random_hypergraph(rng: SplitMix64) -> Hypergraph:
     return Hypergraph([v for v in vertices if v in used], edges)
 
 
-def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
+def make_s_hypergraph(seed: int) -> SHypergraph:
     rng = SplitMix64(seed)
     h = random_hypergraph(rng)
-    s = frozenset(v for v in h.vertices if rng.chance(1, 3))
-    return with_decompositions(SHypergraph(h, s))
+    return SHypergraph(h, frozenset(v for v in h.vertices if rng.chance(1, 3)))
+
+
+def make_case(seed: int) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
+    return with_decompositions(make_s_hypergraph(seed))
 
 
 def with_decompositions(sh: SHypergraph) -> tuple[SHypergraph, list[tuple[str, Decomposition]]]:
@@ -109,6 +120,7 @@ def check_case(sh: SHypergraph, decomps: list[tuple[str, Decomposition]], tally:
     comps = s_components(sh)
     brute = _stars(sh, ISMethod.BRUTE, None)
     sizes = [len(star) for star in brute]
+    check_acyclic(sh, sizes, tally)
     for idx, comp in enumerate(comps):
         jt = gyo_join_tree(comp.induced)
         if not isinstance(jt, NotAcyclic):
@@ -139,6 +151,30 @@ def check_case(sh: SHypergraph, decomps: list[tuple[str, Decomposition]], tally:
         tally.compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {sizes}")
 
 
+def check_acyclic(sh: SHypergraph, sizes: list[int], tally: differential_runner.Tally) -> None:
+    """``s_star_size`` with ACYCLIC against ``oracles.acyclic_star_reference``:
+    every witness, or the error's type and text. When every component is
+    acyclic, each size must be BRUTE's (``sizes``), and each cover must
+    have as many edges as its star and cover the component's S-vertices.
+    ``tally.seen`` counts the acyclic and cyclic cases."""
+    got = outcome(lambda: s_star_size(sh, ISMethod.ACYCLIC))
+    tally.compare("s_star_size acyclic", got, outcome(lambda: acyclic_star_reference(sh)))
+    if isinstance(got, str):
+        tally.seen["cyclic"] += 1
+        return
+    tally.seen["acyclic"] += 1
+    witnesses = got[1]
+    tally.compare("s_star_size acyclic sizes", [w.size for w in witnesses], sizes)
+    h = sh.hypergraph
+    for w, comp in zip(witnesses, s_components(sh)):
+        covered = frozenset().union(*map(h.edge_set, w.cover_edges))
+        tally.compare(
+            f"acyclic cover {w.component_index}",
+            (len(w.cover_edges), comp.s_vertices <= covered),
+            (len(w.star), True),
+        )
+
+
 def _restriction_trees(h: Hypergraph, d: Decomposition, comp: SComponent) -> list:
     """``d`` restricted to the component's closure, and the join tree over
     the restriction's bags, each with the hypergraph it decomposes."""
@@ -160,28 +196,13 @@ def shrink(seed: int, key: str) -> str:
     """The case of ``seed`` with edges dropped one at a time, in declared
     order, while the comparison ``key`` still mismatches. A vertex goes
     with the last edge that held it, and leaves S with it."""
-    sh, _ = make_case(seed)
 
     def mismatches(candidate: SHypergraph) -> bool:
         tally = differential_runner.Tally(seed)
         outcome(lambda: check_case(*with_decompositions(candidate), tally))
         return key in tally.keys
 
-    i = 0
-    while i < len(sh.hypergraph.edges):
-        smaller = _without_edge(sh, i)
-        if mismatches(smaller):
-            sh = smaller
-        else:
-            i += 1
-    return _describe(sh)
-
-
-def _without_edge(sh: SHypergraph, i: int) -> SHypergraph:
-    h = sh.hypergraph
-    edges = h.edges[:i] + h.edges[i + 1:]
-    gone = h.edges[i][1].difference(*(fs for _, fs in edges))
-    return SHypergraph(Hypergraph([v for v in h.vertices if v not in gone], edges), sh.s - gone)
+    return _describe(differential_runner.drop_edges(make_s_hypergraph(seed), mismatches))
 
 
 if __name__ == "__main__":

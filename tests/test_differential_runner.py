@@ -21,6 +21,7 @@ from cqstar.decomposition import (
     verify,
 )
 from cqstar.engine import Relation, count_brute, count_cq_via_ghd, project
+from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 from cqstar.parser import parse_facts, parse_query
 from cqstar.starsize import ISMethod, s_star_size
 
@@ -48,7 +49,8 @@ SLICES = {
     "differential": (differential, 350, 5, 14, {}),
     # both outcomes are well represented
     "parser": (parser_differential, 6000, 1, 0, {"parsed": 1500, "rejected": 1500}),
-    "starsize": (starsize_differential, 400, 11, 6, {}),
+    # ACYCLIC meets both outcomes
+    "starsize": (starsize_differential, 400, 13, 6, {"acyclic": 250, "cyclic": 40}),
     # empty and zero-width relations, repeated schema variables, every kind of
     # schema overlap, every kind of projection, every kind of join onto and
     # the joins that take the semijoin path
@@ -180,6 +182,37 @@ def test_starsize_shrink_keeps_two_edges_through_a_quantified_vertex(monkeypatch
     assert len(edges) == 2
     a, b = edges
     assert (a & b) - s and (a - b) & s and (b - a) & s
+
+
+def _keeps_first_component(sh):
+    """``s_components`` with a planted fault: every component after the
+    first is lost."""
+    return s_components(sh)[:1]
+
+
+def test_hypergraph_shrink_keeps_two_components(monkeypatch, capsys):
+    seed = next(
+        s for s in count(hypergraph_differential.DEFAULT_SEED)
+        if len(s_components(hypergraph_differential.make_case(s))) > 1
+        and len(hypergraph_differential.make_case(s).hypergraph.edges) > 3
+    )
+    monkeypatch.setattr(hypergraph_differential, "s_components", _keeps_first_component)
+    argv = ["--instances", "1", "--seed", str(seed)]
+    main = differential_runner.main
+    assert main(hypergraph_differential.check, "Planted.", 1, 0, argv, hypergraph_differential.shrink) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"mismatch: seed={seed} s_components gave ")
+    assert lines[1].startswith("shrunk: vertices=")
+    assert sum(line.startswith("shrunk: ") for line in lines) == 1
+    vertices_text, rest = lines[1].split("vertices=", 1)[1].split(" S=", 1)
+    s_text, edges_text = rest.split(" edges=", 1)
+    edges = ast.literal_eval(edges_text)
+    shrunk = SHypergraph(Hypergraph(ast.literal_eval(vertices_text), edges), frozenset(ast.literal_eval(s_text)))
+    # still two components or more, each held by at most one edge, and
+    # no edge over free vertices only
+    assert len(s_components(shrunk)) > 1
+    assert len(edges) <= 2 and all(set(fs) - shrunk.s for _, fs in edges)
+    assert len(edges) < len(hypergraph_differential.make_case(seed).hypergraph.edges)
 
 
 def _undercounts(inst, d):

@@ -246,6 +246,27 @@ def test_cli_starsize_methods(workdir, capsys):
         assert out.splitlines()[0] == "4"
 
 
+@pytest.mark.parametrize("text", ["ans() :- E(x, y).", "ans(x, y) :- E(x, y)."])
+def test_cli_starsize_zero_prints_no_witness_line(tmp_path, capsys, text):
+    """Size 0, with S empty or with S = V, is one line: no empty witness."""
+    query = tmp_path / "q.cq"
+    query.write_text(text + "\n")
+    assert run_cli(["starsize", "-q", str(query)]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
+def test_cli_starsize_json_lists_each_acyclic_cover(workdir, capsys):
+    """``--method acyclic`` gives each component its edge cover's sorted ids;
+    no other method adds the key."""
+    q = str(workdir / "q.cq")
+    assert run_cli(["starsize", "-q", q, "--method", "acyclic", "--json"]) == 0
+    components = json.loads(capsys.readouterr().out)["components"]
+    assert components == [{"cover": ["0", "1"], "index": "0", "size": "2", "star": ["y1", "y2"]}]
+    for method in ("brute", "ghd", "hinge", "approx"):
+        assert run_cli(["starsize", "-q", q, "--method", method, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["components"] == [{"index": "0", "size": "2", "star": ["y1", "y2"]}]
+
+
 def test_cli_decompose_verify_loop(workdir, capsys):
     decomp_path = workdir / "ex1.decomp.json"
     assert run_cli([

@@ -3,6 +3,7 @@ import pytest
 from cqstar.errors import UnknownVertex, VariableWithoutAtom
 from cqstar.generators import SplitMix64, gen_g_star, gen_random_acyclic, gen_random_instance
 from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
+from cqstar.starsize import ISMethod, s_star_size
 
 from oracles import components_union_find, primal_graph, touching_reference
 
@@ -172,6 +173,21 @@ def test_s_components_properties(ex1):
         # every edge meeting the closure keeps its id, cut to the closure
         meeting = [(eid, fs & comp.closure) for eid, fs in h.edges if fs & comp.closure]
         assert list(comp.induced.edges) == meeting
+
+
+def test_s_component_induced_is_built_on_first_read_and_kept(monkeypatch):
+    """Neither ``s_components`` nor ACYCLIC star size builds a component's
+    induced hypergraph; the first read builds it once."""
+    sh = from_query(Query("ans", ("y1", "y2"), (Atom("E", ("y1", "z")), Atom("E", ("z", "w")), Atom("F", ("w", "y2")))))
+    built = []
+    induced = Hypergraph.induced
+    monkeypatch.setattr(Hypergraph, "induced", lambda h, vs: built.append(vs) or induced(h, vs))
+    assert s_star_size(sh, ISMethod.ACYCLIC)[0] == 2
+    (comp,) = s_components(sh)
+    assert built == []
+    first = comp.induced
+    assert comp.induced is first and built == [comp.closure]
+    assert first.dedup_edges() == sh.hypergraph.induced_dedup_edges(comp.closure)
 
 
 def test_s_components_star():

@@ -22,7 +22,15 @@ The counting pipeline reduces a quantified instance to a quantifier-free
 one: each quantified component is replaced by the relation of its
 satisfiable free-boundary assignments, which Yannakakis's join-and-project
 computes over the bags of the component's core piece, the atoms that meet
-its quantified core. The closure's boundary-only edges are left out: the
+its quantified core. When those bags form a star, the paper's central
+shape, a star route builds the relation instead: the bags share one
+nonempty key (the variables that every bag holds), and no other variable
+lies in two bags. Given a key value the bags then constrain disjoint
+columns, so the join is exactly the union, over the key values that every
+bag holds, of the product of each bag's rows at that value, each cut to
+the free boundary. The route runs no semijoin, builds no intermediate that
+carries the key, and enumerates no more tuples than a binary join's last
+step would concatenate. The closure's boundary-only edges are left out: the
 final count joins each of them anyway, as a kept atom when it is all-free
 and else inside the one other component whose core it meets.
 ``count_acyclic_qf`` then counts the rewritten instance: it materializes
@@ -60,6 +68,7 @@ until the paused call returns.
 from __future__ import annotations
 
 import gc
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -375,6 +384,80 @@ def _top_down(jt: Decomposition, rels: dict[int, Relation]) -> dict[int, Relatio
 
 
 def _join_project(jt: Decomposition, rels: dict[int, Relation], out: Sequence[str], name: str) -> Relation:
+    """The join of the node relations projected onto ``out``.
+
+    When the node relations form a star (``_star_key``: one nonempty key
+    that every schema holds, and no other variable in two schemas), it is
+    one product per key value (``_star_join``), exact because the relations
+    constrain disjoint columns once the key is fixed. That enumerates no
+    more tuples than Yannakakis's last join would concatenate, with no
+    semijoin and no intermediate that carries the key. Every other input
+    takes Yannakakis's route (``_yannakakis``). The test reads schemas only,
+    so any piece, acyclic or restricted, may take either route."""
+    nodes = [rels[n.node_id] for n in jt.nodes]
+    key = _star_key(nodes)
+    if key is not None:
+        return _star_join(nodes, key, out, name)
+    return _yannakakis(jt, rels, out, name)
+
+
+def _star_key(rels: Sequence[Relation]) -> Optional[tuple]:
+    """The key of a star of two relations or more, in the first schema's
+    order; else None. A star's relations share one nonempty key, the
+    variables that every schema holds, and each other variable lies in
+    exactly one schema, once. Reads the schemas only: the columns number
+    ``len(rels) * len(key)`` plus one per variable outside the key exactly
+    when no schema repeats a variable and no two share one outside it."""
+    if len(rels) < 2:
+        return None
+    schemas = [rel.schema for rel in rels]
+    key = set(schemas[0]).intersection(*schemas[1:])
+    columns = sum(map(len, schemas)) - len(rels) * len(key)
+    if not key or columns != len(set(chain.from_iterable(schemas))) - len(key):
+        return None
+    return tuple(v for v in schemas[0] if v in key)
+
+
+def _star_join(rels: Sequence[Relation], key: tuple, out: Sequence[str], name: str) -> Relation:
+    """The join of a star's relations (``_star_key``) projected onto
+    ``out``: over each key value that every relation holds, the product of
+    each relation's tails at that value.
+
+    Each relation's rows are grouped by key into sets of tails, in C: the
+    first relation's tail is its columns in ``out``, the key's included,
+    and any other's its columns in ``out`` outside the key. Intersecting
+    the groups' keys does all that the full semijoin reduction would; a
+    relation with no tail column is only that filter. When no tail has
+    more than one column the tails are scalars and each product yields the
+    rows themselves, else each product is flattened in C."""
+    keep = set(out)
+    tails = [[v for v in rel.schema if v in keep and (i == 0 or v not in key)] for i, rel in enumerate(rels)]
+    flat = all(len(tail) <= 1 for tail in tails)
+    cut = _keys if flat else _tuples
+    keysets, groups = [], []
+    for rel, tail in zip(rels, tails):
+        keys = _keys(rel.rows, [rel.schema.index(v) for v in key])
+        if tail:
+            group: defaultdict = defaultdict(set)
+            deque(map(set.add, map(group.__getitem__, keys), cut(rel.rows, [rel.schema.index(v) for v in tail])), 0)
+            keysets.append(group)
+            groups.append(group)
+        else:
+            keysets.append(set(keys))
+    # filter the fewest keys through each other group, in C
+    keysets.sort(key=len)
+    alive = keysets[0]
+    for keyset in keysets[1:]:
+        alive = list(filter(keyset.__contains__, alive))
+    if not groups:
+        rows = frozenset({()}) if alive else frozenset()
+    else:
+        products = chain.from_iterable(map(product, *(map(group.__getitem__, alive) for group in groups)))
+        rows = frozenset(products if flat else map(tuple, map(chain.from_iterable, products)))
+    return project(_relation(name, tuple(chain.from_iterable(tails)), rows), out, name)
+
+
+def _yannakakis(jt: Decomposition, rels: dict[int, Relation], out: Sequence[str], name: str) -> Relation:
     """The join of the node relations projected onto ``out`` (Yannakakis,
     VLDB 1981): a full semijoin reduction, then one bottom-up pass that
     builds each node's result already projected. A node joins its children's

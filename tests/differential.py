@@ -32,7 +32,12 @@ with ``oracles.tree_fault``; a faulty tree is a mismatch too. Along each
 decomposition it also checks the paper's bound (``bound/<label>``): each
 component's boundary relation holds at most the product, over the edge
 cover of the counted piece's bags, of each bag relation projected onto
-its free vertices.
+its free vertices. Where a counted piece's bags form a star (one key that
+every bag holds, and no other variable in two bags), it checks the star
+route too (``star/<label>``): the relation ``engine._join_project`` builds
+from those bags must equal the Yannakakis route's, ``engine._yannakakis``,
+on the same bags; the run tallies the stars it reached by their number of
+relations.
 
 The families make sure every per-piece path runs: cycles with two spaced
 free variables rewrite to an acyclic query, three spaced free variables
@@ -47,7 +52,11 @@ Boolean queries and zero-arity atoms are families of their own. In
 ``wide-guards`` a node joins guards that reach outside its bag, and a
 variable outside the bag links two of its parts that are not adjacent in
 the join order, so a bag join that drops that variable too early, or
-keeps it to the end, gives a wrong relation.
+keeps it to the end, gives a wrong relation. In ``star`` 3-5 atoms meet
+in a centre of one or two quantified variables, so the star route meets
+stars of up to 5 relations; a free key variable, private quantified
+variables, atoms over the key alone, repeated predicates and variables,
+and empty relations are drawn at random.
 
 The first mismatch of a run is shrunk: ``shrink`` drops atoms, in a
 family with no hand-built decomposition, then rows, one at a time while the
@@ -86,6 +95,9 @@ from cqstar.engine import (
     Structure,
     _bag_materialize,
     _bind,
+    _join_project,
+    _star_key,
+    _yannakakis,
     count_brute,
     count_cq_via_ghd,
 )
@@ -95,7 +107,7 @@ from cqstar.parser import query_to_text
 from cqstar.starsize import acyclic_is_and_cover
 
 import differential_runner
-from differential_runner import outcome
+from differential_runner import outcome, shuffle
 from oracles import (
     bag_relations_reference,
     count_by_full_join,
@@ -246,6 +258,36 @@ def _family_cycle_free_atom(rng, seed):
     return QueryInstance(query, Structure(inst.structure.domain, relations)), extra
 
 
+def _family_star(rng, seed):
+    """3-5 atoms around a centre of one or two quantified variables, so the
+    one component's bags form a star of as many relations, or of fewer
+    where two atoms hold the same variables. The key may hold the free
+    variable x. An atom adds a free variable of its own, and maybe a
+    private quantified one, or nothing, and then only filters on the key.
+    A variable may repeat inside an atom, a predicate may repeat at its
+    arity, and a relation may be empty."""
+    domain = 2 + rng.below(2)
+    key = [f"z{i}" for i in range(1 + rng.below(2))] + (["x"] if rng.chance(1, 3) else [])
+    free = [v for v in key if v == "x"]
+    atoms, relations = [], {}
+    for i in range(3 + rng.below(3)):
+        tail = [] if rng.chance(1, 5) else [f"y{i}"] + ([f"w{i}"] if rng.chance(1, 3) else [])
+        free += tail[:1]
+        variables = shuffle(rng, key + tail)
+        if rng.chance(1, 4):
+            variables.insert(rng.below(len(variables) + 1), variables[rng.below(len(variables))])
+        same = [a.predicate for a in atoms if len(a.variables) == len(variables)]
+        if same and rng.chance(1, 3):
+            name = same[rng.below(len(same))]
+        else:
+            name = f"P{i}"
+            rows = frozenset() if rng.chance(1, 8) else _random_rows(rng, len(variables), domain, 12)
+            relations[name] = Relation(name, tuple(f"c{j}" for j in range(len(variables))), rows)
+        atoms.append(Atom(name, tuple(variables)))
+    structure = Structure(tuple(f"d{i}" for i in range(domain)), relations)
+    return QueryInstance(Query("ans", tuple(free), tuple(atoms)), structure), ()
+
+
 def _family_half_weights(rng, seed):
     n = 5 + rng.below(3)
     free = [i for i in range(n) if rng.chance(1, 3)]
@@ -263,6 +305,7 @@ FAMILIES = {
     "wide-guards": _family_wide_guards,
     "half-weights": _family_half_weights,
     "cycle-free-atom": _family_cycle_free_atom,
+    "star": _family_star,
 }
 
 
@@ -343,6 +386,28 @@ def bound_excesses(inst: QueryInstance, d: Decomposition) -> list:
     return out
 
 
+def star_mismatches(inst: QueryInstance, d: Decomposition, tally: differential_runner.Tally, label: str) -> None:
+    """For each S-component whose counted piece's bags form a star, the
+    relation that ``engine._join_project`` builds from them, along the star
+    route, against the Yannakakis route's on the same bags; the bags are
+    those the pipeline builds, from its atoms cut down to the piece. Each
+    star reached is tallied by its number of relations."""
+    atom_rels = _bind(inst)
+    h = from_query(inst.query).hypergraph
+    for idx, (comp, _, piece, di) in enumerate(counted_pieces(inst, d)):
+        rels = {}
+        for e in piece.edge_ids():
+            rels[e] = project_reference(atom_rels[e], [v for v in atom_rels[e].schema if v in piece.edge_set(e)])
+        bags = _bag_materialize(rels, di)
+        nodes = [bags[n.node_id] for n in di.nodes]
+        if _star_key(nodes) is None:
+            continue
+        tally.seen[f"stars of {len(nodes)}"] += 1
+        out = tuple(v for v in h.vertices if v in comp.s_vertices)
+        got = outcome(lambda: _join_project(di, bags, out, f"c{idx}"))
+        tally.compare(f"star/{label}", got, outcome(lambda: _yannakakis(di, bags, out, f"c{idx}")))
+
+
 def bag_relations(inst: QueryInstance, d: Decomposition) -> dict:
     """Each node's relation from ``engine._bag_materialize``, its columns put
     in sorted order, as its schema and rows: a column outside the bag shows."""
@@ -391,6 +456,7 @@ def check_case(case: Case, tally: differential_runner.Tally) -> None:
             tally.compare(f"{form}/{label}", getattr(result, "count", result), expected)
             tally.verify_trees(f"{form}/{label}", lambda: derived_trees(case.inst, built))
         tally.compare(f"bound/{label}", outcome(lambda: bound_excesses(case.inst, read)), [])
+        star_mismatches(case.inst, read, tally, label)
         if not fractional:
             want = outcome(lambda: as_fractional(results["ghd"].stats))
             tally.compare(f"stats/{label}", outcome(lambda: results["fractional"].stats), want)

@@ -46,7 +46,8 @@ VERIFY_SHAPES = [
 
 # script, instances, least checks and least derived trees per instance, least count of each shape
 SLICES = {
-    "differential": (differential, 350, 5, 14, {}),
+    # the star route meets stars of every size the star family builds
+    "differential": (differential, 350, 5, 14, {"stars of 3": 25, "stars of 4": 25, "stars of 5": 15}),
     # both outcomes are well represented
     "parser": (parser_differential, 6000, 1, 0, {"parsed": 1500, "rejected": 1500}),
     # ACYCLIC meets both outcomes

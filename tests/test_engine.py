@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cqstar import engine
@@ -32,7 +34,8 @@ from cqstar.errors import (
     UnknownVariable,
 )
 from cqstar.generators import SimpleGraph, SplitMix64, gen_clique_star_instance, gen_random_instance
-from cqstar.hypergraph import Atom, Query, from_query
+from cqstar.hypergraph import Atom, Query, from_query, s_components
+from cqstar.parser import parse_query
 
 from oracles import (
     count_by_full_join,
@@ -671,16 +674,24 @@ def _record_joins(monkeypatch) -> list:
 
 
 def test_join_phase_builds_each_node_result_already_projected(monkeypatch):
-    """On a clique-star instance each node's result, the output of its last
-    join, holds only the output variables and the parent's bag: the
-    quantified centre never reaches the root. The root's result is exactly
-    the free variables."""
-    g = SimpleGraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)])
-    inst = gen_clique_star_instance(g, 3)
+    """On a component whose core piece is the path y1 - z1 - z2 - {y2, y3},
+    which is no star, each node's result, the output of its last join,
+    holds only the output variables and the parent's bag: neither
+    quantified variable reaches the root. The root's result is exactly the
+    free variables."""
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    s = structure(
+        "0123",
+        rel("A", ("c0", "c1"), [p for p in pairs if (p[0] + p[1]) % 3]),
+        rel("B", ("c0", "c1"), [p for p in pairs if p[0] < p[1]]),
+        rel("C", ("c0", "c1"), [p for p in pairs if (p[0] * p[1]) % 2 == 0]),
+        rel("D", ("c0", "c1"), [p for p in pairs if p[0] < p[1]]),
+    )
+    atoms = (Atom("A", ("y1", "z1")), Atom("B", ("z1", "z2")), Atom("C", ("z2", "y2")), Atom("D", ("z2", "y3")))
+    inst = instance(("y1", "y2", "y3"), atoms, s)
     jt = gyo_join_tree(from_query(inst.query).hypergraph)
     calls = _record_joins(monkeypatch)
-    # the answers are the 125 triples that are not 3-cliques in order
-    assert count_cq_via_ghd(inst, jt).count == 5**3 - 6 * count_k_cliques(g, 3)
+    assert count_cq_via_ghd(inst, jt).count == count_brute(inst).count == 20
     assert calls and any(joins for _, _, joins in calls)
     for tree, out, joins in calls:
         children = tree.children_map()
@@ -746,3 +757,76 @@ def test_ghd_bag_joins_drop_each_variable_no_later_part_holds(monkeypatch):
     monkeypatch.setattr(engine, "natural_join", lambda *args, **kw: sizes.append(len(r := join(*args, **kw))) or r)
     assert count_cq_via_ghd(inst, ghd).count == n**4
     assert sizes and max(sizes) <= n**3
+
+
+def _star_instance(text: str, fixed) -> QueryInstance:
+    """``text``'s query over relations on 3 values: those in ``fixed`` hold
+    the rows it gives, and each other one each row with chance 2/3."""
+    q = parse_query(text)
+    rng = SplitMix64(4242)
+    arity = {a.predicate: len(a.variables) for a in q.atoms}
+    relations = [
+        rel(p, [f"c{i}" for i in range(n)], fixed[p] if p in fixed else [r for r in product(range(3), repeat=n) if rng.chance(2, 3)])
+        for p, n in arity.items()
+    ]
+    return QueryInstance(q, structure("abc", *relations))
+
+
+def _component_routes(inst: QueryInstance) -> tuple:
+    """For the one S-component of ``inst``, its bags along its core piece's
+    own join tree, as the pipeline builds them: their star key, the
+    relation ``_join_project`` builds, and the Yannakakis route's."""
+    sh = from_query(inst.query)
+    h = sh.hypergraph
+    (comp,) = s_components(sh)
+    piece = h.touching(comp.core)
+    jt = gyo_join_tree(piece)
+    rels = engine._bind(inst)
+    bags = engine._bag_materialize({e: rels[e] for e in piece.edge_ids()}, jt)
+    out = tuple(v for v in h.vertices if v in comp.s_vertices)
+    key = engine._star_key([bags[n.node_id] for n in jt.nodes])
+    return key, engine._join_project(jt, bags, out, "c0"), engine._yannakakis(jt, bags, out, "c0")
+
+
+# Component shapes: (query, the star key of its bags, or None for a near-star
+# that must take the Yannakakis route, relations with fixed rows). The
+# fixed rows make the filter drop a key value, and leave the second Boolean
+# star no key value that both relations hold.
+STAR_CASES = {
+    "free-key-variable": ("ans(x, y1, y2) :- R(z, x, y1), S(y2, x, z).", ("z", "x"), {}),
+    "private-quantified": ("ans(y1, y2) :- R(z, y1, w), S(z, y2).", ("z",), {}),
+    "key-only-filter": ("ans(y1, y2) :- R(z, y1), S(z, y2), U(z).", ("z",), {"U": [(1,)]}),
+    "empty-relation": ("ans(y1, y2, y3) :- R(z, y1), S(z, y2), T(z, y3).", ("z",), {"T": []}),
+    "repeated-variable": ("ans(y1, y2) :- R(z, y1, y1), S(z, z, y2).", ("z",), {}),
+    # R and R2 hold the same variables, so they share one bag
+    "same-variable-set": ("ans(y1, y2) :- R(z, y1), R2(y1, z), S(z, y2).", ("z",), {}),
+    "boolean": ("ans() :- R(z, y1), S(z, y2), T(y3, z).", ("z",), {}),
+    "boolean-unsatisfied": ("ans() :- R(z, y1), S(z, y2).", ("z",), {"R": [(0, 0)], "S": [(1, 1)]}),
+    "shared-non-key": ("ans(y1, y2, y3) :- R(z, y1, w), S(z, y2, w), T(z, y3).", None, {}),
+    "no-common-key": ("ans(y1, y2) :- R(y1, z1), S(z1, z2), T(z2, y2).", None, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAR_CASES))
+def test_star_route_gives_the_yannakakis_relation(case):
+    text, key, fixed = STAR_CASES[case]
+    inst = _star_instance(text, fixed)
+    got_key, relation, reference = _component_routes(inst)
+    assert got_key == key
+    assert relation == reference
+    assert (relation.rows == frozenset()) == (case in ("empty-relation", "boolean-unsatisfied"))
+    assert count_cq_via_ghd(inst, auto_ghd(inst)).count == count_brute(inst).count
+
+
+def test_star_route_on_a_clique_star_instance(monkeypatch):
+    """k = 4: the four atoms P_i(z, v_i) are a star on z, so no join and no
+    semijoin runs, and the count is the closed form (the domain's
+    composite values put brute force out of reach)."""
+    g = SimpleGraph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (0, 3), (1, 4)])
+    inst = gen_clique_star_instance(g, 4)
+    key, relation, reference = _component_routes(inst)
+    assert key == ("z",) and relation == reference
+    calls = _record_joins(monkeypatch)
+    monkeypatch.setattr(engine, "semijoin", None)
+    assert count_cq_via_ghd(inst, auto_ghd(inst)).count == 5**4 - 24 * count_k_cliques(g, 4)
+    assert len(calls) == 1 and calls[0][2] == []

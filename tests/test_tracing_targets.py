@@ -33,11 +33,15 @@ def test_traced_pipeline_reaches_acyclic_count():
     rel = Relation.from_rows
     structure = Structure(
         ("a", "b", "c"),
-        {"E1": rel("E1", ("c0", "c1"), [(0, 2), (1, 2)]), "E2": rel("E2", ("c0", "c1"), [(0, 2)])},
+        {
+            "E1": rel("E1", ("c0", "c1"), [(0, 2), (1, 2)]),
+            "E2": rel("E2", ("c0", "c1"), [(2, 0), (1, 1)]),
+            "E3": rel("E3", ("c0", "c1"), [(0, 2)]),
+        },
     )
-    inst = QueryInstance(
-        Query("ans", ("y1", "y2"), (Atom("E1", ("y1", "z")), Atom("E2", ("y2", "z")))), structure
-    )
+    # a path, not a star, so the component's relation is built by joins
+    atoms = (Atom("E1", ("y1", "z1")), Atom("E2", ("z1", "z2")), Atom("E3", ("z2", "y2")))
+    inst = QueryInstance(Query("ans", ("y1", "y2"), atoms), structure)
     jt = gyo_join_tree(from_query(inst.query).hypergraph)
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.op("probe") as counts:

@@ -29,7 +29,6 @@ from .engine import (
     Relation,
     Structure,
     atom_relation,
-    count_acyclic_qf,
     count_brute,
     count_cq_via_fractional,
     count_cq_via_ghd,
@@ -45,7 +44,6 @@ from .errors import (
     IdMismatch,
     InvariantViolation,
     NotHinge,
-    NotQuantifierFree,
     TooLarge,
     UncoverableVertex,
     UnknownVariable,

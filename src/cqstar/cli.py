@@ -1,8 +1,9 @@
 """Command-line interface binding parsers, decompositions, star size, and
-counting. Exit codes: 0 success, 1 input error, 2 budget exceeded, 3
-internal error (a violated invariant or any other unexpected exception,
-reported as one line). Machine-readable output (--json) is a single JSON
-document on stdout with every integer rendered as a decimal string.
+counting. Exit codes: 0 success, 1 input error, 2 budget exceeded (a
+brute-force or search budget, or memory run out), 3 internal error (a
+violated invariant or any other unexpected exception, reported as one
+line). Machine-readable output (--json) is a single JSON document on stdout
+with every integer rendered as a decimal string.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .generators import (
     gen_is_hardness_hypergraph,
     gen_random_instance,
 )
-from .hypergraph import Atom, Query, SHypergraph, from_query
+from .hypergraph import Atom, Query, SHypergraph, edge_sort_key, from_query
 from .parser import (
     ParseError,
     SourceSpan,
@@ -116,7 +117,8 @@ def _auto_decomposition(h, kind: Optional[str], k: Optional[int]) -> Decompositi
         if not isinstance(jt, NotAcyclic):
             return jt
         if kind == "jointree":
-            raise BindError("query hypergraph is not acyclic; no join tree exists")
+            kernel = ", ".join(str(e) for e in sorted(jt.kernel.edge_ids(), key=edge_sort_key))
+            raise BindError(f"query hypergraph is not acyclic (irreducible kernel edges: {kernel}); no join tree exists")
     if kind == "hinge" or kind is None:
         return dec.hinge_decompose(h)
     if kind == "ghd":
@@ -215,15 +217,7 @@ def _cmd_decompose(args) -> int:
     if args.k is not None and args.kind != "ghd":
         raise _ArgumentError("-k is read only with --kind ghd")
     query = _load_query(args.query)
-    h = from_query(query).hypergraph
-    if args.kind == "jointree":
-        d = dec.gyo_join_tree(h)
-        if isinstance(d, NotAcyclic):
-            kernel = ", ".join(sorted(str(e) for e in d.kernel.edge_ids()))
-            print(f"not acyclic; irreducible kernel edges: {kernel}", file=sys.stderr)
-            return 1
-    else:
-        d = _auto_decomposition(h, args.kind, args.k)
+    d = _auto_decomposition(from_query(query).hypergraph, args.kind, args.k)
     text = decomposition_to_json(d)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -417,13 +411,18 @@ def run_cli(argv) -> int:
     except CqstarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a count too large for this machine
+        print(f"budget exceeded: out of memory (at {_raised_at(exc)})", file=sys.stderr)
+        return 2
     except Exception as exc:  # a bug: one line naming where it was raised
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        print(
-            f"internal error: {type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})",
-            file=sys.stderr,
-        )
+        print(f"internal error: {type(exc).__name__}: {exc} (at {_raised_at(exc)})", file=sys.stderr)
         return 3
+
+
+def _raised_at(exc: BaseException) -> str:
+    """``file:line`` of the frame that raised ``exc``."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{Path(where.filename).name}:{where.lineno}"
 
 
 def main() -> None:

@@ -33,36 +33,37 @@ carries the key, and enumerates no more tuples than a binary join's last
 step would concatenate. The closure's boundary-only edges are left out: the
 final count joins each of them anyway, as a kept atom when it is all-free
 and else inside the one other component whose core it meets.
-``count_acyclic_qf`` then counts the rewritten instance: it materializes
-one relation per bag and counts along the decomposition's own tree. Each
-piece, a component's core piece or the rewritten instance, gets its own
-join tree when it is acyclic; the query's decomposition is restricted or
-rewritten only for the cyclic ones. ``count_cq_via_ghd`` takes every kind
-and, once a tree decomposition is guarded, materializes and rewrites each
-the same way: a node joins its guard atoms, the atoms its weights name and
-those assigned to it, so a fractional bag is built from its weighted edges.
+``count_acyclic_qf``, the pipeline's last step, then counts the rewritten
+instance: it materializes one relation per bag and counts along the
+decomposition's own tree. Each piece, a component's core piece or the
+rewritten instance, gets its own join tree when it is acyclic; the query's
+decomposition is restricted or rewritten only for the cyclic ones.
+``count_cq_via_ghd`` takes every kind and, once a tree decomposition is
+guarded, materializes and rewrites each the same way: a node joins its
+guard atoms, the atoms its weights name and those assigned to it, so a
+fractional bag is built from its weighted edges.
 
 Input is checked where it enters. ``Relation`` checks the width of every
 row and ``Structure`` the range of every value id; the operators build
-their outputs, valid by construction, without either check. The public
-counting functions verify the decomposition they are given. The join trees
-the pipeline builds for its components, and the restrictions of a verified
-decomposition, are not verified again; the differential verifies them. The
-rewritten instance is the exception: the pipeline counts it through the
-public ``count_acyclic_qf``, so its decomposition is verified again and its
-relations are bound again by ``atom_relation``.
+their outputs, valid by construction, without either check.
+``count_cq_via_ghd`` verifies the decomposition it is given and binds each
+atom once. The trees the pipeline builds for its pieces, the components'
+and the rewritten query's, and the restrictions and the rewrite of a
+verified decomposition, are not verified again; the differential verifies
+them. The rewritten instance is counted in place, from the relations the
+pipeline has built, keyed by edge id.
 
-``count_cq_via_ghd``, ``count_acyclic_qf`` and ``parser.parse_facts`` build
-rows in bulk (a boundary relation can hold |dom|^(star size) rows), and
-they run with Python's cyclic garbage collector paused, through
-``_collector_paused``. Reference counting frees everything they build, but
-each young-generation pass of the collector walks the row tuples just
-built: on the ``clique-star`` benchmark the collector took 13-16% of each
-op, and 6% on ``c9-cli``. The pause is safe because of one invariant: these
-functions, and the structure layer they call, make no reference cycle, so
-the collector would reclaim nothing; ``tests/test_collector.py`` pins it.
-The collector is process-wide, so another thread's cyclic garbage waits
-until the paused call returns.
+``count_cq_via_ghd`` and ``parser.parse_facts`` build rows in bulk (a
+boundary relation can hold |dom|^(star size) rows), and they run with
+Python's cyclic garbage collector paused, through ``_collector_paused``.
+Reference counting frees everything they build, but each young-generation
+pass of the collector walks the row tuples just built: on the
+``clique-star`` benchmark the collector took 13-16% of each op, and 6% on
+``c9-cli``. The pause is safe because of one invariant: these functions,
+and the structure layer they call, make no reference cycle, so the
+collector would reclaim nothing; ``tests/test_collector.py`` pins it. The
+collector is process-wide, so another thread's cyclic garbage waits until
+the paused call returns.
 """
 
 from __future__ import annotations
@@ -88,14 +89,8 @@ from .decomposition import (
     jointree_over_bags,
     verify,  # unused here, but bench/tracing.py wraps engine.verify
 )
-from .errors import (
-    BindError,
-    InvariantViolation,
-    NotQuantifierFree,
-    TooLarge,
-    UnknownVariable,
-)
-from .hypergraph import Atom, Query, from_query, s_components
+from .errors import BindError, InvariantViolation, TooLarge, UnknownVariable
+from .hypergraph import Atom, Hypergraph, Query, from_query, s_components
 
 BRUTE_MAX_ASSIGNMENTS = 2_000_000
 
@@ -486,38 +481,31 @@ def _yannakakis(jt: Decomposition, rels: dict[int, Relation], out: Sequence[str]
     return project(acc[jt.root().node_id], out, name)
 
 
-@_collector_paused
-def count_acyclic_qf(inst: QueryInstance, d: Decomposition) -> CountResult:
-    """Exact count for a quantifier-free instance along any valid
-    decomposition of it, of any kind; a tree decomposition is guarded first.
+def count_acyclic_qf(rels: Mapping[int, Relation], d: Decomposition) -> tuple[int, list[int]]:
+    """The pipeline's last step: the number of answers of the rewritten,
+    quantifier-free query whose edge e has the relation ``rels[e]``, along
+    ``d``, and the sizes of its bag relations in topological order.
+
+    Internal: ``count_cq_via_ghd`` is its one caller and passes the rewritten
+    query's own join tree or the rewrite of its verified decomposition, both
+    valid and guarded by construction, so nothing is checked again here. It
+    keeps its own name because ``bench/tracing.py`` times this step by it.
 
     The bag relations of a valid decomposition form an acyclic instance over
     the decomposition's own tree. One bottom-up pass stores, per bag tuple,
     its number of distinct extensions into the subtree. No semijoin reduction
     is needed: a tuple that dangles anywhere below gets a zero child sum.
     """
-    q = inst.query
-    if set(q.free_vars) != set(q.variables()):
-        raise NotQuantifierFree("count_acyclic_qf requires all variables free")
-    h = from_query(q).hypergraph
-    ensure_valid(h, d, tuple(DecompKind))
-    d = dec.guarded(h, d)
-    rels = _bag_materialize(_bind(inst), d)
-    max_intermediate = max((len(r) for r in rels.values()), default=0)
+    bags = _bag_materialize(rels, d)
     children = d.children_map()
     counts: dict[int, dict[tuple, int]] = {}
     for node in d.post_order():
-        rel = rels[node.node_id]
+        rel = bags[node.node_id]
         table: dict[tuple, int] = dict.fromkeys(rel.rows, 1)
         for child in children[node.node_id]:
-            table = _absorb_child(table, rel.schema, counts[child.node_id], rels[child.node_id].schema)
+            table = _absorb_child(table, rel.schema, counts[child.node_id], bags[child.node_id].schema)
         counts[node.node_id] = table
-    total = sum(counts[d.root().node_id].values())
-    stats = {
-        "bag_sizes": [len(rels[n.node_id]) for n in d.topo_order()],
-        "max_intermediate": max_intermediate,
-    }
-    return CountResult(total, "acyclic-qf", stats)
+    return sum(counts[d.root().node_id].values()), [len(bags[n.node_id]) for n in d.topo_order()]
 
 
 def _absorb_child(table: dict, schema: tuple, child: dict, child_schema: tuple) -> dict:
@@ -563,19 +551,15 @@ def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
     for idx, comp in enumerate(comps):
         final_rels.append(_component_relation(h, d, comp, atom_rels, stats, idx))
 
-    names = [f"__r{j}" for j in range(len(final_rels))]
-    final_atoms = tuple(Atom(n, rel.schema) for n, rel in zip(names, final_rels))
-    final = QueryInstance(
-        Query("ans", inst.query.free_vars, final_atoms),
-        Structure(inst.structure.domain, dict(zip(names, final_rels))),
-    )
-    df, _ = _piece_decomposition(
-        stats, from_query(final.query).hypergraph, lambda: _rebuild_decomposition(h, d, comps, kept)
-    )
-    result = count_acyclic_qf(final, df)
-    stats["bag_sizes"].append(result.stats["bag_sizes"])
-    stats["max_intermediate"] = max(stats["max_intermediate"], result.stats["max_intermediate"])
-    return CountResult(result.count, "fractional" if d.kind is DecompKind.FRACTIONAL else "ghd", stats)
+    # numbered as ``from_query`` numbers a query: vertices in order of first
+    # appearance, and edge j over the schema of relation j
+    schemas = [rel.schema for rel in final_rels]
+    rewritten = Hypergraph(chain.from_iterable(schemas), enumerate(schemas))
+    df, _ = _piece_decomposition(stats, rewritten, lambda: _rebuild_decomposition(h, d, comps, kept))
+    count, sizes = count_acyclic_qf(dict(enumerate(final_rels)), df)
+    stats["bag_sizes"].append(sizes)
+    stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
+    return CountResult(count, "fractional" if d.kind is DecompKind.FRACTIONAL else "ghd", stats)
 
 
 count_cq_via_fractional = count_cq_via_ghd  # an alias, kept only because bench/tracing.py wraps it

@@ -47,10 +47,6 @@ class NotHinge(CqstarError):
     """An operation requiring a hingetree decomposition received something else."""
 
 
-class NotQuantifierFree(CqstarError):
-    """An operation requiring a quantifier-free instance received quantified variables."""
-
-
 class TooLarge(CqstarError):
     """Input exceeds the configured cutoff of a brute-force operation."""
 

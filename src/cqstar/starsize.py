@@ -112,15 +112,15 @@ def _rank(h: Hypergraph, verts: Iterable) -> tuple:
     return -len(verts), tuple(h.vertex_index(v) for v in h.sort_vertices(verts))
 
 
-def max_is_brute(h: Hypergraph, restrict_to=None, *, cutoff: int = BRUTE_CUTOFF) -> ISWitness:
+def max_is_brute(h: Hypergraph, restrict_to=None) -> ISWitness:
     """Exhaustive maximum independent set among the candidate vertices.
 
     Include-first depth-first search, so the first maximum found is the
     lexicographically smallest one.
     """
     cands = _candidates(h, restrict_to)
-    if len(cands) > cutoff:
-        raise TooLarge(f"{len(cands)} candidate vertices exceed brute-force cutoff {cutoff}")
+    if len(cands) > BRUTE_CUTOFF:
+        raise TooLarge(f"{len(cands)} candidate vertices exceed brute-force cutoff {BRUTE_CUTOFF}")
     best: list = []
     _include_first(cands, h.conflict_adjacency(), 0, [], frozenset(), best)
     return _checked_witness(h, best, ISMethod.BRUTE)

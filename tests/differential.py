@@ -26,9 +26,12 @@ The pipeline trusts the trees it derives from a verified decomposition:
 each S-component's counted piece is either its core piece (the atoms that
 meet its core) along the core piece's own join tree, or, when the core
 piece is cyclic, its whole closure along the decomposition's restriction
-to the closure; then the join tree over that tree's bags. The differential
-verifies every one of them, along every decomposition it counts along,
-with ``oracles.tree_fault``; a faulty tree is a mismatch too. Along each
+to the closure; then the join tree over that tree's bags. It trusts the
+tree it counts the rewritten query along too: the rewritten query's own
+join tree, or, when that query is cyclic, the decomposition's rewrite
+(``engine._rebuild_decomposition``). The differential verifies every one
+of them, along every decomposition it counts along, with
+``oracles.tree_fault``; a faulty tree is a mismatch too. Along each
 decomposition it also checks the paper's bound (``bound/<label>``): each
 component's boundary relation holds at most the product, over the edge
 cover of the counted piece's bags, of each bag relation projected onto
@@ -74,6 +77,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 from cqstar.decomposition import (
     DecompKind,
@@ -96,13 +100,14 @@ from cqstar.engine import (
     _bag_materialize,
     _bind,
     _join_project,
+    _rebuild_decomposition,
     _star_key,
     _yannakakis,
     count_brute,
     count_cq_via_ghd,
 )
 from cqstar.generators import SplitMix64, gen_random_instance
-from cqstar.hypergraph import Atom, Query, from_query, s_components
+from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
 from cqstar.parser import query_to_text
 from cqstar.starsize import acyclic_is_and_cover
 
@@ -345,14 +350,36 @@ def counted_pieces(inst: QueryInstance, d: Decomposition) -> list:
     return out
 
 
+def rewritten_piece(inst: QueryInstance, d: Decomposition) -> tuple:
+    """(source, hypergraph, tree) for the rewritten query the pipeline counts
+    last. Its edges are the kept atoms (those with no quantified variable),
+    each over its variables, then one per S-component, over its free
+    boundary, numbered in that order; its vertices come in order of first
+    appearance. The tree is the hypergraph's own join tree, or, when it is
+    cyclic, ``engine._rebuild_decomposition`` of ``d``."""
+    sh = from_query(inst.query)
+    h = sh.hypergraph
+    comps = s_components(sh)
+    kept = [i for i, atom in enumerate(inst.query.atoms) if sh.s.issuperset(atom.variables)]
+    schemas = [inst.query.atoms[i].variables for i in kept] + [h.sort_vertices(c.s_vertices) for c in comps]
+    rewritten = Hypergraph(chain.from_iterable(schemas), enumerate(schemas))
+    own = gyo_join_tree(rewritten)
+    if isinstance(own, NotAcyclic):
+        return "restricted", rewritten, _rebuild_decomposition(h, d, comps, kept)
+    return "own-jointree", rewritten, own
+
+
 def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
     and trusts: per S-component, the tree its counted piece is counted
-    along, and the join tree over that tree's bags."""
+    along, and the join tree over that tree's bags; then the tree the
+    rewritten query is counted along."""
     out = []
     for idx, (_, source, piece, di) in enumerate(counted_pieces(inst, d)):
         out.append((f"component {idx} {source}", piece, di))
         out.append((f"component {idx} bags", blocks_hypergraph(piece, di), jointree_over_bags(di)))
+    source, rewritten, tree = rewritten_piece(inst, d)
+    out.append((f"rewritten {source}", rewritten, tree))
     return out
 
 

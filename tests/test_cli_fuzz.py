@@ -211,3 +211,19 @@ def test_cli_unexpected_exception_is_one_internal_error_line(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("internal error: KeyError: 7 (at ") and err.count("\n") == 1
 
+
+def test_cli_out_of_memory_is_one_budget_line(tmp_path, capsys, monkeypatch):
+    """A ``MemoryError`` ends in the budget exit, 2, not the internal-error
+    exit: the count is too large for the machine, not wrong."""
+
+    def exhausted(inst, d):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "count_cq_via_ghd", exhausted)
+    q, f = tmp_path / "q.cq", tmp_path / "d.facts"
+    q.write_text(QUERIES[0])
+    f.write_text(FACTS[0])
+    assert run_cli(["count", "-q", str(q), "-d", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"budget exceeded: out of memory \(at test_cli_fuzz\.py:\d+\)\n", err)

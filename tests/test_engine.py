@@ -8,7 +8,9 @@ from cqstar.decomposition import (
     DecompNode,
     Decomposition,
     NotAcyclic,
+    ensure_valid,
     ghd_search,
+    guarded,
     gyo_join_tree,
     hinge_decompose,
     tree_decompose,
@@ -18,7 +20,6 @@ from cqstar.engine import (
     Relation,
     Structure,
     atom_relation,
-    count_acyclic_qf,
     count_brute,
     count_cq_via_fractional,
     count_cq_via_ghd,
@@ -29,7 +30,6 @@ from cqstar.engine import (
 from cqstar.errors import (
     BindError,
     DecompositionInvalid,
-    NotQuantifierFree,
     TooLarge,
     UnknownVariable,
 )
@@ -69,6 +69,16 @@ E1E2_INSTANCE = instance(
     (Atom("E1", ("y1", "z")), Atom("E2", ("y2", "z"))),
     E1E2,
 )
+
+
+def count_qf(inst, d):
+    """The count of the quantifier-free ``inst`` along ``d``, and its bag
+    sizes, from the pipeline's last step, ``engine.count_acyclic_qf``, given
+    what the pipeline gives it: ``d`` verified and guarded, and the atoms
+    bound by edge id."""
+    h = from_query(inst.query).hypergraph
+    ensure_valid(h, d, tuple(DecompKind))
+    return engine.count_acyclic_qf(engine._bind(inst), guarded(h, d))
 
 
 def auto_ghd(inst):
@@ -222,23 +232,23 @@ def test_count_acyclic_qf_examples():
             rel("S", ("c0", "c1"), [(1, 3)]),
         ),
     )
-    result = count_acyclic_qf(inst, auto_ghd(inst))
-    assert result.count == 1
-    assert result.count == count_by_full_join(inst)
+    count, _ = count_qf(inst, auto_ghd(inst))
+    assert count == 1
+    assert count == count_by_full_join(inst)
 
     single = instance(
         ("x", "y"),
         (Atom("R", ("x", "y")),),
         structure(("a", "b"), rel("R", ("c0", "c1"), [(0, 1), (1, 0), (0, 1)])),
     )
-    assert count_acyclic_qf(single, auto_ghd(single)).count == 2
+    assert count_qf(single, auto_ghd(single))[0] == 2
 
     idem = instance(
         ("x", "y"),
         (Atom("R", ("x", "y")), Atom("R", ("x", "y"))),
         structure(("a", "b"), rel("R", ("c0", "c1"), [(0, 1), (1, 0)])),
     )
-    assert count_acyclic_qf(idem, auto_ghd(idem)).count == 2
+    assert count_qf(idem, auto_ghd(idem))[0] == 2
 
     # the root row (5, 2) of R(w, x) extends into S but dangles at T
     chain = instance(
@@ -259,9 +269,9 @@ def test_count_acyclic_qf_examples():
             DecompNode(2, 1, frozenset({2}), frozenset({"y", "z"})),
         ),
     )
-    result = count_acyclic_qf(chain, path)
-    assert result.count == 3
-    assert result.count == count_by_full_join(chain)
+    count, _ = count_qf(chain, path)
+    assert count == 3
+    assert count == count_by_full_join(chain)
 
     # no bag holds both variables of S(y, z)
     broken = Decomposition(
@@ -272,16 +282,7 @@ def test_count_acyclic_qf_examples():
         ),
     )
     with pytest.raises(DecompositionInvalid):
-        count_acyclic_qf(inst, broken)
-
-
-def test_count_acyclic_qf_rejects_quantified():
-    inst = path_instance([(0, 1)], [(1, 2)])
-    quantified = QueryInstance(
-        Query("ans", ("x",), inst.query.atoms), inst.structure
-    )
-    with pytest.raises(NotQuantifierFree):
-        count_acyclic_qf(quantified, auto_ghd(inst))
+        count_cq_via_ghd(inst, broken)
 
 
 def test_count_acyclic_never_materializes_full_join():
@@ -295,9 +296,9 @@ def test_count_acyclic_never_materializes_full_join():
         rel("S", ("c0", "c1"), [(n, i) for i in range(n)]),
     )
     inst = instance(("x", "y", "z"), (Atom("R", ("x", "y")), Atom("S", ("y", "z"))), s)
-    result = count_acyclic_qf(inst, auto_ghd(inst))
-    assert result.count == n * n
-    assert result.stats["max_intermediate"] <= 2 * n
+    count, sizes = count_qf(inst, auto_ghd(inst))
+    assert count == n * n
+    assert max(sizes) <= 2 * n
 
 
 # -- the quantified pipeline -------------------------------------------------------
@@ -328,7 +329,7 @@ def test_count_boolean_degeneration():
 def test_count_quantifier_free_equals_acyclic():
     inst = path_instance([(0, 1), (1, 2)], [(1, 2), (2, 0)])
     d = auto_ghd(inst)
-    assert count_cq_via_ghd(inst, d).count == count_acyclic_qf(inst, d).count
+    assert count_cq_via_ghd(inst, d).count == count_qf(inst, d)[0]
 
 
 def test_count_fractional_matches_ghd():
@@ -339,9 +340,8 @@ def test_count_fractional_matches_ghd():
 
 def test_one_pipeline_counts_along_a_tree_decomposition():
     """``count_cq_via_fractional`` is the same function as ``count_cq_via_ghd``.
-    It takes a tree decomposition, which it guards before reading it, as
-    ``count_acyclic_qf`` does; the method reads ``fractional`` only for a
-    fractional decomposition."""
+    It takes a tree decomposition, which it guards before reading it; the
+    method reads ``fractional`` only for a fractional decomposition."""
     assert count_cq_via_fractional is count_cq_via_ghd
     for seed in range(40):
         inst = gen_random_instance(variables=4, atoms=4, max_arity=3, domain=3, seed=seed)
@@ -351,7 +351,7 @@ def test_one_pipeline_counts_along_a_tree_decomposition():
         assert (result.count, result.method) == (count_brute(inst).count, "ghd")
         assert count_cq_via_ghd(inst, integralize(hinge_decompose(h))).method == "fractional"
         free = QueryInstance(Query("ans", inst.query.variables(), inst.query.atoms), inst.structure)
-        assert count_acyclic_qf(free, tree).count == count_brute(free).count
+        assert count_qf(free, tree)[0] == count_brute(free).count
 
 
 def test_count_fractional_triangle_half_weights():
@@ -518,7 +518,7 @@ def test_oracle_equivalence_random_instances():
         all_free = QueryInstance(Query("ans", inst.query.variables(), inst.query.atoms), inst.structure)
         expected_qf = count_brute(all_free).count
         for dd in (d, hinge, integralize(d)):
-            assert count_acyclic_qf(all_free, dd).count == expected_qf
+            assert count_qf(all_free, dd)[0] == expected_qf
         agree += 1
 
 
@@ -629,7 +629,7 @@ def test_count_acyclic_qf_disconnected():
     )
     inst = instance(("x", "y"), (Atom("R", ("x",)), Atom("S", ("y",))), s)
     jt = gyo_join_tree(from_query(inst.query).hypergraph)
-    assert count_acyclic_qf(inst, jt).count == 2
+    assert count_qf(inst, jt)[0] == 2
 
 
 def test_count_fractional_random_hinge_weights():
@@ -739,7 +739,7 @@ def test_bag_join_drops_the_variables_outside_the_bag(monkeypatch):
     got = bags[0]
     assert got.name == "b0" and set(got.schema) == {"a", "c", "d"}
     assert project_reference(got, ("a", "c", "d")).rows == want.rows
-    assert count_acyclic_qf(inst, ghd).count == count_brute(inst).count
+    assert count_qf(inst, ghd)[0] == count_brute(inst).count
 
 
 def test_ghd_bag_joins_drop_each_variable_no_later_part_holds(monkeypatch):

@@ -623,6 +623,26 @@ def test_cli_jointree_refuses_cyclic(tmp_path, capsys):
     assert "not acyclic" in err
 
 
+@pytest.mark.parametrize("length", [3, 12])
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", "--kind", "jointree"], ["count", "-d", "{facts}", "--auto-decomp", "jointree"]],
+    ids=["decompose", "count"],
+)
+def test_cli_jointree_of_cyclic_query_is_one_error_line(argv, length, tmp_path, capsys):
+    """Both commands refuse a join tree of a cycle with the same one
+    ``error:`` line, which names the irreducible kernel's edges in id order."""
+    q, f = tmp_path / "cycle.cq", tmp_path / "cycle.facts"
+    q.write_text("ans(x0) :- " + ", ".join(f"E(x{i}, x{(i + 1) % length})" for i in range(length)) + ".\n")
+    f.write_text("E(a, b).\n")
+    argv = [arg.format(facts=f) for arg in argv]
+    assert run_cli([argv[0], "-q", str(q), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    edges = ", ".join(map(str, range(length)))
+    assert err == f"error: query hypergraph is not acyclic (irreducible kernel edges: {edges}); no join tree exists\n"
+
+
 def test_cli_count_with_explicit_decomp(workdir, capsys):
     decomp_path = workdir / "q.decomp.json"
     assert run_cli([

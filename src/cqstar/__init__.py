@@ -15,7 +15,6 @@ from .decomposition import (
     NotAcyclic,
     Violation,
     WidthReport,
-    blocks_hypergraph,
     ghd_search,
     gyo_join_tree,
     hinge_decompose,

@@ -8,9 +8,11 @@ reports every violation. The hinge, GHD and tree constructors verify their
 own output. A decomposition from outside is verified, kind included, where
 it enters: by ``ensure_valid`` in each public function that takes one. The
 trees that ``gyo_join_tree`` builds, and those derived from a verified one
-(``guarded``, ``induced_decomposition`` on a connected set,
-``jointree_over_bags``), are valid by construction and are not verified
-again at run time; the differentials in ``tests/`` verify every one.
+(``guarded``, ``induced_decomposition`` on a connected set), are valid
+by construction and are not verified again at run time; the differentials
+in ``tests/`` verify every one. A valid decomposition's own tree is also a
+join tree of the hypergraph of its bags, and the cover greedy behind
+cover sizes and APPROX walks it as one (``starsize._bag_cover``).
 
 Structural work is done once per value. A decomposition keeps the last
 report of ``verify`` with its hypergraph, so checking it again against the
@@ -786,22 +788,3 @@ def guarded(h: Hypergraph, d: Decomposition) -> Decomposition:
         nodes.append(DecompNode(n.node_id, n.parent, frozenset(guard), bag))
     return Decomposition(DecompKind.GHD, tuple(nodes))
 
-
-def blocks_hypergraph(h: Hypergraph, d: Decomposition) -> Hypergraph:
-    """Hypergraph over h's vertices with one edge per nonempty bag.
-
-    Always acyclic for a valid decomposition: the tree itself, restricted
-    to bags, is a join tree.
-    """
-    edges = [(n.node_id, n.bag) for n in d.topo_order() if n.bag]
-    return Hypergraph(h.vertices, edges)
-
-
-def jointree_over_bags(d: Decomposition) -> Decomposition:
-    """The width-1 decomposition whose guard edges are d's own bags, each
-    identified by its node id in ``blocks_hypergraph``."""
-    nodes = []
-    for n in d.topo_order():
-        guard = frozenset({n.node_id}) if n.bag else frozenset()
-        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag))
-    return Decomposition(DecompKind.JOINTREE, tuple(nodes))

@@ -83,10 +83,8 @@ from .decomposition import (
     DecompKind,
     DecompNode,
     NotAcyclic,
-    blocks_hypergraph,
     ensure_valid,
     induced_decomposition,
-    jointree_over_bags,
     verify,  # unused here, but bench/tracing.py wraps engine.verify
 )
 from .errors import BindError, InvariantViolation, TooLarge, UnknownVariable
@@ -541,7 +539,6 @@ def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
         "components": len(comps),
         "cover_sizes": [],
         "bag_sizes": [],
-        "max_intermediate": 0,
         "pieces": [],
     }
 
@@ -558,7 +555,7 @@ def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
     df, _ = _piece_decomposition(stats, rewritten, lambda: _rebuild_decomposition(h, d, comps, kept))
     count, sizes = count_acyclic_qf(dict(enumerate(final_rels)), df)
     stats["bag_sizes"].append(sizes)
-    stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
+    stats["max_intermediate"] = max(chain.from_iterable(stats["bag_sizes"]), default=0)
     return CountResult(count, "fractional" if d.kind is DecompKind.FRACTIONAL else "ghd", stats)
 
 
@@ -595,8 +592,9 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     subtree of the verified ``d`` that meets the closure, so its
     ``bag_sizes`` list only that subtree; that subtree's guards may name a
     boundary-only edge, so it joins every edge of the closure, each cut
-    down to it. Both trees, and the join tree over either's bags, are valid
-    by construction and name the original edge ids, which key the
+    down to it. Both trees are valid by construction, so each is also a
+    join tree of its own bags, which ``starsize._bag_cover`` walks for
+    ``cover_sizes``, and both name the original edge ids, which key the
     relations."""
     scope = comp.closure
     piece = h.touching(comp.core)
@@ -612,11 +610,8 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     bags = _bag_materialize(sub_rels, di)
     sizes = [len(bags[n.node_id]) for n in di.topo_order()]
     stats["bag_sizes"].append(sizes)
-    stats["max_intermediate"] = max(stats["max_intermediate"], max(sizes, default=0))
-
     # the edge-cover size is the paper's bound on the boundary relation
-    hp = blocks_hypergraph(piece, di)
-    _, cover = starsize._acyclic_is_and_cover(hp, jointree_over_bags(di), comp.s_vertices)
+    _, cover = starsize._bag_cover(di, comp.s_vertices, h.vertex_index)
     stats["cover_sizes"].append(len(cover))
 
     s_schema = tuple(v for v in h.vertices if v in comp.s_vertices)

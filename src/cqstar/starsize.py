@@ -15,10 +15,12 @@ set (by vertex order); ACYCLIC and APPROX return their greedy's choice,
 which for ACYCLIC is a maximum set but not always that one.
 
 There is one greedy, ``_cover_greedy``, fed a deepest-first walk of a
-join tree. ``acyclic_is_and_cover`` and APPROX feed it a ``Decomposition``,
-and so does the count pipeline for its cover sizes. Star size's ACYCLIC
-strategy feeds it plain lists: each S-component's edges cut to its
-closure (``Hypergraph.induced_dedup_edges``), their parents from the GYO
+join tree. ``acyclic_is_and_cover`` feeds it a width-1 join tree.
+APPROX and the count pipeline's cover sizes feed it a decomposition's own
+tree, each nonempty bag an edge (``_bag_cover``), building no hypergraph
+of the bags and no second tree. Star size's ACYCLIC strategy feeds it
+plain lists: each S-component's edges cut to its closure
+(``Hypergraph.induced_dedup_edges``), their parents from the GYO
 reduction that ``gyo_join_tree`` also runs (``decomposition._gyo``), and
 the walk a join tree of them would take; no induced hypergraph, tree or
 node is built per component.
@@ -35,12 +37,10 @@ from .decomposition import (
     Decomposition,
     DecompKind,
     _gyo,
-    blocks_hypergraph,
     ensure_valid,
     guarded,
     gyo_join_tree,  # unused here, but bench/tracing.py wraps starsize.gyo_join_tree
     induced_decomposition,
-    jointree_over_bags,
     verify,  # unused here, but bench/tracing.py wraps starsize.verify
 )
 from .errors import (
@@ -161,11 +161,6 @@ def acyclic_is_and_cover(
         raise WidthNotOne(str(exc)) from None
     if width > 1:
         raise WidthNotOne(f"decomposition has width {width}, need 1")
-    return _acyclic_is_and_cover(h, jt, restrict_to)
-
-
-def _acyclic_is_and_cover(h: Hypergraph, jt: Decomposition, restrict_to) -> tuple[ISWitness, frozenset]:
-    """``acyclic_is_and_cover`` along a join tree valid by construction."""
     cands = _candidates(h, restrict_to)
     for v in cands:
         if not h.incident_edges(v):
@@ -182,7 +177,7 @@ def _acyclic_is_and_cover(h: Hypergraph, jt: Decomposition, restrict_to) -> tupl
 
 def _acyclic_star(h: Hypergraph, comp: SComponent, idx: int) -> tuple[ISWitness, frozenset]:
     """The ACYCLIC strategy on one S-component of ``h``: what
-    ``_acyclic_is_and_cover`` gives along ``gyo_join_tree(comp.induced)``,
+    ``acyclic_is_and_cover`` gives along ``gyo_join_tree(comp.induced)``,
     from plain lists, with neither built. Node ``i`` is the closure's
     ``i``-th dedup edge, cut to the closure, under its GYO parent, and the
     walk is the join tree's post-order: breadth-first from the root with
@@ -232,6 +227,25 @@ def _cover_greedy(walk: Iterable, cands: AbstractSet, rank) -> tuple[list, list[
     missing = cands - covered
     if missing:
         raise InvariantViolation(f"cover misses candidates {sorted(missing)}")
+    return chosen, cover
+
+
+def _bag_cover(d: Decomposition, cands: AbstractSet, rank) -> tuple[list, list[int]]:
+    """``_cover_greedy`` on the acyclic hypergraph of ``d``'s bags, each
+    nonempty bag an edge named by its node id, along ``d``'s own tree, a
+    join tree of it when ``d`` is valid. Every candidate must lie in a bag.
+    The certificate: no bag holds two chosen vertices, so the chosen set is
+    independent there and, as large as the cover, both are optimal. A bag
+    that holds two, as a tree that breaks running intersection can give,
+    raises InvariantViolation."""
+    bag_of = {n.node_id: n.bag for n in d.nodes}
+    bag_of[None] = frozenset()  # the root's parent
+    walk = (((n.node_id,), n.bag, bag_of[n.parent]) for n in d.post_order() if n.bag)
+    chosen, cover = _cover_greedy(walk, cands, rank)
+    picked = frozenset(chosen)
+    for n in d.nodes:
+        if len(n.bag & picked) > 1:
+            raise InvariantViolation(f"bag of node {n.node_id} holds two chosen vertices")
     return chosen, cover
 
 
@@ -380,15 +394,14 @@ def approx_is(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
 
 
 def _approx_is(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
-    """``approx_is`` along a decomposition valid by construction, whose join
-    tree over its bags is then valid too."""
+    """``approx_is`` along a decomposition valid by construction, whose own
+    tree is then a join tree of its bags."""
     cands = _candidates(h, restrict_to)
     freebies = [v for v in cands if not h.incident_edges(v)]
-    hp = blocks_hypergraph(h, d)
-    in_bags = [v for v in cands if hp.incident_edges(v)]
-    witness, _ = _acyclic_is_and_cover(hp, jointree_over_bags(d), in_bags)
+    held = d.holders()
+    chosen, _ = _bag_cover(d, {v for v in cands if v in held}, h.vertex_index)
     bound = max(int(d.raw_width()), 1)
-    return _checked_witness(h, set(witness.vertices) | set(freebies), ISMethod.APPROX, bound=bound)
+    return _checked_witness(h, set(chosen) | set(freebies), ISMethod.APPROX, bound=bound)
 
 
 # strategy -> its worker along a restriction of a decomposition verified once

@@ -26,21 +26,25 @@ The pipeline trusts the trees it derives from a verified decomposition:
 each S-component's counted piece is either its core piece (the atoms that
 meet its core) along the core piece's own join tree, or, when the core
 piece is cyclic, its whole closure along the decomposition's restriction
-to the closure; then the join tree over that tree's bags. It trusts the
-tree it counts the rewritten query along too: the rewritten query's own
-join tree, or, when that query is cyclic, the decomposition's rewrite
+to the closure; then that tree as a join tree of its own bags, which the
+pipeline walks for its cover sizes. It trusts the tree it counts the
+rewritten query along too: the rewritten query's own join tree, or, when
+that query is cyclic, the decomposition's rewrite
 (``engine._rebuild_decomposition``). The differential verifies every one
 of them, along every decomposition it counts along, with
 ``oracles.tree_fault``; a faulty tree is a mismatch too. Along each
 decomposition it also checks the paper's bound (``bound/<label>``): each
 component's boundary relation holds at most the product, over the edge
-cover of the counted piece's bags, of each bag relation projected onto
-its free vertices. Where a counted piece's bags form a star (one key that
-every bag holds, and no other variable in two bags), it checks the star
-route too (``star/<label>``): the relation ``engine._join_project`` builds
-from those bags must equal the Yannakakis route's, ``engine._yannakakis``,
-on the same bags; the run tallies the stars it reached by their number of
-relations.
+cover of the counted piece's bags, of each bag relation projected onto its
+free vertices. That cover is ``oracles.bag_cover_reference``'s, built over
+the bags as a hypergraph with a second join tree, and each piece's entry
+of ``stats["cover_sizes"]``, along the decomposition as read, must equal
+its size (``cover/<label>``). Where a counted piece's bags form a star
+(one key that every bag holds, and no other variable in two bags), it
+checks the star route too (``star/<label>``): the relation
+``engine._join_project`` builds from those bags must equal the Yannakakis
+route's, ``engine._yannakakis``, on the same bags; the run tallies the
+stars it reached by their number of relations.
 
 The families make sure every per-piece path runs: cycles with two spaced
 free variables rewrite to an acyclic query, three spaced free variables
@@ -84,13 +88,11 @@ from cqstar.decomposition import (
     DecompNode,
     Decomposition,
     NotAcyclic,
-    blocks_hypergraph,
     ghd_search,
     gyo_join_tree,
     guarded,
     hinge_decompose,
     induced_decomposition,
-    jointree_over_bags,
     tree_decompose,
 )
 from cqstar.engine import (
@@ -109,14 +111,16 @@ from cqstar.engine import (
 from cqstar.generators import SplitMix64, gen_random_instance
 from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
 from cqstar.parser import query_to_text
-from cqstar.starsize import acyclic_is_and_cover
 
 import differential_runner
 from differential_runner import outcome, shuffle
 from oracles import (
+    bag_cover_reference,
     bag_relations_reference,
+    blocks_hypergraph,
     count_by_full_join,
     integralize,
+    jointree_over_bags,
     project_reference,
     touching_reference,
 )
@@ -372,8 +376,9 @@ def rewritten_piece(inst: QueryInstance, d: Decomposition) -> tuple:
 def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
     and trusts: per S-component, the tree its counted piece is counted
-    along, and the join tree over that tree's bags; then the tree the
-    rewritten query is counted along."""
+    along, and that tree as a join tree of its bags, along which the
+    pipeline walks its cover (``oracles.jointree_over_bags``); then the
+    tree the rewritten query is counted along."""
     out = []
     for idx, (_, source, piece, di) in enumerate(counted_pieces(inst, d)):
         out.append((f"component {idx} {source}", piece, di))
@@ -383,16 +388,20 @@ def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     return out
 
 
-def bound_excesses(inst: QueryInstance, d: Decomposition) -> list:
+def bound_excesses(inst: QueryInstance, d: Decomposition) -> tuple[list, list[int]]:
     """(component, rows, bound) for each S-component whose boundary relation
     holds more rows than the paper's bound on it: the product, over the
     edge cover of the counted piece's bags, of each bag relation projected
-    onto its free vertices. The piece's relations are its atoms cut down to
-    the closure; the boundary relation is their join projected onto the
-    free vertices, whose rows ``count_brute`` counts, and the bag relations
-    are ``oracles.bag_relations_reference`` along the piece's tree."""
+    onto its free vertices; and each piece's cover size, which the
+    pipeline's ``stats["cover_sizes"]`` must equal. The cover is
+    ``oracles.bag_cover_reference``'s. The piece's relations are its atoms
+    cut down to the closure; the boundary relation is their join projected
+    onto the free vertices, whose rows ``count_brute`` counts, and the bag
+    relations are ``oracles.bag_relations_reference`` along the piece's
+    tree."""
     atom_rels = _bind(inst)
     out = []
+    covers = []
     for idx, (comp, _, piece, di) in enumerate(counted_pieces(inst, d)):
         rels = {e: project_reference(atom_rels[e], sorted(piece.edge_set(e))) for e in piece.edge_ids()}
         names = {e: f"r{e}" for e in rels}
@@ -404,13 +413,14 @@ def bound_excesses(inst: QueryInstance, d: Decomposition) -> list:
         structure = Structure(inst.structure.domain, {names[e]: rel for e, rel in rels.items()})
         rows = count_brute(QueryInstance(piece_query, structure)).count
         bags = bag_relations_reference(rels, di)
-        _, cover = acyclic_is_and_cover(blocks_hypergraph(piece, di), jointree_over_bags(di), comp.s_vertices)
+        _, cover = bag_cover_reference(piece, di, comp.s_vertices)
+        covers.append(len(cover))
         bound = 1
         for node in cover:
             bound *= len(project_reference(bags[node], sorted(comp.s_vertices.intersection(bags[node].schema))))
         if rows > bound:
             out.append((idx, rows, bound))
-    return out
+    return out, covers
 
 
 def star_mismatches(inst: QueryInstance, d: Decomposition, tally: differential_runner.Tally, label: str) -> None:
@@ -463,7 +473,8 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
 def check_case(case: Case, tally: differential_runner.Tally) -> None:
     """Each count against ``count_brute``, each node relation against the
     reference, the ``stats`` along each decomposition against those along
-    its integralization; every guarded and every derived tree verified."""
+    its integralization, the bound and the cover sizes against the reference
+    cover; every guarded and every derived tree verified."""
     tally.describe = lambda: _describe(case)
     expected = count_brute(case.inst).count
     tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
@@ -480,9 +491,14 @@ def check_case(case: Case, tally: differential_runner.Tally) -> None:
             want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), built).items()}
             tally.compare(f"bags/{form}/{label}", outcome(lambda: bag_relations(case.inst, built)), want)
             result = results[form] = outcome(lambda: count_cq_via_ghd(case.inst, along))
-            tally.compare(f"{form}/{label}", getattr(result, "count", result), expected)
+            tally.compare(f"{form}/{label}", result if isinstance(result, str) else result.count, expected)
             tally.verify_trees(f"{form}/{label}", lambda: derived_trees(case.inst, built))
-        tally.compare(f"bound/{label}", outcome(lambda: bound_excesses(case.inst, read)), [])
+        bound = outcome(lambda: bound_excesses(case.inst, read))
+        excesses, covers = bound if isinstance(bound, tuple) else (bound, bound)
+        tally.compare(f"bound/{label}", excesses, [])
+        along_read = results["fractional" if fractional else "ghd"]  # the first form counts along read
+        got = along_read if isinstance(along_read, str) else along_read.stats["cover_sizes"]
+        tally.compare(f"cover/{label}", got, covers)
         star_mismatches(case.inst, read, tally, label)
         if not fractional:
             want = outcome(lambda: as_fractional(results["ghd"].stats))

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from first principles (union-find,
 permutation sweeps, exhaustive tree enumeration) so it shares no code path
-with the operations it checks. One exception keeps a superseded route of
-the library instead, and says what it shares: ``acyclic_star_reference``.
+with the operations it checks. The exceptions keep superseded routes of
+the library instead, and say what they share: ``acyclic_star_reference``
+and the bags-hypergraph route of ``bag_cover_reference``, with its
+``blocks_hypergraph`` and ``jointree_over_bags``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from cqstar.errors import (
 from cqstar.generators import SimpleGraph
 from cqstar.hypergraph import EdgeId, Hypergraph, Query, SHypergraph, VertexId, edge_sort_key, pair_id, s_components
 from cqstar.parser import _Cursor, _unquote
-from cqstar.starsize import StarWitness, _acyclic_is_and_cover
+from cqstar.starsize import ISWitness, StarWitness, acyclic_is_and_cover
 
 
 def components_union_find(h: Hypergraph) -> set[frozenset]:
@@ -179,10 +181,40 @@ def acyclic_star_reference(sh: SHypergraph) -> tuple[int, list[StarWitness]]:
         jt = gyo_join_tree(comp.induced)
         if isinstance(jt, NotAcyclic):
             raise WidthNotOne(f"component {idx} is not acyclic")
-        w, cover = _acyclic_is_and_cover(comp.induced, jt, cands)
+        w, cover = acyclic_is_and_cover(comp.induced, jt, cands)
         witnesses.append(StarWitness(w.size, idx, w.vertices, cover))
         best = max(best, w.size)
     return best, witnesses
+
+
+def blocks_hypergraph(h: Hypergraph, d: Decomposition) -> Hypergraph:
+    """Hypergraph over h's vertices with one edge per nonempty bag.
+
+    Always acyclic for a valid decomposition: the tree itself, restricted
+    to bags, is a join tree.
+    """
+    edges = [(n.node_id, n.bag) for n in d.topo_order() if n.bag]
+    return Hypergraph(h.vertices, edges)
+
+
+def jointree_over_bags(d: Decomposition) -> Decomposition:
+    """The width-1 decomposition whose guard edges are d's own bags, each
+    identified by its node id in ``blocks_hypergraph``."""
+    nodes = []
+    for n in d.topo_order():
+        guard = frozenset({n.node_id}) if n.bag else frozenset()
+        nodes.append(DecompNode(n.node_id, n.parent, guard, n.bag))
+    return Decomposition(DecompKind.JOINTREE, tuple(nodes))
+
+
+def bag_cover_reference(h: Hypergraph, d: Decomposition, cands) -> tuple[ISWitness, frozenset]:
+    """The independent set and edge cover of ``cands`` on the acyclic
+    hypergraph of ``d``'s bags by the route ``starsize._bag_cover``
+    replaced: the bags built as a hypergraph, a second join tree over them,
+    both verified, and the witness checked against that hypergraph. It
+    shares the cover greedy with the library, so it checks the walk and the
+    certificate, not the greedy."""
+    return acyclic_is_and_cover(blocks_hypergraph(h, d), jointree_over_bags(d), cands)
 
 
 def max_is_size(h: Hypergraph, candidates=None) -> int:

@@ -23,8 +23,9 @@ as many edges as its star and cover the component's S-vertices. The
 summary counts the ``acyclic`` and ``cyclic`` cases.
 
 Star size trusts the trees it derives: each guarded tree decomposition,
-each restriction and the join tree over a restriction's bags (APPROX's
-acyclic hypergraph). The differential verifies every one of them, and
+each restriction, and each restriction as a join tree of its bags, which
+APPROX walks for its cover greedy (``oracles.jointree_over_bags`` over
+``oracles.blocks_hypergraph``). The differential verifies every one of them, and
 each acyclic component's own join tree, which the ACYCLIC reference
 walks, with ``oracles.tree_fault``; a faulty tree is a mismatch too.
 
@@ -46,13 +47,11 @@ import sys
 from cqstar.decomposition import (
     Decomposition,
     NotAcyclic,
-    blocks_hypergraph,
     ghd_search,
     guarded,
     gyo_join_tree,
     hinge_decompose,
     induced_decomposition,
-    jointree_over_bags,
     tree_decompose,
 )
 from cqstar.generators import SplitMix64
@@ -61,7 +60,7 @@ from cqstar.starsize import ISMethod, approx_is, max_is_ghd_dp, max_is_hinge_fpt
 
 import differential_runner
 from differential_runner import outcome
-from oracles import acyclic_star_reference, induced_reference
+from oracles import acyclic_star_reference, blocks_hypergraph, induced_reference, jointree_over_bags
 
 DEFAULT_SEED = 8191
 
@@ -176,8 +175,8 @@ def check_acyclic(sh: SHypergraph, sizes: list[int], tally: differential_runner.
 
 
 def _restriction_trees(h: Hypergraph, d: Decomposition, comp: SComponent) -> list:
-    """``d`` restricted to the component's closure, and the join tree over
-    the restriction's bags, each with the hypergraph it decomposes."""
+    """``d`` restricted to the component's closure, and the restriction as a
+    join tree of its bags, each with the hypergraph it decomposes."""
     di = induced_decomposition(h, d, comp.closure)
     return [("restriction", comp.induced, di), ("bags", blocks_hypergraph(comp.induced, di), jointree_over_bags(di))]
 

@@ -18,7 +18,6 @@ from cqstar.decomposition import (
     DecompNode,
     Decomposition,
     NotAcyclic,
-    blocks_hypergraph,
     ghd_search,
     guarded,
     gyo_join_tree,
@@ -32,6 +31,7 @@ from cqstar.generators import SplitMix64, gen_random_acyclic
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
 from oracles import (
+    blocks_hypergraph,
     exact_elimination_order_reference,
     gyo_reference,
     is_acyclic_bruteforce,

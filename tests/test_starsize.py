@@ -8,8 +8,10 @@ from cqstar.decomposition import (
     Decomposition,
     NotAcyclic,
     ghd_search,
+    guarded,
     gyo_join_tree,
     hinge_decompose,
+    tree_decompose,
     verify,
 )
 from cqstar.errors import (
@@ -32,6 +34,7 @@ from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 from cqstar.starsize import (
     ISMethod,
     ISWitness,
+    _bag_cover,
     _checked_witness,
     acyclic_is_and_cover,
     approx_is,
@@ -41,7 +44,7 @@ from cqstar.starsize import (
     s_star_size,
 )
 
-from oracles import max_is_size, min_edge_cover_size
+from oracles import bag_cover_reference, max_is_size, min_edge_cover_size
 from test_decomposition import random_hypergraph
 
 
@@ -290,6 +293,38 @@ def test_approx_sandwich_on_random_inputs():
         assert math.ceil(best / max(k, 1)) <= w.size <= best
         check_independent(h, w.vertices)
         checked += 1
+
+
+def test_bag_cover_and_approx_match_the_bags_hypergraph_route():
+    # the walk on a decomposition's own tree gives the witness and cover of
+    # the route through the bags' hypergraph and a second join tree over
+    # them, along every kind that APPROX reads
+    rng = SplitMix64(27182)
+    for _ in range(150):
+        h = random_hypergraph(rng, max_vertices=9, max_edges=7, max_arity=4)
+        decomps = [hinge_decompose(h), guarded(h, tree_decompose(h))]
+        decomps += [d for d in (ghd_search(h, k) for k in (1, 2, 3)) if d is not None][:1]
+        for d in decomps:
+            in_bags = [v for v in h.vertices if v in d.holders() and rng.chance(3, 4)]
+            chosen, cover = _bag_cover(d, frozenset(in_bags), h.vertex_index)
+            want, want_cover = bag_cover_reference(h, d, in_bags)
+            assert (frozenset(chosen), frozenset(cover)) == (want.vertices, want_cover)
+            everything, _ = bag_cover_reference(h, d, [v for v in h.vertices if v in d.holders()])
+            assert approx_is(h, d).vertices == everything.vertices
+
+
+def test_bag_cover_certificate_catches_a_broken_running_intersection():
+    # a sits in the root and the grandchild but not in the child between them
+    d = Decomposition(
+        DecompKind.GHD,
+        (
+            DecompNode(0, None, frozenset(), frozenset("ab")),
+            DecompNode(1, 0, frozenset(), frozenset("c")),
+            DecompNode(2, 1, frozenset(), frozenset("ac")),
+        ),
+    )
+    with pytest.raises(InvariantViolation, match="holds two chosen vertices"):
+        _bag_cover(d, frozenset("abc"), "abc".index)
 
 
 # -- star size ------------------------------------------------------------------

@@ -401,9 +401,11 @@ def _gyo(sets: list[frozenset]) -> tuple[dict[int, int], dict[int, None], dict[V
     absorbed set's vertices are updated. A set can become absorbable only
     when one of its vertices drops to a single alive set, so a min-heap of
     ordinals, re-fed at exactly those moments, yields the next set to
-    absorb. Its parent is the first fitting set among the holders of its
-    reduced set's rarest vertex. On acyclic inputs of bounded degree this
-    runs in time near linear in the total set size.
+    absorb. One pass over the popped set finds its reduced set and its
+    rarest vertex, the first of the least held, and its parent is the first
+    fitting set among that vertex's holders; the loop builds no function or
+    generator per set. On acyclic inputs of bounded degree this runs in time
+    near linear in the total set size.
     """
     # vertex -> alive ordinals holding it, in order
     holders: dict[VertexId, dict[int, None]] = {}
@@ -417,14 +419,20 @@ def _gyo(sets: list[frozenset]) -> tuple[dict[int, int], dict[int, None], dict[V
         i = heapq.heappop(heap)
         if i not in alive:
             continue
-        reduced = [v for v in sets[i] if len(holders[v]) > 1]
-        if reduced:
-            rarest = min(reduced, key=lambda v: len(holders[v]))
-            p = next((j for j in holders[rarest] if j != i and sets[j].issuperset(reduced)), None)
-            if p is None:
-                continue
+        reduced = []
+        rarest, fewest = None, len(sets) + 1  # no vertex is held by more sets
+        for v in sets[i]:
+            n = len(holders[v])
+            if n > 1:
+                reduced.append(v)
+                if n < fewest:
+                    rarest, fewest = v, n
+        # an empty reduced set lies in every alive set, the first one other than i
+        for p in holders[rarest] if reduced else alive:
+            if p != i and sets[p].issuperset(reduced):
+                break
         else:
-            p = next(j for j in alive if j != i)
+            continue
         parent[i] = p
         del alive[i]
         for v in sets[i]:

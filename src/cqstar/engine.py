@@ -592,7 +592,8 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     subtree of the verified ``d`` that meets the closure, so its
     ``bag_sizes`` list only that subtree; that subtree's guards may name a
     boundary-only edge, so it joins every edge of the closure, each cut
-    down to it. Both trees are valid by construction, so each is also a
+    down to it, their ids read off ``h`` in declared order with no induced
+    hypergraph built. Both trees are valid by construction, so each is also a
     join tree of its own bags, which ``starsize._bag_cover`` walks for
     ``cover_sizes``, and both name the original edge ids, which key the
     relations."""
@@ -603,7 +604,7 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
         sub_rels = {o: atom_rels[o] for o in piece.edge_ids()}
     else:
         sub_rels = {}
-        for o in comp.induced.edge_ids():
+        for o in h.meeting_edge_ids(scope):
             rel = atom_rels[o]
             sub_rels[o] = project(rel, [v for v in rel.schema if v in scope], f"p{o}")
 

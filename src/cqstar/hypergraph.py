@@ -216,6 +216,12 @@ class Hypergraph:
         ``vs``, cut to it, in declared order, once per distinct cut."""
         return _first_ids((self.edges[o][0], self.edges[o][1] & vs) for o in sorted(self._meeting(vs)))
 
+    def meeting_edge_ids(self, vs: Iterable[VertexId]) -> tuple[EdgeId, ...]:
+        """``induced(vs).edge_ids()``, read off this hypergraph without
+        building the induced one: the ids of the edges that hold a vertex of
+        ``vs``, in declared order."""
+        return tuple(self.edges[o][0] for o in sorted(self._meeting(vs)))
+
     def touching(self, vs: Iterable[VertexId]) -> "Hypergraph":
         """The partial hypergraph of the edges that hold a vertex of ``vs``,
         each whole, under its own id, in declared order, on their union
@@ -287,8 +293,9 @@ class SComponent:
     vertices (the core), the union of the edges meeting it (the closure) and
     the closure's free vertices. ``induced``, the subhypergraph induced on
     the closure, whose kept edge ids are the provenance, is built on its
-    first read and kept; a caller that needs only its dedup edges reads
-    them with ``hypergraph.induced_dedup_edges(closure)`` instead."""
+    first read and kept; a caller that needs only its dedup edges or its
+    edge ids reads them with ``hypergraph.induced_dedup_edges(closure)`` or
+    ``hypergraph.meeting_edge_ids(closure)`` instead."""
 
     core: frozenset[VertexId]
     closure: frozenset[VertexId]

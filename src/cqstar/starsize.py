@@ -24,6 +24,14 @@ plain lists: each S-component's edges cut to its closure
 reduction that ``gyo_join_tree`` also runs (``decomposition._gyo``), and
 the walk a join tree of them would take; no induced hypergraph, tree or
 node is built per component.
+
+GHD_DP, HINGE_FPT and APPROX build no induced hypergraph either: star size
+runs each on the whole hypergraph, along the decomposition restricted to a
+component's closure, with the component's S-vertices as candidates. They
+read the hypergraph only through conflicts, vertex order, incidence and
+which edges hold a closure vertex, and on the closure each of these is
+what the induced hypergraph gives, so the witness is the same. GHD_DP's
+conflict adjacency is built once per call, not once per component.
 """
 
 from __future__ import annotations
@@ -275,14 +283,14 @@ def max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitnes
     decomposition is guarded first.
     """
     ensure_valid(h, d, _KINDS)
-    return _max_is_ghd_dp(h, guarded(h, d), restrict_to)
+    return _max_is_ghd_dp(h, guarded(h, d), restrict_to, h.conflict_adjacency())
 
 
-def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
-    """``max_is_ghd_dp`` along a decomposition valid by construction."""
+def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to, adj) -> ISWitness:
+    """``max_is_ghd_dp`` along a decomposition valid by construction, given
+    ``h.conflict_adjacency()``."""
     cands = _candidates(h, restrict_to)
     cand_set = set(cands)
-    adj = h.conflict_adjacency()
     freebies = [v for v in cands if not h.incident_edges(v)]
 
     rank = partial(_rank, h)
@@ -404,7 +412,8 @@ def _approx_is(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
     return _checked_witness(h, set(chosen) | set(freebies), ISMethod.APPROX, bound=bound)
 
 
-# strategy -> its worker along a restriction of a decomposition verified once
+# strategy -> its worker, on the whole hypergraph along a restriction of a
+# decomposition verified once
 _ALONG = {ISMethod.GHD_DP: _max_is_ghd_dp, ISMethod.HINGE_FPT: _max_is_hinge_fpt, ISMethod.APPROX: _approx_is}
 
 
@@ -416,12 +425,15 @@ def s_star_size(
     """Largest independent set of S-vertices over the S-components.
 
     Decomposition-backed strategies verify the decomposition and its kind
-    against h once, guard a tree decomposition, then run on its subtree
-    meeting each component closure, which is valid by construction, so it
-    is not verified again. ACYCLIC builds no tree: it runs GYO and the
+    against h once, guard a tree decomposition, then run on h itself along
+    its subtree meeting each component closure, which is valid by
+    construction, so it is not verified again; no component's induced
+    hypergraph is built. ACYCLIC builds no tree: it runs GYO and the
     greedy on each component's cut edges (``_acyclic_star``), and raises
-    WidthNotOne for the first component that is cyclic. Returns 0 with no
-    witnesses when S = V, and 0 with empty stars when S is empty.
+    WidthNotOne for the first component that is cyclic. Only BRUTE, and
+    the component of an edgeless quantified vertex, read
+    ``SComponent.induced``. Returns 0 with no witnesses when S = V, and 0
+    with empty stars when S is empty.
     """
     h = sh.hypergraph
     if strategy in _ALONG:
@@ -429,6 +441,9 @@ def s_star_size(
             raise ValueError(f"strategy {strategy.value} requires a decomposition")
         ensure_valid(h, decomposition, (DecompKind.HINGE,) if strategy is ISMethod.HINGE_FPT else _KINDS)
         decomposition = guarded(h, decomposition)
+        along = _ALONG[strategy]
+        if strategy is ISMethod.GHD_DP:
+            along = partial(along, adj=h.conflict_adjacency())
     witnesses: list[StarWitness] = []
     best = 0
     for idx, comp in enumerate(s_components(sh)):
@@ -441,8 +456,7 @@ def s_star_size(
         elif not comp.closure:  # an edgeless quantified vertex: no S-vertex, no bag to restrict to
             w = max_is_brute(comp.induced, cands)
         else:
-            di = induced_decomposition(h, decomposition, comp.closure)
-            w = _ALONG[strategy](comp.induced, di, cands)
+            w = along(h, induced_decomposition(h, decomposition, comp.closure), cands)
         witnesses.append(StarWitness(w.size, idx, w.vertices, cover))
         best = max(best, w.size)
     return best, witnesses

@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles (union-find,
 permutation sweeps, exhaustive tree enumeration) so it shares no code path
 with the operations it checks. The exceptions keep superseded routes of
-the library instead, and say what they share: ``acyclic_star_reference``
-and the bags-hypergraph route of ``bag_cover_reference``, with its
-``blocks_hypergraph`` and ``jointree_over_bags``.
+the library instead, and say what they share: ``acyclic_star_reference``,
+``star_size_along_reference``, and the bags-hypergraph route of
+``bag_cover_reference``, with its ``blocks_hypergraph`` and
+``jointree_over_bags``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from cqstar.decomposition import (
     Violation,
     WidthReport,
     _primal_adjacency,
+    guarded,
     gyo_join_tree,
+    induced_decomposition,
 )
 from cqstar.engine import Relation, Structure
 from cqstar.errors import (
@@ -47,7 +50,16 @@ from cqstar.errors import (
 from cqstar.generators import SimpleGraph
 from cqstar.hypergraph import EdgeId, Hypergraph, Query, SHypergraph, VertexId, edge_sort_key, pair_id, s_components
 from cqstar.parser import _Cursor, _unquote
-from cqstar.starsize import ISWitness, StarWitness, acyclic_is_and_cover
+from cqstar.starsize import (
+    ISMethod,
+    ISWitness,
+    StarWitness,
+    acyclic_is_and_cover,
+    approx_is,
+    max_is_brute,
+    max_is_ghd_dp,
+    max_is_hinge_fpt,
+)
 
 
 def components_union_find(h: Hypergraph) -> set[frozenset]:
@@ -183,6 +195,30 @@ def acyclic_star_reference(sh: SHypergraph) -> tuple[int, list[StarWitness]]:
             raise WidthNotOne(f"component {idx} is not acyclic")
         w, cover = acyclic_is_and_cover(comp.induced, jt, cands)
         witnesses.append(StarWitness(w.size, idx, w.vertices, cover))
+        best = max(best, w.size)
+    return best, witnesses
+
+
+def star_size_along_reference(sh: SHypergraph, strategy: ISMethod, d: Decomposition) -> tuple[int, list[StarWitness]]:
+    """``s_star_size(sh, strategy, d)`` for GHD_DP, HINGE_FPT or APPROX by the
+    route it took before it ran on the whole hypergraph: each component's
+    worker on the component's induced hypergraph (``comp.induced``), along
+    ``induced_decomposition`` of the guarded ``d``; the component of an
+    edgeless vertex by brute force. It runs the public worker, which also
+    verifies each restriction against the induced hypergraph, and shares
+    the workers with the library, so it checks what they are given, not
+    the workers."""
+    h = sh.hypergraph
+    worker = {ISMethod.GHD_DP: max_is_ghd_dp, ISMethod.HINGE_FPT: max_is_hinge_fpt, ISMethod.APPROX: approx_is}[strategy]
+    read = guarded(h, d)
+    witnesses: list[StarWitness] = []
+    best = 0
+    for idx, comp in enumerate(s_components(sh)):
+        if comp.closure:
+            w = worker(comp.induced, induced_decomposition(h, read, comp.closure), comp.s_vertices)
+        else:
+            w = max_is_brute(comp.induced, comp.s_vertices)
+        witnesses.append(StarWitness(w.size, idx, w.vertices))
         best = max(best, w.size)
     return best, witnesses
 

@@ -12,7 +12,9 @@ subtree and along ``oracles.induced_reference``'s full-size copy, and the
 two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT
 must give BRUTE's witness for every component (each exact strategy returns
 the lexicographically smallest maximum set), and APPROX a size within a
-factor of the (guarded) decomposition's width of BRUTE's.
+factor of the (guarded) decomposition's width of BRUTE's, and every
+witness that ``oracles.star_size_along_reference`` gives, which runs the
+worker on each component's induced hypergraph, not the whole one.
 
 ``s_star_size`` with ACYCLIC, which runs GYO and the cover greedy on each
 component's cut edges as plain lists, must give what
@@ -60,7 +62,13 @@ from cqstar.starsize import ISMethod, approx_is, max_is_ghd_dp, max_is_hinge_fpt
 
 import differential_runner
 from differential_runner import outcome
-from oracles import acyclic_star_reference, blocks_hypergraph, induced_reference, jointree_over_bags
+from oracles import (
+    acyclic_star_reference,
+    blocks_hypergraph,
+    induced_reference,
+    jointree_over_bags,
+    star_size_along_reference,
+)
 
 DEFAULT_SEED = 8191
 
@@ -148,6 +156,11 @@ def check_case(sh: SHypergraph, decomps: list[tuple[str, Decomposition]], tally:
         k = max(1, read.raw_width())
         within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, sizes))
         tally.compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {sizes}")
+        tally.compare(
+            f"{label}/s_star_size approx witness",
+            outcome(lambda: s_star_size(sh, ISMethod.APPROX, d)),
+            outcome(lambda: star_size_along_reference(sh, ISMethod.APPROX, d)),
+        )
 
 
 def check_acyclic(sh: SHypergraph, sizes: list[int], tally: differential_runner.Tally) -> None:

@@ -1,5 +1,7 @@
 import pytest
 
+from cqstar.decomposition import hinge_decompose
+from cqstar.engine import QueryInstance, Relation, Structure, count_cq_via_ghd
 from cqstar.errors import UnknownVertex, VariableWithoutAtom
 from cqstar.generators import SplitMix64, gen_g_star, gen_random_acyclic, gen_random_instance
 from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
@@ -176,13 +178,23 @@ def test_s_components_properties(ex1):
 
 
 def test_s_component_induced_is_built_on_first_read_and_kept(monkeypatch):
-    """Neither ``s_components`` nor ACYCLIC star size builds a component's
-    induced hypergraph; the first read builds it once."""
+    """Neither ``s_components``, nor star size by any strategy but BRUTE,
+    nor a count whose piece is cyclic builds a component's induced
+    hypergraph; the first read builds it once."""
     sh = from_query(Query("ans", ("y1", "y2"), (Atom("E", ("y1", "z")), Atom("E", ("z", "w")), Atom("F", ("w", "y2")))))
+    tri = Query("ans", ("a",), (Atom("E", ("a", "b")), Atom("E", ("b", "c")), Atom("E", ("c", "a"))))
+    edges = Relation.from_rows("E", ("x", "y"), [(0, 1), (1, 2), (2, 0), (1, 0)])
+    tri_inst = QueryInstance(tri, Structure(("p", "q", "r"), {"E": edges}))
+    tri_d = hinge_decompose(from_query(tri).hypergraph)
+    hinge = hinge_decompose(sh.hypergraph)
     built = []
     induced = Hypergraph.induced
     monkeypatch.setattr(Hypergraph, "induced", lambda h, vs: built.append(vs) or induced(h, vs))
     assert s_star_size(sh, ISMethod.ACYCLIC)[0] == 2
+    for method in (ISMethod.GHD_DP, ISMethod.HINGE_FPT, ISMethod.APPROX):
+        assert s_star_size(sh, method, hinge)[0] == 2
+    result = count_cq_via_ghd(tri_inst, tri_d)
+    assert result.count == 3 and result.stats["pieces"][0]["source"] == "restricted"
     (comp,) = s_components(sh)
     assert built == []
     first = comp.induced

@@ -44,7 +44,7 @@ from cqstar.starsize import (
     s_star_size,
 )
 
-from oracles import bag_cover_reference, max_is_size, min_edge_cover_size
+from oracles import bag_cover_reference, max_is_size, min_edge_cover_size, star_size_along_reference
 from test_decomposition import random_hypergraph
 
 
@@ -328,6 +328,26 @@ def test_bag_cover_certificate_catches_a_broken_running_intersection():
 
 
 # -- star size ------------------------------------------------------------------
+
+
+def test_star_size_on_the_whole_hypergraph_matches_the_induced_route():
+    # each worker run on the whole hypergraph gives the sizes and witnesses
+    # that it gave on each component's induced hypergraph
+    rng = SplitMix64(31415)
+    for _ in range(150):
+        h = random_hypergraph(rng, max_vertices=9, max_edges=7, max_arity=4)
+        if rng.chance(1, 4):  # an edgeless vertex, in S or a component of its own
+            h = Hypergraph([*h.vertices, "lone"], h.edges)
+        sh = SHypergraph(h, frozenset(v for v in h.vertices if rng.chance(1, 3)))
+        hinge = hinge_decompose(h)
+        runs = [(ISMethod.HINGE_FPT, hinge)]
+        for d in [hinge, guarded(h, tree_decompose(h))] + [
+            d for d in (ghd_search(h, k) for k in (1, 2, 3)) if d is not None
+        ][:1]:
+            runs += [(ISMethod.GHD_DP, d), (ISMethod.APPROX, d)]
+        for method, d in runs:
+            assert s_star_size(sh, method, d) == star_size_along_reference(sh, method, d)
+
 
 
 def test_star_size_ex1_all_exact_strategies(ex1):

@@ -20,9 +20,10 @@ same or an equal hypergraph is free, and an index from each vertex to the
 nodes that hold it, which ``verify``'s cover pass and
 ``induced_decomposition`` share: restricting one decomposition to each
 S-component in turn looks up the component's vertices rather than scanning
-every node. ``hinge_decompose`` runs GYO once over the whole hypergraph and
-reads which blocks are acyclic off its kernel; only the parts of a split
-are built as hypergraphs and reduced again.
+every node. ``hinge_decompose`` runs GYO once over the guards' bags as
+they would be if every block were acyclic: that run classifies the blocks
+and, when none is cyclic, is the tree. It builds no hypergraph; only the
+parts of a split and, after a split, the final bags are reduced again.
 
 There is one GYO reduction, ``_gyo``, over a plain list of sets: it gives
 each absorbed set's parent, or the state the kernel is read from.
@@ -450,70 +451,113 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
     """Hinge splitting (Gyssens, Jeavons and Cohen 1994) over a worklist of
     blocks, then one join tree of the guards' bags.
 
-    Each connected part's maximal edges form one block. A popped block that
-    is acyclic gives one width-1 guard per edge. Otherwise it is split at
-    its first pivot in edge order whose removal leaves two or more parts
-    connected outside the pivot, and each part plus the pivot is pushed; a
-    block that no pivot splits is one guard. The parts are the classes that
-    the block's ``connected_components`` finds outside the pivot, each with
-    the edges that reach it. An edge inside another edge is a width-1 guard
-    of its own. The hinge conditions that ``verify`` checks hold for any
-    join tree of these guards' bags, so ``gyo_join_tree`` over the bags
-    gives the tree. Nothing here recurses.
+    Each connected part's maximal edges form one block; the blocks are
+    pushed in order of their first edge and popped last first, each sorted
+    by ``edge_sort_key``. A popped block that is acyclic gives one width-1
+    guard per edge. Otherwise it is split at its first pivot whose removal
+    leaves two or more parts connected outside the pivot, and each part
+    plus the pivot is pushed, parts in order of their first edge; a block
+    that no pivot splits is one guard. An edge inside another edge is a
+    width-1 guard of its own, ahead of the blocks' guards. The hinge
+    conditions that ``verify`` checks hold for any join tree of these
+    guards' bags, one node per distinct bag, so GYO over the bags gives the
+    tree. Nothing here recurses.
 
-    GYO runs once over ``h`` to classify the original blocks. It reduces
-    each connected part on its own, so a block is acyclic iff the kernel
-    that run leaves holds none of its part's vertices; an acyclic block
-    gets its guards with no hypergraph or GYO run of its own. Only a cyclic
-    block, to find its pivot, and each part of a split, to classify it, are
-    built as hypergraphs, and only the parts are reduced again.
+    GYO runs first over the bags that the guards would have if every block
+    were acyclic, in their final order. When that run reduces them, it is
+    the tree, and no hypergraph or second run is made. Otherwise it reduces
+    each connected part on its own, so a block is acyclic iff the kernel it
+    leaves holds none of the block's vertices. A cyclic block tests each
+    pivot by one flood of its own vertex -> edges incidence outside the
+    pivot, and each part of a split is classified by GYO over its edges;
+    then GYO runs once more over the final bags.
     """
     sets = dict(h.dedup_edges())
-    comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
-    blocks: dict[int, list[EdgeId]] = {}
-    guards: dict[frozenset, None] = {}
+    held = _holding(sets, sets)
+    guards: dict[frozenset, frozenset] = {}  # guard -> bag, in guard order
+    maximal = []
     for eid, fs in sets.items():
         v = next(iter(fs), None)
-        if v is None or any(fs < h.edge_set(f) for f in h.incident_edges(v)):
-            guards[frozenset({eid})] = None
+        if v is None or any(map(fs.__lt__, map(sets.__getitem__, held[v]))):
+            guards[frozenset({eid})] = fs
         else:
-            blocks.setdefault(comp_of[v], []).append(eid)
-    reduced = gyo_join_tree(h)
-    cyclic = {comp_of[v] for v in reduced.kernel.vertices} if isinstance(reduced, NotAcyclic) else set()
-    work: list = [(block, i not in cyclic) for i, block in blocks.items()]  # (edges, acyclic or None if unknown)
-    while work:
-        block, acyclic = work.pop()
-        block = sorted(block, key=edge_sort_key)
-        if not acyclic:
-            sub = Hypergraph(frozenset().union(*map(sets.get, block)), [(e, sets[e]) for e in block])
+            maximal.append(eid)
+    if guards:  # the blocks' flood reads the maximal edges only
+        held = _holding(maximal, sets)
+    blocks = [sorted(b, key=edge_sort_key) for b in _classes(maximal, sets, held)]
+    order = list(guards.items()) + [(frozenset({e}), sets[e]) for b in reversed(blocks) for e in b]
+    parent, alive, holders = _gyo([bag for _, bag in order])
+    if len(alive) > 1:
+        kernel = {v for v, alive_sets in holders.items() if len(alive_sets) > 1}
+        # (edges, acyclic or None if unknown)
+        work: list = [(b, kernel.isdisjoint(frozenset().union(*map(sets.get, b)))) for b in blocks]
+        while work:
+            block, acyclic = work.pop()
+            block = sorted(block, key=edge_sort_key)
             if acyclic is None:
-                acyclic = not isinstance(gyo_join_tree(sub), NotAcyclic)
-        if acyclic:
-            guards.update(dict.fromkeys(frozenset({e}) for e in block))
-            continue
-        for pivot in block:
-            classes = sub.connected_components(set(sub.vertices) - sets[pivot])
-            if len(classes) > 1:
-                class_of = {v: i for i, c in enumerate(classes) for v in c}
-                parts: dict[int, list[EdgeId]] = {}
+                acyclic = len(_gyo([sets[e] for e in block])[1]) <= 1
+            if acyclic:
                 for e in block:
-                    if e != pivot:  # a maximal edge has a vertex outside the pivot
-                        home = class_of[next(iter(sets[e] - sets[pivot]))]
-                        parts.setdefault(home, []).append(e)
-                work.extend((part + [pivot], None) for part in parts.values())
-                break
-        else:
-            guards[frozenset(block)] = None
-    order = list(guards)
-    bags = [frozenset().union(*map(sets.get, g)) for g in order]
-    jt = gyo_join_tree(Hypergraph(h.vertices, enumerate(bags)))
-    if isinstance(jt, NotAcyclic):
-        raise InvariantViolation("hinge blocks' bags are cyclic")
-    nodes = tuple(
-        DecompNode(n.node_id, n.parent, frozenset().union(*(order[i] for i in n.guard)), n.bag)
-        for n in jt.nodes
-    )
+                    guards.setdefault(frozenset({e}), sets[e])
+                continue
+            incidence = _holding(block, sets)
+            for pivot in block:
+                parts = _classes([e for e in block if e != pivot], sets, incidence, sets[pivot])
+                if len(parts) > 1:
+                    work.extend((part + [pivot], None) for part in parts)
+                    break
+            else:
+                guards.setdefault(frozenset(block), frozenset().union(*map(sets.get, block)))
+        first: dict[frozenset, frozenset] = {}  # bag -> its first guard
+        for guard, bag in guards.items():
+            first.setdefault(bag, guard)
+        order = [(guard, bag) for bag, guard in first.items()]
+        parent, alive, _ = _gyo(list(first))
+        if len(alive) > 1:
+            raise InvariantViolation("hinge blocks' bags are cyclic")
+    if not order:
+        return Decomposition(DecompKind.HINGE, (DecompNode(0, None, frozenset(), frozenset()),))
+    nodes = tuple(DecompNode(i, parent.get(i), guard, bag) for i, (guard, bag) in enumerate(order))
     return _checked(h, Decomposition(DecompKind.HINGE, nodes), "hinge_decompose")
+
+
+def _holding(edges: Iterable[EdgeId], sets: Mapping[EdgeId, frozenset]) -> dict[VertexId, list[EdgeId]]:
+    """Vertex -> the ``edges`` that hold it, in the order given."""
+    held: dict[VertexId, list[EdgeId]] = {}
+    for e in edges:
+        for v in sets[e]:
+            held.setdefault(v, []).append(e)
+    return held
+
+
+def _classes(
+    edges: list[EdgeId],
+    sets: Mapping[EdgeId, frozenset],
+    held: Mapping[VertexId, list[EdgeId]],
+    cut: frozenset = frozenset(),
+) -> list[list[EdgeId]]:
+    """The classes of ``edges`` joined through shared vertices outside
+    ``cut``, in order of their first edge. ``held`` maps each vertex outside
+    ``cut`` to the edges that hold it, all among ``edges``; each class is
+    one flood of it, which reads each vertex once."""
+    reached: set[EdgeId] = set()
+    seen = set(cut)
+    classes = []
+    for e in edges:
+        if e in reached:
+            continue
+        reached.add(e)
+        cls = [e]
+        for f in cls:
+            for v in sets[f]:
+                if v not in seen:
+                    seen.add(v)
+                    for g in held[v]:
+                        if g not in reached:
+                            reached.add(g)
+                            cls.append(g)
+        classes.append(cls)
+    return classes
 
 
 # -- generalized hypertree decompositions -----------------------------------

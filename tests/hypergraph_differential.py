@@ -3,7 +3,7 @@
 Every instance is a random hypergraph with a shuffled vertex order, int,
 str or mixed edge ids, and, by chance, empty edges, repeated edge sets,
 isolated vertices and disconnected parts, plus a random set S (sometimes
-empty, sometimes every vertex). Six checks compare the library with the
+empty, sometimes every vertex). Seven checks compare the library with the
 references in ``oracles``:
 
 - ``s_components`` against ``s_components_reference``: the core, the
@@ -22,7 +22,12 @@ references in ``oracles``:
   tie-break;
 - ``hinge_decompose`` against ``min_hinge_width``, the exhaustive search
   over every split choice: the hingetree verifies, and no hingetree is
-  narrower.
+  narrower;
+- ``hinge_decompose`` against ``hinge_reference``, the route that
+  classified the blocks by a GYO pass of its own and built a hypergraph per
+  cyclic block, per part and of the guards' bags: every node, guard, bag
+  and node id the same (``hinge_decompose vs reference``). A run from
+  another seed checks no digest, so this is its check of identity.
 
 The ``within`` and ``vs`` sets are the empty set, every vertex, V minus S,
 S, a random subset, and now and then a set naming an unknown vertex, where
@@ -69,6 +74,7 @@ from oracles import (
     closure_reference,
     components_reference,
     exact_elimination_order_reference,
+    hinge_reference,
     hypergraph_induced_reference,
     integralize,
     min_hinge_width,
@@ -187,7 +193,7 @@ def check(seed: int, tally: differential_runner.Tally) -> None:
 
 
 def check_case(seed: int, sh: SHypergraph, tally: differential_runner.Tally) -> None:
-    """The six comparisons on ``sh``, the case of ``seed`` or a shrunk one;
+    """The seven comparisons on ``sh``, the case of ``seed`` or a shrunk one;
     the decomposition outputs go into the run's digest, which a run from
     the default seed checks against ``PINNED``."""
     h = sh.hypergraph
@@ -220,6 +226,7 @@ def check_case(seed: int, sh: SHypergraph, tally: differential_runner.Tally) -> 
     hinge = outcome(lambda: hinge_decompose(h))
     width = verify(h, hinge).width if isinstance(hinge, Decomposition) else hinge
     tally.compare("hinge_decompose width", width, min_hinge_width(h))
+    tally.compare("hinge_decompose vs reference", _canonical(hinge), _canonical(outcome(lambda: hinge_reference(h))))
     digest = tally.fold(decomposition_outputs(sh, hinge))
     done = seed - tally.start + 1
     if tally.start == DEFAULT_SEED and done in PINNED:

@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (union-find,
 permutation sweeps, exhaustive tree enumeration) so it shares no code path
 with the operations it checks. The exceptions keep superseded routes of
 the library instead, and say what they share: ``acyclic_star_reference``,
-``star_size_along_reference``, and the bags-hypergraph route of
+``star_size_along_reference``, the bags-hypergraph route of
 ``bag_cover_reference``, with its ``blocks_hypergraph`` and
-``jointree_over_bags``.
+``jointree_over_bags``, and ``hinge_reference``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from cqstar.decomposition import (
     NotAcyclic,
     Violation,
     WidthReport,
+    _checked,
     _primal_adjacency,
     guarded,
     gyo_join_tree,
@@ -43,6 +44,7 @@ from cqstar.errors import (
     CqstarError,
     DecompositionInvalid,
     IdMismatch,
+    InvariantViolation,
     UnknownVariable,
     UnknownVertex,
     WidthNotOne,
@@ -432,6 +434,83 @@ def min_hinge_width(h: Hypergraph) -> int:
         maximal = [e for e in comp if not any(f != e and sets[e] < sets[f] for f in comp)]
         total = max(total, best(frozenset(maximal)))
     return total
+
+
+def hinge_reference(h: Hypergraph) -> Decomposition:
+    """The route ``hinge_decompose`` replaced, kept verbatim: a GYO pass over
+    ``h`` to classify the blocks, a ``Hypergraph`` per cyclic block or part,
+    its ``connected_components`` per pivot, and a join tree of the guards'
+    bags built as a hypergraph. It shares ``_gyo``, through
+    ``gyo_join_tree``, and the closing ``verify`` with the library, so it
+    checks the construction, not the reduction.
+
+    Hinge splitting (Gyssens, Jeavons and Cohen 1994) over a worklist of
+    blocks, then one join tree of the guards' bags.
+
+    Each connected part's maximal edges form one block. A popped block that
+    is acyclic gives one width-1 guard per edge. Otherwise it is split at
+    its first pivot in edge order whose removal leaves two or more parts
+    connected outside the pivot, and each part plus the pivot is pushed; a
+    block that no pivot splits is one guard. The parts are the classes that
+    the block's ``connected_components`` finds outside the pivot, each with
+    the edges that reach it. An edge inside another edge is a width-1 guard
+    of its own. The hinge conditions that ``verify`` checks hold for any
+    join tree of these guards' bags, so ``gyo_join_tree`` over the bags
+    gives the tree. Nothing here recurses.
+
+    GYO runs once over ``h`` to classify the original blocks. It reduces
+    each connected part on its own, so a block is acyclic iff the kernel
+    that run leaves holds none of its part's vertices; an acyclic block
+    gets its guards with no hypergraph or GYO run of its own. Only a cyclic
+    block, to find its pivot, and each part of a split, to classify it, are
+    built as hypergraphs, and only the parts are reduced again.
+    """
+    sets = dict(h.dedup_edges())
+    comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
+    blocks: dict[int, list[EdgeId]] = {}
+    guards: dict[frozenset, None] = {}
+    for eid, fs in sets.items():
+        v = next(iter(fs), None)
+        if v is None or any(fs < h.edge_set(f) for f in h.incident_edges(v)):
+            guards[frozenset({eid})] = None
+        else:
+            blocks.setdefault(comp_of[v], []).append(eid)
+    reduced = gyo_join_tree(h)
+    cyclic = {comp_of[v] for v in reduced.kernel.vertices} if isinstance(reduced, NotAcyclic) else set()
+    work: list = [(block, i not in cyclic) for i, block in blocks.items()]  # (edges, acyclic or None if unknown)
+    while work:
+        block, acyclic = work.pop()
+        block = sorted(block, key=edge_sort_key)
+        if not acyclic:
+            sub = Hypergraph(frozenset().union(*map(sets.get, block)), [(e, sets[e]) for e in block])
+            if acyclic is None:
+                acyclic = not isinstance(gyo_join_tree(sub), NotAcyclic)
+        if acyclic:
+            guards.update(dict.fromkeys(frozenset({e}) for e in block))
+            continue
+        for pivot in block:
+            classes = sub.connected_components(set(sub.vertices) - sets[pivot])
+            if len(classes) > 1:
+                class_of = {v: i for i, c in enumerate(classes) for v in c}
+                parts: dict[int, list[EdgeId]] = {}
+                for e in block:
+                    if e != pivot:  # a maximal edge has a vertex outside the pivot
+                        home = class_of[next(iter(sets[e] - sets[pivot]))]
+                        parts.setdefault(home, []).append(e)
+                work.extend((part + [pivot], None) for part in parts.values())
+                break
+        else:
+            guards[frozenset(block)] = None
+    order = list(guards)
+    bags = [frozenset().union(*map(sets.get, g)) for g in order]
+    jt = gyo_join_tree(Hypergraph(h.vertices, enumerate(bags)))
+    if isinstance(jt, NotAcyclic):
+        raise InvariantViolation("hinge blocks' bags are cyclic")
+    nodes = tuple(
+        DecompNode(n.node_id, n.parent, frozenset().union(*(order[i] for i in n.guard)), n.bag)
+        for n in jt.nodes
+    )
+    return _checked(h, Decomposition(DecompKind.HINGE, nodes), "hinge_decompose")
 
 
 def treewidth_by_permutations(h: Hypergraph) -> int:

@@ -22,7 +22,7 @@ from cqstar.decomposition import (
 from cqstar.engine import QueryInstance, count_cq_via_ghd
 from cqstar.errors import DecompositionInvalid
 from cqstar.generators import SimpleGraph, gen_clique_star_instance, gen_random_acyclic
-from cqstar.hypergraph import Query, SHypergraph, from_query
+from cqstar.hypergraph import Hypergraph, Query, SHypergraph, from_query
 from cqstar.parser import ParseError, facts_to_text, parse_facts, parse_query
 from cqstar.starsize import ISMethod, s_star_size
 
@@ -92,7 +92,15 @@ def test_star_size_makes_no_cycle(strategy):
     assert_no_cycle(lambda: s_star_size(sh, strategy, d))
 
 
-@pytest.mark.parametrize("star", [_acyclic_star, lambda: from_query(ex1_query())], ids=["acyclic", "ex1"])
+def _two_triangles() -> SHypergraph:
+    """Triangles abc and bcd on the shared edge bc: the block splits at that pivot."""
+    h = Hypergraph("abcd", [("ab", "ab"), ("bc", "bc"), ("bd", "bd"), ("ca", "ca"), ("cd", "cd")])
+    return SHypergraph(h, frozenset())
+
+
+@pytest.mark.parametrize(
+    "star", [_acyclic_star, lambda: from_query(ex1_query()), _two_triangles], ids=["acyclic", "ex1", "two-triangles"]
+)
 def test_constructors_and_verify_make_no_cycle(star):
     h = star().hypergraph
     assert_no_cycle(lambda: gyo_join_tree(h))

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,13 +28,14 @@ from cqstar.decomposition import (
     verify,
 )
 from cqstar.errors import DecompositionInvalid, IdMismatch
-from cqstar.generators import SplitMix64, gen_random_acyclic
+from cqstar.generators import SimpleGraph, SplitMix64, gen_is_hardness_hypergraph, gen_random_acyclic
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
 from oracles import (
     blocks_hypergraph,
     exact_elimination_order_reference,
     gyo_reference,
+    hinge_reference,
     is_acyclic_bruteforce,
     min_hinge_width,
     tree_targets,
@@ -397,6 +399,109 @@ def test_hinge_long_tail_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert len(d.nodes) == 302
     assert verify(h, d).width == 3
+
+
+def _cycle(k):
+    return Hypergraph([f"c{i}" for i in range(k)], [(f"e{i}", {f"c{i}", f"c{(i + 1) % k}"}) for i in range(k)])
+
+
+def _triangle_chain(n):
+    """n triangles, triangle i on x_i, y_i and x_(i+1): each shares one vertex with the next."""
+    edges = []
+    for i in range(n):
+        x, y, z = f"x{i}", f"y{i}", f"x{i + 1}"
+        edges += [(f"{i}a", {x, y}), (f"{i}b", {y, z}), (f"{i}c", {z, x})]
+    return Hypergraph(sorted({v for _, fs in edges for v in fs}), edges)
+
+
+def _grid(cols, rows):
+    name = "g{}_{}".format
+    edges = [(f"h{c}_{r}", {name(c, r), name(c + 1, r)}) for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"v{c}_{r}", {name(c, r), name(c, r + 1)}) for r in range(rows - 1) for c in range(cols)]
+    return Hypergraph([name(c, r) for r in range(rows) for c in range(cols)], edges)
+
+
+def _union(*hs):
+    """The disjoint union of ``hs``, each relabelled by its position."""
+    vertices = [f"{i}:{v}" for i, h in enumerate(hs) for v in h.vertices]
+    edges = [(f"{i}:{e}", {f"{i}:{v}" for v in fs}) for i, h in enumerate(hs) for e, fs in h.edges]
+    return Hypergraph(vertices, edges)
+
+
+def _with_copies(h, rng):
+    """``h`` plus, for some edges, the same set again and a proper subset of it, under int ids."""
+    edges = list(h.edges)
+    for i, (_, fs) in enumerate(h.edges):
+        if rng.chance(1, 3):
+            edges.append((2 * i, fs))
+        if len(fs) > 1 and rng.chance(1, 3):
+            members = sorted(fs)
+            edges.append((2 * i + 1, frozenset(members[: 1 + rng.below(len(members) - 1)])))
+    return Hypergraph(h.vertices, edges)
+
+
+def _hinge_families():
+    rng = SplitMix64(34)
+    small = [random_hypergraph(rng, max_vertices=9, max_edges=9, max_arity=3) for _ in range(100)]
+    cyclic = []
+    while len(cyclic) < 100:
+        h = random_hypergraph(rng, max_vertices=8, max_edges=12, max_arity=3)
+        if isinstance(gyo_join_tree(h), NotAcyclic):
+            cyclic.append(h)
+    acyclic = [gen_random_acyclic(edges=1 + i, max_arity=1 + i % 4, seed=i) for i in range(60)]
+    is_hard = []
+    for n in range(2, 6):
+        for k in (1, 2, 3):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(1, 2)]
+            is_hard.append(gen_is_hardness_hypergraph(SimpleGraph.from_pairs(n, pairs), k)[0])
+    return {
+        "acyclic": acyclic,
+        "random": small,
+        "cyclic": cyclic,
+        "disconnected": [_union(cyclic[i], acyclic[i], small[i]) for i in range(40)]
+        + [_union(acyclic[i], acyclic[i + 1]) for i in range(20)],
+        "copies": [_with_copies(h, rng) for h in small[:20] + cyclic[:20] + acyclic[:20]],
+        "cycles": [_cycle(k) for k in range(3, 16)] + [_triangle_chain(n) for n in range(1, 9)]
+        + [Hypergraph("abcd", [("ab", "ab"), ("bc", "bc"), ("ca", "ca"), ("bd", "bd"), ("cd", "cd")])],
+        "grids": [_grid(c, r) for c in range(1, 5) for r in range(1, 5)] + is_hard,
+        "edgeless": [Hypergraph([], []), Hypergraph("ab", []), Hypergraph("a", [("e", ())]),
+                     Hypergraph("ab", [(0, ()), (1, ())])],
+    }
+
+
+HINGE_FAMILIES = _hinge_families()
+
+
+@pytest.mark.parametrize("cases", HINGE_FAMILIES.values(), ids=HINGE_FAMILIES.keys())
+def test_hinge_matches_reference(cases):
+    """The one-GYO-run construction builds the same hingetree, node ids,
+    guards, bags and parents, as the route that classified the blocks by a
+    GYO pass of its own and built hypergraphs per block, part and bags."""
+    for h in cases:
+        assert hinge_decompose(h) == hinge_reference(h), h.edges
+
+
+def test_hinge_runs_gyo_once_and_builds_no_hypergraph(monkeypatch):
+    """On an acyclic input the one GYO run is the tree; on a 12-cycle the
+    pivots are tried on the block's own incidence. Neither builds a
+    ``Hypergraph`` or searches components through one."""
+    acyclic, cycle = gen_random_acyclic(edges=40, max_arity=3, seed=7), _cycle(12)
+    calls = Counter()
+
+    def counting(name, call):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(dec, "_gyo", counting("_gyo", dec._gyo))
+    monkeypatch.setattr(Hypergraph, "__init__", counting("Hypergraph", Hypergraph.__init__))
+    monkeypatch.setattr(Hypergraph, "connected_components", counting("components", Hypergraph.connected_components))
+    assert verify(acyclic, hinge_decompose(acyclic)).width == 1
+    assert calls == {"_gyo": 1}
+    calls.clear()
+    assert verify(cycle, hinge_decompose(cycle)).width == 12
+    assert calls["Hypergraph"] == calls["components"] == 0
 
 
 # -- ghd search ---------------------------------------------------------------

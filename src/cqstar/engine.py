@@ -45,7 +45,11 @@ fractional bag is built from its weighted edges.
 
 Input is checked where it enters. ``Relation`` checks the width of every
 row and ``Structure`` the range of every value id; the operators build
-their outputs, valid by construction, without either check.
+their outputs, valid by construction, without either check. Facts enter
+through ``parser.parse_facts``, which is their check: its arity check
+gives every row its width and its interning every value id its range, so
+it builds its relations through ``_relation`` and its structure through
+``_structure``, again without either check.
 ``count_cq_via_ghd`` verifies the decomposition it is given and binds each
 atom once. The trees the pipeline builds for its pieces, the components'
 and the rewritten query's, and the restrictions and the rewrite of a
@@ -161,6 +165,15 @@ class Structure:
         if distinct and not (0 <= min(distinct) and max(distinct) < n):
             vid = next(v for v in vids() if not (0 <= v < n))
             raise ValueError(f"value id {vid} outside domain of size {n}")
+
+
+def _structure(domain: tuple, relations: dict) -> Structure:
+    """A structure whose value ids lie in its domain by construction, as the
+    parser's interning guarantees: ``Structure`` without the check of every
+    id."""
+    structure = object.__new__(Structure)
+    structure.__dict__.update(domain=domain, relations=relations)
+    return structure
 
 
 @dataclass(frozen=True)

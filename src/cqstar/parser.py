@@ -20,8 +20,13 @@ and reports the first such character instead. Facts are read a run of plain
 statements at a time (a name and name or number constants, with whitespace
 between tokens and comments before it). One ``_RUN`` match finds where the
 run stops; with its comments and whitespace removed, string splits cut it
-into predicates and constant lists, and the rows are built from them with
-no Python step per statement. From the first offset where no plain
+into predicates and constant lists. One C pass buckets the lists per
+predicate, and each bucket's rows are zipped from one split of its joined
+lists, so a Python step runs once per predicate of a run, never once per
+statement; either of the two interning routes ``parse_facts`` describes
+keeps the domain in first-appearance order. The result skips the checks of
+``Relation`` and ``Structure``, which the parser's own arity check and
+interning make hold. From the first offset where no plain
 statement starts, a token cursor reads each statement that is not plain,
 so quoted constants, comments inside a statement and every error get the
 same diagnostics as when the cursor read the whole text. After each such
@@ -40,12 +45,12 @@ import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat
-from operator import add
+from itertools import count, islice, repeat
+from operator import add, countOf, eq
 from typing import Optional
 
 from .decomposition import Decomposition, DecompKind, DecompNode
-from .engine import Relation, Structure, _collector_paused
+from .engine import Structure, _collector_paused, _relation, _structure
 from .errors import CqstarError, DecompositionInvalid, VariableWithoutAtom
 from .generators import SimpleGraph
 from .hypergraph import Atom, Query, edge_sort_key
@@ -253,15 +258,28 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
     Plain statements (names and numbers only, whitespace anywhere, and
     comments only before the predicate) are read a run at a time: one
     ``_RUN`` match finds where the run stops, and string methods cut it into
-    predicates and constants, so no Python step runs once per statement.
+    predicates and constant lists. The arity check runs once per distinct
+    predicate and arity of a run, in statement order, so the first clash in
+    the text is the one reported; an arity error finds its offsets by
+    reading the plain statements again. Then the lists are bucketed per
+    predicate, and each bucket's rows are added as one ``zip`` over the
+    interned constants of its joined lists, so no Python step runs once per
+    statement. If no predicate of the run comes back after another
+    predicate's statements, the buckets intern the constants in statement
+    order themselves; otherwise the run's constants are interned in
+    statement order first, and the buckets only look them up. Statements of
+    arity 0 hold no constant, and add the empty row without a lookup.
+
     From the first offset where no plain statement starts, a token cursor
     reads each statement that is not plain: quoted constants, comments
     inside a statement, and every error. After each of those, the run of
     plain statements that follows is read the same way, and the cursor
     resumes where it stops, so one quoted constant costs one statement's
-    tokens. The arity check runs once per distinct predicate and arity of a
-    run, and an arity error finds its offsets by reading the plain
-    statements again.
+    tokens. The result is built through ``engine._relation`` and
+    ``engine._structure``, which skip the width and range checks: the arity
+    check and the interning already make them hold, and
+    ``tests/parser_differential.py`` builds every accepted text again
+    through the checked constructors.
 
     It runs with Python's cyclic collector paused, as the count functions
     do (see ``engine``): it builds a tuple per fact and no reference cycle,
@@ -306,12 +324,22 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
         for pred, arity in dict.fromkeys(zip(preds, arities)):
             if schemas.setdefault(pred, (arity, None))[0] != arity:
                 raise arity_error(pred, arity)
-            rows.setdefault(pred, set())
-        consts = ",".join(filter(None, lists))
-        ids = tuple(map(domain.__getitem__, consts.split(","))) if consts else ()
-        bounds = list(accumulate(arities, initial=0))
-        rows_iter = map(ids.__getitem__, map(slice, bounds, islice(bounds, 1, None)))
-        deque(map(set.add, map(rows.__getitem__, preds), rows_iter), 0)
+        buckets = defaultdict(list)  # each predicate's constant lists, in order
+        deque(map(list.append, map(buckets.__getitem__, preds), lists), 0)
+        if countOf(map(eq, preds, islice(preds, 1, None)), False) != len(buckets) - 1:
+            # More changes of predicate than len(buckets) - 1: one comes back
+            # after another's statements, so bucket order is not statement
+            # order, and the run is interned in statement order first.
+            consts = ",".join(filter(None, lists))
+            if consts:
+                deque(map(domain.__getitem__, consts.split(",")), 0)
+        for pred, seg in buckets.items():
+            arity = schemas[pred][0]
+            bucket = rows.setdefault(pred, set())
+            if arity:
+                bucket.update(zip(*[map(domain.__getitem__, ",".join(seg).split(","))] * arity))
+            else:  # the lists are empty, and joining them would intern ''
+                bucket.add(())
         return stop
 
     cur = _Cursor(text, filename, read_run(0))
@@ -335,11 +363,12 @@ def parse_facts(text: str, filename: str = "<facts>") -> Structure:
         stop = read_run(end)
         if stop != end:
             cur.seek(stop)
+    # one schema per arity, shared by the relations of that arity
+    columns = {n: tuple(f"c{i}" for i in range(n)) for n in {n for n, _ in schemas.values()}}
     relations = {
-        name: Relation(name, tuple(f"c{i}" for i in range(schemas[name][0])), frozenset(tuples))
-        for name, tuples in rows.items()
+        name: _relation(name, columns[schemas[name][0]], frozenset(tuples)) for name, tuples in rows.items()
     }
-    return Structure(tuple(domain), relations)
+    return _structure(tuple(domain), relations)
 
 
 def facts_to_text(structure: Structure) -> str:

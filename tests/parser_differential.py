@@ -1,13 +1,17 @@
 """Seeded differential of ``parse_facts`` against ``oracles.parse_facts_reference``.
 
-Each input is a ``.facts`` text from one of six families (c9-style
+Each input is a ``.facts`` text from one of seven families (c9-style
 binary facts, quoted constants with escapes, comments between tokens,
-mixed arities with numbers, long runs of plain statements, and long runs
+mixed arities with numbers, long runs of plain statements, long runs
 whose predicate and arity change on every statement, with unusual
-whitespace and comments), mutated by insertions, deletions and
+whitespace and comments, and blocks grouped by predicate, sometimes with
+a predicate that comes back), mutated by insertions, deletions and
 substitutions drawn from ``ALPHABET``. Both parsers read it, and their
 outcomes must be equal: the same domain, schemas and rows, or the same
-error type and message (which carries file, line and column). The first
+error type and message (which carries file, line and column). What
+``parse_facts`` accepts must also pass the checks it skips: built again
+through the checked ``Relation`` and ``Structure``, it raises nothing and
+compares equal. The first
 mismatch of a run is shrunk: ``shrink`` drops lines, then single
 characters, one at a time while the texts still parse differently, and
 the runner prints the text it is left with.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import sys
 
+from cqstar.engine import Relation, Structure
 from cqstar.generators import SplitMix64
 from cqstar.parser import parse_facts
 
@@ -145,7 +150,44 @@ def _family_mixed(rng: SplitMix64) -> str:
     return "".join(statements)
 
 
-FAMILIES = [_family_c9, _family_quoted, _family_commented, _family_arity, _family_long, _family_mixed]
+_GROUPED_ARITY = {"A": 0, "B": 1, "C2": 2, "D": 3, "e_": 2}
+
+
+def _family_grouped(rng: SplitMix64) -> str:
+    """One block of 1–12 statements per predicate, in the predicates'
+    order and a statement a line, as ``facts_to_text`` and the benchmark
+    write them: 2–5 predicates of arity 0 to 3 whose constants come from
+    one pool, so rows repeat and a constant is often new in a later block.
+    Half the time a block of an earlier predicate comes back after another
+    predicate's block, and the run must be interned in statement order, not
+    bucket order; sometimes one or two statements anywhere clash with
+    their predicate's arity."""
+    names = list(_GROUPED_ARITY)
+    preds = sorted(names.pop(rng.below(len(names))) for _ in range(2 + rng.below(4)))
+    pool = [f"c{i}" for i in range(4 + rng.below(24))] + ["7", "42"]
+
+    def statement(pred: str, arity: int) -> str:
+        return f"{pred}({', '.join(rng.choice(pool) for _ in range(arity))})."
+
+    def block(pred: str) -> list:
+        return [statement(pred, _GROUPED_ARITY[pred]) for _ in range(1 + rng.below(12))]
+
+    blocks = [block(pred) for pred in preds]
+    if rng.chance(1, 2):
+        i = rng.below(len(preds) - 1)
+        blocks.insert(i + 2 + rng.below(len(preds) - 1 - i), block(preds[i]))
+    statements = [line for b in blocks for line in b]
+    if rng.chance(1, 3):
+        for _ in range(1 + rng.below(2)):
+            i = rng.below(len(statements))
+            pred = statements[i].partition("(")[0]
+            statements[i] = statement(pred, rng.choice([n for n in range(4) if n != _GROUPED_ARITY[pred]]))
+    return "\n".join(statements) + "\n"
+
+
+FAMILIES = [
+    _family_c9, _family_quoted, _family_commented, _family_arity, _family_long, _family_mixed, _family_grouped,
+]
 
 
 def mutate(rng: SplitMix64, text: str) -> str:
@@ -166,18 +208,28 @@ def make_text(seed: int) -> str:
     return mutate(rng, FAMILIES[seed % len(FAMILIES)](rng))
 
 
-def _structure(parse, text: str):
-    """The domain, schemas and rows that ``parse`` reads, or its error."""
-    s = outcome(lambda: parse(text, "f"))
+def _contents(s):
+    """The domain, schemas and rows of structure ``s``, or ``s`` if it is an error."""
     if isinstance(s, str):
         return s
     return s.domain, {name: (rel.schema, rel.rows) for name, rel in s.relations.items()}
 
 
+def _checked(s: Structure) -> Structure:
+    """``s`` built again through the checked ``Relation`` and ``Structure``,
+    which ``parse_facts`` skips: its arity check and its own interning must
+    already give every row its width and every value id its range."""
+    return Structure(s.domain, {name: Relation(rel.name, rel.schema, rel.rows) for name, rel in s.relations.items()})
+
+
 def compare(text: str, tally: differential_runner.Tally):
-    """Compare what both parsers read from ``text``; return ``parse_facts``'s outcome."""
-    got = _structure(parse_facts, text)
-    tally.compare("parse_facts", got, _structure(parse_facts_reference, text))
+    """Compare what both parsers read from ``text``, and what ``parse_facts``
+    read with its checked rebuild; return ``parse_facts``'s outcome."""
+    s = outcome(lambda: parse_facts(text, "f"))
+    got = _contents(s)
+    tally.compare("parse_facts", got, _contents(outcome(lambda: parse_facts_reference(text, "f"))))
+    if not isinstance(s, str):
+        tally.compare("checked rebuild", outcome(lambda: _checked(s)), s)
     return got
 
 

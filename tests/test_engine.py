@@ -35,7 +35,7 @@ from cqstar.errors import (
 )
 from cqstar.generators import SimpleGraph, SplitMix64, gen_clique_star_instance, gen_random_instance
 from cqstar.hypergraph import Atom, Query, from_query, s_components
-from cqstar.parser import parse_query
+from cqstar.parser import parse_facts, parse_query
 
 from oracles import (
     count_by_full_join,
@@ -182,6 +182,20 @@ def test_structure_range_check_names_the_first_bad_value():
         structure(("a",), rel("R", ("c0", "c1"), [(0, -1)]))
     assert str(info.value) == "value id -1 outside domain of size 1"
     assert len(structure((), rel("Z", (), [()])).relations) == 1
+
+
+def test_parsed_structures_meet_the_checks_they_skip():
+    """``parse_facts`` builds through ``engine._relation`` and
+    ``engine._structure``, which skip the width and range checks; its output
+    passes them when built again, and the checked constructors still reject
+    a domain too short for its rows or a schema too narrow for them."""
+    s = parse_facts("P(a, b).\nQ(c).\nP(b, c).\nZ().\n")
+    assert Structure(s.domain, {name: Relation(r.name, r.schema, r.rows) for name, r in s.relations.items()}) == s
+    with pytest.raises(ValueError) as info:
+        Structure(s.domain[:-1], s.relations)
+    assert str(info.value) == "value id 2 outside domain of size 2"
+    with pytest.raises(ValueError):
+        Relation("P", ("c0",), s.relations["P"].rows)
 
 
 def test_atom_relation_checks_the_atom_arity():

@@ -87,6 +87,23 @@ def test_parse_facts_arity_conflict():
     assert err.value.other is not None
 
 
+def test_parse_facts_recurring_zero_arity_predicate_interns_nothing():
+    """A run whose predicate comes back is interned in statement order
+    first; statements of arity 0 hold no constant to intern."""
+    s = parse_facts("A(). B(). A().")
+    assert s.domain == ()
+    assert {name: rel.rows for name, rel in s.relations.items()} == {"A": {()}, "B": {()}}
+
+
+def test_parse_facts_reports_the_first_arity_clash_in_statement_order():
+    """Rows are bucketed per predicate, but the arity check still runs in
+    statement order: B's clash comes first, though A's bucket does."""
+    text = "A(a).\nB(b, c).\n  B(d).\nA(e, f).\n"
+    with pytest.raises(ParseError) as err:
+        parse_facts(text, "f")
+    assert str(err.value) == "f:3:3: predicate 'B' used with arity 1, earlier 2 (earlier at f:2:1)"
+
+
 def test_parse_edge_list():
     g = parse_edge_list("n 4\n0 1\n2 3\n")
     assert g.n == 4

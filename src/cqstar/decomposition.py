@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation
-from .hypergraph import EdgeId, Hypergraph, VertexId, edge_sort_key, pair_id
+from .hypergraph import EdgeId, Hypergraph, VertexId, edge_classes, edge_sort_key, holding, pair_id
 
 
 class DecompKind(str, Enum):
@@ -467,13 +467,13 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
     were acyclic, in their final order. When that run reduces them, it is
     the tree, and no hypergraph or second run is made. Otherwise it reduces
     each connected part on its own, so a block is acyclic iff the kernel it
-    leaves holds none of the block's vertices. A cyclic block tests each
-    pivot by one flood of its own vertex -> edges incidence outside the
-    pivot, and each part of a split is classified by GYO over its edges;
-    then GYO runs once more over the final bags.
+    leaves holds none of the block's vertices. The blocks, and each pivot
+    tried (over its block's own incidence, cut at the pivot), are one
+    ``edge_classes`` flood. Each part of a split is classified by GYO over
+    its edges; then GYO runs once more over the final bags.
     """
     sets = dict(h.dedup_edges())
-    held = _holding(sets, sets)
+    held = holding(sets, sets)
     guards: dict[frozenset, frozenset] = {}  # guard -> bag, in guard order
     maximal = []
     for eid, fs in sets.items():
@@ -483,8 +483,8 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
         else:
             maximal.append(eid)
     if guards:  # the blocks' flood reads the maximal edges only
-        held = _holding(maximal, sets)
-    blocks = [sorted(b, key=edge_sort_key) for b in _classes(maximal, sets, held)]
+        held = holding(maximal, sets)
+    blocks = [sorted(b, key=edge_sort_key) for b in edge_classes(maximal, sets, held)]
     order = list(guards.items()) + [(frozenset({e}), sets[e]) for b in reversed(blocks) for e in b]
     parent, alive, holders = _gyo([bag for _, bag in order])
     if len(alive) > 1:
@@ -500,9 +500,9 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
                 for e in block:
                     guards.setdefault(frozenset({e}), sets[e])
                 continue
-            incidence = _holding(block, sets)
+            incidence = holding(block, sets)
             for pivot in block:
-                parts = _classes([e for e in block if e != pivot], sets, incidence, sets[pivot])
+                parts = edge_classes([e for e in block if e != pivot], sets, incidence, sets[pivot])
                 if len(parts) > 1:
                     work.extend((part + [pivot], None) for part in parts)
                     break
@@ -519,45 +519,6 @@ def hinge_decompose(h: Hypergraph) -> Decomposition:
         return Decomposition(DecompKind.HINGE, (DecompNode(0, None, frozenset(), frozenset()),))
     nodes = tuple(DecompNode(i, parent.get(i), guard, bag) for i, (guard, bag) in enumerate(order))
     return _checked(h, Decomposition(DecompKind.HINGE, nodes), "hinge_decompose")
-
-
-def _holding(edges: Iterable[EdgeId], sets: Mapping[EdgeId, frozenset]) -> dict[VertexId, list[EdgeId]]:
-    """Vertex -> the ``edges`` that hold it, in the order given."""
-    held: dict[VertexId, list[EdgeId]] = {}
-    for e in edges:
-        for v in sets[e]:
-            held.setdefault(v, []).append(e)
-    return held
-
-
-def _classes(
-    edges: list[EdgeId],
-    sets: Mapping[EdgeId, frozenset],
-    held: Mapping[VertexId, list[EdgeId]],
-    cut: frozenset = frozenset(),
-) -> list[list[EdgeId]]:
-    """The classes of ``edges`` joined through shared vertices outside
-    ``cut``, in order of their first edge. ``held`` maps each vertex outside
-    ``cut`` to the edges that hold it, all among ``edges``; each class is
-    one flood of it, which reads each vertex once."""
-    reached: set[EdgeId] = set()
-    seen = set(cut)
-    classes = []
-    for e in edges:
-        if e in reached:
-            continue
-        reached.add(e)
-        cls = [e]
-        for f in cls:
-            for v in sets[f]:
-                if v not in seen:
-                    seen.add(v)
-                    for g in held[v]:
-                        if g not in reached:
-                            reached.add(g)
-                            cls.append(g)
-        classes.append(cls)
-    return classes
 
 
 # -- generalized hypertree decompositions -----------------------------------
@@ -582,8 +543,22 @@ class _GhdSearch:
     def __init__(self, h: Hypergraph, k: int, node_budget: int):
         self.h, self.k, self.budget = h, k, node_budget
         self.dd = h.dedup_edges()
+        self.sets = dict(self.dd)
+        self.held = holding(self.sets, self.sets)
         self.exact = len(self.dd) <= GHD_EXACT_EDGE_CUTOFF
         self.memo: dict[frozenset, Optional[_Plan]] = {}
+
+    def split(self, vs: Iterable[VertexId], cut: frozenset) -> list[tuple[frozenset, frozenset]]:
+        """The classes of ``vs`` connected through edges cut to ``vs``, each
+        with its closure, ordered by earliest vertex: one ``edge_classes``
+        flood from the edges of ``vs`` in vertex order. ``cut`` holds every
+        vertex of those edges outside ``vs``."""
+        sets, held = self.sets, self.held
+        out = []
+        for cls in edge_classes((e for v in self.h.sort_vertices(vs) for e in held.get(v, ())), sets, held, cut):
+            closure = frozenset().union(*map(sets.__getitem__, cls))
+            out.append((closure - cut, closure))
+        return out
 
     def candidate_edges(self, scope: frozenset, x: frozenset) -> list[tuple[EdgeId, frozenset]]:
         cands = [(eid, fs) for eid, fs in self.dd if fs & scope]
@@ -593,11 +568,12 @@ class _GhdSearch:
                                      edge_sort_key(item[0])))
         return cands[: max(self.k + 8, 16)]
 
-    def solve(self, w: frozenset) -> Optional[_Plan]:
+    def solve(self, w: frozenset, closure: frozenset) -> Optional[_Plan]:
+        """A plan for the class ``w``, whose edges' union is ``closure``."""
         if w in self.memo:
             return self.memo[w]
-        h, exact = self.h, self.exact
-        x = h.closure(w) - w
+        exact = self.exact
+        x = closure - w
         scope = w | x
         cands = self.candidate_edges(scope, x)
         tried = 0
@@ -616,19 +592,15 @@ class _GhdSearch:
                 bag = union & scope
                 if not (bag & w):
                     continue
-                remaining = w - bag
                 plans = []
-                failed = False
-                for comp in h.connected_components(remaining):
-                    sub = self.solve(comp)
+                for comp, comp_closure in self.split(w - bag, x | bag):
+                    sub = self.solve(comp, comp_closure)
                     if sub is None:
-                        failed = True
                         break
                     plans.append(sub)
-                if failed:
-                    continue
-                result = _Plan(tuple(eid for eid, _ in combo), bag, plans)
-                break
+                else:
+                    result = _Plan(tuple(eid for eid, _ in combo), bag, plans)
+                    break
             if result is not None or (not exact and tried > GHD_BRANCH_LIMIT):
                 break
         self.memo[w] = result
@@ -642,7 +614,8 @@ def ghd_search(
     node_budget: int = 200_000,
 ) -> Optional[Decomposition]:
     """Search for a GHD of width <= k by component-splitting over candidate
-    guards (subsets of at most k dedup edges).
+    guards (subsets of at most k dedup edges). Each split is one
+    ``edge_classes`` flood, cut at the bag, that gives each part's closure.
 
     Exhaustive up to ``GHD_EXACT_EDGE_CUTOFF`` dedup edges; beyond that each
     state draws its guards from the edges that overlap it most and tries at
@@ -654,8 +627,8 @@ def ghd_search(
         raise ValueError("k must be >= 1")
     search = _GhdSearch(h, k, node_budget)
     top_plans = []
-    for comp in h.connected_components(h.closure(h.vertices)):
-        plan = search.solve(comp)
+    for comp, closure in search.split(h.vertices, frozenset()):
+        plan = search.solve(comp, closure)
         if plan is None:
             return None
         top_plans.append(plan)

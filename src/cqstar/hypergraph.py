@@ -2,14 +2,15 @@
 
 Vertices keep their first-appearance order and every operation here is a
 pure function over immutable values, so component lists and all witnesses
-derived from them are reproducible across runs.
+derived from them are reproducible across runs. Every component comes from
+one flood of edge classes, ``edge_classes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 from .errors import UnknownVertex, VariableWithoutAtom
 
@@ -175,11 +176,6 @@ class Hypergraph:
         except KeyError as exc:
             raise UnknownVertex(exc.args[0]) from None
 
-    def closure(self, vs: Iterable[VertexId]) -> frozenset[VertexId]:
-        """The union of the edges that hold a vertex of ``vs``. Only those
-        edges are visited, each once."""
-        return frozenset().union(*(self.edges[o][1] for o in self._meeting(vs)))
-
     def conflict_adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
         """v -> vertices sharing at least one edge with v (v excluded)."""
         adj: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
@@ -224,10 +220,10 @@ class Hypergraph:
 
     def touching(self, vs: Iterable[VertexId]) -> "Hypergraph":
         """The partial hypergraph of the edges that hold a vertex of ``vs``,
-        each whole, under its own id, in declared order, on their union
-        ``closure(vs)``. Only those edges are visited. Its edges are this
-        one's, so they are not checked again, and its incidence is this
-        one's, renumbered, less the edges it drops.
+        each whole, under its own id, in declared order, on their union. Only
+        those edges are visited. Its edges are this one's, so they are not
+        checked again, and its incidence is this one's, renumbered, less the
+        edges it drops.
         """
         ordinals = sorted(self._meeting(vs))
         renumber = {o: i for i, o in enumerate(ordinals)}
@@ -240,31 +236,6 @@ class Hypergraph:
         )
         return sub
 
-    def connected_components(self, within: Optional[Iterable[VertexId]] = None) -> list[frozenset[VertexId]]:
-        """The classes of ``within`` (default: every vertex) connected through
-        edges cut to ``within``, ordered by earliest vertex: the components of
-        ``self.induced(within)``, found without building it. Each edge is
-        scanned at most once.
-        """
-        inside = self._vindex if within is None else set(within)
-        seen: set[VertexId] = set()
-        scanned: set[int] = set()
-        out: list[frozenset[VertexId]] = []
-        for start in self.sort_vertices(inside):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            for v in comp:
-                for o in self._incidence[v]:
-                    if o not in scanned:
-                        scanned.add(o)
-                        fresh = [u for u in self.edges[o][1] if u in inside and u not in seen]
-                        seen.update(fresh)
-                        comp.extend(fresh)
-            out.append(frozenset(comp))
-        return out
-
 
 def _first_ids(edges: Iterable[tuple[EdgeId, frozenset[VertexId]]]) -> tuple[tuple[EdgeId, frozenset[VertexId]], ...]:
     """One (first id, set) per distinct set of ``edges``, in order of first appearance."""
@@ -272,6 +243,49 @@ def _first_ids(edges: Iterable[tuple[EdgeId, frozenset[VertexId]]]) -> tuple[tup
     for eid, fs in edges:
         first.setdefault(fs, eid)
     return tuple((eid, fs) for fs, eid in first.items())
+
+
+def holding(edges: Iterable[EdgeId], sets: Mapping[EdgeId, frozenset]) -> dict[VertexId, list[EdgeId]]:
+    """Vertex -> the ``edges`` that hold it, in the order given: an
+    incidence for ``edge_classes``."""
+    held: dict[VertexId, list[EdgeId]] = {}
+    for e in edges:
+        for v in sets[e]:
+            held.setdefault(v, []).append(e)
+    return held
+
+
+def edge_classes(
+    starts: Iterable[EdgeId],
+    sets: Union[Mapping[EdgeId, frozenset], Sequence[frozenset]],
+    held: Mapping[VertexId, Iterable[EdgeId]],
+    cut: AbstractSet[VertexId] = frozenset(),
+) -> list[list[EdgeId]]:
+    """The one flood: the classes of the edges reached from ``starts``
+    through shared vertices outside ``cut``, in order of their first start,
+    each in the order reached. ``sets`` gives each edge's vertices, and
+    ``held`` maps each vertex outside ``cut`` that a reached edge holds to
+    the edges that hold it. A start already reached opens no class, and an
+    empty edge is a class of its own. Each class is one flood of ``held``,
+    which reads each vertex once."""
+    reached: set[EdgeId] = set()
+    seen = set(cut)
+    classes = []
+    for e in starts:
+        if e in reached:
+            continue
+        reached.add(e)
+        cls = [e]
+        for f in cls:
+            for v in sets[f]:
+                if v not in seen:
+                    seen.add(v)
+                    for g in held[v]:
+                        if g not in reached:
+                            reached.add(g)
+                            cls.append(g)
+        classes.append(cls)
+    return classes
 
 
 @dataclass(frozen=True)
@@ -289,12 +303,13 @@ class SHypergraph:
 
 @dataclass(frozen=True)
 class SComponent:
-    """One S-component of ``hypergraph``: a connected chunk of quantified
-    vertices (the core), the union of the edges meeting it (the closure) and
-    the closure's free vertices. ``induced``, the subhypergraph induced on
-    the closure, whose kept edge ids are the provenance, is built on its
-    first read and kept; a caller that needs only its dedup edges or its
-    edge ids reads them with ``hypergraph.induced_dedup_edges(closure)`` or
+    """One S-component of ``hypergraph``, from one class of the flood in
+    ``s_components``: a connected chunk of quantified vertices (the core),
+    the union of the edges meeting it (the closure) and the closure's free
+    vertices. ``induced``, the subhypergraph induced on the closure, whose
+    kept edge ids are the provenance, is built on its first read and kept;
+    a caller that needs only its dedup edges or its edge ids reads them with
+    ``hypergraph.induced_dedup_edges(closure)`` or
     ``hypergraph.meeting_edge_ids(closure)`` instead."""
 
     core: frozenset[VertexId]
@@ -318,13 +333,21 @@ def from_query(query: Query) -> SHypergraph:
 def s_components(sh: SHypergraph) -> list[SComponent]:
     """S-components of (H, S), ordered by the earliest core vertex.
 
-    The cores are the components of V minus S, and each closure is
-    ``h.closure(core)``, so no edge is visited for a core it misses. No
-    induced subhypergraph is built until one is read. Empty when S = V.
+    One ``edge_classes`` flood of H's incidence from the quantified vertices'
+    edges, cut at S, gives each closure; the closure less S is the core. A
+    quantified vertex on no edge is a core with an empty closure. No induced
+    subhypergraph is built until one is read. Empty when S = V.
     """
     h, s = sh.hypergraph, sh.s
+    incidence = h._incidence
+    quantified = [v for v in h.vertices if v not in s]
+    sets = [fs for _, fs in h.edges]
     out = []
-    for core in h.connected_components(v for v in h.vertices if v not in s):
-        closure = h.closure(core)
-        out.append(SComponent(core, closure, closure & s, h))
+    for cls in edge_classes((o for v in quantified for o in incidence[v]), sets, incidence, s):
+        closure = frozenset().union(*map(sets.__getitem__, cls))
+        out.append(SComponent(closure - s, closure, closure & s, h))
+    lone = [SComponent(frozenset({v}), frozenset(), frozenset(), h) for v in quantified if not incidence[v]]
+    if lone:
+        out += lone
+        out.sort(key=lambda c: min(map(h.vertex_index, c.core)))
     return out

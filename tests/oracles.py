@@ -104,7 +104,8 @@ def hypergraph_induced_reference(h: Hypergraph, vs: Iterable[VertexId]) -> Hyper
 def components_reference(h: Hypergraph) -> list[frozenset]:
     """Maximal path-connected vertex classes, ordered by earliest vertex, by
     a search from every unseen vertex that rescans each edge from each of
-    its vertices. The oracle for ``Hypergraph.connected_components``."""
+    its vertices. The oracle for the vertex classes that the library's
+    ``edge_classes`` flood gives."""
     seen: set = set()
     out: list[frozenset] = []
     for start in h.vertices:
@@ -126,7 +127,8 @@ def components_reference(h: Hypergraph) -> list[frozenset]:
 
 def closure_reference(h: Hypergraph, vs: Iterable[VertexId]) -> frozenset:
     """The union of every edge that meets ``vs``, by one scan of all edges.
-    The oracle for ``Hypergraph.closure``."""
+    The oracle for the closures that the library's ``edge_classes`` flood
+    gives."""
     keep = set(vs)
     for v in keep:
         if not h.has_vertex(v):
@@ -437,12 +439,15 @@ def min_hinge_width(h: Hypergraph) -> int:
 
 
 def hinge_reference(h: Hypergraph) -> Decomposition:
-    """The route ``hinge_decompose`` replaced, kept verbatim: a GYO pass over
-    ``h`` to classify the blocks, a ``Hypergraph`` per cyclic block or part,
-    its ``connected_components`` per pivot, and a join tree of the guards'
-    bags built as a hypergraph. It shares ``_gyo``, through
-    ``gyo_join_tree``, and the closing ``verify`` with the library, so it
-    checks the construction, not the reduction.
+    """The route ``hinge_decompose`` replaced, kept but for one swap: a GYO
+    pass over ``h`` to classify the blocks, a ``Hypergraph`` per cyclic
+    block or part, the vertex classes of its restriction outside each
+    pivot, and a join tree of the guards' bags built as a hypergraph. The
+    classes come from ``components_reference`` over
+    ``hypergraph_induced_reference``, where the library's route read a
+    vertex flood that the library no longer has. It shares
+    ``_gyo``, through ``gyo_join_tree``, and the closing ``verify`` with
+    the library, so it checks the construction, not the reduction.
 
     Hinge splitting (Gyssens, Jeavons and Cohen 1994) over a worklist of
     blocks, then one join tree of the guards' bags.
@@ -451,9 +456,9 @@ def hinge_reference(h: Hypergraph) -> Decomposition:
     is acyclic gives one width-1 guard per edge. Otherwise it is split at
     its first pivot in edge order whose removal leaves two or more parts
     connected outside the pivot, and each part plus the pivot is pushed; a
-    block that no pivot splits is one guard. The parts are the classes that
-    the block's ``connected_components`` finds outside the pivot, each with
-    the edges that reach it. An edge inside another edge is a width-1 guard
+    block that no pivot splits is one guard. The parts are the vertex
+    classes of the block restricted to the vertices outside the pivot, each
+    with the edges that reach it. An edge inside another edge is a width-1 guard
     of its own. The hinge conditions that ``verify`` checks hold for any
     join tree of these guards' bags, so ``gyo_join_tree`` over the bags
     gives the tree. Nothing here recurses.
@@ -466,7 +471,7 @@ def hinge_reference(h: Hypergraph) -> Decomposition:
     built as hypergraphs, and only the parts are reduced again.
     """
     sets = dict(h.dedup_edges())
-    comp_of = {v: i for i, comp in enumerate(h.connected_components()) for v in comp}
+    comp_of = {v: i for i, comp in enumerate(components_reference(h)) for v in comp}
     blocks: dict[int, list[EdgeId]] = {}
     guards: dict[frozenset, None] = {}
     for eid, fs in sets.items():
@@ -489,7 +494,7 @@ def hinge_reference(h: Hypergraph) -> Decomposition:
             guards.update(dict.fromkeys(frozenset({e}) for e in block))
             continue
         for pivot in block:
-            classes = sub.connected_components(set(sub.vertices) - sets[pivot])
+            classes = components_reference(hypergraph_induced_reference(sub, set(sub.vertices) - sets[pivot]))
             if len(classes) > 1:
                 class_of = {v: i for i, c in enumerate(classes) for v in c}
                 parts: dict[int, list[EdgeId]] = {}

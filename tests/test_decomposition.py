@@ -33,9 +33,11 @@ from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
 from oracles import (
     blocks_hypergraph,
+    components_reference,
     exact_elimination_order_reference,
     gyo_reference,
     hinge_reference,
+    hypergraph_induced_reference,
     is_acyclic_bruteforce,
     min_hinge_width,
     tree_targets,
@@ -301,7 +303,7 @@ def test_gyo_matches_reference_on_small_hypergraphs():
         seen["duplicate"] += len(set(sets)) < len(sets)
         seen["empty edge"] += frozenset() in sets
         seen["isolated"] += any(not h.incident_edges(v) for v in h.vertices)
-        seen["disconnected"] += len(h.induced(set().union(*sets)).connected_components()) > 1
+        seen["disconnected"] += len(components_reference(hypergraph_induced_reference(h, set().union(*sets)))) > 1
     assert min(seen.values()) >= 100, seen
 
 
@@ -484,7 +486,7 @@ def test_hinge_matches_reference(cases):
 def test_hinge_runs_gyo_once_and_builds_no_hypergraph(monkeypatch):
     """On an acyclic input the one GYO run is the tree; on a 12-cycle the
     pivots are tried on the block's own incidence. Neither builds a
-    ``Hypergraph`` or searches components through one."""
+    ``Hypergraph``."""
     acyclic, cycle = gen_random_acyclic(edges=40, max_arity=3, seed=7), _cycle(12)
     calls = Counter()
 
@@ -496,12 +498,11 @@ def test_hinge_runs_gyo_once_and_builds_no_hypergraph(monkeypatch):
 
     monkeypatch.setattr(dec, "_gyo", counting("_gyo", dec._gyo))
     monkeypatch.setattr(Hypergraph, "__init__", counting("Hypergraph", Hypergraph.__init__))
-    monkeypatch.setattr(Hypergraph, "connected_components", counting("components", Hypergraph.connected_components))
     assert verify(acyclic, hinge_decompose(acyclic)).width == 1
     assert calls == {"_gyo": 1}
     calls.clear()
     assert verify(cycle, hinge_decompose(cycle)).width == 12
-    assert calls["Hypergraph"] == calls["components"] == 0
+    assert calls["Hypergraph"] == 0
 
 
 # -- ghd search ---------------------------------------------------------------
@@ -627,7 +628,7 @@ def test_exact_elimination_order_matches_reference_up_to_cutoff(monkeypatch):
     cases = [(10, False, 1), (10, True, 1), (11, False, 1), (11, True, 1), (12, False, 2), (12, True, 1)]
     for seed, (n, dense, parts) in enumerate(cases):
         h = order_case(seed, n, dense, parts)
-        assert len(h.connected_components()) >= parts
+        assert len(components_reference(h)) >= parts
         assert dec._exact_elimination_order(h) == exact_elimination_order_reference(h), (n, dense, parts)
 
     def refuse(h):
@@ -644,7 +645,7 @@ def test_exact_elimination_order_matches_reference_up_to_cutoff(monkeypatch):
 
 def test_induced_decomposition_identity_and_empty(ex1):
     h = ex1.hypergraph
-    assert len(h.connected_components()) == 1
+    assert len(components_reference(h)) == 1
     d = hinge_decompose(h)
     assert induced_decomposition(h, d, set(h.vertices)) == d
     with pytest.raises(DecompositionInvalid, match="found 0"):

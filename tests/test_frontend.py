@@ -298,6 +298,32 @@ def test_cli_decompose_verify_loop(workdir, capsys):
     assert "valid" in out and "hinge" in out
 
 
+def test_cli_verify_json(tmp_path, capsys):
+    """``verify --json`` prints the report as one object: ok with the width
+    as a string on the triangle's hingetree, exit 0; not ok with a null
+    width and every violation on a GHD whose one bag misses two edges,
+    exit 1."""
+    tri = tmp_path / "tri.cq"
+    tri.write_text("ans(x) :- E(x, y), E(y, z), E(z, x).\n")
+    hinge, ghd = tmp_path / "hinge.json", tmp_path / "ghd.json"
+    assert run_cli(["decompose", "-q", str(tri), "--kind", "hinge", "-o", str(hinge)]) == 0
+    node = {"id": 0, "parent": None, "lambda": [0], "chi": ["x", "y"]}
+    ghd.write_text(json.dumps({"kind": "ghd", "nodes": [node]}))
+    capsys.readouterr()
+    assert run_cli(["verify", "-q", str(tri), "--decomp", str(hinge), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify", "kind": "hinge", "ok": True, "violations": [], "width": "3",
+    }
+    assert run_cli(["verify", "-q", str(tri), "--decomp", str(ghd), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify",
+        "kind": "ghd",
+        "ok": False,
+        "violations": ["(EDGE_UNCOVERED edge=1)", "(EDGE_UNCOVERED edge=2)"],
+        "width": None,
+    }
+
+
 def test_cli_verify_mutated_connectedness(workdir, capsys):
     doc = json.loads(
         decomposition_to_json(gyo_join_tree(from_query(parse_query("ans(y1,y2,y3) :- P1(z,y1), P2(z,y2), P3(z,y3).")).hypergraph))
@@ -434,6 +460,7 @@ def test_readme_cli_session(tmp_path, capsys, monkeypatch):
 
 
 BAD_DECOMPS = {
+    "nodes-not-a-list": {"kind": "ghd", "nodes": {}},
     "node-without-id": {"kind": "jointree", "nodes": [{"parent": None, "lambda": [0], "chi": ["y1"]}]},
     "non-integer-lambda": {"kind": "jointree", "nodes": [{"id": 0, "parent": None, "lambda": ["x"], "chi": []}]},
     "weight-not-a-fraction": {
@@ -566,6 +593,14 @@ UNREAD_FLAGS = {
 }
 
 
+# cases whose whole error line is pinned -> that line, after "error: "
+ERROR_LINES = {
+    "ghd-width-one-on-a-triangle": "no generalized hypertree decomposition of width <= 1 found",
+    "ghd-width-not-an-integer": "argument -k: expected an integer, got 'two'",
+    "nodes-not-a-list": '{decomp}:1:1: "nodes" must be a list',
+}
+
+
 def _bad_input_argv(case, workdir):
     q, facts = str(workdir / "q.cq"), str(workdir / "d.facts")
     if case in UNREAD_FLAGS:
@@ -602,6 +637,12 @@ def _bad_input_argv(case, workdir):
         return ["count", "-q", q, "-d", facts, "--decomp", ""]
     if case == "ghd-width-zero":
         return ["decompose", "-q", q, "--kind", "ghd", "-k", "0"]
+    if case == "ghd-width-one-on-a-triangle":
+        path = workdir / "tri.cq"
+        path.write_text("ans(x) :- E1(x, y), E1(y, z), E1(z, x).\n")
+        return ["count", "-q", str(path), "-d", facts, "--auto-decomp", "ghd", "-k", "1"]
+    if case == "ghd-width-not-an-integer":
+        return ["count", "-q", q, "-d", facts, "--auto-decomp", "ghd", "-k", "two"]
     if case == "gen-size-zero":
         return ["gen", "random", "--vars", "0", "--atoms", "2", "--seed", "1", "-o", str(workdir / "r")]
     raise AssertionError(case)
@@ -611,6 +652,7 @@ def _bad_input_argv(case, workdir):
     "case",
     sorted(BAD_DECOMPS) + sorted(BAD_EDGE_LISTS) + [
         "directory-as-query", "directory-as-data", "query-not-utf8", "ghd-width-zero", "gen-size-zero",
+        "ghd-width-one-on-a-triangle", "ghd-width-not-an-integer",
         "facts-bad-escape", "starsize-unknown-edge-ghd", "starsize-unknown-edge-approx",
         "starsize-unknown-edge-hinge", "decomp-empty-path",
     ] + sorted(UNREAD_FLAGS),
@@ -622,6 +664,8 @@ def test_cli_bad_input_is_one_error_line(case, workdir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     if case in UNREAD_FLAGS:
         assert err.startswith(f"error: {UNREAD_FLAGS[case][1]} ")
+    if case in ERROR_LINES:
+        assert err == "error: " + ERROR_LINES[case].format(decomp=workdir / "bad.decomp.json") + "\n"
 
 
 def test_cli_not_utf8_column_counts_characters(tmp_path, capsys):

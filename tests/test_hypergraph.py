@@ -4,9 +4,10 @@ from cqstar.decomposition import hinge_decompose
 from cqstar.engine import QueryInstance, Relation, Structure, count_cq_via_ghd
 from cqstar.errors import UnknownVertex, VariableWithoutAtom
 from cqstar.generators import SplitMix64, gen_g_star, gen_random_acyclic, gen_random_instance
-from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
+from cqstar.hypergraph import Atom, Hypergraph, Query, edge_classes, from_query, holding, s_components
 from cqstar.starsize import ISMethod, s_star_size
 
+from hypergraph_differential import flood_closure, flood_components
 from oracles import components_union_find, primal_graph, touching_reference
 
 
@@ -78,47 +79,104 @@ def test_induced_idempotent(tri, ex1):
             assert once == twice
 
 
-def test_connected_components_ex1_quantified(ex1):
+def test_flood_classes_ex1_quantified(ex1):
     h = ex1.hypergraph
     restricted = h.induced([v for v in h.vertices if v not in ex1.s])
-    comps = restricted.connected_components()
+    comps = flood_components(restricted, restricted.vertices)
     assert comps == [
         frozenset({"u1", "u2", "u3", "u4", "u5", "u6"}),
         frozenset({"u7"}),
         frozenset({"u8"}),
     ]
-    assert h.connected_components(restricted.vertices) == comps
+    assert flood_components(h, restricted.vertices) == comps
 
 
-def test_connected_components_trivial(tri):
-    assert tri.connected_components() == [frozenset("abc")]
+def test_flood_classes_trivial(tri):
+    assert flood_components(tri, tri.vertices) == [frozenset("abc")]
     loose = Hypergraph("xyz")
-    assert loose.connected_components() == [
+    assert flood_components(loose, loose.vertices) == [
         frozenset({"x"}),
         frozenset({"y"}),
         frozenset({"z"}),
     ]
 
 
-def test_components_match_union_find_on_random_inputs():
+def test_flood_classes_match_union_find_on_random_inputs():
     rng = SplitMix64(2024)
     for i in range(120):
         h = gen_random_acyclic(edges=1 + rng.below(6), max_arity=1 + rng.below(4), seed=rng.next_u64())
-        mine = {frozenset(c) for c in h.connected_components()}
+        mine = {frozenset(c) for c in flood_components(h, h.vertices)}
         assert mine == components_union_find(h)
         sub_keep = [v for v in h.vertices if rng.chance(1, 2)]
         sub = h.induced(sub_keep)
-        assert {frozenset(c) for c in sub.connected_components()} == components_union_find(sub)
+        assert {frozenset(c) for c in flood_components(sub, sub.vertices)} == components_union_find(sub)
+        assert flood_components(h, sub_keep) == flood_components(sub, sub.vertices)
 
 
-def test_closure_is_the_union_of_the_edges_meeting_the_set(path3):
-    assert path3.closure({"a"}) == frozenset("ab")
-    assert path3.closure(iter("bd")) == frozenset("abcd")
-    assert path3.closure(set()) == frozenset()
+def test_flood_closure_is_the_union_of_the_edges_meeting_the_set(path3):
+    assert flood_closure(path3, {"a"}) == frozenset("ab")
+    assert flood_closure(path3, iter("bd")) == frozenset("abcd")
+    assert flood_closure(path3, set()) == frozenset()
     # a vertex on no edge reaches nothing, not even itself
-    assert Hypergraph("xy", [("e", {"x"})]).closure({"y"}) == frozenset()
+    assert flood_closure(Hypergraph("xy", [("e", {"x"})]), {"y"}) == frozenset()
     with pytest.raises(UnknownVertex):
-        path3.closure({"a", "z"})
+        flood_closure(path3, {"a", "z"})
+
+
+def test_flood_never_crosses_a_cut_vertex(path3):
+    sets = dict(path3.edges)
+    held = holding(sets, sets)
+    assert edge_classes(sets, sets, held) == [["ab", "bc", "cd"]]
+    assert edge_classes(sets, sets, held, frozenset("c")) == [["ab", "bc"], ["cd"]]
+    assert edge_classes(sets, sets, held, frozenset("bc")) == [["ab"], ["bc"], ["cd"]]
+    # a cut vertex needs no incidence: the flood never reads it
+    assert edge_classes(["ab"], sets, {"a": ["ab"]}, frozenset("b")) == [["ab"]]
+
+
+def test_flood_empty_edge_is_a_class_of_its_own():
+    sets = {"e": frozenset(), 1: frozenset("xy"), "f": frozenset(), 2: frozenset("y")}
+    held = holding(sets, sets)
+    assert held == {"x": [1], "y": [1, 2]}
+    assert edge_classes(sets, sets, held) == [["e"], [1, 2], ["f"]]
+
+
+def test_flood_classes_in_order_of_their_first_start(path3):
+    sets = dict(path3.edges)
+    held = holding(sets, sets)
+    cut = frozenset("b")
+    assert edge_classes(["cd", "ab", "bc"], sets, held, cut) == [["cd", "bc"], ["ab"]]
+    assert edge_classes(["ab", "cd"], sets, held, cut) == [["ab"], ["cd", "bc"]]
+    # a start already reached opens no class
+    assert edge_classes(["bc", "cd", "bc"], sets, held, cut) == [["bc", "cd"]]
+
+
+def test_flood_class_holds_every_edge_on_a_crossed_vertex():
+    rng = SplitMix64(2027)
+    for _ in range(200):
+        inst = gen_random_instance(
+            variables=1 + rng.below(7), atoms=1 + rng.below(6), max_arity=3, domain=2, seed=rng.next_u64()
+        )
+        h = from_query(inst.query).hypergraph
+        sets = dict(h.edges)
+        held = holding(sets, sets)
+        cut = frozenset(v for v in h.vertices if rng.chance(1, 3))
+        starts = [e for e in sets if rng.chance(1, 2)]
+        classes = edge_classes(starts, sets, held, cut)
+        seen = [e for cls in classes for e in cls]
+        assert len(seen) == len(set(seen))
+        assert set(starts) <= set(seen)
+        firsts = [cls[0] for cls in classes]
+        assert firsts == sorted(firsts, key=starts.index)
+        for cls in classes:
+            crossed = frozenset().union(*map(sets.get, cls)) - cut
+            assert {e for v in crossed for e in held[v]} <= set(cls)
+
+
+def test_hypergraph_equality_hash_and_repr(path3):
+    assert (path3 == "x") is False
+    twin = Hypergraph("abcd", [("ab", "ab"), ("bc", "bc"), ("cd", "cd")])
+    assert twin == path3 and hash(twin) == hash(path3)
+    assert repr(path3) == "Hypergraph(4 vertices, 3 edges)"
 
 
 def test_touching_keeps_each_edge_meeting_the_set_whole(path3):
@@ -142,7 +200,7 @@ def test_touching_matches_the_reference_on_random_inputs():
         keep = [v for v in h.vertices if rng.chance(1, 3)]
         sub, ref = h.touching(keep), touching_reference(h, keep)
         assert sub == ref
-        assert sub.closure(keep) == h.closure(keep)
+        assert flood_closure(sub, keep) == flood_closure(h, keep)
         for v in ref.vertices:
             assert sub.incident_edges(v) == ref.incident_edges(v)
 
@@ -209,6 +267,21 @@ def test_s_components_star():
         assert len(comps) == 1
         assert comps[0].core == frozenset({"z"})
         assert comps[0].closure == frozenset(sh.hypergraph.vertices)
+
+
+def test_s_components_edgeless_vertex_keeps_its_place():
+    """A quantified vertex on no edge is a component with an empty closure,
+    ordered by its core like any other."""
+    from cqstar.hypergraph import SHypergraph
+
+    sh = SHypergraph(Hypergraph("axbc", [(0, "ab"), (1, "bc")]), frozenset("b"))
+    comps = s_components(sh)
+    assert [(c.core, c.closure) for c in comps] == [
+        (frozenset("a"), frozenset("ab")),
+        (frozenset("x"), frozenset()),
+        (frozenset("c"), frozenset("bc")),
+    ]
+    assert comps[1].s_vertices == frozenset()
 
 
 def test_s_components_empty_when_s_is_everything(tri):

@@ -7,7 +7,7 @@ bags are guarded by ``guarded`` before a count or star size reads them.
 reports every violation. The hinge, GHD and tree constructors verify their
 own output. A decomposition from outside is verified, kind included, where
 it enters: by ``ensure_valid`` in each public function that takes one. The
-trees that ``gyo_join_tree`` builds, and those derived from a verified one
+trees that ``_join_tree`` builds, and those derived from a verified one
 (``guarded``, ``induced_decomposition`` on a connected set), are valid
 by construction and are not verified again at run time; the differentials
 in ``tests/`` verify every one. A valid decomposition's own tree is also a
@@ -26,9 +26,13 @@ and, when none is cyclic, is the tree. It builds no hypergraph; only the
 parts of a split and, after a split, the final bags are reduced again.
 
 There is one GYO reduction, ``_gyo``, over a plain list of sets: it gives
-each absorbed set's parent, or the state the kernel is read from.
-``gyo_join_tree`` wraps it to build a join tree or a ``NotAcyclic``; star
-size's ACYCLIC strategy reads the parents directly.
+each absorbed set's parent, or the state the kernel is read from. There
+is one join-tree builder, ``_join_tree``, over plain ``(id, set)`` pairs:
+one ``_gyo`` run, one node per pair under its parent. ``gyo_join_tree``
+calls it on a hypergraph's dedup edges and reads a ``NotAcyclic`` kernel
+off a cyclic run; the count pipeline calls it on each piece's edges and
+builds no hypergraph for the piece. Star size's ACYCLIC strategy reads
+``_gyo``'s parents directly.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, DecompositionInvalid, IdMismatch, InvariantViolation
 from .hypergraph import EdgeId, Hypergraph, VertexId, edge_classes, edge_sort_key, holding, pair_id
@@ -360,28 +364,29 @@ class NotAcyclic:
 
 def gyo_join_tree(h: Hypergraph) -> Union[Decomposition, NotAcyclic]:
     """GYO ear elimination; a width-1 decomposition over the dedup edges,
-    or the irreducible kernel when the hypergraph is cyclic.
-
-    ``_gyo`` does the reduction; node ``i`` is dedup edge ``i``, under its
-    parent there. The output is a join tree by construction and is not
-    verified here.
-    """
+    or the irreducible kernel when the hypergraph is cyclic. ``_join_tree``
+    builds the tree, which is not verified here."""
     dd = h.dedup_edges()
-    if not dd:
-        node = DecompNode(0, None, frozenset(), frozenset())
-        return Decomposition(DecompKind.JOINTREE, (node,))
-    sets = [fs for _, fs in dd]
-    parent, alive, holders = _gyo(sets)
+    jt, alive, holders = _join_tree(dd)
+    if jt is not None:
+        return jt
+    kernel_vertices = [v for v in h.vertices if len(holders.get(v, ())) > 1]
+    kernel_edges = [(dd[i][0], frozenset(v for v in dd[i][1] if len(holders[v]) > 1)) for i in alive]
+    return NotAcyclic(Hypergraph(kernel_vertices, kernel_edges))
+
+
+def _join_tree(edges: Sequence[tuple[EdgeId, frozenset]]) -> tuple[Optional[Decomposition], dict, dict]:
+    """The one join-tree builder, over distinct ``(id, set)`` pairs: node
+    ``i`` is pair ``i``, guarded by its id, under its parent from one
+    ``_gyo`` run; or None when the sets are cyclic. Also ``_gyo``'s alive
+    ordinals and holders, from which ``gyo_join_tree`` reads the kernel."""
+    if not edges:
+        return Decomposition(DecompKind.JOINTREE, (DecompNode(0, None, frozenset(), frozenset()),)), {}, {}
+    parent, alive, holders = _gyo([fs for _, fs in edges])
     if len(alive) > 1:
-        kernel_vertices = [v for v in h.vertices if len(holders.get(v, ())) > 1]
-        kernel_edges = [
-            (dd[i][0], frozenset(v for v in sets[i] if len(holders[v]) > 1)) for i in alive
-        ]
-        return NotAcyclic(Hypergraph(kernel_vertices, kernel_edges))
-    nodes = tuple(
-        DecompNode(i, parent.get(i), frozenset({eid}), fs) for i, (eid, fs) in enumerate(dd)
-    )
-    return Decomposition(DecompKind.JOINTREE, nodes)
+        return None, alive, holders
+    nodes = tuple(DecompNode(i, parent.get(i), frozenset({eid}), fs) for i, (eid, fs) in enumerate(edges))
+    return Decomposition(DecompKind.JOINTREE, nodes), alive, holders
 
 
 def _gyo(sets: list[frozenset]) -> tuple[dict[int, int], dict[int, None], dict[VertexId, dict[int, None]]]:

@@ -37,11 +37,15 @@ and else inside the one other component whose core it meets.
 instance: it materializes one relation per bag and counts along the
 decomposition's own tree. Each piece, a component's core piece or the
 rewritten instance, gets its own join tree when it is acyclic; the query's
-decomposition is restricted or rewritten only for the cyclic ones.
+decomposition is restricted or rewritten only for the cyclic ones. A
+piece's tree is one GYO run (``decomposition._join_tree``) over its
+distinct edges, read off the query's hypergraph by ordinal or, for the
+rewritten instance, off its relations' schemas: no hypergraph per piece.
 ``count_cq_via_ghd`` takes every kind and, once a tree decomposition is
 guarded, materializes and rewrites each the same way: a node joins its
 guard atoms, the atoms its weights name and those assigned to it, so a
-fractional bag is built from its weighted edges.
+fractional bag is built from its weighted edges. A node that is one atom
+over exactly its bag keeps that atom's relation, unprojected.
 
 Input is checked where it enters. ``Relation`` checks the width of every
 row and ``Structure`` the range of every value id; the operators build
@@ -86,13 +90,12 @@ from .decomposition import (
     Decomposition,
     DecompKind,
     DecompNode,
-    NotAcyclic,
     ensure_valid,
     induced_decomposition,
     verify,  # unused here, but bench/tracing.py wraps engine.verify
 )
 from .errors import BindError, InvariantViolation, TooLarge, UnknownVariable
-from .hypergraph import Atom, Hypergraph, Query, from_query, s_components
+from .hypergraph import Atom, Query, _first_ids, from_query, s_components
 
 BRUTE_MAX_ASSIGNMENTS = 2_000_000
 
@@ -341,21 +344,27 @@ def _bag_materialize(rels: Mapping[int, Relation], d: Decomposition) -> dict[int
     bag and the variables of the parts still to be joined: a variable
     outside the bag is dropped as soon as no later part holds it, so the
     last join keeps only the bag and no projection follows it. A part that
-    then adds no column is joined as a semijoin.
+    then adds no column is joined as a semijoin. A node whose one part is
+    one atom over exactly its bag, as most nodes of a piece's own join tree
+    are, keeps that atom's rows and column order under the bag's name, with
+    no projection.
     """
     vertices = list(dict.fromkeys(v for rel in rels.values() for v in rel.schema))
     order = d.topo_order()
     parts_of = {n.node_id: set(n.guard).union(n.weights or ()) for n in order}
     for i, rel in rels.items():
-        home = next((n for n in order if set(rel.schema) <= n.bag), None)
+        home = next((n for n in order if n.bag.issuperset(rel.schema)), None)
         if home is None:
             raise InvariantViolation(f"atom {i} is not covered by any bag")
         parts_of[home.node_id].add(i)
 
     out: dict[int, Relation] = {}
     for n in order:
-        bag_vars = [v for v in vertices if v in n.bag]
         parts = [rels[i] for i in sorted(parts_of[n.node_id])]
+        if len(parts) == 1 and len(parts[0].schema) == len(n.bag) and n.bag.issuperset(parts[0].schema):
+            out[n.node_id] = _relation(f"b{n.node_id}", parts[0].schema, parts[0].rows)
+            continue
+        bag_vars = [v for v in vertices if v in n.bag]
         if parts:
             if not set(bag_vars).issubset(chain.from_iterable(rel.schema for rel in parts)):
                 raise InvariantViolation(f"bag {bag_vars} not covered by joined atoms")
@@ -561,10 +570,8 @@ def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
     for idx, comp in enumerate(comps):
         final_rels.append(_component_relation(h, d, comp, atom_rels, stats, idx))
 
-    # numbered as ``from_query`` numbers a query: vertices in order of first
-    # appearance, and edge j over the schema of relation j
-    schemas = [rel.schema for rel in final_rels]
-    rewritten = Hypergraph(chain.from_iterable(schemas), enumerate(schemas))
+    # edge j over the schema of relation j, once per distinct set
+    rewritten = _first_ids((j, frozenset(rel.schema)) for j, rel in enumerate(final_rels))
     df, _ = _piece_decomposition(stats, rewritten, lambda: _rebuild_decomposition(h, d, comps, kept))
     count, sizes = count_acyclic_qf(dict(enumerate(final_rels)), df)
     stats["bag_sizes"].append(sizes)
@@ -575,13 +582,13 @@ def count_cq_via_ghd(inst: QueryInstance, d: Decomposition) -> CountResult:
 count_cq_via_fractional = count_cq_via_ghd  # an alias, kept only because bench/tracing.py wraps it
 
 
-def _piece_decomposition(stats: dict, piece, derive) -> tuple[Decomposition, bool]:
-    """The piece's own GYO join tree, or ``derive()`` from the query's
-    decomposition when the piece hypergraph is cyclic, and whether it is the
-    piece's own; its kind, width and source are appended to
-    ``stats["pieces"]``."""
-    d = dec.gyo_join_tree(piece)
-    own = not isinstance(d, NotAcyclic)
+def _piece_decomposition(stats: dict, edges, derive) -> tuple[Decomposition, bool]:
+    """The join tree of the piece's distinct ``(id, set)`` edges, from one
+    GYO run, or ``derive()`` from the query's decomposition when they are
+    cyclic, and whether it is the piece's own; its kind, width and source
+    are appended to ``stats["pieces"]``."""
+    d = dec._join_tree(edges)[0]
+    own = d is not None
     source = "own-jointree"
     if not own:
         source, d = "restricted", derive()
@@ -601,7 +608,8 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     atom is a kept atom of the rewritten query, and any other meets exactly
     one other core, so it lies inside that component's relation.
 
-    An acyclic core piece gets its own join tree. A cyclic one gets the
+    An acyclic core piece gets its own join tree over its edges, read off
+    ``h`` by ordinal (each atom's edge id). A cyclic one gets the
     subtree of the verified ``d`` that meets the closure, so its
     ``bag_sizes`` list only that subtree; that subtree's guards may name a
     boundary-only edge, so it joins every edge of the closure, each cut
@@ -611,10 +619,11 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     ``cover_sizes``, and both name the original edge ids, which key the
     relations."""
     scope = comp.closure
-    piece = h.touching(comp.core)
+    ordinals = sorted(h._meeting(comp.core))
+    piece = _first_ids(map(h.edges.__getitem__, ordinals))
     di, own = _piece_decomposition(stats, piece, lambda: induced_decomposition(h, d, scope))
     if own:
-        sub_rels = {o: atom_rels[o] for o in piece.edge_ids()}
+        sub_rels = {o: atom_rels[o] for o in ordinals}
     else:
         sub_rels = {}
         for o in h.meeting_edge_ids(scope):

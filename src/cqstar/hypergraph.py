@@ -218,24 +218,6 @@ class Hypergraph:
         ``vs``, in declared order."""
         return tuple(self.edges[o][0] for o in sorted(self._meeting(vs)))
 
-    def touching(self, vs: Iterable[VertexId]) -> "Hypergraph":
-        """The partial hypergraph of the edges that hold a vertex of ``vs``,
-        each whole, under its own id, in declared order, on their union. Only
-        those edges are visited. Its edges are this one's, so they are not
-        checked again, and its incidence is this one's, renumbered, less the
-        edges it drops.
-        """
-        ordinals = sorted(self._meeting(vs))
-        renumber = {o: i for i, o in enumerate(ordinals)}
-        vertices = self.sort_vertices(frozenset().union(*(self.edges[o][1] for o in ordinals)))
-        sub = object.__new__(Hypergraph)
-        sub._index(
-            vertices,
-            tuple(self.edges[o] for o in ordinals),
-            {v: tuple(renumber[o] for o in self._incidence[v] if o in renumber) for v in vertices},
-        )
-        return sub
-
 
 def _first_ids(edges: Iterable[tuple[EdgeId, frozenset[VertexId]]]) -> tuple[tuple[EdgeId, frozenset[VertexId]], ...]:
     """One (first id, set) per distinct set of ``edges``, in order of first appearance."""

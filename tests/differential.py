@@ -32,7 +32,15 @@ rewritten query along too: the rewritten query's own join tree, or, when
 that query is cyclic, the decomposition's rewrite
 (``engine._rebuild_decomposition``). The differential verifies every one
 of them, along every decomposition it counts along, with
-``oracles.tree_fault``; a faulty tree is a mismatch too. Along each
+``oracles.tree_fault``; a faulty tree is a mismatch too. Those trees are
+rebuilt here by the reference route, so the differential also records the
+trees that ``engine._bag_materialize`` is called with while
+``count_cq_via_ghd`` counts, one per piece, verifies each of them with
+``oracles.tree_fault`` against its piece, and requires each to equal the
+reference route's tree node for node, in kind, ids, parents, guards, bags
+and weights (``used/<form>/<label>``): an own piece's tree must be
+``gyo_join_tree`` of the piece that ``oracles.touching_reference`` builds,
+though the pipeline builds no hypergraph for it. Along each
 decomposition it also checks the paper's bound (``bound/<label>``): each
 component's boundary relation holds at most the product, over the edge
 cover of the counted piece's bags, of each bag relation projected onto its
@@ -83,6 +91,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 
+from cqstar import engine
 from cqstar.decomposition import (
     DecompKind,
     DecompNode,
@@ -373,19 +382,47 @@ def rewritten_piece(inst: QueryInstance, d: Decomposition) -> tuple:
     return "own-jointree", rewritten, own
 
 
+def piece_trees(inst: QueryInstance, d: Decomposition) -> list:
+    """(name, hypergraph, tree) for each piece the pipeline counts along
+    ``d``, in the order it counts them: each S-component's counted piece,
+    then the rewritten query, each with the tree the reference route gives."""
+    out = [(f"component {idx} {source}", piece, di) for idx, (_, source, piece, di) in enumerate(counted_pieces(inst, d))]
+    source, rewritten, tree = rewritten_piece(inst, d)
+    return out + [(f"rewritten {source}", rewritten, tree)]
+
+
+def count_recording(inst: QueryInstance, d: Decomposition) -> tuple:
+    """The outcome of ``count_cq_via_ghd(inst, d)``, and the trees it calls
+    ``engine._bag_materialize`` with, in call order."""
+    used = []
+
+    def recording(rels, tree):
+        used.append(tree)
+        return _bag_materialize(rels, tree)
+
+    engine._bag_materialize = recording
+    try:
+        return outcome(lambda: count_cq_via_ghd(inst, d)), used
+    finally:
+        engine._bag_materialize = _bag_materialize
+
+
+def node_table(d: Decomposition) -> tuple:
+    """``d``'s kind and each node's id, parent, guard, bag and weights, in node order."""
+    return d.kind, [(n.node_id, n.parent, n.guard, n.bag, n.weights) for n in d.nodes]
+
+
 def derived_trees(inst: QueryInstance, d: Decomposition) -> list:
     """(name, hypergraph, tree) for every tree the pipeline derives from ``d``
     and trusts: per S-component, the tree its counted piece is counted
     along, and that tree as a join tree of its bags, along which the
     pipeline walks its cover (``oracles.jointree_over_bags``); then the
     tree the rewritten query is counted along."""
+    *components, rewritten = piece_trees(inst, d)
     out = []
-    for idx, (_, source, piece, di) in enumerate(counted_pieces(inst, d)):
-        out.append((f"component {idx} {source}", piece, di))
-        out.append((f"component {idx} bags", blocks_hypergraph(piece, di), jointree_over_bags(di)))
-    source, rewritten, tree = rewritten_piece(inst, d)
-    out.append((f"rewritten {source}", rewritten, tree))
-    return out
+    for idx, (name, piece, di) in enumerate(components):
+        out += [(name, piece, di), (f"component {idx} bags", blocks_hypergraph(piece, di), jointree_over_bags(di))]
+    return out + [rewritten]
 
 
 def bound_excesses(inst: QueryInstance, d: Decomposition) -> tuple[list, list[int]]:
@@ -474,7 +511,8 @@ def check_case(case: Case, tally: differential_runner.Tally) -> None:
     """Each count against ``count_brute``, each node relation against the
     reference, the ``stats`` along each decomposition against those along
     its integralization, the bound and the cover sizes against the reference
-    cover; every guarded and every derived tree verified."""
+    cover, the trees the count materialized against the reference route's;
+    every guarded, every derived and every materialized tree verified."""
     tally.describe = lambda: _describe(case)
     expected = count_brute(case.inst).count
     tally.compare("full-join", outcome(lambda: count_by_full_join(case.inst)), expected)
@@ -490,9 +528,14 @@ def check_case(case: Case, tally: differential_runner.Tally) -> None:
             built = guarded(h, along)
             want = {n: (rel.schema, rel.rows) for n, rel in bag_relations_reference(_bind(case.inst), built).items()}
             tally.compare(f"bags/{form}/{label}", outcome(lambda: bag_relations(case.inst, built)), want)
-            result = results[form] = outcome(lambda: count_cq_via_ghd(case.inst, along))
+            result, used = count_recording(case.inst, along)
+            results[form] = result
             tally.compare(f"{form}/{label}", result if isinstance(result, str) else result.count, expected)
             tally.verify_trees(f"{form}/{label}", lambda: derived_trees(case.inst, built))
+            if not isinstance(result, str):
+                reference = piece_trees(case.inst, built)
+                tally.compare(f"used/{form}/{label}", list(map(node_table, used)), [node_table(t) for *_, t in reference])
+                tally.verify_trees(f"used/{form}/{label}", lambda: [(name, hg, t) for (name, hg, _), t in zip(reference, used)])
         bound = outcome(lambda: bound_excesses(case.inst, read))
         excesses, covers = bound if isinstance(bound, tuple) else (bound, bound)
         tally.compare(f"bound/{label}", excesses, [])

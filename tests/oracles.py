@@ -142,8 +142,9 @@ def closure_reference(h: Hypergraph, vs: Iterable[VertexId]) -> frozenset:
 
 def touching_reference(h: Hypergraph, vs: Iterable[VertexId]) -> Hypergraph:
     """Every edge that meets ``vs``, whole, by one scan of all edges in
-    declared order, on the union of those edges. The oracle for
-    ``Hypergraph.touching``."""
+    declared order, on the union of those edges. The oracle for the core
+    pieces that the count pipeline reads off the query's hypergraph by
+    edge ordinal, with no hypergraph of their own."""
     keep = set(vs)
     for v in keep:
         if not h.has_vertex(v):

@@ -1,8 +1,9 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from cqstar import engine
+from cqstar import decomposition as dec, engine
 from cqstar.decomposition import (
     DecompKind,
     DecompNode,
@@ -34,7 +35,7 @@ from cqstar.errors import (
     UnknownVariable,
 )
 from cqstar.generators import SimpleGraph, SplitMix64, gen_clique_star_instance, gen_random_instance
-from cqstar.hypergraph import Atom, Query, from_query, s_components
+from cqstar.hypergraph import Atom, Hypergraph, Query, from_query, s_components
 from cqstar.parser import parse_facts, parse_query
 
 from oracles import (
@@ -44,6 +45,7 @@ from oracles import (
     natural_join_onto_reference,
     natural_join_reference,
     project_reference,
+    touching_reference,
 )
 
 
@@ -635,6 +637,53 @@ def test_pieces_adjacent_free_cycle_leaves_out_the_boundary_only_edge():
     assert max(max(sizes) for sizes in result.stats["bag_sizes"]) <= largest
 
 
+def test_pieces_build_no_hypergraph_and_run_gyo_once_each(monkeypatch):
+    """With free x0 and x3, each of the 6-cycle's two path components and
+    the rewritten query is reduced by one GYO run over edges read off the
+    query's own hypergraph, the one ``Hypergraph`` the count builds. With
+    free x0 alone the core piece is the whole cycle: its one run finds it
+    cyclic, and no kernel hypergraph is built."""
+    calls = Counter()
+
+    def counting(name, call):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    for free, sources in ((("x0", "x3"), ["own-jointree"] * 3), (("x0",), ["restricted", "own-jointree"])):
+        inst = cycle_instance(6, free)
+        hinge = hinge_decompose(from_query(inst.query).hypergraph)
+        expected = count_brute(inst).count
+        calls.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(dec, "_gyo", counting("_gyo", dec._gyo))
+            patched.setattr(Hypergraph, "_index", counting("Hypergraph", Hypergraph._index))
+            result = count_cq_via_ghd(inst, hinge)
+        assert result.count == expected
+        assert [p["source"] for p in result.stats["pieces"]] == sources
+        assert calls == {"Hypergraph": 1, "_gyo": len(sources)}
+
+
+def test_single_atom_bag_keeps_the_atom_relation(monkeypatch):
+    """A node whose one part is one atom over exactly its bag keeps that
+    atom's rows and column order under the bag's name, with no join and no
+    projection: ``S(c, b)`` keeps ``(c, b)``, though ``b`` comes first in
+    the query."""
+    e = [(0, 1), (1, 1), (2, 0)]
+    inst = instance(("a", "c"), [Atom("R", ("a", "b")), Atom("S", ("c", "b"))],
+                    structure("xyz", rel("R", ("c0", "c1"), e), rel("S", ("c0", "c1"), e[1:])))
+    jt = gyo_join_tree(from_query(inst.query).hypergraph)
+    rels = engine._bind(inst)
+    monkeypatch.setattr(engine, "project", None)
+    monkeypatch.setattr(engine, "natural_join", None)
+    bags = engine._bag_materialize(rels, jt)
+    assert {n: (r.name, r.schema, r.rows) for n, r in bags.items()} == {
+        0: ("b0", ("a", "b"), rels[0].rows),
+        1: ("b1", ("c", "b"), rels[1].rows),
+    }
+
+
 def test_count_acyclic_qf_disconnected():
     s = structure(
         ("a", "b", "c"),
@@ -789,11 +838,12 @@ def _star_instance(text: str, fixed) -> QueryInstance:
 def _component_routes(inst: QueryInstance) -> tuple:
     """For the one S-component of ``inst``, its bags along its core piece's
     own join tree, as the pipeline builds them: their star key, the
-    relation ``_join_project`` builds, and the Yannakakis route's."""
+    relation ``_join_project`` builds, and the Yannakakis route's. The core
+    piece is ``oracles.touching_reference``'s."""
     sh = from_query(inst.query)
     h = sh.hypergraph
     (comp,) = s_components(sh)
-    piece = h.touching(comp.core)
+    piece = touching_reference(h, comp.core)
     jt = gyo_join_tree(piece)
     rels = engine._bind(inst)
     bags = engine._bag_materialize({e: rels[e] for e in piece.edge_ids()}, jt)

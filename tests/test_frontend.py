@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import cqstar
+from cqstar import engine
 from cqstar.cli import run_cli
 from cqstar.decomposition import DecompKind, ghd_search, gyo_join_tree, hinge_decompose
 from cqstar.engine import QueryInstance, count_brute
+from cqstar.errors import InvariantViolation
 from cqstar.generators import gen_g_star
 from cqstar.hypergraph import from_query
 from cqstar.parser import (
@@ -895,3 +897,44 @@ def test_cli_runs_as_its_own_process(workdir):
     done = cqstar_cli()
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_cli_count_json_does_not_depend_on_string_hashing(workdir):
+    """Each piece's join tree comes from one GYO run over frozensets of
+    string variables, whose iteration order moves with ``PYTHONHASHSEED``:
+    ``count --json`` on 6- and 8-cycles with two and three spaced free
+    variables prints the same bytes under two fixed hash seeds."""
+    (workdir / "e.facts").write_text("".join(f"E({u}, {v}).\n" for u in range(4) for v in range(4) if (u + 2 * v) % 3))
+    queries = []
+    for n in (6, 8):
+        for k in (2, 3):
+            free = ", ".join(f"x{i * n // k}" for i in range(k))
+            body = ", ".join(f"E(x{i}, x{(i + 1) % n})" for i in range(n))
+            (workdir / f"c{n}_{k}.cq").write_text(f"ans({free}) :- {body}.\n")
+            queries.append(f"c{n}_{k}.cq")
+    src = str(Path(cqstar.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [
+            subprocess.run([sys.executable, "-m", "cqstar.cli", "count", "-q", q, "-d", "e.facts", "--json"],
+                           cwd=workdir, env=env, capture_output=True)
+            for q in queries
+        ]
+        assert [(done.returncode, done.stderr) for done in runs] == [(0, b"")] * len(queries)
+        outputs.append([done.stdout for done in runs])
+    assert outputs[0] == outputs[1]
+    # two spaced free variables leave every piece acyclic; three rewrite to a triangle
+    sources = [[p["source"] for p in json.loads(out)["stats"]["pieces"]] for out in outputs[0]]
+    assert [sorted(set(s)) for s in sources] == [["own-jointree"], ["own-jointree", "restricted"]] * 2
+
+
+def test_cli_invariant_violation_is_one_line_and_exit_3(workdir, capsys, monkeypatch):
+    """An ``InvariantViolation`` raised inside ``count`` is a bug, not bad
+    input: it ends in one ``internal invariant violated:`` line and exit 3."""
+    def broken(rels, d):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(engine, "count_acyclic_qf", broken)
+    assert run_cli(["count", "-q", str(workdir / "q.cq"), "-d", str(workdir / "d.facts")]) == 3
+    assert capsys.readouterr() == ("", "internal invariant violated: planted\n")

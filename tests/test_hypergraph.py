@@ -8,7 +8,7 @@ from cqstar.hypergraph import Atom, Hypergraph, Query, edge_classes, from_query,
 from cqstar.starsize import ISMethod, s_star_size
 
 from hypergraph_differential import flood_closure, flood_components
-from oracles import components_union_find, primal_graph, touching_reference
+from oracles import components_union_find, primal_graph
 
 
 def test_from_query_ex1(ex1):
@@ -177,32 +177,6 @@ def test_hypergraph_equality_hash_and_repr(path3):
     twin = Hypergraph("abcd", [("ab", "ab"), ("bc", "bc"), ("cd", "cd")])
     assert twin == path3 and hash(twin) == hash(path3)
     assert repr(path3) == "Hypergraph(4 vertices, 3 edges)"
-
-
-def test_touching_keeps_each_edge_meeting_the_set_whole(path3):
-    sub = path3.touching({"b"})
-    assert sub.vertices == ("a", "b", "c")
-    assert sub.edges == (("ab", frozenset("ab")), ("bc", frozenset("bc")))
-    # c's incidence loses the dropped edge cd
-    assert sub.incident_edges("c") == ("bc",)
-    assert path3.touching(set()) == Hypergraph(())
-    with pytest.raises(UnknownVertex):
-        path3.touching({"a", "z"})
-
-
-def test_touching_matches_the_reference_on_random_inputs():
-    rng = SplitMix64(2026)
-    for _ in range(200):
-        inst = gen_random_instance(
-            variables=1 + rng.below(7), atoms=1 + rng.below(6), max_arity=3, domain=2, seed=rng.next_u64()
-        )
-        h = from_query(inst.query).hypergraph
-        keep = [v for v in h.vertices if rng.chance(1, 3)]
-        sub, ref = h.touching(keep), touching_reference(h, keep)
-        assert sub == ref
-        assert flood_closure(sub, keep) == flood_closure(h, keep)
-        for v in ref.vertices:
-            assert sub.incident_edges(v) == ref.incident_edges(v)
 
 
 def test_s_components_ex1(ex1):

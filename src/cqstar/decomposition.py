@@ -8,19 +8,23 @@ reports every violation. The hinge, GHD and tree constructors verify their
 own output. A decomposition from outside is verified, kind included, where
 it enters: by ``ensure_valid`` in each public function that takes one. The
 trees that ``_join_tree`` builds, and those derived from a verified one
-(``guarded``, ``induced_decomposition`` on a connected set), are valid
-by construction and are not verified again at run time; the differentials
+(``guarded``, the subtree that meets a connected set), are valid by
+construction and are not verified again at run time; the differentials
 in ``tests/`` verify every one. A valid decomposition's own tree is also a
 join tree of the hypergraph of its bags, and the cover greedy behind
-cover sizes and APPROX walks it as one (``starsize._bag_cover``).
+cover sizes and APPROX walks it, or a subtree of it, as one
+(``starsize._bag_cover``).
 
 Structural work is done once per value. A decomposition keeps the last
 report of ``verify`` with its hypergraph, so checking it again against the
 same or an equal hypergraph is free, and an index from each vertex to the
-nodes that hold it, which ``verify``'s cover pass and
-``induced_decomposition`` share: restricting one decomposition to each
-S-component in turn looks up the component's vertices rather than scanning
-every node. ``hinge_decompose`` runs GYO once over the guards' bags as
+nodes that hold it, which ``verify``'s cover pass and the one restriction,
+``subtree_nodes``, share: the nodes whose bags meet an S-component's
+closure are looked up from its vertices rather than by scanning every
+node. Star size walks those nodes uncut, in place, and builds no
+``Decomposition`` per component; ``induced_decomposition`` cuts the same
+nodes to the closure for the count pipeline's cyclic pieces.
+``hinge_decompose`` runs GYO once over the guards' bags as
 they would be if every block were acyclic: that run classifies the blocks
 and, when none is cyclic, is the tree. It builds no hypergraph; only the
 parts of a split and, after a split, the final bags are reduced again.
@@ -773,21 +777,36 @@ def _elimination_tree(h: Hypergraph, order: list[VertexId]) -> Decomposition:
 # -- derived decompositions ---------------------------------------------------
 
 
-def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -> Decomposition:
-    """The nodes whose bags meet ``vs``, with bags, guards and weights cut to
-    ``vs``, in their order in ``d``; a kept node whose parent was dropped
-    becomes the root. The kept nodes are looked up per vertex of ``vs`` in
+def subtree_nodes(d: Decomposition, vs: Iterable[VertexId], rank: Sequence[int]) -> list[DecompNode]:
+    """The nodes of ``d`` whose bags meet ``vs``, ordered by the ``rank`` of
+    their positions in ``d.nodes``: the one restriction, shared by star size
+    and ``induced_decomposition``. They are looked up per vertex of ``vs`` in
     ``d.holders()``, which is built once per ``d``, so restricting ``d`` to
     each S-component's closure in turn does not scan every node each time.
 
     For a valid d and a ``vs`` connected in h (as a component closure is),
-    the kept nodes are one subtree, and it decomposes ``h.induced(vs)`` no
-    wider than d. Other input, an empty ``vs`` too, raises
-    DecompositionInvalid for zero or several roots.
+    they are one subtree: exactly one of them has its parent outside them,
+    its root. Anything else, an empty ``vs`` too, raises
+    DecompositionInvalid. Ranked by place in ``d.topo_order()``, the root
+    comes first and every parent before its children.
     """
-    keep = frozenset(vs)
     held = d.holders()
-    kept = [d.nodes[i] for i in sorted({i for v in keep for i in held.get(v, ())})]
+    nodes = d.nodes
+    kept = [nodes[i] for i in sorted({i for v in vs for i in held.get(v, ())}, key=rank.__getitem__)]
+    ids = {n.node_id for n in kept}
+    roots = sum(n.parent not in ids for n in kept)
+    if roots != 1:
+        raise DecompositionInvalid(f"expected exactly one root, found {roots}")
+    return kept
+
+
+def induced_decomposition(h: Hypergraph, d: Decomposition, vs: Iterable[VertexId]) -> Decomposition:
+    """The ``subtree_nodes`` of ``vs``, with bags, guards and weights cut to
+    ``vs``, in their order in ``d``; the kept node whose parent was dropped
+    becomes the root. For a valid d and a ``vs`` connected in h, it
+    decomposes ``h.induced(vs)`` no wider than d."""
+    keep = frozenset(vs)
+    kept = subtree_nodes(d, keep, range(len(d.nodes)))
     ids = {n.node_id for n in kept}
     nodes = []
     for n in kept:

@@ -634,7 +634,7 @@ def _component_relation(h, d, comp, atom_rels, stats, idx) -> Relation:
     sizes = [len(bags[n.node_id]) for n in di.topo_order()]
     stats["bag_sizes"].append(sizes)
     # the edge-cover size is the paper's bound on the boundary relation
-    _, cover = starsize._bag_cover(di, comp.s_vertices, h.vertex_index)
+    _, cover = starsize._bag_cover(di.topo_order(), comp.s_vertices, h.vertex_index)
     stats["cover_sizes"].append(len(cover))
 
     s_schema = tuple(v for v in h.vertices if v in comp.s_vertices)

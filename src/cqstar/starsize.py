@@ -17,21 +17,29 @@ which for ACYCLIC is a maximum set but not always that one.
 There is one greedy, ``_cover_greedy``, fed a deepest-first walk of a
 join tree. ``acyclic_is_and_cover`` feeds it a width-1 join tree.
 APPROX and the count pipeline's cover sizes feed it a decomposition's own
-tree, each nonempty bag an edge (``_bag_cover``), building no hypergraph
-of the bags and no second tree. Star size's ACYCLIC strategy feeds it
-plain lists: each S-component's edges cut to its closure
-(``Hypergraph.induced_dedup_edges``), their parents from the GYO
-reduction that ``gyo_join_tree`` also runs (``decomposition._gyo``), and
-the walk a join tree of them would take; no induced hypergraph, tree or
-node is built per component.
+tree, or a subtree of it, each nonempty bag an edge (``_bag_cover``),
+building no hypergraph of the bags and no second tree. Star size's
+ACYCLIC strategy feeds it plain lists: each S-component's edges cut to
+its closure (``Hypergraph.induced_dedup_edges``), their parents from the
+GYO reduction that ``gyo_join_tree`` also runs (``decomposition._gyo``),
+and the walk a join tree of them would take; no induced hypergraph, tree
+or node is built per component.
 
-GHD_DP, HINGE_FPT and APPROX build no induced hypergraph either: star size
-runs each on the whole hypergraph, along the decomposition restricted to a
-component's closure, with the component's S-vertices as candidates. They
-read the hypergraph only through conflicts, vertex order, incidence and
-which edges hold a closure vertex, and on the closure each of these is
-what the induced hypergraph gives, so the witness is the same. GHD_DP's
-conflict adjacency is built once per call, not once per component.
+GHD_DP, HINGE_FPT and APPROX build no induced hypergraph, tree or node
+per component either. Each worker walks a subtree of a decomposition
+verified once, given as its nodes uncut, every parent before its children
+and the subtree's root first (the root reads an empty parent bag). Star
+size runs each on the whole hypergraph, along the nodes whose bags meet a
+component's closure (``decomposition.subtree_nodes``), with the
+component's S-vertices as candidates. Every read is cut to the
+candidates, which lie in the closure, and the hypergraph is read only
+through conflicts, vertex order, incidence and which edges hold a
+candidate, each of which on the closure is what the induced hypergraph
+gives, so the witness is the one along the restricted decomposition. The
+DP limits count a node's guard uncut: independent candidates of a bag lie
+in distinct guard edges that meet the closure, so no more of them fit
+than the cut guard allows. GHD_DP's conflict adjacency is built once per
+call, not once per component.
 """
 
 from __future__ import annotations
@@ -39,16 +47,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .decomposition import (
+    DecompNode,
     Decomposition,
     DecompKind,
     _gyo,
     ensure_valid,
     guarded,
     gyo_join_tree,  # unused here, but bench/tracing.py wraps starsize.gyo_join_tree
-    induced_decomposition,
+    subtree_nodes,
     verify,  # unused here, but bench/tracing.py wraps starsize.verify
 )
 from .errors import (
@@ -238,20 +247,22 @@ def _cover_greedy(walk: Iterable, cands: AbstractSet, rank) -> tuple[list, list[
     return chosen, cover
 
 
-def _bag_cover(d: Decomposition, cands: AbstractSet, rank) -> tuple[list, list[int]]:
-    """``_cover_greedy`` on the acyclic hypergraph of ``d``'s bags, each
-    nonempty bag an edge named by its node id, along ``d``'s own tree, a
-    join tree of it when ``d`` is valid. Every candidate must lie in a bag.
-    The certificate: no bag holds two chosen vertices, so the chosen set is
-    independent there and, as large as the cover, both are optimal. A bag
-    that holds two, as a tree that breaks running intersection can give,
-    raises InvariantViolation."""
-    bag_of = {n.node_id: n.bag for n in d.nodes}
-    bag_of[None] = frozenset()  # the root's parent
-    walk = (((n.node_id,), n.bag, bag_of[n.parent]) for n in d.post_order() if n.bag)
+def _bag_cover(nodes: Sequence[DecompNode], cands: AbstractSet, rank) -> tuple[list, list[int]]:
+    """``_cover_greedy`` on the acyclic hypergraph of a subtree's bags, each
+    nonempty bag an edge named by its node id, along the subtree itself, a
+    join tree of it when the decomposition is valid. ``nodes`` has every
+    parent before its children, the subtree's root first, whose parent's
+    bag reads as empty. Every candidate must lie in a bag. The certificate:
+    no bag holds two chosen vertices, so the chosen set is independent
+    there and, as large as the cover, both are optimal. A bag that holds
+    two, as a tree that breaks running intersection can give, raises
+    InvariantViolation."""
+    bag_of = {n.node_id: n.bag for n in nodes}
+    empty = frozenset()
+    walk = (((n.node_id,), n.bag, bag_of.get(n.parent, empty)) for n in reversed(nodes) if n.bag)
     chosen, cover = _cover_greedy(walk, cands, rank)
     picked = frozenset(chosen)
-    for n in d.nodes:
+    for n in nodes:
         if len(n.bag & picked) > 1:
             raise InvariantViolation(f"bag of node {n.node_id} holds two chosen vertices")
     return chosen, cover
@@ -283,48 +294,53 @@ def max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitnes
     decomposition is guarded first.
     """
     ensure_valid(h, d, _KINDS)
-    return _max_is_ghd_dp(h, guarded(h, d), restrict_to, h.conflict_adjacency())
+    return _max_is_ghd_dp(h, guarded(h, d).topo_order(), restrict_to, h.conflict_adjacency())
 
 
-def _max_is_ghd_dp(h: Hypergraph, d: Decomposition, restrict_to, adj) -> ISWitness:
-    """``max_is_ghd_dp`` along a decomposition valid by construction, given
-    ``h.conflict_adjacency()``."""
+def _max_is_ghd_dp(h: Hypergraph, nodes: Sequence[DecompNode], restrict_to, adj) -> ISWitness:
+    """``max_is_ghd_dp`` along a subtree of a decomposition valid by
+    construction, given as its nodes with every parent before its children,
+    and ``h.conflict_adjacency()``. Each node, once its table is made, hands
+    it to its parent; the root, first in ``nodes``, is made last.
+
+    A child's table has an entry for every independent set of its bag's
+    candidates no larger than its guard. The node's set cut to the child's
+    bag is one such set, as each of its vertices lies in its own guard edge
+    of the child's, so a missing entry is a fault of the decomposition and
+    raises InvariantViolation."""
     cands = _candidates(h, restrict_to)
     cand_set = set(cands)
     freebies = [v for v in cands if not h.incident_edges(v)]
 
     rank = partial(_rank, h)
-    tables: dict[int, dict[frozenset, frozenset]] = {}
-    children = d.children_map()
-    for node in d.post_order():
+    below: dict[int, list] = {}  # node id -> (id, bag, table) of each child made
+    for node in reversed(nodes):
         bag_cands = [v for v in h.sort_vertices(node.bag) if v in cand_set]
         limit = max(1, len(node.guard))
         table: dict[frozenset, frozenset] = {}
         child_indexes = []
-        for child in children[node.node_id]:
+        for child_id, child_bag, child_table in below.pop(node.node_id, ()):
             idx: dict[frozenset, frozenset] = {}
-            shared_scope = child.bag & node.bag
-            for sigma_c, best_c in tables[child.node_id].items():
+            shared_scope = child_bag & node.bag
+            for sigma_c, best_c in child_table.items():
                 key = sigma_c & shared_scope
                 if key not in idx or rank(best_c) < rank(idx[key]):
                     idx[key] = best_c
-            child_indexes.append((child, idx))
+            child_indexes.append((child_id, child_bag, idx))
         for sigma in _independent_subsets(adj, bag_cands, limit):
             acc = set(sigma)
-            ok = True
-            for child, idx in child_indexes:
-                key = sigma & child.bag
+            for child_id, child_bag, idx in child_indexes:
+                key = sigma & child_bag
                 sub = idx.get(key)
                 if sub is None:
-                    ok = False
-                    break
+                    raise InvariantViolation(
+                        f"node {child_id}'s table has no set for {sorted(key)} of its parent node {node.node_id}"
+                    )
                 acc |= sub
-            if ok:
-                table[sigma] = frozenset(acc)
-        tables[node.node_id] = table
+            table[sigma] = frozenset(acc)
+        below.setdefault(node.parent, []).append((node.node_id, node.bag, table))
 
-    root_table = tables[d.root().node_id]
-    best = min(root_table.values(), key=rank)
+    best = min(table.values(), key=rank)  # the root's table, made last
     return _checked_witness(h, set(best) | set(freebies), ISMethod.GHD_DP)
 
 
@@ -347,11 +363,13 @@ def max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWit
     if d.kind is not DecompKind.HINGE:
         raise NotHinge(f"expected hinge decomposition, got {d.kind.value}")
     ensure_valid(h, d, (DecompKind.HINGE,))
-    return _max_is_hinge_fpt(h, d, restrict_to)
+    return _max_is_hinge_fpt(h, d.topo_order(), restrict_to)
 
 
-def _max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
-    """``max_is_hinge_fpt`` along a hingetree valid by construction.
+def _max_is_hinge_fpt(h: Hypergraph, nodes: Sequence[DecompNode], restrict_to) -> ISWitness:
+    """``max_is_hinge_fpt`` along a subtree of a hingetree valid by
+    construction, given as its nodes with every parent before its children;
+    the root, first in ``nodes``, has no interface.
 
     An interface lies in one guard edge of its node and of its child, so
     the groups holding interface vertices conflict pairwise, and each child
@@ -361,15 +379,16 @@ def _max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness
     cands = _candidates(h, restrict_to)
     cand_set = set(cands)
     rank = partial(_rank, h)
-    bag_of = {n.node_id: n.bag for n in d.nodes}
-    children = d.children_map()
+    empty = frozenset()
+    bag_of = {n.node_id: n.bag for n in nodes}
+    below: dict[int, list[DecompNode]] = {}  # node id -> its children made
     best: dict[int, dict[Optional[VertexId], frozenset]] = {}  # node -> interface vertex or None -> set
-    for node in d.post_order():
-        interface = node.bag & bag_of[node.parent] if node.parent is not None else frozenset()
+    for node in reversed(nodes):
+        interface = node.bag & bag_of.get(node.parent, empty)
         groups: dict[frozenset, list[VertexId]] = {}  # guard edges holding a candidate -> the candidates
         for v in h.sort_vertices(node.bag & cand_set):
             groups.setdefault(frozenset(e for e in node.guard if v in h.edge_set(e)), []).append(v)
-        sigs, members, kids = list(groups), list(groups.values()), children[node.node_id]
+        sigs, members, kids = list(groups), list(groups.values()), below.pop(node.node_id, [])
         hangs = [[c for c in kids if not c.bag.isdisjoint(group)] for group in members]
         part = {  # a candidate with the best sets of the children hanging on its group
             u: frozenset({u}).union(*(best[c.node_id][u if u in c.bag else None] for c in hang))
@@ -388,7 +407,8 @@ def _max_is_hinge_fpt(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness
                     if None not in blocks:
                         found.setdefault(v, []).append(rest.union(*blocks))
         best[node.node_id] = {v: min(sets, key=rank) for v, sets in found.items()}
-    root_best = best[d.root().node_id][None]
+        below.setdefault(node.parent, []).append(node)
+    root_best = best[nodes[0].node_id][None]
     return _checked_witness(h, root_best | {v for v in cands if not h.incident_edges(v)}, ISMethod.HINGE_FPT)
 
 
@@ -398,21 +418,23 @@ def approx_is(h: Hypergraph, d: Decomposition, restrict_to=None) -> ISWitness:
     A tree decomposition is guarded first.
     """
     ensure_valid(h, d, _KINDS)
-    return _approx_is(h, guarded(h, d), restrict_to)
+    g = guarded(h, d)
+    return _approx_is(h, g.topo_order(), restrict_to, max(int(g.raw_width()), 1))
 
 
-def _approx_is(h: Hypergraph, d: Decomposition, restrict_to) -> ISWitness:
-    """``approx_is`` along a decomposition valid by construction, whose own
-    tree is then a join tree of its bags."""
+def _approx_is(h: Hypergraph, nodes: Sequence[DecompNode], restrict_to, bound: Optional[int] = None) -> ISWitness:
+    """``approx_is`` along a subtree of a decomposition valid by
+    construction, given as its nodes with every parent before its children,
+    which are then a join tree of their bags; ``bound`` is the witness's.
+    A candidate on an edge lies in a bag, and one on none in no bag (a bag
+    lies in its guard's edges), so the latter are the freebies."""
     cands = _candidates(h, restrict_to)
     freebies = [v for v in cands if not h.incident_edges(v)]
-    held = d.holders()
-    chosen, _ = _bag_cover(d, {v for v in cands if v in held}, h.vertex_index)
-    bound = max(int(d.raw_width()), 1)
+    chosen, _ = _bag_cover(nodes, set(cands).difference(freebies), h.vertex_index)
     return _checked_witness(h, set(chosen) | set(freebies), ISMethod.APPROX, bound=bound)
 
 
-# strategy -> its worker, on the whole hypergraph along a restriction of a
+# strategy -> its worker, on the whole hypergraph along a subtree of a
 # decomposition verified once
 _ALONG = {ISMethod.GHD_DP: _max_is_ghd_dp, ISMethod.HINGE_FPT: _max_is_hinge_fpt, ISMethod.APPROX: _approx_is}
 
@@ -426,9 +448,11 @@ def s_star_size(
 
     Decomposition-backed strategies verify the decomposition and its kind
     against h once, guard a tree decomposition, then run on h itself along
-    its subtree meeting each component closure, which is valid by
-    construction, so it is not verified again; no component's induced
-    hypergraph is built. ACYCLIC builds no tree: it runs GYO and the
+    its subtree meeting each component closure, walked in place: its nodes
+    uncut, ranked by their place in the decomposition's ``topo_order()``,
+    which is computed once per call. No component's induced hypergraph,
+    ``Decomposition`` or node is built, and the APPROX bound is not computed,
+    as a ``StarWitness`` has none. ACYCLIC builds no tree: it runs GYO and the
     greedy on each component's cut edges (``_acyclic_star``), and raises
     WidthNotOne for the first component that is cyclic. Only BRUTE, and
     the component of an edgeless quantified vertex, read
@@ -441,6 +465,8 @@ def s_star_size(
             raise ValueError(f"strategy {strategy.value} requires a decomposition")
         ensure_valid(h, decomposition, (DecompKind.HINGE,) if strategy is ISMethod.HINGE_FPT else _KINDS)
         decomposition = guarded(h, decomposition)
+        at = {n.node_id: r for r, n in enumerate(decomposition.topo_order())}
+        rank = [at[n.node_id] for n in decomposition.nodes]  # position in nodes -> place in topo_order()
         along = _ALONG[strategy]
         if strategy is ISMethod.GHD_DP:
             along = partial(along, adj=h.conflict_adjacency())
@@ -456,7 +482,7 @@ def s_star_size(
         elif not comp.closure:  # an edgeless quantified vertex: no S-vertex, no bag to restrict to
             w = max_is_brute(comp.induced, cands)
         else:
-            w = along(h, induced_decomposition(h, decomposition, comp.closure), cands)
+            w = along(h, subtree_nodes(decomposition, comp.closure, rank), cands)
         witnesses.append(StarWitness(w.size, idx, w.vertices, cover))
         best = max(best, w.size)
     return best, witnesses

@@ -9,12 +9,14 @@ S-component with a nonempty closure, each strategy that takes the
 decomposition (``max_is_ghd_dp`` and ``approx_is`` on all three,
 ``max_is_hinge_fpt`` on the hingetree) runs along ``induced_decomposition``'s
 subtree and along ``oracles.induced_reference``'s full-size copy, and the
-two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT
+two witnesses must be equal. Then ``s_star_size`` with GHD_DP and HINGE_FPT,
+which walk each component's subtree of the whole decomposition in place,
 must give BRUTE's witness for every component (each exact strategy returns
 the lexicographically smallest maximum set), and APPROX a size within a
 factor of the (guarded) decomposition's width of BRUTE's, and every
 witness that ``oracles.star_size_along_reference`` gives, which runs the
-worker on each component's induced hypergraph, not the whole one.
+worker on each component's induced hypergraph along its restricted
+decomposition, not the whole one.
 
 ``s_star_size`` with ACYCLIC, which runs GYO and the cover greedy on each
 component's cut edges as plain lists, must give what
@@ -30,6 +32,10 @@ APPROX walks for its cover greedy (``oracles.jointree_over_bags`` over
 ``oracles.blocks_hypergraph``). The differential verifies every one of them, and
 each acyclic component's own join tree, which the ACYCLIC reference
 walks, with ``oracles.tree_fault``; a faulty tree is a mismatch too.
+
+Every ``s_star_size`` outcome (its sizes, each witness's star and cover
+sorted, or the error) is folded into the run's digest, which the summary
+prints: a witness that moves with ``PYTHONHASHSEED`` changes it.
 
 The first mismatch of a run is shrunk: ``shrink`` drops edges one at a
 time while the comparison still mismatches, and the runner prints the
@@ -125,7 +131,7 @@ def check_case(sh: SHypergraph, decomps: list[tuple[str, Decomposition]], tally:
     h = sh.hypergraph
     tally.describe = lambda: _describe(sh)
     comps = s_components(sh)
-    brute = _stars(sh, ISMethod.BRUTE, None)
+    brute = _stars(tally, sh, ISMethod.BRUTE, None)
     sizes = [len(star) for star in brute]
     check_acyclic(sh, sizes, tally)
     for idx, comp in enumerate(comps):
@@ -150,15 +156,15 @@ def check_case(sh: SHypergraph, decomps: list[tuple[str, Decomposition]], tally:
                 want = _along(strategy, induced_reference, h, read, comp)
                 tally.compare(f"{label}/{name} component {idx}", got, want)
         for method in methods:
-            tally.compare(f"{label}/s_star_size {method.value}", outcome(lambda: _stars(sh, method, d)), brute)
+            tally.compare(f"{label}/s_star_size {method.value}", outcome(lambda: _stars(tally, sh, method, d)), brute)
         # APPROX is within the guarded decomposition's width of the maximum, per component
-        approx = outcome(lambda: [len(star) for star in _stars(sh, ISMethod.APPROX, d)])
+        approx = outcome(lambda: [len(star) for star in _stars(tally, sh, ISMethod.APPROX, d)])
         k = max(1, read.raw_width())
         within = isinstance(approx, list) and all(math.ceil(b / k) <= a <= b for a, b in zip(approx, sizes))
         tally.compare(f"{label}/s_star_size approx", approx, approx if within else f"within width {k} of {sizes}")
         tally.compare(
             f"{label}/s_star_size approx witness",
-            outcome(lambda: s_star_size(sh, ISMethod.APPROX, d)),
+            outcome(lambda: _star_size(tally, sh, ISMethod.APPROX, d)),
             outcome(lambda: star_size_along_reference(sh, ISMethod.APPROX, d)),
         )
 
@@ -169,7 +175,7 @@ def check_acyclic(sh: SHypergraph, sizes: list[int], tally: differential_runner.
     acyclic, each size must be BRUTE's (``sizes``), and each cover must
     have as many edges as its star and cover the component's S-vertices.
     ``tally.seen`` counts the acyclic and cyclic cases."""
-    got = outcome(lambda: s_star_size(sh, ISMethod.ACYCLIC))
+    got = outcome(lambda: _star_size(tally, sh, ISMethod.ACYCLIC))
     tally.compare("s_star_size acyclic", got, outcome(lambda: acyclic_star_reference(sh)))
     if isinstance(got, str):
         tally.seen["cyclic"] += 1
@@ -199,9 +205,23 @@ def _along(strategy, restrict, h: Hypergraph, d: Decomposition, comp: SComponent
     return outcome(lambda: strategy(comp.induced, restrict(h, d, comp.closure), comp.s_vertices))
 
 
-def _stars(sh: SHypergraph, method: ISMethod, d) -> list[list]:
+def _star_size(tally: differential_runner.Tally, sh: SHypergraph, method: ISMethod, d=None):
+    """``s_star_size(sh, method, d)``, its outcome folded into the digest."""
+    try:
+        size, witnesses = s_star_size(sh, method, d)
+    except Exception as exc:
+        tally.fold(f"{type(exc).__name__}: {exc}")  # as ``outcome`` gives it
+        raise
+    tally.fold((method.value, size, [
+        (w.size, w.component_index, sorted(w.star), None if w.cover_edges is None else sorted(w.cover_edges))
+        for w in witnesses
+    ]))
+    return size, witnesses
+
+
+def _stars(tally: differential_runner.Tally, sh: SHypergraph, method: ISMethod, d) -> list[list]:
     """Each component's witness, sorted."""
-    return [sorted(w.star) for w in s_star_size(sh, method, d)[1]]
+    return [sorted(w.star) for w in _star_size(tally, sh, method, d)[1]]
 
 
 def shrink(seed: int, key: str) -> str:

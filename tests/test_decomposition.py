@@ -24,6 +24,7 @@ from cqstar.decomposition import (
     gyo_join_tree,
     hinge_decompose,
     induced_decomposition,
+    subtree_nodes,
     tree_decompose,
     verify,
 )
@@ -546,6 +547,26 @@ def test_ghd_search_budget(tri):
         ghd_search(tri, 3, node_budget=0)
 
 
+def test_ghd_search_stops_at_the_branch_limit(monkeypatch):
+    """Past ``GHD_EXACT_EDGE_CUTOFF`` dedup edges each state tries at most
+    ``GHD_BRANCH_LIMIT`` guards. A 12-cycle has a width-2 GHD, which the
+    search finds at the default limit; with the limit at 1 the pruned
+    search stops with None. At every limit it returns None or a GHD that
+    verifies."""
+    h = _cycle(12)
+    assert len(h.dedup_edges()) > dec.GHD_EXACT_EDGE_CUTOFF
+    assert verify(h, ghd_search(h, 2)).width == 2
+    found = {}
+    for limit in (1, 4, 16, 64):
+        monkeypatch.setattr(dec, "GHD_BRANCH_LIMIT", limit)
+        d = ghd_search(h, 2)
+        found[limit] = d is not None
+        if d is not None:
+            report = verify(h, d)
+            assert report.ok and report.width <= 2
+    assert not found[1] and found[64]
+
+
 # -- tree decompositions ------------------------------------------------------
 
 
@@ -650,6 +671,33 @@ def test_induced_decomposition_identity_and_empty(ex1):
     assert induced_decomposition(h, d, set(h.vertices)) == d
     with pytest.raises(DecompositionInvalid, match="found 0"):
         induced_decomposition(h, d, set())
+
+
+def test_subtree_nodes_come_root_first_in_tree_order(ex1, path3):
+    """Ranked by their place in ``topo_order()``, the nodes that meet each
+    component closure are those ``induced_decomposition`` keeps, in its
+    tree's order: the subtree's root first, every parent before its
+    children. A set that meets no node, or two parts of the tree, raises."""
+    h = ex1.hypergraph
+    sizes = []
+    for d in (hinge_decompose(h), ghd_search(h, 3)):
+        at = {n.node_id: r for r, n in enumerate(d.topo_order())}
+        rank = [at[n.node_id] for n in d.nodes]
+        for comp in s_components(ex1):
+            kept = subtree_nodes(d, comp.closure, rank)
+            assert [n.node_id for n in kept] == [n.node_id for n in induced_decomposition(h, d, comp.closure).topo_order()]
+            sizes.append(len(kept))
+    assert max(sizes) > 2
+    chain = Decomposition(DecompKind.JOINTREE, (
+        DecompNode(0, None, frozenset({"ab"}), frozenset("ab")),
+        DecompNode(1, 0, frozenset({"bc"}), frozenset("bc")),
+        DecompNode(2, 1, frozenset({"cd"}), frozenset("cd")),
+    ))
+    assert verify(path3, chain).ok
+    assert [n.node_id for n in subtree_nodes(chain, "cd", range(3))] == [1, 2]
+    for vs, roots in (("", 0), ("ad", 2)):
+        with pytest.raises(DecompositionInvalid, match=f"found {roots}"):
+            subtree_nodes(chain, vs, range(3))
 
 
 def test_induced_decomposition_width_never_grows(ex1):

@@ -929,6 +929,38 @@ def test_cli_count_json_does_not_depend_on_string_hashing(workdir):
     assert [sorted(set(s)) for s in sources] == [["own-jointree"], ["own-jointree", "restricted"]] * 2
 
 
+def test_cli_starsize_json_does_not_depend_on_string_hashing(workdir):
+    """Star size walks each S-component's subtree of the decomposition by
+    the place of its nodes in the tree, looked up from frozensets of string
+    variables: ``starsize --json`` with ``--method ghd``, ``hinge`` and
+    ``approx`` on 6- and 8-cycles with two and three spaced free variables,
+    and on the running example, prints the same bytes under two fixed hash
+    seeds, along the default decomposition and along ``ghd_search``'s. One
+    process per hash seed runs every command."""
+    methods = ("ghd", "hinge", "approx", "ghd -k {k}", "approx -k {k}")
+    commands = [f"starsize -q ex1.cq --method {m.format(k=3)} --json" for m in methods]
+    for n in (6, 8):
+        for k in (2, 3):
+            free = ", ".join(f"x{i * n // k}" for i in range(k))
+            body = ", ".join(f"E(x{i}, x{(i + 1) % n})" for i in range(n))
+            (workdir / f"c{n}_{k}.cq").write_text(f"ans({free}) :- {body}.\n")
+            commands += [f"starsize -q c{n}_{k}.cq --method {m.format(k=2)} --json" for m in methods]
+    script = "import sys\nfrom cqstar.cli import run_cli\nsys.exit(max([run_cli(c.split()) for c in sys.argv[1:]]))"
+    src = str(Path(cqstar.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, *commands], cwd=workdir, env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    docs = [json.loads(line) for line in outputs[0].splitlines()]
+    # the running example has three components; k spaced free variables cut
+    # an n-cycle into k quantified paths
+    components = [3 for _ in methods] + [k for _ in (6, 8) for k in (2, 3) for _ in methods]
+    assert [doc["stats"]["components"] for doc in docs] == list(map(str, components))
+
+
 def test_cli_invariant_violation_is_one_line_and_exit_3(workdir, capsys, monkeypatch):
     """An ``InvariantViolation`` raised inside ``count`` is a bug, not bad
     input: it ends in one ``internal invariant violated:`` line and exit 3."""

@@ -36,6 +36,7 @@ from cqstar.starsize import (
     ISWitness,
     _bag_cover,
     _checked_witness,
+    _max_is_ghd_dp,
     acyclic_is_and_cover,
     approx_is,
     max_is_brute,
@@ -206,6 +207,19 @@ def test_ghd_dp_ex1_component(ex1):
     assert size == 4
 
 
+def test_ghd_dp_names_a_child_table_without_the_parents_set():
+    # node 1's guard misses b, so this tree fails verification; unverified,
+    # the child's table holds no set of two, and the parent's {a, b} is a
+    # fault of the tree, not a set to drop
+    h = Hypergraph("ab", [("ea", {"a"}), ("eb", {"b"})])
+    nodes = (
+        DecompNode(0, None, frozenset({"ea", "eb"}), frozenset("ab")),
+        DecompNode(1, 0, frozenset({"ea"}), frozenset("ab")),
+    )
+    with pytest.raises(InvariantViolation, match=r"node 1's table has no set for \['a', 'b'\] of its parent node 0"):
+        _max_is_ghd_dp(h, nodes, None, h.conflict_adjacency())
+
+
 def test_hinge_fpt_examples(path3):
     h = Hypergraph("abc", [("e", frozenset("abc"))])
     d = hinge_decompose(h)
@@ -306,7 +320,7 @@ def test_bag_cover_and_approx_match_the_bags_hypergraph_route():
         decomps += [d for d in (ghd_search(h, k) for k in (1, 2, 3)) if d is not None][:1]
         for d in decomps:
             in_bags = [v for v in h.vertices if v in d.holders() and rng.chance(3, 4)]
-            chosen, cover = _bag_cover(d, frozenset(in_bags), h.vertex_index)
+            chosen, cover = _bag_cover(d.topo_order(), frozenset(in_bags), h.vertex_index)
             want, want_cover = bag_cover_reference(h, d, in_bags)
             assert (frozenset(chosen), frozenset(cover)) == (want.vertices, want_cover)
             everything, _ = bag_cover_reference(h, d, [v for v in h.vertices if v in d.holders()])
@@ -324,7 +338,7 @@ def test_bag_cover_certificate_catches_a_broken_running_intersection():
         ),
     )
     with pytest.raises(InvariantViolation, match="holds two chosen vertices"):
-        _bag_cover(d, frozenset("abc"), "abc".index)
+        _bag_cover(d.topo_order(), frozenset("abc"), "abc".index)
 
 
 # -- star size ------------------------------------------------------------------
@@ -348,6 +362,31 @@ def test_star_size_on_the_whole_hypergraph_matches_the_induced_route():
         for method, d in runs:
             assert s_star_size(sh, method, d) == star_size_along_reference(sh, method, d)
 
+
+
+def test_star_size_builds_no_decomposition_per_component(ex1, monkeypatch):
+    """Each strategy that takes a decomposition walks the subtree of each
+    of ex1's three components in place: no ``Decomposition`` is built for a
+    hingetree or a GHD, and for a tree decomposition only ``guarded``'s."""
+    h = ex1.hypergraph
+    hinge, ghd, tree = hinge_decompose(h), ghd_search(h, 3), tree_decompose(h)
+    runs = [(ISMethod.GHD_DP, hinge, 0), (ISMethod.HINGE_FPT, hinge, 0), (ISMethod.APPROX, hinge, 0),
+            (ISMethod.GHD_DP, ghd, 0), (ISMethod.APPROX, ghd, 0),
+            (ISMethod.GHD_DP, tree, 1), (ISMethod.APPROX, tree, 1)]
+    want = [star_size_along_reference(ex1, method, d) for method, d, _ in runs]
+    assert [len(stars) for _, stars in want] == [3] * len(runs)
+    built = []
+    post_init = Decomposition.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Decomposition, "__post_init__", counted)
+    for (method, d, guards), expected in zip(runs, want):
+        built.clear()
+        assert s_star_size(ex1, method, d) == expected
+        assert len(built) == guards, (method, d.kind)
 
 
 def test_star_size_ex1_all_exact_strategies(ex1):

@@ -668,14 +668,11 @@ def _materialize_plan(plan: _Plan, parent: Optional[int], nodes: list, counter) 
 TREE_EXACT_VERTEX_CUTOFF = 12
 
 
-def _primal_adjacency(h: Hypergraph) -> dict[VertexId, set[VertexId]]:
-    return {v: set(s) for v, s in h.conflict_adjacency().items()}
+def _exact_elimination_order(vertices: Sequence[VertexId], adj: Mapping[VertexId, frozenset]) -> list[VertexId]:
+    """A minimum-width elimination order of the primal graph ``adj`` on
+    ``vertices``, by the subset DP over bitmasks.
 
-
-def _exact_elimination_order(h: Hypergraph) -> list[VertexId]:
-    """A minimum-width elimination order, by the subset DP over bitmasks.
-
-    Vertex i of ``h.vertices`` is bit i. cost[M] is the least width of an
+    Vertex i of ``vertices`` is bit i. cost[M] is the least width of an
     order that eliminates M first, and choice[M] the last vertex of M in it.
     Eliminated after M minus {v}, v has Q = the neighbours outside M of its
     component of G[M], so one flood of the components of G[M] gives Q for
@@ -683,13 +680,12 @@ def _exact_elimination_order(h: Hypergraph) -> list[VertexId]:
     Masks go up in numeric order, so each M minus {v} is done before M.
     Ties go to the lowest vertex index.
     """
-    vs = h.vertices
-    bit = {v: 1 << i for i, v in enumerate(vs)}
-    adj = {bit[v]: sum(map(bit.__getitem__, nbrs)) for v, nbrs in h.conflict_adjacency().items()}
-    full = (1 << len(vs)) - 1
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    adj = {bit[v]: sum(map(bit.__getitem__, nbrs)) for v, nbrs in adj.items()}
+    full = (1 << len(vertices)) - 1
     cost, choice = [-1] * (full + 1), [0] * (full + 1)
     for mask in range(1, full + 1):
-        best, best_low, rest = len(vs), 0, mask
+        best, best_low, rest = len(vertices), 0, mask
         while rest:  # one component of G[M] per pass, from its lowest bit
             comp = frontier = reach = rest & -rest  # reach: comp and its neighbours
             rest ^= comp
@@ -714,16 +710,20 @@ def _exact_elimination_order(h: Hypergraph) -> list[VertexId]:
         cost[mask], choice[mask] = best, best_low
     order, mask = [], full
     while mask:
-        order.append(vs[choice[mask].bit_length() - 1])
+        order.append(vertices[choice[mask].bit_length() - 1])
         mask ^= choice[mask]
     return order[::-1]
 
 
-def _min_fill_order(h: Hypergraph) -> list[VertexId]:
-    adj = _primal_adjacency(h)
-    index = {v: i for i, v in enumerate(h.vertices)}
+def _min_fill_order(vertices: Sequence[VertexId], adj: Mapping[VertexId, frozenset]) -> list[VertexId]:
+    """The min-fill elimination order of the primal graph ``adj`` on
+    ``vertices``: each step eliminates the vertex whose elimination adds the
+    fewest edges, found by a rescan of every remaining vertex, ties to the
+    lowest vertex index."""
+    adj = {v: set(s) for v, s in adj.items()}
+    index = {v: i for i, v in enumerate(vertices)}
     order = []
-    remaining = set(h.vertices)
+    remaining = set(vertices)
     while remaining:
         best_v, best_fill = None, None
         for v in sorted(remaining, key=index.__getitem__):
@@ -744,23 +744,60 @@ def _min_fill_order(h: Hypergraph) -> list[VertexId]:
     return order
 
 
+def _minor_min_width(vertices: Sequence[VertexId], adj: Mapping[VertexId, frozenset]) -> int:
+    """The minor-min-width lower bound on the treewidth of the primal graph
+    ``adj`` (Gogate and Dechter, UAI 2004): the most, over a sequence of
+    minors, of the least degree. Each step takes the vertex v of least
+    degree and contracts it into its neighbour of least degree (or deletes
+    it, if it has none); both choices break ties by vertex index, so the
+    bound does not depend on set order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = {v: set(adj[v]) for v in vertices}
+
+    def least(vs):
+        return min(vs, key=lambda u: (len(adj[u]), index[u]))
+
+    bound = 0
+    while adj:
+        v = least(adj)
+        nbrs = adj.pop(v)
+        bound = max(bound, len(nbrs))
+        if nbrs:
+            for u in nbrs:
+                adj[u].discard(v)
+            into = least(nbrs)
+            nbrs.discard(into)
+            adj[into] |= nbrs
+            for u in nbrs:
+                adj[u].add(into)
+    return bound
+
+
 def tree_decompose(h: Hypergraph) -> Decomposition:
-    """Tree decomposition of the primal graph via an elimination order: up to
-    ``TREE_EXACT_VERTEX_CUTOFF`` vertices the exact bitmask subset DP (one
-    component flood per vertex subset, ties to the lowest vertex index),
-    min-fill beyond. The width convention is max bag size minus one.
+    """Tree decomposition of the primal graph via an elimination order: the
+    min-fill order, unless h has at most ``TREE_EXACT_VERTEX_CUTOFF``
+    vertices and min-fill's width exceeds the minor-min-width bound; then the
+    exact bitmask subset DP (one component flood per vertex subset, ties to
+    the lowest vertex index). Min-fill's width never falls below the
+    treewidth and the bound never exceeds it, so up to the cutoff the tree
+    has minimum width either way. The width convention is max bag size minus
+    one.
     """
     if not h.vertices:
         return Decomposition(DecompKind.TREE, (DecompNode(0, None, frozenset(), frozenset()),))
-    exact = len(h.vertices) <= TREE_EXACT_VERTEX_CUTOFF
-    d = _elimination_tree(h, _exact_elimination_order(h) if exact else _min_fill_order(h))
+    vs, adj = h.vertices, h.conflict_adjacency()
+    d = _elimination_tree(adj, _min_fill_order(vs, adj))
+    width = max(len(n.bag) for n in d.nodes) - 1
+    if len(vs) <= TREE_EXACT_VERTEX_CUTOFF and width > _minor_min_width(vs, adj):
+        d = _elimination_tree(adj, _exact_elimination_order(vs, adj))
     return _checked(h, d, "tree_decompose")
 
 
-def _elimination_tree(h: Hypergraph, order: list[VertexId]) -> Decomposition:
-    """The tree that eliminating ``order`` gives: node i holds order[i] and its
-    neighbours left then, under the earliest of those (else the last node)."""
-    adj = _primal_adjacency(h)
+def _elimination_tree(adj: Mapping[VertexId, frozenset], order: list[VertexId]) -> Decomposition:
+    """The tree that eliminating ``order`` from the primal graph ``adj`` gives:
+    node i holds order[i] and its neighbours left then, under the earliest of
+    those (else the last node)."""
+    adj = {v: set(s) for v, s in adj.items()}
     position = {v: i for i, v in enumerate(order)}
     last = len(order) - 1
     nodes = []

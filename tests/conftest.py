@@ -25,6 +25,14 @@ EX1_TEXT = (
 )
 
 
+# A graph on v0..v11 where min-fill's width 5 misses the minor-min-width
+# bound 4, which is the treewidth: tree_decompose runs the exact DP on it.
+MISSED_BOUND_PAIRS = (
+    (0, 6), (0, 9), (0, 10), (1, 2), (1, 3), (1, 6), (1, 7), (2, 5), (3, 8), (3, 9),
+    (3, 10), (4, 5), (4, 10), (4, 11), (5, 8), (5, 10), (6, 8), (6, 9), (7, 9), (7, 11),
+)
+
+
 def ex1_query() -> Query:
     atoms = (
         Atom("P1", ("v1", "u1")),

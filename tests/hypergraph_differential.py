@@ -19,9 +19,14 @@ references in ``oracles``:
   ``holding`` cut at every vertex, against ``closure_reference``, one
   scan of every edge;
 - ``tree_decompose`` against the tree built from the elimination order of
+  ``min_fill_order_reference``, a copy of the full-rescan min-fill over its
+  own adjacency, when that order's width meets ``minor_min_width_reference``
+  or h has more than 12 vertices, and otherwise from the order of
   ``exact_elimination_order_reference``, the subset DP that searched once
-  per (subset, vertex) pair, so the bitmask DP keeps its order and its
-  tie-break;
+  per (subset, vertex) pair; ``_min_fill_order`` must give the reference's
+  order, ties included, and up to 12 vertices the tree's width must be the
+  exact order's and ``_minor_min_width`` the reference's bound. The summary
+  counts the trees past the bound;
 - ``hinge_decompose`` against ``min_hinge_width``, the exhaustive search
   over every split choice: the hingetree verifies, and no hingetree is
   narrower;
@@ -59,8 +64,11 @@ from __future__ import annotations
 import sys
 
 from cqstar.decomposition import (
+    TREE_EXACT_VERTEX_CUTOFF,
     Decomposition,
     _elimination_tree,
+    _min_fill_order,
+    _minor_min_width,
     ghd_search,
     hinge_decompose,
     tree_decompose,
@@ -75,11 +83,14 @@ from differential_runner import outcome, shuffle
 from oracles import (
     closure_reference,
     components_reference,
+    elimination_width_reference,
     exact_elimination_order_reference,
     hinge_reference,
     hypergraph_induced_reference,
     integralize,
+    min_fill_order_reference,
     min_hinge_width,
+    minor_min_width_reference,
     s_components_reference,
 )
 
@@ -238,11 +249,7 @@ def check_case(seed: int, sh: SHypergraph, tally: differential_runner.Tally) -> 
             want = components_reference(want)
         tally.compare(f"flood components({sorted(vs)})", outcome(lambda: flood_components(h, vs)), want)
     if h.vertices:
-        tally.compare(
-            "tree_decompose",
-            _canonical(outcome(lambda: tree_decompose(h))),
-            _canonical(outcome(lambda: _elimination_tree(h, exact_elimination_order_reference(h)))),
-        )
+        check_tree(h, tally)
     hinge = outcome(lambda: hinge_decompose(h))
     width = verify(h, hinge).width if isinstance(hinge, Decomposition) else hinge
     tally.compare("hinge_decompose width", width, min_hinge_width(h))
@@ -251,6 +258,32 @@ def check_case(seed: int, sh: SHypergraph, tally: differential_runner.Tally) -> 
     done = seed - tally.start + 1
     if tally.start == DEFAULT_SEED and done in PINNED:
         tally.compare(f"digest after {done} instances", digest, PINNED[done])
+
+
+def check_tree(h: Hypergraph, tally: differential_runner.Tally) -> None:
+    """``tree_decompose`` is the elimination tree of min-fill's order when h
+    has more than 12 vertices or that order's width meets the minor-min-width
+    bound, else of the exact order; up to 12 vertices its width is the exact
+    order's. ``_min_fill_order`` gives the full-rescan reference's order,
+    and ``_minor_min_width`` the reference's bound."""
+    adj = h.conflict_adjacency()
+    min_fill = min_fill_order_reference(h)
+    tally.compare("_min_fill_order", outcome(lambda: _min_fill_order(h.vertices, adj)), min_fill)
+    got = outcome(lambda: tree_decompose(h))
+    want = min_fill
+    if len(h.vertices) <= TREE_EXACT_VERTEX_CUTOFF:
+        exact = exact_elimination_order_reference(h)
+        tally.compare(
+            "tree_decompose width",
+            verify(h, got).width if isinstance(got, Decomposition) else got,
+            elimination_width_reference(h, exact),
+        )
+        bound = minor_min_width_reference(h)
+        tally.compare("_minor_min_width", outcome(lambda: _minor_min_width(h.vertices, adj)), bound)
+        if elimination_width_reference(h, min_fill) > bound:
+            tally.seen["trees past the bound"] += 1
+            want = exact
+    tally.compare("tree_decompose", _canonical(got), _canonical(outcome(lambda: _elimination_tree(adj, want))))
 
 
 def shrink(seed: int, key: str) -> str:

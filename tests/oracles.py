@@ -6,7 +6,10 @@ with the operations it checks. The exceptions keep superseded routes of
 the library instead, and say what they share: ``acyclic_star_reference``,
 ``star_size_along_reference``, the bags-hypergraph route of
 ``bag_cover_reference``, with its ``blocks_hypergraph`` and
-``jointree_over_bags``, and ``hinge_reference``.
+``jointree_over_bags``, and ``hinge_reference``. ``min_fill_order_reference``
+is a copy of the library's min-fill, a full rescan of every vertex at every
+step, over an adjacency of its own, so a faster min-fill must keep its order,
+ties included.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from cqstar.decomposition import (
     Violation,
     WidthReport,
     _checked,
-    _primal_adjacency,
     guarded,
     gyo_join_tree,
     induced_decomposition,
@@ -519,28 +521,87 @@ def hinge_reference(h: Hypergraph) -> Decomposition:
     return _checked(h, Decomposition(DecompKind.HINGE, nodes), "hinge_decompose")
 
 
+def primal_adjacency_reference(h: Hypergraph) -> dict:
+    """v -> the vertices sharing an edge of ``h.edges`` with v, v excluded."""
+    adj: dict = {v: set() for v in h.vertices}
+    for _, fs in h.edges:
+        for v in fs:
+            adj[v].update(fs - {v})
+    return adj
+
+
+def elimination_width_reference(h: Hypergraph, order: Sequence[VertexId]) -> int:
+    """The width of eliminating ``order``: the most neighbours a vertex has
+    left when it goes, -1 for no vertex."""
+    adj = primal_adjacency_reference(h)
+    width = -1
+    for v in order:
+        nbrs = adj.pop(v)
+        width = max(width, len(nbrs))
+        for a in nbrs:
+            adj[a].discard(v)
+        for a, b in itertools.combinations(nbrs, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return width
+
+
 def treewidth_by_permutations(h: Hypergraph) -> int:
     """Exact treewidth as the best elimination order over all permutations."""
-    adj0: dict = {v: set() for v in h.vertices}
-    for _, fs in h.dedup_edges():
-        for v in fs:
-            adj0[v].update(fs - {v})
-    best = None
-    for order in itertools.permutations(h.vertices):
-        adj = {v: set(s) for v, s in adj0.items()}
-        width = 0
-        for v in order:
-            nbrs = adj[v]
-            width = max(width, len(nbrs))
-            for a in nbrs:
-                adj[a].discard(v)
-            for a, b in itertools.combinations(sorted(nbrs), 2):
-                adj[a].add(b)
-                adj[b].add(a)
-            del adj[v]
-        if best is None or width < best:
-            best = width
-    return best if best is not None else -1
+    return min((elimination_width_reference(h, order) for order in itertools.permutations(h.vertices)), default=-1)
+
+
+def min_fill_order_reference(h: Hypergraph) -> list[VertexId]:
+    """The min-fill order by a full rescan of every remaining vertex at every
+    step, ties to the lowest vertex index: ``decomposition._min_fill_order``
+    but for its name and that it reads ``primal_adjacency_reference``."""
+    adj = primal_adjacency_reference(h)
+    index = {v: i for i, v in enumerate(h.vertices)}
+    order = []
+    remaining = set(h.vertices)
+    while remaining:
+        best_v, best_fill = None, None
+        for v in sorted(remaining, key=index.__getitem__):
+            nbrs = [u for u in adj[v] if u in remaining]
+            fill = sum(
+                1
+                for a, b in itertools.combinations(nbrs, 2)
+                if b not in adj[a]
+            )
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        nbrs = [u for u in adj[best_v] if u in remaining]
+        for a, b in itertools.combinations(nbrs, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        remaining.discard(best_v)
+        order.append(best_v)
+    return order
+
+
+def minor_min_width_reference(h: Hypergraph) -> int:
+    """The minor-min-width bound over an edge list: take the vertex of least
+    degree, then its neighbour of least degree, ties to the lower vertex
+    index in both, and contract the edge between them (a vertex with no
+    neighbour is dropped); the bound is the largest least degree seen."""
+    index = {v: i for i, v in enumerate(h.vertices)}
+    alive = set(h.vertices)
+    edges = {frozenset(pair) for _, fs in h.edges for pair in itertools.combinations(fs, 2)}
+
+    def degree(v):
+        return sum(v in e for e in edges)
+
+    bound = 0
+    while alive:
+        v = min(sorted(alive, key=index.__getitem__), key=degree)
+        bound = max(bound, degree(v))
+        alive.remove(v)
+        nbrs = [u for e in edges if v in e for u in e if u != v]
+        if nbrs:
+            into = min(sorted(nbrs, key=index.__getitem__), key=degree)
+            edges = {frozenset(into if u == v else u for u in e) for e in edges}
+            edges = {e for e in edges if len(e) == 2}
+    return bound
 
 
 def _reachable_targets(adj, through: set, v) -> set:
@@ -569,7 +630,7 @@ def exact_elimination_order_reference(h: Hypergraph) -> list[VertexId]:
     visits subsets by size, and breaks ties to the lowest vertex index."""
     vs = list(h.vertices)
     n = len(vs)
-    adj = _primal_adjacency(h)
+    adj = primal_adjacency_reference(h)
 
     cost: dict[int, int] = {0: -1}
     choice: dict[int, int] = {}

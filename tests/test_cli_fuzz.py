@@ -10,8 +10,9 @@ import re
 from collections import Counter
 
 from cqstar import cli
+from cqstar import decomposition as dec
 from cqstar.cli import run_cli
-from cqstar.decomposition import TREE_EXACT_VERTEX_CUTOFF, hinge_decompose
+from cqstar.decomposition import hinge_decompose
 from cqstar.generators import SplitMix64
 from cqstar.hypergraph import from_query
 from cqstar.parser import decomposition_to_json, parse_query
@@ -161,31 +162,46 @@ def _grid_query(cols: int, rows: int, extra: int = 0) -> str:
     return f"ans(g0_0) :- {', '.join(atoms)}.\n"
 
 
-# 12 and 13 variables sit on either side of tree_decompose's exact cutoff
+# 12 and 13 variables sit on either side of tree_decompose's exact cutoff;
+# up to it min-fill meets the minor-min-width bound on the grid, so the DP
+# is skipped (test_decomposition.py reaches the DP route)
 DECOMPOSE_QUERIES = QUERIES + [_grid_query(3, 4), _grid_query(3, 4, 1)]
 
 
-def test_cli_decompose_fuzz_never_crashes(tmp_path, capsys):
+def test_cli_decompose_fuzz_never_crashes(tmp_path, capsys, monkeypatch):
     q = tmp_path / "q.cq"
-    texts, kinds = [], []
+    kinds, steps = [], []  # steps: per run, the tree_decompose steps taken
+
+    def taking(name):
+        inner = getattr(dec, name)
+
+        def wrapper(*args):
+            steps[-1].add(name)
+            return inner(*args)
+
+        monkeypatch.setattr(dec, name, wrapper)
+
+    taking("_minor_min_width")
+    taking("_exact_elimination_order")
 
     def runs():
         for seed in range(240):
             rng = SplitMix64(seed)
-            texts.append(mutate(rng, DECOMPOSE_QUERIES[seed % len(DECOMPOSE_QUERIES)]))
+            text = mutate(rng, DECOMPOSE_QUERIES[seed % len(DECOMPOSE_QUERIES)])
             kinds.append(rng.choice(["jointree", "hinge", "ghd", "tree"]))
-            yield seed, {q: texts[-1]}, ["decompose", "-q", str(q), "--kind", kinds[-1]]
+            steps.append(set())
+            yield seed, {q: text}, ["decompose", "-q", str(q), "--kind", kinds[-1]]
 
     codes = _fuzz(capsys, runs())
     exits = Counter(zip(codes, kinds))
-    exact = Counter(  # tree decompositions built, by "vertices <= cutoff"
-        len(from_query(parse_query(text)).hypergraph.vertices) <= TREE_EXACT_VERTEX_CUTOFF
-        for code, kind, text in zip(codes, kinds, texts)
+    routes = Counter(  # tree decompositions built, by the route taken
+        "exact" if "_exact_elimination_order" in taken else "bound met" if taken else "past cutoff"
+        for code, kind, taken in zip(codes, kinds, steps)
         if code == 0 and kind == "tree"
     )
     assert all(exits[0, kind] > 5 for kind in ("hinge", "ghd", "tree")), exits
     assert sum(n for (code, _), n in exits.items() if code == 1) > 30, exits
-    assert exact[True] > 5 and exact[False] > 2, exact
+    assert routes["bound met"] > 5 and routes["past cutoff"] > 2, routes
 
 
 def test_cli_undefined_predicate_is_an_input_error(tmp_path, capsys):

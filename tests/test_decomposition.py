@@ -32,15 +32,19 @@ from cqstar.errors import DecompositionInvalid, IdMismatch
 from cqstar.generators import SimpleGraph, SplitMix64, gen_is_hardness_hypergraph, gen_random_acyclic
 from cqstar.hypergraph import Hypergraph, SHypergraph, s_components
 
+from conftest import MISSED_BOUND_PAIRS
 from oracles import (
     blocks_hypergraph,
     components_reference,
+    elimination_width_reference,
     exact_elimination_order_reference,
     gyo_reference,
     hinge_reference,
     hypergraph_induced_reference,
     is_acyclic_bruteforce,
+    min_fill_order_reference,
     min_hinge_width,
+    minor_min_width_reference,
     tree_targets,
     treewidth_by_permutations,
     verify_reference,
@@ -650,15 +654,75 @@ def test_exact_elimination_order_matches_reference_up_to_cutoff(monkeypatch):
     for seed, (n, dense, parts) in enumerate(cases):
         h = order_case(seed, n, dense, parts)
         assert len(components_reference(h)) >= parts
-        assert dec._exact_elimination_order(h) == exact_elimination_order_reference(h), (n, dense, parts)
+        order = dec._exact_elimination_order(h.vertices, h.conflict_adjacency())
+        assert order == exact_elimination_order_reference(h), (n, dense, parts)
 
-    def refuse(h):
+    def refuse(vertices, adj):
         raise AssertionError("exact route taken past the cutoff")
 
     monkeypatch.setattr(dec, "_exact_elimination_order", refuse)
     for seed, dense in ((6, False), (7, True)):
         h = order_case(seed, dec.TREE_EXACT_VERTEX_CUTOFF + 1, dense)
-        assert tree_decompose(h) == dec._elimination_tree(h, dec._min_fill_order(h))
+        assert tree_decompose(h) == dec._elimination_tree(h.conflict_adjacency(), min_fill_order_reference(h))
+
+
+def graph_case(n, pairs):
+    """The graph on v0 .. v(n-1) with one binary edge per pair."""
+    return Hypergraph([f"v{i}" for i in range(n)], [(k, frozenset({f"v{i}", f"v{j}"})) for k, (i, j) in enumerate(pairs)])
+
+
+def random_graph(seed):
+    """8 to 12 vertices, each pair an edge with probability 0.2 to 0.7."""
+    rng = SplitMix64(seed)
+    n, p = 8 + rng.below(5), 2 + rng.below(6)
+    return graph_case(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.below(10) < p])
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one per call of ``dec.<name>``, which still runs."""
+    calls, inner = [], getattr(dec, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(dec, name, wrapper)
+    return calls
+
+
+def test_tree_decompose_follows_the_bound_on_random_graphs():
+    """On dense random graphs of 8 to 12 vertices the tree is min-fill's when
+    its width meets the minor-min-width bound, else the exact DP's, and has
+    the least width either way; the batch reaches both routes."""
+    routes = Counter()
+    for seed in range(24):
+        h = random_graph(seed)
+        min_fill, exact = min_fill_order_reference(h), exact_elimination_order_reference(h)
+        bound = minor_min_width_reference(h)
+        assert dec._minor_min_width(h.vertices, h.conflict_adjacency()) == bound, seed
+        met = elimination_width_reference(h, min_fill) <= bound
+        routes[met] += 1
+        d = tree_decompose(h)
+        assert d == dec._elimination_tree(h.conflict_adjacency(), min_fill if met else exact), seed
+        assert verify(h, d).width == elimination_width_reference(h, exact), seed
+    assert routes[True] > 10 and routes[False] >= 2, routes
+
+
+def test_tree_decompose_runs_the_exact_dp_only_when_the_bound_is_missed(monkeypatch):
+    """The pinned miss runs the DP once and gets its narrower tree; a 3 x 4
+    grid, whose min-fill width 3 meets the bound, never runs it."""
+    calls = count_calls(monkeypatch, "_exact_elimination_order")
+    h = graph_case(12, MISSED_BOUND_PAIRS)
+    assert elimination_width_reference(h, min_fill_order_reference(h)) == 5
+    assert minor_min_width_reference(h) == 4
+    d = tree_decompose(h)
+    assert len(calls) == 1
+    assert d == dec._elimination_tree(h.conflict_adjacency(), exact_elimination_order_reference(h))
+    assert verify(h, d).width == 4
+    calls.clear()
+    grid = _grid(4, 3)
+    assert verify(grid, tree_decompose(grid)).width == 3
+    assert calls == []
 
 
 # -- induced and blocks -------------------------------------------------------

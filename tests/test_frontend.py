@@ -26,7 +26,7 @@ from cqstar.parser import (
     query_to_text,
 )
 
-from conftest import EX1_TEXT
+from conftest import EX1_TEXT, MISSED_BOUND_PAIRS
 from oracles import bound_vars, edge_list_to_text
 
 
@@ -959,6 +959,46 @@ def test_cli_starsize_json_does_not_depend_on_string_hashing(workdir):
     # an n-cycle into k quantified paths
     components = [3 for _ in methods] + [k for _ in (6, 8) for k in (2, 3) for _ in methods]
     assert [doc["stats"]["components"] for doc in docs] == list(map(str, components))
+
+
+def test_cli_decompose_tree_does_not_depend_on_string_hashing(workdir):
+    """Min-fill and the minor-min-width bound break ties by vertex index, so
+    ``decompose --kind tree`` prints the same bytes under two fixed hash
+    seeds: on grids, ``gen is-hard`` blowups, random queries and a graph
+    where min-fill misses the bound, each at 12 vertices or fewer (where the
+    bound decides whether the DP runs) and at 13 or more. One process per
+    hash seed runs every command."""
+
+    def grid(cols, rows):
+        pairs = [((r, c), (r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+        pairs += [((r, c), (r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+        return "ans() :- " + ", ".join(f"E(g{a}_{b}, g{c}_{d})" for (a, b), (c, d) in pairs) + ".\n"
+
+    (workdir / "grid34.cq").write_text(grid(3, 4))
+    (workdir / "grid44.cq").write_text(grid(4, 4))
+    (workdir / "miss.cq").write_text("ans(v0) :- " + ", ".join(f"E(v{i}, v{j})" for i, j in MISSED_BOUND_PAIRS) + ".\n")
+    (workdir / "g4.txt").write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+    (workdir / "c5.txt").write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    names = ["grid34", "grid44", "miss"]
+    for graph, k in (("g4", 3), ("c5", 3)):
+        assert run_cli(["gen", "is-hard", "--graph", str(workdir / f"{graph}.txt"), "-k", str(k), "-o", str(workdir / graph)]) == 0
+        names.append(graph)
+    for n, atoms, seed in ((10, 14, 3), (12, 18, 5), (14, 18, 3), (20, 26, 5)):
+        argv = ["gen", "random", "--vars", str(n), "--atoms", str(atoms), "--seed", str(seed), "-o", str(workdir / f"r{n}")]
+        assert run_cli(argv) == 0
+        names.append(f"r{n}")
+    sizes = [len(from_query(parse_query((workdir / f"{name}.cq").read_text())).hypergraph.vertices) for name in names]
+    assert sum(size <= 12 for size in sizes) >= 4 and sum(size >= 13 for size in sizes) >= 4, sizes
+    commands = [f"decompose -q {name}.cq --kind tree" for name in names]
+    script = "import sys\nfrom cqstar.cli import run_cli\nsys.exit(max([run_cli(c.split()) for c in sys.argv[1:]]))"
+    src = str(Path(cqstar.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, *commands], cwd=workdir, env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_invariant_violation_is_one_line_and_exit_3(workdir, capsys, monkeypatch):
